@@ -14,8 +14,13 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .core import Game, InfoSet, NATURE
-from .discovery import build_supergame, run_discovery, supergame_dot
+from .core import Game, InfoSet
+from .discovery import (
+    allowed_profiles,
+    build_supergame,
+    run_discovery,
+    supergame_dot,
+)
 from .equilibrium import (
     check_sce_behavior,
     check_sce_efr,
@@ -31,13 +36,7 @@ from .gamedoc import (
     serialize_game,
 )
 from .rationalizability import efr
-from .strategies import (
-    BehaviorStrategy,
-    PureStrategy,
-    acting_players,
-    has_nature,
-    pure_strategies,
-)
+from .strategies import BehaviorStrategy, PureStrategy
 
 POLICY = {"efr": "efr", "rational": "rational_only", "all": "all"}
 
@@ -203,21 +202,6 @@ def _checker(mode):
             "efr": check_sce_efr}[mode]
 
 
-def _candidate_profiles(g: Game, mode: str):
-    """Without an explicit profile: search the rational profiles (surviving
-    ones for mode efr), nature's pure moves enumerated alongside."""
-    trace = efr(g)
-    pools = trace.surviving() if mode == "efr" else trace.rounds[1]
-    players = list(g.players)
-    sets = [pools[i] for i in players]
-    if has_nature(g):
-        players = [NATURE] + players
-        sets = [pure_strategies(g, NATURE)] + sets
-    import itertools
-    for combo in itertools.product(*sets):
-        yield dict(zip(players, combo))
-
-
 def _cmd_sce(args) -> int:
     g = _load(args.file)
     check = _checker(args.mode)
@@ -234,9 +218,11 @@ def _cmd_sce(args) -> int:
               "holds" if v.holds else "fails: %s (player %s)"
               % (v.violated_condition, v.player))
         return 0 if v.holds else 1
+    # without a profile: search the rational profiles (the surviving ones
+    # for mode efr), nature's pure moves enumerated alongside
     first = None
     checked = 0
-    for s in _candidate_profiles(g, args.mode):
+    for s in allowed_profiles(g, "efr" if args.mode == "efr" else "rational"):
         checked += 1
         prof = s if args.mode == "pure" else lift_pure(g, s)
         v = check(g, prof)

@@ -10,6 +10,7 @@ unawareness is encoded.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -77,6 +78,14 @@ class Game:
       info     -- (player, TreeId, NodeId) -> InfoSet, for every real player
                   active at a decision node and for every real player at every
                   terminal node, in every tree containing the node
+
+    One private index (``_Index``), built on first use, holds what is derived
+    from these fields: per tree the restricted children, actions, root and
+    terminal flags; the upmost tree and tree order; per player the decision
+    sets; the path constraints of ``reaches``; host closures; the EFR set
+    contexts and trace.  Its memos fill as queries arrive and are never
+    invalidated, as the fields never change.  It holds no reference to the
+    game, so reference counting alone frees a dropped game.
     """
 
     def __init__(self, players: Iterable[Player],
@@ -88,7 +97,14 @@ class Game:
         self.nodes = dict(nodes)
         self.info = dict(info)
         self._canon = None
+        self._index: Optional[_Index] = None
         self._check_ids()
+
+    @property
+    def _ix(self) -> "_Index":
+        if self._index is None:
+            self._index = _Index(self)
+        return self._index
 
     # -- construction helpers -------------------------------------------------
 
@@ -126,13 +142,7 @@ class Game:
     @property
     def tbar(self) -> TreeId:
         """The upmost tree (maximum of the lattice)."""
-        best = None
-        for t, ns in self.trees.items():
-            if best is None or len(ns) > len(self.trees[best]):
-                best = t
-        # ties are broken during validation; for well-formed games the node-set
-        # maximum is unique
-        return best
+        return self._ix.tbar
 
     def leq(self, t1: TreeId, t2: TreeId) -> bool:
         return self.trees[t1] <= self.trees[t2]
@@ -147,32 +157,31 @@ class Game:
         raise StructuralError(["no join for trees %s, %s" % (t1, t2)])
 
     def root(self, t: TreeId) -> NodeId:
-        ns = self.trees[t]
-        roots = [n for n in ns
-                 if self.nodes[n].parent is None or self.nodes[n].parent not in ns]
+        roots = self._ix.roots[t]
         if len(roots) != 1:
             raise StructuralError(["tree %s has %d roots" % (t, len(roots))])
         return roots[0]
 
     def children_in(self, t: TreeId, n: NodeId) -> dict[tuple[str, ...], NodeId]:
-        ns = self.trees[t]
-        return {p: c for p, c in self.nodes[n].children.items() if c in ns}
+        return dict(self._ix.children[t][n])
 
     def actions_in(self, t: TreeId, n: NodeId, i: Player) -> tuple[str, ...]:
         """Restricted action set of player i at node n within tree t."""
-        nd = self.nodes[n]
-        if i not in nd.players:
-            return ()
-        idx = sorted(nd.players).index(i)
-        seen = []
-        for prof, c in nd.children.items():
-            if c in self.trees[t] and prof[idx] not in seen:
-                seen.append(prof[idx])
-        # keep the declared label order
-        return tuple(a for a in nd.actions[i] if a in seen)
+        ix = self._ix
+        got = ix.actions.get((t, n, i))
+        if got is None:
+            nd = self.nodes[n]
+            got = ()
+            if i in nd.players:
+                idx = sorted(nd.players).index(i)
+                seen = {prof[idx] for prof in ix.children[t][n]}
+                # keep the declared label order
+                got = tuple(a for a in nd.actions[i] if a in seen)
+            ix.actions[(t, n, i)] = got
+        return got
 
     def terminal_in(self, t: TreeId, n: NodeId) -> bool:
-        return not self.children_in(t, n)
+        return not self._ix.children[t][n]
 
     def path_in(self, t: TreeId, n: NodeId) -> list[NodeId]:
         """Node path from the root of t down to n (inclusive)."""
@@ -188,11 +197,12 @@ class Game:
         return path[::-1]
 
     def descendants_in(self, t: TreeId, n: NodeId) -> list[NodeId]:
+        kids = self._ix.children[t]
         out = []
         stack = [n]
         while stack:
             cur = stack.pop()
-            for c in self.children_in(t, cur).values():
+            for c in kids[cur].values():
                 out.append(c)
                 stack.append(c)
         return sorted(out)
@@ -226,18 +236,20 @@ class Game:
         nature decision node per tree, so that nature's strategies use the
         same machinery as everyone else's.
         """
-        if i == NATURE:
-            out = []
-            for t in self.tree_order():
-                for n in sorted(self.trees[t]):
-                    if NATURE in self.nodes[n].players and not self.terminal_in(t, n):
-                        out.append(InfoSet(NATURE, t, (n,)))
-            return out
-        out = []
-        for h in self.info_sets(i):
-            if any(i in self.nodes[m].players for m in h.members):
-                out.append(h)
-        return out
+        ix = self._ix
+        got = ix.decision_sets.get(i)
+        if got is None:
+            if i == NATURE:
+                got = tuple(InfoSet(NATURE, t, (n,)) for t in ix.tree_order
+                            for n in sorted(self.trees[t])
+                            if NATURE in self.nodes[n].players
+                            and ix.children[t][n])
+            else:
+                got = tuple(h for h in self.info_sets(i)
+                            if any(i in self.nodes[m].players
+                                   for m in h.members))
+            ix.decision_sets[i] = got
+        return list(got)
 
     def set_actions(self, h: InfoSet) -> tuple[str, ...]:
         """Actions available to h's owner (identical across members)."""
@@ -249,10 +261,10 @@ class Game:
     # -- canonical ordering / equality ---------------------------------------
 
     def tree_sort_key(self, t: TreeId):
-        return (len(self.trees[t]), sorted(self.trees[t]), t)
+        return self._ix.tree_keys[t]
 
     def tree_order(self) -> list[TreeId]:
-        return sorted(self.trees, key=self.tree_sort_key)
+        return list(self._ix.tree_order)
 
     def canonical_key(self):
         if self._canon is None:
@@ -280,6 +292,29 @@ class Game:
     def __repr__(self):
         return "Game(players=%r, trees=%d, nodes=%d)" % (
             self.players, len(self.trees), len(self.nodes))
+
+
+class _Index:
+    """The derived tables of one game, described on ``Game``."""
+
+    def __init__(self, g: Game):
+        trees, nodes = g.trees, g.nodes
+        self.tree_keys = {t: (len(ns), tuple(sorted(ns)), t)
+                          for t, ns in trees.items()}
+        self.tree_order = tuple(sorted(trees, key=self.tree_keys.__getitem__))
+        # ties between distinct node sets fail validation
+        self.tbar = max(trees, key=lambda t: len(trees[t]), default=None)
+        # tree -> node -> {action profile: child}, restricted to the tree
+        self.children = {
+            t: {n: {p: c for p, c in nodes[n].children.items() if c in ns}
+                for n in ns}
+            for t, ns in trees.items()}
+        self.roots = {t: [n for n in ns if nodes[n].parent not in ns]
+                      for t, ns in trees.items()}
+        # memos keyed by (tree, node, player), player, (tree, node) and tree
+        self.actions, self.decision_sets = {}, {}
+        self.requirements, self.hosts = {}, {}
+        self.efr_contexts = self.efr_trace = None
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +365,8 @@ CHECK_NAMES = [
 
 
 def _structural_problems(g: Game) -> list[str]:
+    if not g.trees:
+        return ["game has no trees"]
     problems: list[str] = []
     # unique maximum tree
     sizes = sorted(((len(ns), t) for t, ns in g.trees.items()), reverse=True)
@@ -356,7 +393,6 @@ def _structural_problems(g: Game) -> list[str]:
         if set(nd.actions) != set(nd.players):
             problems.append("node %d: actions not declared per active player" % n)
             continue
-        import itertools
         profs = set(itertools.product(*[nd.actions[i] for i in plist]))
         if set(nd.children) != profs:
             problems.append("node %d: successor map domain is not the profile product" % n)
@@ -436,7 +472,6 @@ def validate_game(g: Game) -> ValidationReport:
             if any(not r for r in restr):
                 fails["prop2"].append((t, n))
             else:
-                import itertools
                 want = {prof for prof in itertools.product(*restr)}
                 have = set(g.children_in(t, n))
                 if want != have:
@@ -551,15 +586,18 @@ def _action_towards(g: Game, n: NodeId, child: NodeId, i: Player) -> str:
 
 def hosts_reachable(g: Game, t: TreeId) -> list[TreeId]:
     """Trees reachable from t through information-set hosts (t included)."""
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        cur = frontier.pop()
-        for (i, tt, n), h in g.info.items():
-            if tt == cur and h.host not in seen:
-                seen.add(h.host)
-                frontier.append(h.host)
-    return sorted(seen, key=g.tree_sort_key)
+    got = g._ix.hosts.get(t)
+    if got is None:
+        seen = {t}
+        frontier = [t]
+        while frontier:
+            cur = frontier.pop()
+            for (i, tt, n), h in g.info.items():
+                if tt == cur and h.host not in seen:
+                    seen.add(h.host)
+                    frontier.append(h.host)
+        got = g._ix.hosts[t] = tuple(sorted(seen, key=g.tree_sort_key))
+    return list(got)
 
 
 def t_partial_game(g: Game, t: TreeId) -> Game:

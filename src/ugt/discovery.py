@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
@@ -146,9 +146,14 @@ class DiscoverySupergame:
     # per state and path class, one representative allowed profile
     representatives: dict[int, dict[tuple[NodeId, ...], PureProfile]]
     policy: Policy
+    # canonical key of each state -> its index
+    ids: dict[tuple, int] = field(repr=False, compare=False)
 
     def index(self, g: Game) -> int:
-        return self.states.index(g)
+        try:
+            return self.ids[g.canonical_key()]
+        except KeyError:
+            raise ValueError("%r is not a supergame state" % g) from None
 
     def successors(self, k: int) -> set[int]:
         return set(self.edges[k].values())
@@ -164,6 +169,7 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
     deduplicated by canonical equality.
     """
     states = [g0]
+    ids = {g0.canonical_key(): 0}
     edges: dict[int, dict[tuple[NodeId, ...], int]] = {}
     reps: dict[int, dict[tuple[NodeId, ...], PureProfile]] = {}
     frontier = [0]
@@ -177,15 +183,13 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
             if path in edges[k]:
                 continue
             succ = discovered_version(g, s)
-            try:
-                j = states.index(succ)
-            except ValueError:
-                j = len(states)
+            j = ids.setdefault(succ.canonical_key(), len(states))
+            if j == len(states):
                 states.append(succ)
                 frontier.append(j)
             edges[k][path] = j
             reps[k][path] = s
-    return DiscoverySupergame(states, 0, edges, reps, policy)
+    return DiscoverySupergame(states, 0, edges, reps, policy, ids)
 
 
 def self_confirming_games(sg: DiscoverySupergame) -> set[Game]:

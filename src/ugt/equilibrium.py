@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import Game, InfoSet, NATURE, Player, TreeId
+from .discovery import allowed_profiles
 from .lp import solve_feasibility
 from .rationalizability import efr_sets
 from .strategies import (
@@ -36,7 +37,6 @@ from .strategies import (
     behavior_to_mixed,
     deviation_sets,
     has_nature,
-    hosts_reachable_cached,
     kuhn_convert,
     local_deviations,
     mixed_to_behavior,
@@ -63,7 +63,7 @@ class SceVerdict:
 def uniform_nature(g: Game) -> BehaviorStrategy:
     kernels = {}
     for h in g.decision_sets(NATURE):
-        actions = g.actions_in(h.host, h.members[0], NATURE)
+        actions = g.set_actions(h)
         u = Fraction(1, len(actions))
         kernels[h] = {a: u for a in actions}
     return BehaviorStrategy.make(NATURE, kernels)
@@ -74,13 +74,6 @@ def _with_nature(g: Game, pi: Profile) -> dict:
     if has_nature(g) and NATURE not in out:
         out[NATURE] = uniform_nature(g)
     return out
-
-
-def restrict_behavior(g: Game, pi: BehaviorStrategy,
-                      t: TreeId) -> BehaviorStrategy:
-    keep = set(hosts_reachable_cached(g, t))
-    return BehaviorStrategy.make(
-        pi.owner, {h: dict(k) for h, k in pi.kernels if h.host in keep})
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +96,7 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
             raise ValueError("pure check needs nature's pure strategy")
     witnesses: dict[Player, list] = {}
     for i in g.players:
-        occ = sorted(path_info_sets(g, s, i),
-                     key=lambda x: (g.tree_sort_key(x.host), x.members))
+        occ = sorted(path_info_sets(g, s, i), key=g._set_sort_key)
         hosts = {x.host for x in occ}
         if len(hosts) != 1:
             return SceVerdict(False, "awareness", i,
@@ -161,18 +153,13 @@ def _behavior_deviations(g: Game, i: Player, h: InfoSet,
         yield BehaviorStrategy.make(i, kernels)
 
 
-def _own_reaches(g: Game, i: Player, pi_i: BehaviorStrategy,
-                 h: InfoSet) -> bool:
-    """Whether the player's own kernels give some node of h positive
-    probability, opposing play permitting."""
-    for m in h.members:
-        p = ONE
-        for j, h2, a in _requirements(g, h.host, m):
-            if j == i:
-                p *= pi_i.prob(h2, a)
-        if p > 0:
-            return True
-    return False
+def _kernels_reach(g: Game, kernels: Mapping[Player, BehaviorStrategy],
+                   h: InfoSet) -> bool:
+    """Whether the given players' kernels give some node of h positive
+    probability, the other players' moves permitting."""
+    return any(all(kernels[j].prob(h2, a) > 0
+                   for j, h2, a in _requirements(g, h.host, m) if j in kernels)
+               for m in h.members)
 
 
 def _confirmed_candidates(g: Game, i: Player, pi: Profile,
@@ -206,9 +193,6 @@ def _confirmed_candidates(g: Game, i: Player, pi: Profile,
         for h, live in by_set.items():
             if live:
                 pinned[j][h] = dict(kernels[h])
-            elif j == NATURE:
-                free.append((j, h, list(
-                    g.actions_in(h.host, h.members[0], NATURE))))
             else:
                 free.append((j, h, list(g.set_actions(h))))
     out = []
@@ -218,19 +202,6 @@ def _confirmed_candidates(g: Game, i: Player, pi: Profile,
             full[j][h] = {a: ONE}
         out.append({j: BehaviorStrategy.make(j, k) for j, k in full.items()})
     return out
-
-
-def _opposing_reaches(g: Game, i: Player, c: Profile, h: InfoSet) -> bool:
-    """Whether the opposing behavior profile gives some node of h positive
-    probability, the player's own moves permitting."""
-    for m in h.members:
-        p = ONE
-        for j, h2, a in _requirements(g, h.host, m):
-            if j != i:
-                p *= c[j].prob(h2, a)
-        if p > 0:
-            return True
-    return False
 
 
 def _path_components(g: Game, i: Player, pi: Profile) -> list[list]:
@@ -250,8 +221,7 @@ def _path_components(g: Game, i: Player, pi: Profile) -> list[list]:
             groups.remove(grp)
             ds |= grp
         groups.append(ds)
-    return [sorted(grp, key=lambda x: (g.tree_sort_key(x.host), x.members))
-            for grp in groups]
+    return [sorted(grp, key=g._set_sort_key) for grp in groups]
 
 
 def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
@@ -281,7 +251,7 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
             ends = [hh for hh in group
                     if g.terminal_in(hh.host, hh.members[0])]
             pool = [p for p in cand
-                    if all(_opposing_reaches(g, i, p, hz) for hz in ends)]
+                    if all(_kernels_reach(g, p, hz) for hz in ends)]
             if not pool:
                 return SceVerdict(
                     False, "belief-confirmation", i,
@@ -289,7 +259,7 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
                     % " ".join(hz.label() for hz in ends))
             rows = []
             for hh in group:
-                if hh not in own or not _own_reaches(g, i, pi_i, hh):
+                if hh not in own or not _kernels_reach(g, {i: pi_i}, hh):
                     continue
                 base = [_behavior_value(g, i, tstar, {**p, i: pi_i})
                         for p in pool]
@@ -329,11 +299,12 @@ def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
 # the EFR-conjecture refinement
 
 
-def _realization_key(g: Game, i: Player, x: PureStrategy) -> tuple:
+def _realization_key(g: Game, i: Player, x: PureStrategy,
+                     sets: Sequence[InfoSet]) -> tuple:
     """Signature whose equality characterizes realization equivalence of
-    pure strategies: the actions at every own-reached decision set."""
-    return tuple((h, x.action_at(h)) for h in g.decision_sets(i)
-                 if reaches(g, {i: x}, h))
+    pure strategies: the actions at every own-reached decision set among
+    ``sets``, player i's decision sets."""
+    return tuple((h, x.action_at(h)) for h in sets if reaches(g, {i: x}, h))
 
 
 def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
@@ -347,18 +318,22 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     pi = _with_nature(g, pi)
     surviving = efr_sets(g)
     for i in g.players:
-        allowed = {_realization_key(g, i, x) for x in surviving[i]}
+        sets = g.decision_sets(i)
+        survivors = set(surviving[i])
+        # realization classes with a surviving and with an eliminated member
+        allowed, eliminated = set(), set()
+        for x in pure_strategies(g, i):
+            (allowed if x in survivors else eliminated).add(
+                _realization_key(g, i, x, sets))
         mixed = kuhn_convert(g, i, _as_behavior(g, pi[i]))
         for member in mixed.support():
-            key = _realization_key(g, i, member)
+            key = _realization_key(g, i, member, sets)
             if key not in allowed:
                 return SceVerdict(False, "efr-support", i,
                                   detail="support member not rationalizable")
-            for x in pure_strategies(g, i):
-                if _realization_key(g, i, x) == key \
-                        and x not in surviving[i]:
-                    return SceVerdict(False, "efr-support", i,
-                                      detail="equivalent strategy eliminated")
+            if key in eliminated:
+                return SceVerdict(False, "efr-support", i,
+                                  detail="equivalent strategy eliminated")
     base.witnesses = dict(base.witnesses)
     return base
 
@@ -373,15 +348,8 @@ NASH_SUPPORT_CAP = 4
 def is_rationalizable_self_confirming(g: Game) -> bool:
     """Every profile of rationalizable strategies keeps each player's
     occurring information sets inside one tree."""
-    surviving = efr_sets(g)
-    players = list(g.players)
-    pools = [surviving[i] for i in players]
-    if has_nature(g):
-        players = [NATURE] + players
-        pools = [pure_strategies(g, NATURE)] + pools
     seen_paths = set()
-    for combo in itertools.product(*pools):
-        s = dict(zip(players, combo))
+    for s in allowed_profiles(g, "efr"):
         path = tuple(g.path_in(g.tbar, play_out(g, g.tbar, s)))
         if path in seen_paths:
             continue

@@ -65,6 +65,13 @@ def _parse_frac(s, where: str) -> Fraction:
         raise DocSemanticError("bad rational %r in %s" % (s, where)) from None
 
 
+def _object(x, where: str) -> dict:
+    """x itself, when the document has a JSON object there."""
+    if not isinstance(x, dict):
+        raise DocSemanticError("%s is not an object" % where)
+    return x
+
+
 def serialize_game(g: Game, provenance: Optional[Mapping] = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     nodes = {}
@@ -115,22 +122,28 @@ def parse_game(text: str) -> Game:
     try:
         players = [int(i) for i in doc["players"]]
         nodes = {}
-        for key, nd in doc["nodes"].items():
+        for key, nd in _object(doc["nodes"], "nodes").items():
             n = int(key)
+            nd = _object(nd, "node %s" % key)
             children = {}
             for entry in nd.get("children", []):
                 children[tuple(entry["profile"])] = int(entry["child"])
             nodes[n] = NodeData(
                 parent=None if nd.get("parent") is None else int(nd["parent"]),
                 players=tuple(sorted(int(i) for i in nd.get("players", []))),
-                actions={int(i): tuple(a)
-                         for i, a in nd.get("actions", {}).items()},
+                actions={int(i): tuple(a) for i, a in _object(
+                    nd.get("actions", {}), "actions of node %d" % n).items()},
                 children=children,
                 payoffs={int(i): _parse_frac(v, "payoffs of node %d" % n)
-                         for i, v in nd.get("payoffs", {}).items()})
-        trees = {t: [int(n) for n in ns] for t, ns in doc["trees"].items()}
+                         for i, v in _object(nd.get("payoffs", {}),
+                                             "payoffs of node %d" % n).items()})
+        trees = {t: [int(n) for n in ns]
+                 for t, ns in _object(doc["trees"], "trees").items()}
         info = {}
         for entry in doc["info"]:
+            if not all(isinstance(entry[k], str) for k in ("tree", "host")):
+                raise DocSemanticError("info entry %r: tree names must be "
+                                       "strings" % (entry,))
             key = (int(entry["player"]), entry["tree"], int(entry["node"]))
             info[key] = InfoSet(key[0], entry["host"],
                                 tuple(sorted(int(m) for m in entry["members"])))

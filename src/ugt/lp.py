@@ -20,17 +20,29 @@ def solve_feasibility(n: int,
                       a_eq: Sequence[Row] = (), b_eq: Sequence = (),
                       a_ub: Sequence[Row] = (), b_ub: Sequence = ()
                       ) -> Optional[list[Fraction]]:
-    """A nonnegative solution of the system, or None when infeasible."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    n_slack = len(a_ub)
-    for k, (row, b) in enumerate(list(zip(a_eq, b_eq)) + list(zip(a_ub, b_ub))):
+    """A nonnegative solution of the system, or None when infeasible.
+
+    Inequality rows that every x >= 0 satisfies (no positive coefficient,
+    b >= 0) and repeated ones are dropped first; this is exact, as a witness
+    of the remaining rows satisfies them too.
+    """
+    eqs = list(zip(a_eq, b_eq))
+    ubs = list(zip(a_ub, b_ub))
+    for k, (row, _) in enumerate(eqs + ubs):
         if len(row) != n:
             raise ValueError("row %d has length %d, expected %d"
                              % (k, len(row), n))
+    # insertion-ordered and duplicate-free
+    kept = dict.fromkeys(
+        (tuple(Fraction(v) for v in row), Fraction(b)) for row, b in ubs)
+    ineqs = [(row, b) for row, b in kept if b < 0 or any(v > 0 for v in row)]
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    n_slack = len(ineqs)
+    for k, (row, b) in enumerate(eqs + ineqs):
         full = [Fraction(v) for v in row] + [ZERO] * n_slack
-        if k >= len(a_eq):
-            full[n + (k - len(a_eq))] = ONE
+        if k >= len(eqs):
+            full[n + (k - len(eqs))] = ONE
         b = Fraction(b)
         if b < 0:
             full = [-v for v in full]

@@ -36,7 +36,6 @@ from .strategies import (
     pure_strategies,
     reaches,
     restrict_profile,
-    restrict_strategy,
 )
 
 DEFAULT_ORACLE_CAP = 1000
@@ -67,8 +66,9 @@ class EfrTrace:
 
 
 class _SetContext:
+    """Caches for one decision set; takes the game per call, never holds it."""
+
     def __init__(self, g: Game, i: Player, h: InfoSet):
-        self.g = g
         self.i = i
         self.h = h
         t = h.host
@@ -100,11 +100,11 @@ class _SetContext:
     def column(self, p: PureProfile) -> tuple:
         return tuple(p[j].action_at(hh) for j, hh in self.opp_keys)
 
-    def column_reaches(self, p: PureProfile) -> bool:
+    def column_reaches(self, g: Game, p: PureProfile) -> bool:
         col = self.column(p)
         got = self._col_reaches.get(col)
         if got is None:
-            got = reaches(self.g, p, self.h)
+            got = reaches(g, p, self.h)
             self._col_reaches[col] = got
             if got and col not in self._col_rep:
                 self._col_rep[col] = dict(p)
@@ -113,15 +113,15 @@ class _SetContext:
     def representative(self, col: tuple) -> PureProfile:
         return self._col_rep[col]
 
-    def strategy_reaches(self, s_i: PureStrategy) -> bool:
+    def strategy_reaches(self, g: Game, s_i: PureStrategy) -> bool:
         key = tuple(s_i.action_at(x) for x in self.own_keys)
         got = self._own_reach.get(key)
         if got is None:
-            got = reaches(self.g, {self.i: s_i}, self.h)
+            got = reaches(g, {self.i: s_i}, self.h)
             self._own_reach[key] = got
         return got
 
-    def _matrix(self, prefix: tuple, allowed: tuple) -> tuple:
+    def _matrix(self, g: Game, prefix: tuple, allowed: tuple) -> tuple:
         """Payoff rows for every continuation at the deviation sets, shared
         by all strategies with the same choices before the set."""
         key = (prefix, allowed)
@@ -135,9 +135,8 @@ class _SetContext:
                 self.i, {**base, **dict(zip(self.dev_sets, combo))})
             row = []
             for c in allowed:
-                z = play_out(self.g, self.h.host,
-                             {**self._col_rep[c], self.i: s})
-                row.append(self.g.nodes[z].payoffs[self.i])
+                z = play_out(g, self.h.host, {**self._col_rep[c], self.i: s})
+                row.append(g.nodes[z].payoffs[self.i])
             rows[combo] = tuple(row)
         col_max = tuple(max(r[c] for r in rows.values())
                         for c in range(len(allowed)))
@@ -145,7 +144,7 @@ class _SetContext:
         self._matrices[key] = got
         return got
 
-    def optimal_for_some_belief(self, s_i: PureStrategy,
+    def optimal_for_some_belief(self, g: Game, s_i: PureStrategy,
                                 allowed: tuple) -> bool:
         """True when some belief over the allowed columns makes s_i's
         continuation weakly optimal among local deviations."""
@@ -155,7 +154,7 @@ class _SetContext:
         got = self._verdicts.get(key)
         if got is not None:
             return got
-        rows, col_max = self._matrix(prefix, allowed)
+        rows, col_max = self._matrix(g, prefix, allowed)
         base = rows[combo]
         # point-belief fast path: a column where the base is unbeaten
         if any(b == m for b, m in zip(base, col_max)):
@@ -166,13 +165,10 @@ class _SetContext:
         return verdict
 
     def _lp(self, base: tuple, rows) -> bool:
-        better = [r for r in rows if any(v > b for v, b in zip(r, base))]
         # only rows undominated among themselves can constrain the belief
-        kept = [r for r in better
-                if not any(o is not r and all(x >= y for x, y in zip(o, r))
-                           and o != r for o in better)]
-        if not kept:
-            return True
+        kept = [r for r in rows
+                if not any(o != r and all(x >= y for x, y in zip(o, r))
+                           for o in rows)]
         n = len(base)
         a_ub = [[v - b for v, b in zip(r, base)] for r in kept]
         x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
@@ -181,14 +177,11 @@ class _SetContext:
 
 
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
-    cache = getattr(g, "_efr_ctx", None)
-    if cache is None:
-        cache = {}
-        for i in g.players:
-            for h in g.decision_sets(i):
-                cache[h] = _SetContext(g, i, h)
-        g._efr_ctx = cache
-    return cache
+    ix = g._ix
+    if ix.efr_contexts is None:
+        ix.efr_contexts = {h: _SetContext(g, i, h) for i in g.players
+                           for h in g.decision_sets(i)}
+    return ix.efr_contexts
 
 
 def _opposing_pool(g: Game, i: Player,
@@ -213,7 +206,7 @@ def _allowed_columns(ctx: _SetContext, g: Game, i: Player,
         cols = []
         seen = set()
         for p in _opposing_pool(g, i, rounds[m], nature):
-            if ctx.column_reaches(p):
+            if ctx.column_reaches(g, p):
                 c = ctx.column(p)
                 if c not in seen:
                     seen.add(c)
@@ -224,7 +217,18 @@ def _allowed_columns(ctx: _SetContext, g: Game, i: Player,
 
 
 def efr(g: Game) -> EfrTrace:
-    """Iterate the belief-restriction procedure to its fixpoint."""
+    """Iterate the belief-restriction procedure to its fixpoint.
+
+    Runs once per game: the trace is kept in the game's index, and every
+    later call returns that same object, which callers must not change.
+    """
+    ix = g._ix
+    if ix.efr_trace is None:
+        ix.efr_trace = _efr(g)
+    return ix.efr_trace
+
+
+def _efr(g: Game) -> EfrTrace:
     ctxs = _contexts(g)
     nature = pure_strategies(g, NATURE) if has_nature(g) else []
     rounds = [{i: pure_strategies(g, i) for i in g.players}]
@@ -247,9 +251,9 @@ def efr(g: Game) -> EfrTrace:
             for s in rounds[-1][i]:
                 ok = True
                 for h, cols in allowed_at.items():
-                    if not ctxs[h].strategy_reaches(s):
+                    if not ctxs[h].strategy_reaches(g, s):
                         continue
-                    if not ctxs[h].optimal_for_some_belief(s, cols):
+                    if not ctxs[h].optimal_for_some_belief(g, s, cols):
                         ok = False
                         break
                 if ok:
@@ -280,13 +284,13 @@ def best_reply_exists(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
     cols = []
     seen = set()
     for p in allowed:
-        if not ctx.column_reaches(p):
+        if not ctx.column_reaches(g, p):
             raise ValueError("allowed profile does not reach %s" % h.label())
         c = ctx.column(p)
         if c not in seen:
             seen.add(c)
             cols.append(c)
-    return ctx.optimal_for_some_belief(s_i, tuple(cols))
+    return ctx.optimal_for_some_belief(g, s_i, tuple(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +305,8 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
-def _candidate_beliefs(ctx: _SetContext, cols: tuple):
+def _candidate_beliefs(g: Game, ctx: _SetContext, cols: tuple):
     """Point beliefs on each allowed column plus the uniform mixture."""
-    g = ctx.g
     out = []
     for c in cols:
         out.append([(restrict_profile(g, ctx.representative(c), ctx.h.host),
@@ -392,7 +395,7 @@ def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of) -> bool:
         if forced is not None:
             options = [forced]
         else:
-            options = _candidate_beliefs(ctx, cols)
+            options = _candidate_beliefs(g, ctx, cols)
         for belief in options:
             if not _support_allowed(ctx, belief, cols):
                 continue

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
+from .core import (
+    Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -133,15 +134,9 @@ def profile_key(p: PureProfile):
 # strategy enumeration
 
 
-def strategy_sets(g: Game, i: Player) -> list[InfoSet]:
-    """The information sets a strategy of player i must cover."""
-    return g.decision_sets(i)
-
-
 def pure_strategies(g: Game, i: Player) -> list[PureStrategy]:
-    sets = strategy_sets(g, i)
-    menus = [g.set_actions(h) if i != NATURE else g.actions_in(h.host, h.members[0], NATURE)
-             for h in sets]
+    sets = g.decision_sets(i)
+    menus = [g.set_actions(h) for h in sets]
     out = []
     for combo in itertools.product(*menus):
         out.append(PureStrategy.make(i, dict(zip(sets, combo))))
@@ -169,28 +164,20 @@ def _key_set(g: Game, j: Player, t: TreeId, n: NodeId) -> InfoSet:
 
 def _requirements(g: Game, t: TreeId, n: NodeId):
     """(player, information set, action) constraints along the path to n."""
-    cache = getattr(g, "_req_cache", None)
-    if cache is None:
-        cache = {}
-        g._req_cache = cache
-    got = cache.get((t, n))
+    ix = g._ix
+    got = ix.requirements.get((t, n))
     if got is not None:
         return got
+    kids = ix.children[t]
     reqs = []
     path = g.path_in(t, n)
     for k, b in enumerate(path[:-1]):
-        nd = g.nodes[b]
         nxt = path[k + 1]
-        prof = None
-        for pr, c in g.children_in(t, b).items():
-            if c == nxt:
-                prof = pr
-                break
-        plist = sorted(nd.players)
-        for idx, j in enumerate(plist):
+        prof = next(pr for pr, c in kids[b].items() if c == nxt)
+        for idx, j in enumerate(sorted(g.nodes[b].players)):
             reqs.append((j, _key_set(g, j, t, b), prof[idx]))
-    cache[(t, n)] = tuple(reqs)
-    return cache[(t, n)]
+    got = ix.requirements[(t, n)] = tuple(reqs)
+    return got
 
 
 NodeRef = tuple[TreeId, NodeId]
@@ -258,12 +245,12 @@ def occurring_info_sets(g: Game, s: Profile, i: Player,
 
 def play_out(g: Game, t: TreeId, s: PureProfile, start: Optional[NodeId] = None) -> NodeId:
     """Follow the induced actions within tree t down to a terminal node."""
+    kids = g._ix.children[t]
     n = g.root(t) if start is None else start
-    while not g.terminal_in(t, n):
-        nd = g.nodes[n]
+    while kids[n]:
         prof = tuple(s[j].action_at(_key_set(g, j, t, n))
-                     for j in sorted(nd.players))
-        n = g.children_in(t, n)[prof]
+                     for j in sorted(g.nodes[n].players))
+        n = kids[n][prof]
     return n
 
 
@@ -318,7 +305,7 @@ def reach_probability(g: Game, s: Profile, node: NodeRef) -> Fraction:
 
 
 def behavior_to_mixed(g: Game, pi: BehaviorStrategy) -> MixedStrategy:
-    sets = strategy_sets(g, pi.owner)
+    sets = g.decision_sets(pi.owner)
     menus = [pi.as_dict()[h] for h in sets]
     weights: dict[PureStrategy, Fraction] = {}
     for combo in itertools.product(*menus):
@@ -334,9 +321,8 @@ def behavior_to_mixed(g: Game, pi: BehaviorStrategy) -> MixedStrategy:
 def mixed_to_behavior(g: Game, sigma: MixedStrategy) -> BehaviorStrategy:
     i = sigma.owner
     kernels = {}
-    for h in strategy_sets(g, i):
-        actions = g.set_actions(h) if i != NATURE \
-            else g.actions_in(h.host, h.members[0], NATURE)
+    for h in g.decision_sets(i):
+        actions = g.set_actions(h)
         consistent = [(s, w) for s, w in sigma.weights
                       if reaches(g, {i: s}, h)]
         den = sum((w for _, w in consistent), ZERO)
@@ -423,12 +409,12 @@ def expected_payoff_at(g: Game, i: Player, h: InfoSet,
 def _behavior_value(g: Game, i: Player, t: TreeId, s: Profile,
                     start: Optional[NodeId] = None) -> Fraction:
     n = g.root(t) if start is None else start
-    if g.terminal_in(t, n):
+    kids = g._ix.children[t][n]
+    if not kids:
         return g.nodes[n].payoffs[i]
-    nd = g.nodes[n]
-    plist = sorted(nd.players)
+    plist = sorted(g.nodes[n].players)
     total = ZERO
-    for prof, child in g.children_in(t, n).items():
+    for prof, child in kids.items():
         w = ONE
         for idx, j in enumerate(plist):
             sj = s[j]
@@ -457,7 +443,7 @@ def deviation_sets(g: Game, i: Player, h: InfoSet) -> list[InfoSet]:
             if key in g.info and i in g.nodes[d].players \
                     and not g.terminal_in(h.host, d):
                 out.add(g.info[key])
-    return sorted(out, key=lambda x: (g.tree_sort_key(x.host), x.members))
+    return sorted(out, key=g._set_sort_key)
 
 
 def local_deviations(g: Game, i: Player, h: InfoSet,
@@ -512,24 +498,13 @@ class BeliefSystem:
 
 def restrict_strategy(g: Game, s: PureStrategy, t: TreeId) -> PureStrategy:
     """Restriction of a strategy to the t-partial game's information sets."""
-    keep = set(hosts_reachable_cached(g, t))
+    keep = set(hosts_reachable(g, t))
     return PureStrategy.make(
         s.owner, {h: a for h, a in s.choices if h.host in keep})
 
 
 def restrict_profile(g: Game, s: PureProfile, t: TreeId) -> PureProfile:
     return {j: restrict_strategy(g, sj, t) for j, sj in s.items()}
-
-
-def hosts_reachable_cached(g: Game, t: TreeId) -> tuple[TreeId, ...]:
-    cache = getattr(g, "_hosts_cache", None)
-    if cache is None:
-        cache = {}
-        g._hosts_cache = cache
-    if t not in cache:
-        from .core import hosts_reachable
-        cache[t] = tuple(hosts_reachable(g, t))
-    return cache[t]
 
 
 def conditioned_belief(g: Game, belief: Belief,

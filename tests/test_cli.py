@@ -41,6 +41,16 @@ def test_validate_garbage(tmp_path, capsys):
     assert "syntax error" in err
 
 
+def test_validate_wrong_shape(tmp_path, capsys):
+    doc = json.loads(serialize_game(load("ex1_initial")))
+    doc["nodes"] = list(doc["nodes"].values())
+    path = tmp_path / "shape.game.json"
+    path.write_text(json.dumps(doc))
+    status, _, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert "nodes is not an object" in err
+
+
 def test_validate_axiom_failure(game_file, tmp_path, capsys):
     doc = json.loads(serialize_game(load("ex1_initial")))
     for x in doc["info"]:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -24,7 +26,8 @@ from ugt.fixtures import (
     matching_pennies,
     nature_coin,
 )
-from ugt.rationalizability import efr_sets
+from ugt.gamedoc import parse_game, serialize_game
+from ugt.rationalizability import efr, efr_sets
 from ugt.strategies import (
     BehaviorStrategy,
     acting_players,
@@ -282,9 +285,11 @@ def test_realization_key_matches_exhaustive_equivalence():
         g = load(name)
         for i in g.players:
             pool = pure_strategies(g, i)
+            sets = g.decision_sets(i)
             for x in pool:
                 for y in pool:
-                    same = _realization_key(g, i, x) == _realization_key(g, i, y)
+                    same = _realization_key(g, i, x, sets) == \
+                        _realization_key(g, i, y, sets)
                     assert same == realization_equivalent(g, i, x, y)
 
 
@@ -335,6 +340,29 @@ def test_construct_matching_pennies_mixes():
         [target] = g.decision_sets(i)
         for a in g.set_actions(target):
             assert pi[i].prob(target, a) == Fraction(1, 2)
+
+
+def test_game_caches_die_with_the_game():
+    # the EFR trace and the other caches live in the game's index, which
+    # holds no reference back to the game, so with the cycle collector off
+    # reference counting alone frees a dropped game
+    text = serialize_game(ex2_rsc())
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        g = parse_game(text)
+        assert efr(g) is efr(g)
+        _, v = construct_sce_efr(g)
+        assert v.holds
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        if collecting:
+            gc.enable()
+    # each parse pays for its own EFR: fresh instances share no trace
+    g1, g2 = parse_game(text), parse_game(text)
+    assert efr(g1) is not efr(g2)
 
 
 # ---------------------------------------------------------------------------

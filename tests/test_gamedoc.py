@@ -101,3 +101,24 @@ def test_game_dot_deterministic_and_complete():
     assert out.startswith("digraph game {")
     for t in g.trees:
         assert 'subgraph "cluster_%s"' % t in out
+
+
+def _first_decision_node(doc):
+    return next(n for n, nd in doc["nodes"].items() if nd["actions"])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc.update(nodes=list(doc["nodes"].values())),
+    lambda doc: doc.update(trees=list(doc["trees"].values())),
+    lambda doc: doc["nodes"].update({"0": None}),
+    lambda doc: doc["nodes"][_first_decision_node(doc)].update(
+        actions=[["l1", "r1"]]),
+    lambda doc: doc["info"][0].update(host=["T"]),
+    lambda doc: doc.update(trees={}, info=[]),
+], ids=["nodes-list", "trees-list", "node-null", "actions-list",
+        "host-list", "no-trees"])
+def test_wrong_document_shape_is_semantic(damage):
+    doc = json.loads(serialize_game(load("ex1_initial")))
+    damage(doc)
+    with pytest.raises(DocSemanticError):
+        parse_game(json.dumps(doc))

@@ -69,6 +69,18 @@ def test_random_systems_match_witness_check(seed):
             for _ in range(rng.randint(0, 3))]
     b_ub = [F(rng.randint(-3, 3)) for _ in a_ub]
     x = solve_feasibility(n, a_eq, b_eq, a_ub, b_ub)
+    # the same system with rows the presolve drops appended: repeats of its
+    # inequality rows, and rows with no positive coefficient and b >= 0
+    repeats = [k for k in range(len(a_ub)) if rng.random() < 0.5]
+    more_a = a_ub + [a_ub[k] for k in repeats]
+    more_b = b_ub + [b_ub[k] for k in repeats]
+    for _ in range(rng.randint(1, 3)):
+        more_a.append([F(-rng.randint(0, 3)) for _ in range(n)])
+        more_b.append(F(rng.randint(0, 3)))
+    y = solve_feasibility(n, a_eq, b_eq, more_a, more_b)
+    assert (y is None) == (x is None)
+    if y is not None:
+        assert check_solution(y, n, a_eq, b_eq, more_a, more_b)
     if x is not None:
         assert check_solution(x, n, a_eq, b_eq, a_ub, b_ub)
     else:
