@@ -82,9 +82,11 @@ class Game:
     One private index (``_Index``), built on first use, holds what is derived
     from these fields: per tree the restricted children, actions, root and
     terminal flags; the upmost tree and tree order; per player the decision
-    sets; the path constraints of ``reaches``; host closures; the EFR set
-    contexts and trace.  Its memos fill as queries arrive and are never
-    invalidated, as the fields never change.  It holds no reference to the
+    sets and their positions in action vectors; per tree the play table,
+    each decision node's (player, position) pairs; the path constraints of
+    ``reaches``; host closures; the EFR set contexts and trace.  Its memos
+    fill as queries arrive and are never invalidated, as the fields never
+    change.  It holds no reference to the
     game, so reference counting alone frees a dropped game.
     """
 
@@ -311,9 +313,10 @@ class _Index:
             for t, ns in trees.items()}
         self.roots = {t: [n for n in ns if nodes[n].parent not in ns]
                       for t, ns in trees.items()}
-        # memos keyed by (tree, node, player), player, (tree, node) and tree
-        self.actions, self.decision_sets = {}, {}
-        self.requirements, self.hosts = {}, {}
+        # memos keyed by (tree, node, player), player, player, tree,
+        # (tree, node) and tree
+        self.actions, self.decision_sets, self.positions = {}, {}, {}
+        self.plays, self.requirements, self.hosts = {}, {}, {}
         self.efr_contexts = self.efr_trace = None
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 from .core import Game, InfoSet, NATURE, Player, TreeId
 from .discovery import allowed_profiles
 from .lp import solve_feasibility
-from .rationalizability import efr_sets
+from .rationalizability import _contexts, efr_sets
 from .strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -34,6 +34,7 @@ from .strategies import (
     _key_set,
     _requirements,
     acting_players,
+    action_vector,
     behavior_to_mixed,
     deviation_sets,
     has_nature,
@@ -47,6 +48,7 @@ from .strategies import (
     reach_probability,
     reaches,
     restrict_profile,
+    strategy_vectors,
 )
 
 
@@ -299,12 +301,15 @@ def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
 # the EFR-conjecture refinement
 
 
-def _realization_key(g: Game, i: Player, x: PureStrategy,
-                     sets: Sequence[InfoSet]) -> tuple:
+def _realization_key(g: Game, i: Player, x, sets: Sequence[InfoSet]) -> tuple:
     """Signature whose equality characterizes realization equivalence of
     pure strategies: the actions at every own-reached decision set among
-    ``sets``, player i's decision sets."""
-    return tuple((h, x.action_at(h)) for h in sets if reaches(g, {i: x}, h))
+    ``sets``, player i's decision sets in order.  x is a PureStrategy or
+    its action vector; the EFR set contexts decide the own reach."""
+    ctxs = _contexts(g)
+    v = action_vector(g, x, i) if isinstance(x, PureStrategy) else x
+    return tuple((h, a) for h, a in zip(sets, v)
+                 if ctxs[h].strategy_reaches(v))
 
 
 def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
@@ -319,12 +324,12 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     surviving = efr_sets(g)
     for i in g.players:
         sets = g.decision_sets(i)
-        survivors = set(surviving[i])
+        survivors = {action_vector(g, x, i) for x in surviving[i]}
         # realization classes with a surviving and with an eliminated member
         allowed, eliminated = set(), set()
-        for x in pure_strategies(g, i):
-            (allowed if x in survivors else eliminated).add(
-                _realization_key(g, i, x, sets))
+        for v in strategy_vectors(g, i):
+            (allowed if v in survivors else eliminated).add(
+                _realization_key(g, i, v, sets))
         mixed = kuhn_convert(g, i, _as_behavior(g, pi[i]))
         for member in mixed.support():
             key = _realization_key(g, i, member, sets)

@@ -15,27 +15,32 @@ Bayes conditioning enforced; it is exponential and guarded by a cap.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq, ge, itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .core import Game, InfoSet, NATURE, Player, info_arborescence
+from .core import Game, InfoSet, NodeId, Player, info_arborescence
 from .lp import solve_feasibility
 from .strategies import (
     PureProfile,
     PureStrategy,
     ZERO,
     ONE,
-    _key_set,
+    _requirements,
+    acting_players,
+    action_vector,
     conditioned_belief,
     deviation_sets,
-    has_nature,
     is_rational_at,
-    play_out,
+    play_table,
     pure_strategies,
     reaches,
     restrict_profile,
+    set_positions,
+    strategy_vectors,
 )
 
 DEFAULT_ORACLE_CAP = 1000
@@ -63,157 +68,204 @@ class EfrTrace:
 
 # ---------------------------------------------------------------------------
 # per-information-set context: columns, payoff matrix, optimality test
+#
+# The engine works on action vectors (``strategy_vectors``): a strategy is
+# the tuple of its actions at its owner's decision sets, and a profile maps
+# each acting player to one such vector.
+
+
+def _getter(positions: Sequence[int]):
+    """A function reading the given positions of a vector as a tuple."""
+    if len(positions) == 1:
+        p, = positions
+        return lambda v: (v[p],)
+    return itemgetter(*positions) if positions else lambda v: ()
 
 
 class _SetContext:
-    """Caches for one decision set; takes the game per call, never holds it."""
+    """Caches for one decision set; takes the game per call, never holds it.
 
-    def __init__(self, g: Game, i: Player, h: InfoSet):
+    A column is the tuple of the opponents' keys, each an opponent's actions
+    at its decision sets in the host tree; nature counts as an opponent.
+    Equal columns play the host tree out identically.  A column's
+    representative takes, per opponent, the first vector of its full pool
+    with that key.
+    """
+
+    def __init__(self, g: Game, i: Player, h: InfoSet,
+                 pools: Mapping[Player, Sequence[tuple]]):
         self.i = i
         self.h = h
         t = h.host
-        self.dev_sets = deviation_sets(g, i, h)
-        self.menus = [g.set_actions(x) for x in self.dev_sets]
-        # own and opposing decision points inside the host tree; these are
-        # the only choices a play-out of the tree can consult
-        own = []
-        opp = []
-        for n in sorted(g.trees[t]):
-            if g.terminal_in(t, n):
-                continue
-            for j in sorted(g.nodes[n].players):
-                ks = _key_set(g, j, t, n)
-                if j == i:
-                    if ks not in own:
-                        own.append(ks)
-                elif (j, ks) not in opp:
-                    opp.append((j, ks))
-        self.own_keys = own
-        self.prefix_sets = [x for x in own if x not in self.dev_sets]
-        self.opp_keys = opp
+        self.kids = g._ix.children[t]
+        self.table = play_table(g, t)
+        self.root = g.root(t)
+        self.payoff = {n: g.nodes[n].payoffs[i]
+                       for n, kids in self.kids.items() if not kids}
+        pos = set_positions(g, i)
+        dev_sets = deviation_sets(g, i, h)
+        self.menus = [g.set_actions(x) for x in dev_sets]
+        self.dev = [pos[x] for x in dev_sets]
+        # the vector positions a play-out of the host tree can consult
+        used: dict[Player, list[int]] = {}
+        for n in sorted(self.table):
+            for j, p in self.table[n]:
+                if p not in used.setdefault(j, []):
+                    used[j].append(p)
+        own = used.get(i, [])
+        self.own_key = _getter(own)
+        self.dev_key = _getter(self.dev)
+        self.prefix_key = _getter([p for p in own if p not in self.dev])
+        self.opponents = [j for j in acting_players(g) if j != i]
+        self.opp_keys = [_getter(used.get(j, [])) for j in self.opponents]
+        # per opponent, the first vector of its pool with each key (read
+        # backwards, so that the first one is written last)
+        self.reps = [dict(zip(map(get, pools[j][::-1]), pools[j][::-1]))
+                     for j, get in zip(self.opponents, self.opp_keys)]
+        # per member of h, the (player, position, action) constraints of
+        # the path to it
+        self.reqs = [[(j, set_positions(g, j)[x], a)
+                      for j, x, a in _requirements(g, t, m)]
+                     for m in h.members]
         self._col_reaches: dict[tuple, bool] = {}
-        self._col_rep: dict[tuple, PureProfile] = {}
+        self._profiles: dict[tuple, dict] = {}
         self._own_reach: dict[tuple, bool] = {}
+        self._ids: dict[tuple, int] = {}
+        self._allowed: dict[int, tuple] = {}
         self._matrices: dict[tuple, tuple] = {}
-        self._verdicts: dict[tuple, bool] = {}
 
-    def column(self, p: PureProfile) -> tuple:
-        return tuple(p[j].action_at(hh) for j, hh in self.opp_keys)
-
-    def column_reaches(self, g: Game, p: PureProfile) -> bool:
-        col = self.column(p)
+    def column_reaches(self, col: tuple) -> bool:
         got = self._col_reaches.get(col)
         if got is None:
-            got = reaches(g, p, self.h)
+            prof = dict(zip(self.opponents,
+                            map(dict.__getitem__, self.reps, col)))
+            got = any(all(prof[j][p] == a for j, p, a in r if j != self.i)
+                      for r in self.reqs)
             self._col_reaches[col] = got
-            if got and col not in self._col_rep:
-                self._col_rep[col] = dict(p)
+            if got:
+                self._profiles[col] = prof
         return got
 
-    def representative(self, col: tuple) -> PureProfile:
-        return self._col_rep[col]
+    def representative(self, g: Game, tables, col: tuple) -> PureProfile:
+        """The reaching column's representative as PureStrategy objects,
+        restricted to the host tree's partial game."""
+        prof = self._profiles[col]
+        return restrict_profile(
+            g, {j: tables[j][prof[j]] for j in self.opponents}, self.h.host)
 
-    def strategy_reaches(self, g: Game, s_i: PureStrategy) -> bool:
-        key = tuple(s_i.action_at(x) for x in self.own_keys)
+    def strategy_reaches(self, v: tuple) -> bool:
+        key = self.own_key(v)
         got = self._own_reach.get(key)
         if got is None:
-            got = reaches(g, {self.i: s_i}, self.h)
+            got = any(all(v[p] == a for j, p, a in r if j == self.i)
+                      for r in self.reqs)
             self._own_reach[key] = got
         return got
 
-    def _matrix(self, g: Game, prefix: tuple, allowed: tuple) -> tuple:
+    def intern(self, cols: tuple) -> int:
+        """A small id for a tuple of allowed reaching columns."""
+        aid = self._ids.setdefault(cols, len(self._ids))
+        self._allowed.setdefault(aid, cols)
+        return aid
+
+    def _play(self, prof: Mapping[Player, tuple]) -> NodeId:
+        kids, table = self.kids, self.table
+        n = self.root
+        pairs = table.get(n)
+        while pairs is not None:
+            n = kids[n][tuple([prof[j][p] for j, p in pairs])]
+            pairs = table.get(n)
+        return n
+
+    def _matrix(self, v: tuple, aid: int) -> tuple:
         """Payoff rows for every continuation at the deviation sets, shared
-        by all strategies with the same choices before the set."""
-        key = (prefix, allowed)
+        by all strategies with the same choices before the set: each
+        continuation's index into the distinct rows, those rows, the
+        column maxima, the distinct rows no other row dominates (only those
+        can constrain a belief) and a verdict slot per distinct row."""
+        key = (self.prefix_key(v), aid)
         got = self._matrices.get(key)
         if got is not None:
             return got
-        base = dict(zip(self.prefix_sets, prefix))
-        rows = {}
+        cells = [dict(self._profiles[c]) for c in self._allowed[aid]]
+        w = list(v)
+        index: dict[tuple, int] = {}
+        at = {}
         for combo in itertools.product(*self.menus):
-            s = PureStrategy.make(
-                self.i, {**base, **dict(zip(self.dev_sets, combo))})
-            row = []
-            for c in allowed:
-                z = play_out(g, self.h.host, {**self._col_rep[c], self.i: s})
-                row.append(g.nodes[z].payoffs[self.i])
-            rows[combo] = tuple(row)
-        col_max = tuple(max(r[c] for r in rows.values())
-                        for c in range(len(allowed)))
-        got = (rows, col_max)
-        self._matrices[key] = got
+            for p, a in zip(self.dev, combo):
+                w[p] = a
+            own = tuple(w)
+            for prof in cells:
+                prof[self.i] = own
+            row = tuple([self.payoff[self._play(prof)] for prof in cells])
+            at[combo] = index.setdefault(row, len(index))
+        rows = list(index)
+        col_max = tuple(map(max, zip(*rows)))
+        kept = [r for r in rows
+                if not any(o != r and all(map(ge, o, r)) for o in rows)]
+        got = self._matrices[key] = (at, rows, col_max, kept,
+                                     [None] * len(rows))
         return got
 
-    def optimal_for_some_belief(self, g: Game, s_i: PureStrategy,
-                                allowed: tuple) -> bool:
-        """True when some belief over the allowed columns makes s_i's
-        continuation weakly optimal among local deviations."""
-        prefix = tuple(s_i.action_at(x) for x in self.prefix_sets)
-        combo = tuple(s_i.action_at(x) for x in self.dev_sets)
-        key = (prefix, combo, allowed)
-        got = self._verdicts.get(key)
-        if got is not None:
-            return got
-        rows, col_max = self._matrix(g, prefix, allowed)
-        base = rows[combo]
-        # point-belief fast path: a column where the base is unbeaten
-        if any(b == m for b, m in zip(base, col_max)):
-            verdict = True
-        else:
-            verdict = self._lp(base, set(rows.values()))
-        self._verdicts[key] = verdict
-        return verdict
+    def optimal_for_some_belief(self, v: tuple, aid: int) -> bool:
+        """True when some belief over the allowed columns makes the
+        continuation of v weakly optimal among local deviations."""
+        at, rows, col_max, kept, verdicts = self._matrix(v, aid)
+        r = at[self.dev_key(v)]
+        if verdicts[r] is None:
+            base = rows[r]
+            # point-belief fast path: a column where the base is unbeaten
+            verdicts[r] = any(map(eq, base, col_max)) \
+                or self._lp(base, kept)
+        return verdicts[r]
 
     def _lp(self, base: tuple, rows) -> bool:
-        # only rows undominated among themselves can constrain the belief
-        kept = [r for r in rows
-                if not any(o != r and all(x >= y for x, y in zip(o, r))
-                           for o in rows)]
         n = len(base)
-        a_ub = [[v - b for v, b in zip(r, base)] for r in kept]
+        a_ub = [[v - b for v, b in zip(r, base)] for r in rows]
         x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
-                              a_ub=a_ub, b_ub=[ZERO] * len(kept))
+                              a_ub=a_ub, b_ub=[ZERO] * len(rows))
         return x is not None
+
+    def column(self, g: Game, p: PureProfile) -> tuple:
+        """The column of an opposing profile of PureStrategy objects,
+        restricted ones included.  Raises ValueError when the profile lacks
+        a valid choice that the host tree consults."""
+        col = tuple(get(action_vector(g, p[j], j) if j in p
+                        else (None,) * len(g.decision_sets(j)))
+                    for j, get in zip(self.opponents, self.opp_keys))
+        if not all(map(dict.__contains__, self.reps, col)):
+            raise ValueError("profile lacks a choice that %s consults"
+                             % self.h.host)
+        return col
 
 
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
     ix = g._ix
     if ix.efr_contexts is None:
-        ix.efr_contexts = {h: _SetContext(g, i, h) for i in g.players
+        pools = {j: strategy_vectors(g, j) for j in acting_players(g)}
+        ix.efr_contexts = {h: _SetContext(g, i, h, pools) for i in g.players
                            for h in g.decision_sets(i)}
     return ix.efr_contexts
 
 
-def _opposing_pool(g: Game, i: Player,
-                   per_player: Mapping[Player, Sequence[PureStrategy]],
-                   nature: Sequence[PureStrategy]) -> list[PureProfile]:
-    others = [j for j in g.players if j != i]
-    pools = [per_player[j] for j in others]
-    players = list(others)
-    if nature:
-        players = [NATURE] + players
-        pools = [list(nature)] + pools
-    return [dict(zip(players, combo)) for combo in itertools.product(*pools)]
-
-
-def _allowed_columns(ctx: _SetContext, g: Game, i: Player,
-                     rounds: list[dict[Player, list[PureStrategy]]],
-                     nature: Sequence[PureStrategy],
+def _allowed_columns(ctx: _SetContext, rounds: list[dict[Player, list]],
                      upto: int) -> tuple[int, tuple]:
     """Best-rationalization support: columns from the latest round whose
-    survivors still reach the set."""
+    survivors still reach the set.  Rounds hold action vectors."""
     for m in range(upto, -1, -1):
-        cols = []
-        seen = set()
-        for p in _opposing_pool(g, i, rounds[m], nature):
-            if ctx.column_reaches(g, p):
-                c = ctx.column(p)
-                if c not in seen:
-                    seen.add(c)
-                    cols.append(c)
+        keys = [dict.fromkeys(map(get, rounds[m][j]))
+                for j, get in zip(ctx.opponents, ctx.opp_keys)]
+        cols = tuple(c for c in itertools.product(*keys)
+                     if ctx.column_reaches(c))
         if cols:
-            return m, tuple(cols)
+            return m, cols
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
+
+
+def _tables(g: Game) -> dict[Player, dict[tuple, PureStrategy]]:
+    """Per acting player, each action vector's PureStrategy, built once."""
+    return {j: dict(zip(strategy_vectors(g, j), pure_strategies(g, j)))
+            for j in acting_players(g)}
 
 
 def efr(g: Game) -> EfrTrace:
@@ -230,41 +282,34 @@ def efr(g: Game) -> EfrTrace:
 
 def _efr(g: Game) -> EfrTrace:
     ctxs = _contexts(g)
-    nature = pure_strategies(g, NATURE) if has_nature(g) else []
-    rounds = [{i: pure_strategies(g, i) for i in g.players}]
+    tables = _tables(g)
+    rounds = [{j: list(t) for j, t in tables.items()}]
     constraints: list[dict[InfoSet, BeliefConstraint]] = []
     while True:
         k = len(rounds)
         cons: dict[InfoSet, BeliefConstraint] = {}
-        new: dict[Player, list[PureStrategy]] = {}
+        new = dict(rounds[-1])  # nature is never eliminated
         for i in g.players:
-            allowed_at: dict[InfoSet, tuple] = {}
+            allowed_at = []
             for h in g.decision_sets(i):
                 ctx = ctxs[h]
-                level, cols = _allowed_columns(ctx, g, i, rounds, nature, k - 1)
-                allowed_at[h] = cols
+                level, cols = _allowed_columns(ctx, rounds, k - 1)
+                allowed_at.append((ctx, ctx.intern(cols)))
                 cons[h] = BeliefConstraint(
                     i, h, level,
-                    [restrict_profile(g, ctx.representative(c), h.host)
-                     for c in cols])
-            survivors = []
-            for s in rounds[-1][i]:
-                ok = True
-                for h, cols in allowed_at.items():
-                    if not ctxs[h].strategy_reaches(g, s):
-                        continue
-                    if not ctxs[h].optimal_for_some_belief(g, s, cols):
-                        ok = False
-                        break
-                if ok:
-                    survivors.append(s)
+                    [ctx.representative(g, tables, c) for c in cols])
+            survivors = [v for v in rounds[-1][i]
+                         if all(ctx.optimal_for_some_belief(v, aid)
+                                for ctx, aid in allowed_at
+                                if ctx.strategy_reaches(v))]
             assert survivors, "no rationalizable strategy for player %d" % i
             new[i] = survivors
         constraints.append(cons)
-        if new == rounds[-1]:
-            rounds.append(new)
-            return EfrTrace(rounds, constraints, fixpoint_round=k)
         rounds.append(new)
+        if new == rounds[-2]:
+            return EfrTrace([{i: [tables[i][v] for v in rd[i]]
+                              for i in g.players} for rd in rounds],
+                            constraints, fixpoint_round=k)
 
 
 def efr_sets(g: Game) -> dict[Player, list[PureStrategy]]:
@@ -274,23 +319,28 @@ def efr_sets(g: Game) -> dict[Player, list[PureStrategy]]:
 def best_reply_exists(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
                       allowed: Sequence[PureProfile]) -> bool:
     """Whether some belief over the allowed profiles makes s_i's
-    continuation at h weakly optimal among local deviations."""
+    continuation at h weakly optimal among local deviations.
+
+    Raises ValueError when h is not a decision set of player i, s_i is not
+    a pure strategy of player i, the allowed set is empty, or s_i or an
+    allowed profile lacks a choice that h's host tree consults or does not
+    reach h.
+    """
     allowed = list(allowed)
     if not allowed:
         raise ValueError("allowed set must be nonempty")
-    if not reaches(g, {i: s_i}, h):
+    ctx = _contexts(g).get(h)
+    if ctx is None or ctx.i != i:
+        raise ValueError("%s is no decision set of player %d" % (h.label(), i))
+    v = action_vector(g, s_i, i)
+    if None in ctx.own_key(v):
+        raise ValueError("strategy lacks a choice that %s consults" % h.host)
+    if not ctx.strategy_reaches(v):
         return True
-    ctx = _contexts(g)[h]
-    cols = []
-    seen = set()
-    for p in allowed:
-        if not ctx.column_reaches(g, p):
-            raise ValueError("allowed profile does not reach %s" % h.label())
-        c = ctx.column(p)
-        if c not in seen:
-            seen.add(c)
-            cols.append(c)
-    return ctx.optimal_for_some_belief(g, s_i, tuple(cols))
+    cols = dict.fromkeys(ctx.column(g, p) for p in allowed)
+    if not all(map(ctx.column_reaches, cols)):
+        raise ValueError("allowed profile does not reach %s" % h.label())
+    return ctx.optimal_for_some_belief(v, ctx.intern(tuple(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +355,20 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
-def _candidate_beliefs(g: Game, ctx: _SetContext, cols: tuple):
+def _candidate_beliefs(g: Game, ctx: _SetContext, cols: tuple, tables):
     """Point beliefs on each allowed column plus the uniform mixture."""
-    out = []
-    for c in cols:
-        out.append([(restrict_profile(g, ctx.representative(c), ctx.h.host),
-                     ONE)])
+    reps = [ctx.representative(g, tables, c) for c in cols]
+    out = [[(p, ONE)] for p in reps]
     if len(cols) > 1:
         u = Fraction(1, len(cols))
-        out.append([(restrict_profile(g, ctx.representative(c), ctx.h.host),
-                     u) for c in cols])
+        out.append([(p, u) for p in reps])
     return out
 
 
-def _support_allowed(ctx: _SetContext, belief, cols: tuple) -> bool:
+def _support_allowed(g: Game, ctx: _SetContext, belief, cols: tuple) -> bool:
     allowed = set(cols)
     for p, w in belief:
-        if w > 0 and ctx.column(p) not in allowed:
+        if w > 0 and ctx.column(g, p) not in allowed:
             return False
     return True
 
@@ -335,37 +382,34 @@ def efr_oracle(g: Game, cap: Optional[int] = None) -> dict[Player, list[PureStra
     mass.  Exponential; refuses games above the cap.
     """
     cap = oracle_cap() if cap is None else cap
-    sizes = 1
-    strategy_pool = {i: pure_strategies(g, i) for i in g.players}
-    for ss in strategy_pool.values():
-        sizes *= len(ss)
+    sizes = math.prod(len(strategy_vectors(g, i)) for i in g.players)
     if sizes > cap:
         raise OracleCapExceeded("strategy-profile count %d exceeds cap %d"
                                 % (sizes, cap))
     ctxs = _contexts(g)
-    nature = pure_strategies(g, NATURE) if has_nature(g) else []
+    tables = _tables(g)
     parents = {i: info_arborescence(g, i) for i in g.players}
-    rounds = [strategy_pool]
+    rounds = [{j: list(t) for j, t in tables.items()}]
     while True:
         k = len(rounds)
-        new = {}
+        new = dict(rounds[-1])
         for i in g.players:
             sets_i = g.decision_sets(i)
-            allowed_at = {}
-            for h in sets_i:
-                allowed_at[h] = _allowed_columns(ctxs[h], g, i, rounds,
-                                                 nature, k - 1)[1]
-            survivors = [s for s in rounds[-1][i]
-                         if _oracle_survives(g, i, s, sets_i, allowed_at,
-                                             ctxs, parents[i])]
+            allowed_at = {h: _allowed_columns(ctxs[h], rounds, k - 1)[1]
+                          for h in sets_i}
+            survivors = [v for v in rounds[-1][i]
+                         if _oracle_survives(g, i, tables[i][v], sets_i,
+                                             allowed_at, ctxs, parents[i],
+                                             tables)]
             assert survivors
             new[i] = survivors
         if new == rounds[-1]:
-            return new
+            return {i: [tables[i][v] for v in new[i]] for i in g.players}
         rounds.append(new)
 
 
-def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of) -> bool:
+def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of,
+                     tables) -> bool:
     reached = [h for h in sets_i if reaches(g, {i: s_i}, h)]
     order = []
     done = set()
@@ -395,9 +439,9 @@ def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of) -> bool:
         if forced is not None:
             options = [forced]
         else:
-            options = _candidate_beliefs(g, ctx, cols)
+            options = _candidate_beliefs(g, ctx, cols, tables)
         for belief in options:
-            if not _support_allowed(ctx, belief, cols):
+            if not _support_allowed(g, ctx, belief, cols):
                 continue
             if not is_rational_at(g, i, h, s_i, belief):
                 continue

@@ -134,13 +134,31 @@ def profile_key(p: PureProfile):
 # strategy enumeration
 
 
+def strategy_vectors(g: Game, i: Player) -> list[tuple[str, ...]]:
+    """Player i's pure strategies as action vectors: the actions at
+    ``g.decision_sets(i)``, in that order; listed as ``pure_strategies``."""
+    return list(itertools.product(*map(g.set_actions, g.decision_sets(i))))
+
+
+def action_vector(g: Game, s: PureStrategy, i: Player) -> tuple:
+    """Player i's strategy s as an action vector, None where s makes no
+    choice (a restricted strategy); ValueError if s is not i's strategy."""
+    if not isinstance(s, PureStrategy) or s.owner != i:
+        raise ValueError("not a pure strategy of player %d: %r" % (i, s))
+    sets = g.decision_sets(i)
+    v = tuple(map(s.as_dict().get, sets))
+    if any(a is not None and a not in g.set_actions(h)
+           for h, a in zip(sets, v)):
+        raise ValueError("unavailable action in %r" % (s,))
+    return v
+
+
 def pure_strategies(g: Game, i: Player) -> list[PureStrategy]:
     sets = g.decision_sets(i)
-    menus = [g.set_actions(h) for h in sets]
-    out = []
-    for combo in itertools.product(*menus):
-        out.append(PureStrategy.make(i, dict(zip(sets, combo))))
-    return out
+    # the order PureStrategy.make sorts choices into, found once
+    order = sorted(range(len(sets)), key=sets.__getitem__)
+    return [PureStrategy(i, tuple([(sets[k], v[k]) for k in order]))
+            for v in strategy_vectors(g, i)]
 
 
 def has_nature(g: Game) -> bool:
@@ -160,6 +178,29 @@ def _key_set(g: Game, j: Player, t: TreeId, n: NodeId) -> InfoSet:
     if j == NATURE:
         return InfoSet(NATURE, t, (n,))
     return g.info[(j, t, n)]
+
+
+def set_positions(g: Game, i: Player) -> dict[InfoSet, int]:
+    """Index of each decision set of i (nature included) in
+    ``g.decision_sets(i)``: the layout of i's action vectors."""
+    got = g._ix.positions.get(i)
+    if got is None:
+        got = g._ix.positions[i] = {
+            h: k for k, h in enumerate(g.decision_sets(i))}
+    return got
+
+
+def play_table(g: Game, t: TreeId) -> dict[NodeId, tuple]:
+    """Per decision node of t, the (player, vector position) pairs whose
+    actions, in sorted player order, form the profile picking the child."""
+    ix = g._ix
+    got = ix.plays.get(t)
+    if got is None:
+        got = ix.plays[t] = {
+            n: tuple((j, set_positions(g, j)[_key_set(g, j, t, n)])
+                     for j in sorted(g.nodes[n].players))
+            for n, kids in ix.children[t].items() if kids}
+    return got
 
 
 def _requirements(g: Game, t: TreeId, n: NodeId):

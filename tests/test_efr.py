@@ -16,6 +16,7 @@ from ugt.fixtures import (
     nature_coin,
     trivial_single,
 )
+from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     OracleCapExceeded,
     best_reply_exists,
@@ -23,7 +24,13 @@ from ugt.rationalizability import (
     efr_oracle,
     efr_sets,
 )
-from ugt.strategies import PureStrategy, realized_tbar_path
+from ugt.strategies import (
+    PureStrategy,
+    acting_players,
+    reaches,
+    realized_tbar_path,
+    restrict_strategy,
+)
 
 
 def h(i, host, members):
@@ -194,6 +201,28 @@ def test_belief_constraint_levels(name):
             seen[hh] = c.level
 
 
+@pytest.mark.parametrize("name,sizes", [
+    ("bos_repeated", [(2048, 16), (1280, 16), (1280, 8), (640, 8), (640, 8)]),
+    ("bos_repeated_discovered",
+     [(2048, 128), (1280, 128), (1280, 32), (384, 32), (384, 16), (128, 16),
+      (128, 16)]),
+])
+def test_big_fixture_rounds_pinned(name, sizes):
+    g = load(name)
+    trace = efr(g)
+    assert [(len(rd[1]), len(rd[2])) for rd in trace.rounds] == sizes
+    assert trace.fixpoint_round == len(sizes) - 1
+    for cons in trace.belief_constraints:
+        for hh, c in cons.items():
+            opponents = [j for j in acting_players(g) if j != c.player]
+            for p in c.profiles:
+                assert list(p) == opponents
+                for j, s in p.items():
+                    assert isinstance(s, PureStrategy) and s.owner == j
+                    assert restrict_strategy(g, s, hh.host) == s
+                assert reaches(g, p, hh)
+
+
 # ---------------------------------------------------------------------------
 # best_reply_exists as a standalone operation
 
@@ -220,6 +249,23 @@ def test_best_reply_exists_rejects_nonreaching_profile():
         best_reply_exists(g, 2, target, m2, [{1: r1}])
 
 
+def test_best_reply_exists_rejects_malformed_strategies():
+    g = ex1_initial()
+    target = h(2, "Tbar", (1,))
+    [s_l1] = efr_sets(g)[1]
+    m2 = PureStrategy.make(2, {target: "m2", h(2, "T", (1,)): "r2"})
+    with pytest.raises(ValueError):
+        best_reply_exists(g, 2, target, m2, [{1: PureStrategy.make(1, {})}])
+    with pytest.raises(ValueError):
+        best_reply_exists(g, 2, target, PureStrategy.make(2, {}),
+                          [{1: s_l1}])
+    with pytest.raises(ValueError):  # s_i owned by another player
+        best_reply_exists(g, 2, target, s_l1, [{1: s_l1}])
+    with pytest.raises(ValueError):  # an action the set does not offer
+        best_reply_exists(g, 2, target, m2.replace({target: "zz"}),
+                          [{1: s_l1}])
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 
@@ -240,3 +286,23 @@ def test_oracle_cap_enforced():
         efr_oracle(bos_repeated(), cap=100)
     with pytest.raises(OracleCapExceeded):
         efr_oracle(ex2_full(), cap=1000)
+
+
+@pytest.mark.parametrize("players,nature", [(2, True), (3, False), (3, True)])
+def test_oracle_matches_engine_on_generated_shapes(players, nature):
+    checked = shrunk = 0
+    for k in range(30):
+        g = generate_random_game(seed=k, players=players, nature=nature,
+                                 depth=2, branching=2 + (k % 2),
+                                 tree_count=2 + (k % 3 == 0))
+        try:
+            slow = efr_oracle(g)
+        except OracleCapExceeded:
+            continue
+        checked += 1
+        trace = efr(g)
+        fast = trace.surviving()
+        for i in g.players:
+            assert set(fast[i]) == set(slow[i]), k
+        shrunk += trace.fixpoint_round > 1
+    assert checked >= 25 and shrunk >= 5
