@@ -12,6 +12,7 @@ are the self-confirming games.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -20,8 +21,11 @@ from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
 from .rationalizability import efr
 from .strategies import (
     PureProfile,
-    has_nature,
-    path_info_sets,
+    PureStrategy,
+    _check_total,
+    _key_set,
+    _sets_along,
+    acting_players,
     profile_key,
     pure_strategies,
     realized_tbar_path,
@@ -35,9 +39,12 @@ POLICIES = ("efr", "rational_only", "all")
 def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
     """Join of the host trees of i's information sets along the realized
     path of the richest tree."""
-    hosts = {h.host for h in path_info_sets(g, s, i)}
+    return _awareness_along(g, realized_tbar_path(g, s), i)
+
+
+def _awareness_along(g: Game, path: Sequence[NodeId], i: Player) -> TreeId:
     tree = None
-    for t in hosts:
+    for t in {h.host for h in _sets_along(g, path, i)}:
         tree = t if tree is None else g.join(tree, t)
     assert tree is not None
     return tree
@@ -46,38 +53,44 @@ def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
 def discovered_version(g: Game, s: PureProfile) -> Game:
     """The game after everyone updates their view from playing s.
 
-    Per player i with enlarged view T^i, an information set keyed at tree
-    T'' moves only when the host of its richest-tree anchor is inside T^i:
-    it is rebuilt in T^i itself when T'' is at least as rich, projected
-    onto T'' when T'' is poorer, and left alone when the trees are
-    incomparable.
+    It depends on s only through the realized path of the richest tree:
+    every player's enlarged view T^i is the join of the hosts of the sets
+    they meet along that path.  Per player, an information set keyed at
+    tree T'' moves only when the host of its richest-tree anchor is inside
+    T^i: it is rebuilt in T^i itself when T'' is at least as rich,
+    projected onto T'' when T'' is poorer, and left alone when the trees
+    are incomparable.
+
+    Raises ValueError when s is not a total pure profile (see
+    ``realized_tbar_path``).
     """
+    return _discovered_along(g, realized_tbar_path(g, s))
+
+
+def _discovered_along(g: Game, path: Sequence[NodeId]) -> Game:
     tbar = g.tbar
     new_info = dict(g.info)
     for i in g.players:
-        t_i = awareness_tree(g, s, i)
-        a_cache: dict[InfoSet, tuple[NodeId, ...]] = {}
-
-        def lifted_members(anchor: InfoSet) -> tuple[NodeId, ...]:
-            got = a_cache.get(anchor)
-            if got is None:
-                got = tuple(sorted(
-                    n2 for n2 in g.trees[t_i]
-                    if g.info.get((i, t_i, n2)) == anchor))
-                a_cache[anchor] = got
-            return got
-
+        t_i = _awareness_along(g, path, i)
+        richer = {t for t in g.trees if g.leq(t_i, t)}
+        poorer = {t for t in g.trees if g.leq(t, t_i)}
+        # anchor -> its members in T^i, from one pass over T^i
+        lifted: dict[InfoSet, list[NodeId]] = {}
+        for n2 in sorted(g.trees[t_i]):
+            h = g.info.get((i, t_i, n2))
+            if h is not None:
+                lifted.setdefault(h, []).append(n2)
         for (j, t2, n), old in g.info.items():
             if j != i:
                 continue
             anchor = g.info[(i, tbar, n)]
-            if not g.leq(anchor.host, t_i):
+            if anchor.host not in poorer:
                 continue  # the revelation does not cover this set
-            if g.leq(t_i, t2):
-                members = lifted_members(anchor)
+            if t2 in richer:
+                members = tuple(lifted.get(anchor, ()))
                 new_info[(i, t2, n)] = InfoSet(i, t_i, members)
-            elif g.leq(t2, t_i):
-                members = tuple(x for x in lifted_members(anchor)
+            elif t2 in poorer:
+                members = tuple(x for x in lifted.get(anchor, ())
                                 if x in g.trees[t2])
                 new_info[(i, t2, n)] = InfoSet(i, t2, members)
             # incomparable trees: unchanged
@@ -117,10 +130,10 @@ def discovery_relations(g_from: Game, g_to: Game) -> DiscoveryReport:
 # policies and the supergame
 
 
-def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
-    """The pure profiles a policy permits in a state, nature included."""
-    if callable(policy):
-        return list(policy(g))
+def _pools(g: Game,
+           policy: str) -> tuple[list[Player], list[list[PureStrategy]]]:
+    """The acting players, nature first when it moves, and the pure
+    strategies a named policy permits each of them."""
     if policy == "all":
         pools = {i: pure_strategies(g, i) for i in g.players}
     elif policy == "efr":
@@ -129,12 +142,101 @@ def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
         pools = efr(g).rounds[1]
     else:
         raise ValueError("unknown policy %r" % (policy,))
-    players = list(g.players)
-    sets = [pools[i] for i in players]
-    if has_nature(g):
-        players = [NATURE] + players
-        sets = [pure_strategies(g, NATURE)] + sets
-    return [dict(zip(players, combo)) for combo in itertools.product(*sets)]
+    players = acting_players(g)
+    return players, [pools[i] if i != NATURE else pure_strategies(g, NATURE)
+                     for i in players]
+
+
+def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
+    """The pure profiles a policy permits in a state, nature included."""
+    if callable(policy):
+        return list(policy(g))
+    players, pools = _pools(g, policy)
+    return [dict(zip(players, combo)) for combo in itertools.product(*pools)]
+
+
+def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
+                  ) -> list[tuple]:
+    """Group allowed profiles by their realized richest-tree path.
+
+    ``source`` is a named policy, a callable policy, or an explicit list of
+    (profile, weight) pairs.  Returns one (path, representative, weight)
+    per path, in the order the paths first appear among the profiles: for
+    a named policy that is ``allowed_profiles`` order, the representative
+    is the first profile with the path and the weight counts the profiles.
+    Explicit profiles weigh as given (those with weight <= 0 are dropped)
+    and must be total (ValueError otherwise); a callable policy's profiles
+    weigh 1.
+
+    A named policy's profiles are never enumerated: the walk descends the
+    richest tree once, splitting each mover's pool by its action at the
+    node, so a path class is the product of the per-player subsets that
+    reach its terminal node.  An explicit profile is a product of
+    singletons.
+    """
+    if callable(source):
+        source = [(s, 1) for s in source(g)]
+    if isinstance(source, str):
+        players, pools = _pools(g, source)
+        blocks = [(pools, 1)]
+    else:
+        players = acting_players(g)
+        blocks = []
+        for s, w in source:
+            if w > 0:
+                _check_total(g, s)
+                blocks.append(([[s[j]] for j in players], w))
+    tbar = g.tbar
+    slot = {j: k for k, j in enumerate(players)}
+    merged: dict[tuple[NodeId, ...], list] = {}
+    for pools, w in blocks:
+        found: list = []
+        _walk(g, tbar, pools, slot, g.root(tbar),
+              [list(range(len(p))) for p in pools], [], found)
+        # lexicographic first indices give the product order
+        for first, path, count in sorted(found):
+            got = merged.get(path)
+            if got is None:
+                merged[path] = [dict(zip(players, (
+                    p[x] for p, x in zip(pools, first)))), count * w]
+            else:
+                got[1] += count * w
+    return [(path, s, w) for path, (s, w) in merged.items()]
+
+
+def _walk(g: Game, tbar: TreeId, pools, slot: dict[Player, int], n: NodeId,
+          subsets: list[list[int]], path: list[NodeId], found: list) -> None:
+    """Append (first indices, path, profile count) for every terminal node
+    below n that some profile of the subsets reaches.
+
+    A module-level function, not a closure: a self-referencing closure is a
+    reference cycle, which only the cyclic collector frees, so every
+    state's game and pools would outlive the call.
+    """
+    path.append(n)
+    kids = g._ix.children[tbar][n]
+    if not kids:
+        found.append((tuple(sub[0] for sub in subsets), tuple(path),
+                      math.prod(map(len, subsets))))
+    else:
+        split = []
+        for j in sorted(g.nodes[n].players):
+            h = _key_set(g, j, tbar, n)
+            k = slot[j]
+            by: dict[str, list[int]] = {}
+            for x in subsets[k]:
+                by.setdefault(pools[k][x].as_dict()[h], []).append(x)
+            split.append((k, by))
+        for prof, c in kids.items():
+            sub = list(subsets)
+            for (k, by), a in zip(split, prof):
+                got = by.get(a)
+                if got is None:
+                    break
+                sub[k] = got
+            else:
+                _walk(g, tbar, pools, slot, c, sub, path, found)
+    path.pop()
 
 
 @dataclass
@@ -178,11 +280,8 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
         g = states[k]
         edges[k] = {}
         reps[k] = {}
-        for s in allowed_profiles(g, policy):
-            path = tuple(realized_tbar_path(g, s))
-            if path in edges[k]:
-                continue
-            succ = discovered_version(g, s)
+        for path, s, _ in _path_classes(g, policy):
+            succ = _discovered_along(g, path)
             j = ids.setdefault(succ.canonical_key(), len(states))
             if j == len(states):
                 states.append(succ)
@@ -230,24 +329,19 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
     bound = 1 + len(g0.players) * len(g0.trees)
     while True:
         g = states[-1]
-        allowed = allowed_profiles(g, policy)
         if f is None:
-            weighted = [(s, 1) for s in allowed]
+            source = policy
         else:
-            weighted = list(f(g, allowed))
+            allowed = allowed_profiles(g, policy)
+            source = list(f(g, allowed))
             permitted = {profile_key(s) for s in allowed}
-            if any(profile_key(s) not in permitted for s, _ in weighted):
+            if any(profile_key(s) not in permitted for s, _ in source):
                 raise ValueError("sampler support leaves the policy set")
         # profiles with the same realized path share their transition, so
         # one discovered version per path class suffices
-        by_path: dict[tuple, list] = {}
-        for s, w in weighted:
-            if w > 0:
-                path = tuple(realized_tbar_path(g, s))
-                by_path.setdefault(path, [s, 0])[1] += w
         moving = []
-        for s, w in by_path.values():
-            succ = discovered_version(g, s)
+        for path, s, w in _path_classes(g, source):
+            succ = _discovered_along(g, path)
             if succ != g:
                 moving.append((s, w, succ))
         if not moving:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import Game, InfoSet, NATURE, Player, TreeId
-from .discovery import allowed_profiles
+from .discovery import _path_classes
 from .lp import solve_feasibility
 from .rationalizability import _contexts, efr_sets
 from .strategies import (
@@ -33,6 +33,7 @@ from .strategies import (
     _behavior_value,
     _key_set,
     _requirements,
+    _sets_along,
     acting_players,
     action_vector,
     behavior_to_mixed,
@@ -353,16 +354,8 @@ NASH_SUPPORT_CAP = 4
 def is_rationalizable_self_confirming(g: Game) -> bool:
     """Every profile of rationalizable strategies keeps each player's
     occurring information sets inside one tree."""
-    seen_paths = set()
-    for s in allowed_profiles(g, "efr"):
-        path = tuple(g.path_in(g.tbar, play_out(g, g.tbar, s)))
-        if path in seen_paths:
-            continue
-        seen_paths.add(path)
-        for i in g.players:
-            if len({x.host for x in path_info_sets(g, s, i)}) != 1:
-                return False
-    return True
+    return all(len({h.host for h in _sets_along(g, path, i)}) == 1
+               for path, _, _ in _path_classes(g, "efr") for i in g.players)
 
 
 def _nature_weights(g: Game, nature: Optional[MixedStrategy]):

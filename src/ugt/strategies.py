@@ -295,10 +295,34 @@ def play_out(g: Game, t: TreeId, s: PureProfile, start: Optional[NodeId] = None)
     return n
 
 
+def _check_total(g: Game, s: PureProfile) -> None:
+    """ValueError unless s gives every acting player, nature included when
+    it moves, a pure strategy of its own with a choice at each of its
+    decision sets."""
+    for j in acting_players(g):
+        sj = s.get(j)
+        if sj is None:
+            raise ValueError("the profile has no strategy for player %d" % j)
+        if None in action_vector(g, sj, j):
+            raise ValueError("%r makes no choice at some decision set"
+                             % (sj,))
+
+
 def realized_tbar_path(g: Game, s: PureProfile) -> list[NodeId]:
-    """The realized node path of the upmost tree under a total pure profile."""
-    z = play_out(g, g.tbar, s)
-    return g.path_in(g.tbar, z)
+    """The realized node path of the upmost tree under a total pure profile.
+
+    Raises ValueError when s is not total: a player without a strategy, a
+    strategy of another player, or one without a choice at some decision
+    set.
+    """
+    _check_total(g, s)
+    return g.path_in(g.tbar, play_out(g, g.tbar, s))
+
+
+def _sets_along(g: Game, nodes: Iterable[NodeId], i: Player) -> set[InfoSet]:
+    """Player i's information sets at the given upmost-tree nodes."""
+    tbar = g.tbar
+    return {h for n in nodes if (h := g.info.get((i, tbar, n))) is not None}
 
 
 def path_info_sets(g: Game, s: Profile, i: Player) -> set[InfoSet]:
@@ -306,16 +330,11 @@ def path_info_sets(g: Game, s: Profile, i: Player) -> set[InfoSet]:
     path nodes (the sets a player actually experiences during play)."""
     tbar = g.tbar
     if all(isinstance(x, PureStrategy) for x in s.values()):
-        nodes = realized_tbar_path(g, s)
+        nodes = g.path_in(tbar, play_out(g, tbar, s))
     else:
         nodes = [n for n in sorted(g.trees[tbar])
                  if reach_probability(g, s, (tbar, n)) > 0]
-    out = set()
-    for n in nodes:
-        h = g.info.get((i, tbar, n))
-        if h is not None:
-            out.add(h)
-    return out
+    return _sets_along(g, nodes, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from ugt.core import InfoSet, validate_game
+from ugt.core import NATURE, InfoSet, validate_game
 from ugt.discovery import (
+    _path_classes,
     allowed_profiles,
     awareness_tree,
     build_supergame,
@@ -23,9 +25,15 @@ from ugt.fixtures import (
     ex2_nonrat,
     ex2_rsc,
     fig14,
+    FIXTURES,
     load,
 )
-from ugt.strategies import pure_strategies, realized_tbar_path
+from ugt.randgen import generate_random_game
+from ugt.strategies import (
+    pure_strategies,
+    realized_tbar_path,
+    restrict_strategy,
+)
 
 
 def h(i, host, members):
@@ -208,14 +216,117 @@ def test_bos_repeated_supergame_efr():
     assert self_confirming_games(sg) == {bos_repeated_discovered()}
 
 
-def test_edges_depend_only_on_paths():
-    sg = build_supergame(ex2_initial(), "all")
+def reference_classes(g, policy):
+    """Brute force: (path, first profile, profile count) per realized path
+    of the allowed profiles, in order of first appearance."""
+    by_path = {}
+    for s in allowed_profiles(g, policy):
+        path = tuple(realized_tbar_path(g, s))
+        by_path.setdefault(path, [s, 0])[1] += 1
+    return [(path, s, n) for path, (s, n) in by_path.items()]
+
+
+SMALL = [n for n in FIXTURES if not n.startswith("bos_repeated")]
+
+
+@pytest.mark.parametrize("name,policy", [
+    *[(n, p) for n in SMALL for p in ("all", "efr", "rational")],
+    ("bos_repeated", "efr"), ("bos_repeated", "rational")])
+def test_edges_depend_only_on_paths(name, policy):
+    sg = build_supergame(load(name), policy)
     for k, by_path in sg.edges.items():
         g = sg.states[k]
+        ref = reference_classes(g, policy)
+        assert _path_classes(g, policy) == ref
+        assert list(by_path) == [path for path, _, _ in ref]
+        assert list(sg.representatives[k].values()) == [s for _, s, _ in ref]
         for path, j in by_path.items():
             s = sg.representatives[k][path]
             assert tuple(realized_tbar_path(g, s)) == path
             assert discovered_version(g, s) == sg.states[j]
+
+
+@pytest.mark.parametrize("policy", ["all", "efr", "rational"])
+@pytest.mark.parametrize("name", SMALL)
+def test_listed_profiles_group_like_their_policy(name, policy):
+    """A callable policy's explicit list is grouped one profile at a time
+    and must give the supergame of the named policy it lists."""
+    sg = build_supergame(load(name), policy)
+    listed = build_supergame(load(name),
+                             lambda g: allowed_profiles(g, policy))
+    assert listed.states == sg.states
+    assert [list(e.items()) for e in listed.edges.values()] == \
+        [list(e.items()) for e in sg.edges.values()]
+    assert listed.representatives == sg.representatives
+    for k, g in enumerate(sg.states):
+        weighted = [(s, 2) for s in allowed_profiles(g, policy)]
+        assert _path_classes(g, weighted) == [
+            (path, s, 2 * n) for path, s, n in _path_classes(g, policy)]
+
+
+def reference_discovery(g0, policy, seed):
+    """run_discovery's sampling over the brute-force classes."""
+    rng = random.Random(seed)
+    states, profiles = [g0], []
+    while True:
+        g = states[-1]
+        moving = []
+        for _, s, n in reference_classes(g, policy):
+            d = discovered_version(g, s)
+            if d != g:
+                moving.append((s, n, d))
+        if not moving:
+            return states, profiles
+        pick_at = rng.uniform(0, float(sum(n for _, n, _ in moving)))
+        acc, chosen = 0.0, moving[-1]
+        for m in moving:
+            acc += float(m[1])
+            if pick_at <= acc:
+                chosen = m
+                break
+        states.append(chosen[2])
+        profiles.append(chosen[0])
+
+
+@pytest.mark.parametrize("shape", [
+    dict(players=2, nature=True), dict(players=3)])
+def test_path_classes_on_generated_games(shape):
+    for seed in range(8):
+        g = generate_random_game(seed=seed, depth=3, branching=2,
+                                 tree_count=3, **shape)
+        for policy in ("all", "efr"):
+            assert _path_classes(g, policy) == reference_classes(g, policy)
+        for k in range(3):
+            trace = run_discovery(g, "efr", seed=k)
+            assert (trace.states, trace.profiles) == \
+                reference_discovery(g, "efr", k)
+
+
+def test_unknown_policy_is_rejected():
+    g = ex2_initial()
+    for call in (allowed_profiles, build_supergame, run_discovery):
+        with pytest.raises(ValueError):
+            call(g, "bogus")
+
+
+@pytest.mark.parametrize("case", ["missing player", "wrong owner",
+                                  "missing nature", "partial strategy"])
+def test_incomplete_profiles_raise_value_error(case):
+    g, s1, _, s2 = ex1_profiles()
+    if case == "missing player":
+        s = {1: s1}
+    elif case == "wrong owner":
+        s = {1: s1, 2: s1}
+    elif case == "partial strategy":
+        s = {1: s1, 2: restrict_strategy(g, s2, "T")}
+    else:
+        g = load("nature_coin")
+        s = {j: x for j, x in allowed_profiles(g, "all")[0].items()
+             if j != NATURE}
+    with pytest.raises(ValueError):
+        realized_tbar_path(g, s)
+    with pytest.raises(ValueError):
+        discovered_version(g, s)
 
 
 # ---------------------------------------------------------------------------
