@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .core import Game, InfoSet, NATURE, Player, TreeId
+from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
 from .discovery import _path_classes
 from .lp import solve_feasibility
 from .rationalizability import _contexts, efr_sets
@@ -30,25 +30,26 @@ from .strategies import (
     PureProfile,
     PureStrategy,
     ZERO,
-    _behavior_value,
-    _key_set,
     _requirements,
     _sets_along,
     acting_players,
     action_vector,
+    behavior_payoff,
     behavior_to_mixed,
     deviation_sets,
     has_nature,
+    kernel_vector,
     kuhn_convert,
     local_deviations,
     mixed_to_behavior,
     path_info_sets,
     play_out,
-    profile_key,
+    play_table,
     pure_strategies,
     reach_probability,
     reaches,
-    restrict_profile,
+    restrict_strategy,
+    set_positions,
     strategy_vectors,
 )
 
@@ -80,23 +81,51 @@ def _with_nature(g: Game, pi: Profile) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# profile checks at entry
+
+
+def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
+    """Every acting player's strategy in pi as a vector (``action_vector``
+    or a kernel vector).  ValueError unless each has a strategy of its own
+    that chooses at every set the SCE checks can consult: its sets at the
+    nodes of the richest tree and of each tree hosting an information set
+    there.  Play never reaches the other sets, so they may be missing."""
+    out = {}
+    for j in acting_players(g):
+        if j not in pi:
+            raise ValueError("the profile has no strategy for player %d" % j)
+        out[j] = vector(g, pi[j], j)
+    tbar = g.tbar
+    views = {tbar} | {h.host for (_, t, _), h in g.info.items() if t == tbar}
+    for t in sorted(views, key=g.tree_sort_key):
+        for pairs in play_table(g, t).values():
+            for j, p in pairs:
+                if out[j][p] is None:
+                    raise ValueError("%r makes no choice at %s" % (
+                        pi[j], g.decision_sets(j)[p].label()))
+    return out
+
+
+def _behavior_vector(g: Game, x, j: Player) -> tuple:
+    return kernel_vector(g, _as_behavior(g, x), j)
+
+
+# ---------------------------------------------------------------------------
 # pure-profile check
 
 
 def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     """Self-confirming equilibrium check for a pure profile.
 
-    The profile must be total, nature's pure move included when the game
-    has chance nodes.  Per player, the confirmed beliefs are the
-    distributions over opposing pure profiles of the player's tree (nature
-    conjectured alongside the opponents) that reach the terminal
-    information set the play produces; one exact feasibility question asks
-    whether some such belief makes every local deviation at every occurring
-    decision set weakly unprofitable.
+    Every acting player, nature included, needs a pure strategy of its own
+    (``_checked_vectors``); ValueError otherwise.  Per player, the confirmed
+    beliefs are the distributions over opposing pure profiles of the
+    player's tree (nature conjectured alongside the opponents) that reach
+    the terminal information set the play produces; one exact feasibility
+    question asks whether some such belief makes every local deviation at
+    every occurring decision set weakly unprofitable.
     """
-    if has_nature(g):
-        if not isinstance(s.get(NATURE), PureStrategy):
-            raise ValueError("pure check needs nature's pure strategy")
+    _checked_vectors(g, s, action_vector)
     witnesses: dict[Player, list] = {}
     for i in g.players:
         occ = sorted(path_info_sets(g, s, i), key=g._set_sort_key)
@@ -108,17 +137,16 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
         own = set(g.decision_sets(i))
         ends = [hh for hh in occ if g.terminal_in(hh.host, hh.members[0])]
         assert len(ends) == 1, "pure play must end in exactly one set"
-        cand, seen = [], set()
+        # restriction acts per player, so restricting and deduplicating
+        # each pool first lists the restricted profiles in the order of
+        # their first appearance in the product of the full pools
         others = [j for j in acting_players(g) if j != i]
-        for combo in itertools.product(*[pure_strategies(g, j)
-                                         for j in others]):
-            rp = restrict_profile(g, dict(zip(others, combo)), tstar)
-            k = profile_key(rp)
-            if k in seen:
-                continue
-            seen.add(k)
-            if reaches(g, rp, ends[0]):
-                cand.append(rp)
+        pools = [list(dict.fromkeys(restrict_strategy(g, x, tstar)
+                                    for x in pure_strategies(g, j)))
+                 for j in others]
+        cand = [rp for rp in (dict(zip(others, combo))
+                              for combo in itertools.product(*pools))
+                if reaches(g, rp, ends[0])]
         assert cand, "the true opposing play always confirms itself"
 
         def value(strat, p):
@@ -142,33 +170,33 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
 
 # ---------------------------------------------------------------------------
 # behavior-profile check
+#
+# Strategies are kernel vectors (``kernel_vector``), whose dicts hold only
+# positive probabilities, so an action is possible when it is a key.
 
 
-def _behavior_deviations(g: Game, i: Player, h: InfoSet,
-                         pi_i: BehaviorStrategy):
-    sets = deviation_sets(g, i, h)
-    menus = [g.set_actions(x) for x in sets]
-    base = {x: dict(k) for x, k in pi_i.kernels}
-    for combo in itertools.product(*menus):
-        kernels = dict(base)
-        for x, a in zip(sets, combo):
-            kernels[x] = {a: ONE}
-        yield BehaviorStrategy.make(i, kernels)
+def _kernels_reach(g: Game, kernels: Mapping[Player, tuple], t: TreeId,
+                   nodes) -> bool:
+    """Whether the given players' kernels give some of the nodes of tree t
+    positive probability, the other players' moves permitting."""
+    return any(all(a in kernels[j][set_positions(g, j)[x]]
+                   for j, x, a in _requirements(g, t, n) if j in kernels)
+               for n in nodes)
 
 
-def _kernels_reach(g: Game, kernels: Mapping[Player, BehaviorStrategy],
-                   h: InfoSet) -> bool:
-    """Whether the given players' kernels give some node of h positive
-    probability, the other players' moves permitting."""
-    return any(all(kernels[j].prob(h2, a) > 0
-                   for j, h2, a in _requirements(g, h.host, m) if j in kernels)
-               for m in h.members)
+def _live_nodes(g: Game, kernels: Mapping[Player, tuple],
+                t: TreeId) -> list[NodeId]:
+    """The nodes of t the kernel profile reaches with positive
+    probability, in order."""
+    return [n for n in sorted(g.trees[t])
+            if _kernels_reach(g, kernels, t, (n,))]
 
 
-def _confirmed_candidates(g: Game, i: Player, pi: Profile,
-                          tstar: TreeId) -> list[Profile]:
+def _confirmed_candidates(g: Game, i: Player, kernels: Mapping[Player, tuple],
+                          tstar: TreeId) -> list[dict[Player, tuple]]:
     """Pure-kernel opposing profiles of the tstar-partial game that match
-    the played kernels at every information set occurring inside it.
+    the played kernels at every information set occurring inside it, as
+    kernel vectors that are None outside the tstar-partial game.
 
     Occurrence is anchored at tstar, the player's own view of the play:
     kernels consulted at positively reached tstar nodes are pinned to the
@@ -176,49 +204,59 @@ def _confirmed_candidates(g: Game, i: Player, pi: Profile,
     completions spans every confirmed conjecture, correlation included,
     and each completion reaches every occurring set.
     """
-    sets: dict[Player, dict[InfoSet, bool]] = {}
-    for n in sorted(g.trees[tstar]):
-        if g.terminal_in(tstar, n):
-            continue
-        live = reach_probability(g, pi, (tstar, n)) > 0
+    table = play_table(g, tstar)
+    live = set(_live_nodes(g, kernels, tstar))
+    sets: dict[Player, dict[int, bool]] = {}
+    for n in sorted(table):
+        at = dict(table[n])
         for j in g.nodes[n].players:
             if j == i:
                 continue
-            h = _key_set(g, j, tstar, n)
-            by_set = sets.setdefault(j, {})
-            by_set[h] = by_set.get(h, False) or live
-    pinned: dict[Player, dict] = {}
-    free: list[tuple[Player, InfoSet, list]] = []
-    for j, by_set in sets.items():
-        pj = _as_behavior(g, pi[j])
-        kernels = dict(pj.kernels)
-        pinned[j] = {}
-        for h, live in by_set.items():
-            if live:
-                pinned[j][h] = dict(kernels[h])
+            by_pos = sets.setdefault(j, {})
+            by_pos[at[j]] = by_pos.get(at[j], False) or n in live
+    pinned: dict[Player, list] = {}
+    free: list[tuple[Player, int, list]] = []
+    for j, by_pos in sets.items():
+        sets_j = g.decision_sets(j)
+        pinned[j] = [None] * len(sets_j)
+        for p, hit in by_pos.items():
+            if hit:
+                pinned[j][p] = kernels[j][p]
             else:
-                free.append((j, h, list(g.set_actions(h))))
+                free.append((j, p, _point_masses(g, sets_j[p])))
     out = []
     for combo in itertools.product(*[menu for _, _, menu in free]):
-        full = {j: dict(p) for j, p in pinned.items()}
-        for (j, h, _), a in zip(free, combo):
-            full[j][h] = {a: ONE}
-        out.append({j: BehaviorStrategy.make(j, k) for j, k in full.items()})
+        full = {j: list(v) for j, v in pinned.items()}
+        for (j, p, _), d in zip(free, combo):
+            full[j][p] = d
+        out.append({j: tuple(v) for j, v in full.items()})
     return out
 
 
-def _path_components(g: Game, i: Player, pi: Profile) -> list[list]:
+def _point_masses(g: Game, h: InfoSet) -> list[dict]:
+    """One point-mass kernel per action at h, shared by every vector that
+    plays it."""
+    return [{a: ONE} for a in g.set_actions(h)]
+
+
+def _as_strategy(g: Game, j: Player, v: tuple) -> BehaviorStrategy:
+    """The behavior strategy of a kernel vector, restricted to the
+    positions it fills."""
+    return BehaviorStrategy.make(j, {h: k for h, k in zip(
+        g.decision_sets(j), v) if k is not None})
+
+
+def _path_components(g: Game, i: Player, live: list[NodeId]) -> list[list]:
     """The player's occurring information sets grouped by shared paths of
     play: sets met along paths to a common end (and chains thereof) must
-    share one constant confirmed belief."""
+    share one constant confirmed belief.  live lists the positively
+    reached nodes of the richest tree."""
     tbar = g.tbar
     groups: list[set] = []
-    for z in sorted(g.trees[tbar]):
-        if not g.terminal_in(tbar, z) \
-                or reach_probability(g, pi, (tbar, z)) == 0:
+    for z in live:
+        if not g.terminal_in(tbar, z):
             continue
-        ds = {g.info[(i, tbar, n)] for n in g.path_in(tbar, z)
-              if (i, tbar, n) in g.info}
+        ds = _sets_along(g, g.path_in(tbar, z), i)
         hit = [grp for grp in groups if grp & ds]
         for grp in hit:
             groups.remove(grp)
@@ -230,46 +268,62 @@ def _path_components(g: Game, i: Player, pi: Profile) -> list[list]:
 def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     """Self-confirming equilibrium check for a behavior profile.
 
-    Confirmed beliefs fix the opposing kernels wherever the player's view
-    of the play arrives with positive probability and are free elsewhere.
-    Along each chain of occurring information sets the belief is constant,
-    so it must weight only completions reaching the chain's ends of play
-    while making every local deviation at the chain's decision sets weakly
-    unprofitable; the search is exact over pure-kernel completions.
+    Every real player needs a strategy of its own (``_checked_vectors``;
+    nature defaults to uniform); ValueError otherwise.  Confirmed beliefs
+    fix the opposing kernels wherever the player's view of the play
+    arrives with positive probability and are free elsewhere.  Along each
+    chain of occurring information sets the belief is constant, so it must
+    weight only completions reaching the chain's ends of play while making
+    every local deviation at the chain's decision sets weakly unprofitable;
+    the search is exact over pure-kernel completions.
     """
-    pi = _with_nature(g, pi)
+    kernels = _checked_vectors(g, _with_nature(g, pi), _behavior_vector)
+    live = _live_nodes(g, kernels, g.tbar)
     witnesses: dict[Player, list] = {}
     for i in g.players:
-        occ = path_info_sets(g, pi, i)
+        occ = _sets_along(g, live, i)
         hosts = {x.host for x in occ}
         if len(hosts) != 1:
             return SceVerdict(False, "awareness", i,
                               detail="occurring hosts %s" % sorted(hosts))
         tstar = hosts.pop()
-        pi_i = _as_behavior(g, pi[i])
-        own = set(g.decision_sets(i))
-        cand = _confirmed_candidates(g, i, pi, tstar)
+        own_v = kernels[i]
+        own = {i: own_v}
+        pos = set_positions(g, i)
+        cand = _confirmed_candidates(g, i, kernels, tstar)
         witnesses[i] = []
-        for group in _path_components(g, i, pi):
+        for group in _path_components(g, i, live):
             ends = [hh for hh in group
                     if g.terminal_in(hh.host, hh.members[0])]
             pool = [p for p in cand
-                    if all(_kernels_reach(g, p, hz) for hz in ends)]
+                    if all(_kernels_reach(g, p, hz.host, hz.members)
+                           for hz in ends)]
             if not pool:
                 return SceVerdict(
                     False, "belief-confirmation", i,
                     detail="no confirmed belief reaches %s"
                     % " ".join(hz.label() for hz in ends))
+
+            def values(v):
+                return [behavior_payoff(g, i, tstar, {**p, i: v})
+                        for p in pool]
+
+            base = values(own_v)
             rows = []
             for hh in group:
-                if hh not in own or not _kernels_reach(g, {i: pi_i}, hh):
+                if hh not in pos or \
+                        not _kernels_reach(g, own, hh.host, hh.members):
                     continue
-                base = [_behavior_value(g, i, tstar, {**p, i: pi_i})
-                        for p in pool]
-                for dev in _behavior_deviations(g, i, hh, pi_i):
-                    vals = [_behavior_value(g, i, tstar, {**p, i: dev})
-                            for p in pool]
-                    rows.append([v - b for v, b in zip(vals, base)])
+                # local deviations: point masses at the deviation sets
+                dev_sets = deviation_sets(g, i, hh)
+                at = [pos[x] for x in dev_sets]
+                dev = list(own_v)
+                for combo in itertools.product(
+                        *[_point_masses(g, x) for x in dev_sets]):
+                    for p, d in zip(at, combo):
+                        dev[p] = d
+                    rows.append([v - b for v, b in
+                                 zip(values(tuple(dev)), base)])
             n = len(pool)
             x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
                                   a_ub=rows, b_ub=[ZERO] * len(rows))
@@ -278,7 +332,8 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
                     False, "rationality", i,
                     detail="at %s" % " ".join(h.label() for h in group))
             witnesses[i].append(
-                [(p, w) for p, w in zip(pool, x) if w > 0])
+                [({j: _as_strategy(g, j, v) for j, v in p.items()}, w)
+                 for p, w in zip(pool, x) if w > 0])
     return SceVerdict(True, witnesses=witnesses)
 
 
@@ -317,7 +372,13 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     """check_sce_behavior plus the rationalizability support condition:
     every pure strategy realization-equivalent to a support member of the
     canonical mixed conversion must survive extensive-form
-    rationalizability."""
+    rationalizability.  That conversion reads every decision set, so each
+    real player's strategy needs a kernel at all of them; ValueError
+    otherwise."""
+    for i in g.players:
+        if i in pi and None in _behavior_vector(g, pi[i], i):
+            raise ValueError("%r has no kernel at some decision set"
+                             % (pi[i],))
     base = check_sce_behavior(g, pi)
     if not base.holds:
         return base
@@ -372,24 +433,18 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     Requires a rationalizable self-confirming game.  Computes an exact Nash
     equilibrium of the richest tree's normal form restricted to the
     rationalizable strategies (pure scan, then support enumeration for two
-    players), converts it to behavior form, and verifies the result.
+    players), converts it to behavior form, and verifies the result.  The
+    normal form has one strategy per realization class (``_realization_key``),
+    the first surviving member of the class: realization-equivalent
+    strategies earn the same payoffs, and ``kuhn_convert`` maps mixtures
+    over them to the same behavior strategy.
     """
     if not is_rationalizable_self_confirming(g):
         raise ValueError("not a rationalizable self-confirming game")
     surviving = efr_sets(g)
-    nat = _nature_weights(g, nature)
     players = list(g.players)
-
-    def payoff(i, prof):
-        total = ZERO
-        for s0, w in nat:
-            full = dict(prof)
-            if s0 is not None:
-                full[NATURE] = s0
-            total += w * g.nodes[play_out(g, g.tbar, full)].payoffs[i]
-        return total
-
-    sigma = _restricted_nash(g, players, surviving, payoff)
+    pools = {i: _class_representatives(g, i, surviving[i]) for i in players}
+    sigma = _restricted_nash(g, players, pools, _nature_weights(g, nature))
     pi: dict[Player, BehaviorStrategy] = {
         i: kuhn_convert(g, i, sigma[i]) for i in players}
     if has_nature(g):
@@ -400,39 +455,71 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     return pi, verdict
 
 
-def _restricted_nash(g, players, pools, payoff) -> dict[Player, MixedStrategy]:
+def _class_representatives(g: Game, i: Player,
+                           pool: Sequence[PureStrategy]) -> list[PureStrategy]:
+    """The first member of each realization class in the pool, in pool
+    order."""
+    sets = g.decision_sets(i)
+    reps: dict[tuple, PureStrategy] = {}
+    for x in pool:
+        reps.setdefault(_realization_key(g, i, x, sets), x)
+    return list(reps.values())
+
+
+def _expected_payoffs(g: Game, profile: PureProfile, players, nat) -> tuple:
+    """The players' expected payoffs at a pure profile of the richest tree:
+    one play per nature draw, every payoff read from its terminal."""
+    totals = [ZERO] * len(players)
+    for s0, w in nat:
+        full = dict(profile)
+        if s0 is not None:
+            full[NATURE] = s0
+        payoffs = g.nodes[play_out(g, g.tbar, full)].payoffs
+        for k, i in enumerate(players):
+            totals[k] += w * payoffs[i]
+    return tuple(totals)
+
+
+def _restricted_nash(g, players, pools, nat) -> dict[Player, MixedStrategy]:
     if len(players) == 1:
         [i] = players
-        best = max(pools[i], key=lambda s: payoff(i, {i: s}))
+        best = max(pools[i],
+                   key=lambda s: _expected_payoffs(g, {i: s}, players, nat)[0])
         return {i: MixedStrategy.degenerate(best)}
     if len(players) != 2:
         raise NotImplementedError(
             "restricted Nash construction supports at most two players")
     a, b = players
-    u = {(x, y): (payoff(a, {a: x, b: y}), payoff(b, {a: x, b: y}))
-         for x in pools[a] for y in pools[b]}
+    xs, ys = range(len(pools[a])), range(len(pools[b]))
+    u = {(x, y): _expected_payoffs(g, {a: pools[a][x], b: pools[b][y]},
+                                   players, nat)
+         for x in xs for y in ys}
     # pure scan
-    for x in pools[a]:
-        for y in pools[b]:
-            if u[x, y][0] == max(u[x2, y][0] for x2 in pools[a]) and \
-                    u[x, y][1] == max(u[x, y2][1] for y2 in pools[b]):
-                return {a: MixedStrategy.degenerate(x),
-                        b: MixedStrategy.degenerate(y)}
+    col_max = [max(u[x, y][0] for x in xs) for y in ys]
+    row_max = [max(u[x, y][1] for y in ys) for x in xs]
+    for x in xs:
+        for y in ys:
+            if u[x, y][0] == col_max[y] and u[x, y][1] == row_max[x]:
+                return {a: MixedStrategy.degenerate(pools[a][x]),
+                        b: MixedStrategy.degenerate(pools[b][y])}
     # support enumeration, smallest supports first
-    for ka in range(2, min(len(pools[a]), NASH_SUPPORT_CAP) + 1):
-        for kb in range(2, min(len(pools[b]), NASH_SUPPORT_CAP) + 1):
-            for sup_a in itertools.combinations(pools[a], ka):
-                for sup_b in itertools.combinations(pools[b], kb):
-                    wb = _equalizing(pools[a], sup_a, sup_b,
+    for ka in range(2, min(len(xs), NASH_SUPPORT_CAP) + 1):
+        for kb in range(2, min(len(ys), NASH_SUPPORT_CAP) + 1):
+            for sup_a in itertools.combinations(xs, ka):
+                for sup_b in itertools.combinations(ys, kb):
+                    wb = _equalizing(xs, sup_a, sup_b,
                                      lambda x, y: u[x, y][0])
                     if wb is None:
                         continue
-                    wa = _equalizing(pools[b], sup_b, sup_a,
+                    wa = _equalizing(ys, sup_b, sup_a,
                                      lambda y, x: u[x, y][1])
                     if wa is None:
                         continue
-                    return {a: MixedStrategy.make(dict(zip(sup_a, wa))),
-                            b: MixedStrategy.make(dict(zip(sup_b, wb)))}
+                    return {
+                        a: MixedStrategy.make(
+                            {pools[a][x]: w for x, w in zip(sup_a, wa)}),
+                        b: MixedStrategy.make(
+                            {pools[b][y]: w for y, w in zip(sup_b, wb)})}
     raise RuntimeError("support enumeration exhausted without a Nash "
                        "equilibrium; this should be unreachable")
 

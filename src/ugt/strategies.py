@@ -454,40 +454,71 @@ def expected_payoff_at(g: Game, i: Player, h: InfoSet,
     if validate:
         _check_belief(g, h, belief)
     t = h.host
+    # pure play follows one path; kernel vectors would only add allocations
+    pure = isinstance(s_i, PureStrategy)
+    own = None if pure else kernel_vector(g, s_i, i)
     total = ZERO
     for p, w in belief:
         if w == 0:
             continue
-        if isinstance(s_i, PureStrategy):
+        if pure:
             z = play_out(g, t, {**p, i: s_i})
             total += w * g.nodes[z].payoffs[i]
         else:
-            total += w * _behavior_value(g, i, t, {**p, i: s_i})
+            kernels = {j: kernel_vector(g, sj, j) for j, sj in p.items()}
+            kernels[i] = own
+            total += w * behavior_payoff(g, i, t, kernels)
     return total
 
 
-def _behavior_value(g: Game, i: Player, t: TreeId, s: Profile,
-                    start: Optional[NodeId] = None) -> Fraction:
-    n = g.root(t) if start is None else start
-    kids = g._ix.children[t][n]
-    if not kids:
-        return g.nodes[n].payoffs[i]
-    plist = sorted(g.nodes[n].players)
-    total = ZERO
-    for prof, child in kids.items():
-        w = ONE
-        for idx, j in enumerate(plist):
-            sj = s[j]
-            if isinstance(sj, BehaviorStrategy):
-                w *= sj.prob(_key_set(g, j, t, n), prof[idx])
-            else:
-                if sj.action_at(_key_set(g, j, t, n)) != prof[idx]:
-                    w = ZERO
-            if w == 0:
-                break
-        if w != 0:
-            total += w * _behavior_value(g, i, t, s, child)
-    return total
+def kernel_vector(g: Game, x: Union[PureStrategy, BehaviorStrategy],
+                  i: Player) -> tuple:
+    """Player i's strategy x as a kernel vector: per decision set of i, in
+    ``g.decision_sets(i)`` order, a dict from action to its positive
+    probability; None where x makes no choice (a restricted strategy).
+    ValueError if x is not a pure or behavior strategy of i."""
+    if isinstance(x, PureStrategy):
+        return tuple(None if a is None else {a: ONE}
+                     for a in action_vector(g, x, i))
+    if not isinstance(x, BehaviorStrategy) or x.owner != i:
+        raise ValueError("not a strategy of player %d: %r" % (i, x))
+    kernels = x.as_dict()
+    return tuple(None if (k := kernels.get(h)) is None
+                 else {a: p for a, p in k if p}
+                 for h in g.decision_sets(i))
+
+
+def behavior_payoff(g: Game, i: Player, t: TreeId,
+                    kernels: Mapping[Player, tuple]) -> Fraction:
+    """Player i's expected payoff when tree t is played from its root under
+    the kernel vectors (``kernel_vector``) of every player moving in it."""
+    return _payoff_from(g._ix.children[t], play_table(g, t), g.nodes, i,
+                        kernels, g.root(t))
+
+
+def _payoff_from(kids, table, nodes, i, kernels, n) -> Fraction:
+    # follow point masses without arithmetic; branch only where some
+    # mover mixes
+    while True:
+        pairs = table.get(n)
+        if pairs is None:
+            return nodes[n].payoffs[i]
+        dists = [kernels[j][p] for j, p in pairs]
+        if all(len(d) == 1 for d in dists):
+            n = kids[n].get(tuple([next(iter(d)) for d in dists]))
+            if n is None:
+                return ZERO
+            continue
+        total = ZERO
+        for combo in itertools.product(*[d.items() for d in dists]):
+            child = kids[n].get(tuple([a for a, _ in combo]))
+            if child is None:
+                continue
+            w = ONE
+            for _, q in combo:
+                w *= q
+            total += w * _payoff_from(kids, table, nodes, i, kernels, child)
+        return total
 
 
 def deviation_sets(g: Game, i: Player, h: InfoSet) -> list[InfoSet]:

@@ -27,15 +27,24 @@ from ugt.fixtures import (
     nature_coin,
 )
 from ugt.gamedoc import parse_game, serialize_game
+from ugt.randgen import generate_random_game, random_profile
 from ugt.rationalizability import efr, efr_sets
 from ugt.strategies import (
     BehaviorStrategy,
+    PureStrategy,
     acting_players,
+    opposing_profiles,
+    play_out,
     pure_strategies,
     realization_equivalent,
     realized_tbar_path,
 )
-from ugt.equilibrium import _realization_key
+from ugt.equilibrium import (
+    _class_representatives,
+    _expected_payoffs,
+    _nature_weights,
+    _realization_key,
+)
 from fractions import Fraction
 
 
@@ -182,27 +191,28 @@ def test_off_path_conjectures_are_free():
         assert check_sce_behavior(g, lift_pure(g, s)).holds
 
 
-@pytest.mark.parametrize("name", [
-    "ex1_initial", "ex1_discovered", "ex2_initial", "ex2_rsc", "ex2_nonrat",
-    "ex2_full", "bos_aware", "matching_pennies", "trivial_single",
-    "nature_coin", "fig14"])
 def consistent_across_trees(g, s_j):
     """Whether a pure strategy reads the same action for a decision node no
     matter which tree's information set governs it.  The pure and behavior
     checks agree on such strategies; otherwise a player's modeled play can
     drift from the objective path, which only the behavior check pins down.
+    Nature's sets are one synthetic singleton per tree and node.
     """
     tbar = g.tbar
     j = s_j.owner
+
+    def at(t, n):
+        return s_j.action_at(InfoSet(NATURE, t, (n,)) if j == NATURE
+                             else g.info[(j, t, n)])
+
     for t in g.trees:
         if t == tbar:
             continue
         for n in sorted(g.trees[t]):
             if g.terminal_in(t, n) or j not in g.nodes[n].players:
                 continue
-            want = s_j.action_at(g.info[(j, tbar, n)])
-            if want in g.actions_in(t, n, j) \
-                    and s_j.action_at(g.info[(j, t, n)]) != want:
+            want = at(tbar, n)
+            if want in g.actions_in(t, n, j) and at(t, n) != want:
                 return False
     return True
 
@@ -227,6 +237,30 @@ def test_pure_and_degenerate_behavior_checks_agree(name):
         b = check_sce_behavior(g, lift_pure(g, s))
         assert a.holds == b.holds, s
     assert checked > 0
+
+
+GENERATED = {"nature": dict(players=2, nature=True), "3p": dict(players=3)}
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATED))
+def test_pure_and_degenerate_behavior_checks_agree_on_generated_games(shape):
+    # random nature plans that differ between trees split the checks
+    # legitimately, so every acting player's strategy must be consistent
+    checked = failed = 0
+    for seed in range(10):
+        g = generate_random_game(seed=seed, depth=3, branching=2,
+                                 tree_count=3, **GENERATED[shape])
+        for k in range(20):
+            s = random_profile(g, seed=k)
+            if not all(consistent_across_trees(g, s[j])
+                       for j in acting_players(g)):
+                continue
+            checked += 1
+            a = check_sce_pure(g, s)
+            b = check_sce_behavior(g, lift_pure(g, s))
+            assert a.holds == b.holds, (seed, k)
+            failed += not a.holds
+    assert checked >= 40 and 0 < failed < checked
 
 
 def test_inconsistent_strategy_splits_the_checks():
@@ -270,6 +304,28 @@ def test_efr_support_violation_detected():
     assert v.player == 2
 
 
+@pytest.mark.parametrize("check", ["pure", "behavior", "efr"])
+def test_sce_checks_reject_incomplete_profiles(check):
+    # each used to leak a raw KeyError from deep inside the check
+    run = {"pure": check_sce_pure, "behavior": check_sce_behavior,
+           "efr": check_sce_efr}[check]
+    g = ex1_initial()
+    s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
+    for s in ({1: s1}, {1: s1, 2: s1}, {1: s1, 2: PureStrategy.make(2, {})}):
+        with pytest.raises(ValueError):
+            run(g, s if check == "pure" else lift_pure(g, s))
+    # a set that no play can reach may be missing, except for the EFR
+    # support condition, whose mixed conversion reads every set
+    g = ex1_discovered()
+    s = {1: PureStrategy.make(1, {h(1, "Tbar", (0,)): "r1"}),
+         2: pick(g, 2, {h(2, "Tbar", (1,)): "m2"})}
+    if check == "efr":
+        with pytest.raises(ValueError):
+            run(g, lift_pure(g, s))
+    else:
+        assert run(g, s if check == "pure" else lift_pure(g, s)).holds
+
+
 def test_bos_repeated_discovered_equilibrium():
     g = bos_repeated_discovered()
     s1 = pick(g, 1, {h(1, "Tbar", (0,)): "in", h(1, "Tbar", (2,)): "B1",
@@ -281,16 +337,31 @@ def test_bos_repeated_discovered_equilibrium():
 
 
 def test_realization_key_matches_exhaustive_equivalence():
-    for name in ("ex1_initial", "bos_aware", "nature_coin", "fig14"):
-        g = load(name)
+    games = [load(name) for name in
+             ("ex1_initial", "bos_aware", "nature_coin", "fig14")]
+    fixtures = len(games)
+    # generated games with nature and with three players, each player
+    # checked where the exhaustive comparison stays small
+    games += [generate_random_game(seed=seed, depth=2, branching=2,
+                                   tree_count=3, **shape)
+              for shape in GENERATED.values() for seed in range(12)]
+    checked = 0
+    for k, g in enumerate(games):
         for i in g.players:
             pool = pure_strategies(g, i)
+            opposing = opposing_profiles(g, i)
+            if k >= fixtures:
+                if len(pool) ** 2 * len(opposing) > 2048:
+                    continue
+                checked += 1
             sets = g.decision_sets(i)
             for x in pool:
                 for y in pool:
                     same = _realization_key(g, i, x, sets) == \
                         _realization_key(g, i, y, sets)
-                    assert same == realization_equivalent(g, i, x, y)
+                    assert same == realization_equivalent(g, i, x, y,
+                                                          opposing)
+    assert checked >= 40
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +401,36 @@ def test_construct_passes_its_own_check(name):
     g = load(name)
     pi, v = construct_sce_efr(g)
     assert v.holds, (name, v.violated_condition, v.player)
+
+
+@pytest.mark.parametrize("name", [
+    "ex1_discovered", "ex2_rsc", "ex2_full", "bos_aware", "matching_pennies",
+    "trivial_single", "fig14", "bos_repeated_discovered", "nature_coin"])
+def test_class_cells_pay_like_their_members(name):
+    # the construction plays one cell per pair of realization classes; each
+    # pair of surviving strategies must earn that cell's payoffs
+    g = load(name)
+    players = list(g.players)
+    pools = efr_sets(g)
+    nat = _nature_weights(g, None)
+    reps = {}
+    for i in players:
+        sets = g.decision_sets(i)
+        by_key = {_realization_key(g, i, x, sets): x
+                  for x in _class_representatives(g, i, pools[i])}
+        reps[i] = {x: by_key[_realization_key(g, i, x, sets)]
+                   for x in pools[i]}
+    for combo in itertools.product(*[pools[i] for i in players]):
+        cell = {i: reps[i][x] for i, x in zip(players, combo)}
+        want = [Fraction(0)] * len(players)
+        for s0, w in nat:
+            prof = dict(zip(players, combo))
+            if s0 is not None:
+                prof[NATURE] = s0
+            z = play_out(g, g.tbar, prof)
+            for k, i in enumerate(players):
+                want[k] += w * g.nodes[z].payoffs[i]
+        assert _expected_payoffs(g, cell, players, nat) == tuple(want)
 
 
 def test_construct_matching_pennies_mixes():

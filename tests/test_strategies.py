@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ugt.core import InfoSet, NATURE, t_partial_game
 from ugt.fixtures import (
+    FIXTURES,
     bos_aware,
     bos_repeated,
     ex1_initial,
@@ -11,16 +13,20 @@ from ugt.fixtures import (
     ex2_initial,
     load,
 )
+from ugt.randgen import generate_random_game
 from ugt.strategies import (
     BehaviorStrategy,
     BeliefSystem,
     MixedStrategy,
     PureStrategy,
+    acting_players,
+    behavior_payoff,
     check_belief_system,
     conditioned_belief,
     deviation_sets,
     expected_payoff_at,
     is_rational_at,
+    kernel_vector,
     kuhn_convert,
     occurring_info_sets,
     occurs,
@@ -413,3 +419,57 @@ def test_opposing_profiles_include_nature():
     opp = opposing_profiles(g, 1)
     assert len(opp) == 2
     assert all(set(p) == {NATURE} for p in opp)
+
+
+# -- the kernel-vector payoff evaluator --------------------------------------
+
+
+def random_behavior(g, j, rng):
+    """Random kernels at every decision set of j, with point masses and
+    zero-probability actions among them."""
+    kernels = {}
+    for h in g.decision_sets(j):
+        acts = g.set_actions(h)
+        weights = [rng.choice((0, 0, 1, 2)) for _ in acts]
+        if not any(weights):
+            weights[rng.randrange(len(acts))] = 1
+        kernels[h] = {a: F(w, sum(weights)) for a, w in zip(acts, weights)}
+    return BehaviorStrategy.make(j, kernels)
+
+
+GENERATED = {"nature": dict(players=2, nature=True), "3p": dict(players=3)}
+
+
+@pytest.mark.parametrize("case", sorted(FIXTURES) + [
+    "%s#%d" % (shape, seed) for shape in GENERATED for seed in range(4)])
+def test_behavior_payoff_matches_terminal_sum(case):
+    # reference: the sum over the tree's terminals of payoff times reach
+    # probability, with pure strategies mixed in as point masses
+    name, _, seed = case.partition("#")
+    g = load(name) if not seed else generate_random_game(
+        seed=int(seed), depth=3, branching=2, tree_count=3, **GENERATED[name])
+    rng = random.Random(case)
+    for draw in range(3):
+        pi = {j: random_behavior(g, j, rng) if draw == 0 or rng.random() < 0.7
+              else rng.choice(pure_strategies(g, j))
+              for j in acting_players(g)}
+        kernels = {j: kernel_vector(g, x, j) for j, x in pi.items()}
+        for t in g.trees:
+            for i in g.players:
+                assert behavior_payoff(g, i, t, kernels) == \
+                    terminal_sum(g, i, t, pi), (t, i)
+    # expected_payoff_at evaluates a behavior strategy against a belief
+    # over pure opposing profiles the same way
+    for i in g.players:
+        b = random_behavior(g, i, rng)
+        for h in g.decision_sets(i):
+            opp = {j: rng.choice(pure_strategies(g, j))
+                   for j in acting_players(g) if j != i}
+            assert expected_payoff_at(g, i, h, b, point_belief(opp),
+                                      validate=False) == \
+                terminal_sum(g, i, h.host, {**opp, i: b}), h
+
+
+def terminal_sum(g, i, t, pi):
+    return sum((g.nodes[z].payoffs[i] * reach_probability(g, pi, (t, z))
+                for z in g.trees[t] if g.terminal_in(t, z)), F(0))
