@@ -84,10 +84,11 @@ class Game:
     terminal flags; the upmost tree and tree order; per player the decision
     sets and their positions in action vectors; per tree the play table,
     each decision node's (player, position) pairs; the path constraints of
-    ``reaches``; host closures; the EFR set contexts and trace.  Its memos
-    fill as queries arrive and are never invalidated, as the fields never
-    change.  It holds no reference to the
-    game, so reference counting alone frees a dropped game.
+    ``reaches``; host closures; per player the realization classes of its
+    pure strategies; the EFR set contexts, trace and surviving classes.  Its
+    memos fill as queries arrive and are never invalidated, as the fields
+    never change.  It holds no reference to the game, so reference counting
+    alone frees a dropped game.
     """
 
     def __init__(self, players: Iterable[Player],
@@ -317,7 +318,9 @@ class _Index:
         # (tree, node) and tree
         self.actions, self.decision_sets, self.positions = {}, {}, {}
         self.plays, self.requirements, self.hosts = {}, {}, {}
-        self.efr_contexts = self.efr_trace = None
+        # player -> its realization classes
+        self.classes = {}
+        self.efr_contexts = self.efr_trace = self.efr_classes = None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
 from .discovery import _path_classes
 from .lp import solve_feasibility
-from .rationalizability import _contexts, efr_sets
+from .rationalizability import _classes, _surviving_classes, efr_sets
 from .strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -50,7 +50,6 @@ from .strategies import (
     reaches,
     restrict_strategy,
     set_positions,
-    strategy_vectors,
 )
 
 
@@ -360,21 +359,21 @@ def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
 def _realization_key(g: Game, i: Player, x, sets: Sequence[InfoSet]) -> tuple:
     """Signature whose equality characterizes realization equivalence of
     pure strategies: the actions at every own-reached decision set among
-    ``sets``, player i's decision sets in order.  x is a PureStrategy or
-    its action vector; the EFR set contexts decide the own reach."""
-    ctxs = _contexts(g)
+    ``sets``, player i's decision sets in order, read off the class table
+    (``_classes``).  x is a PureStrategy or its action vector."""
     v = action_vector(g, x, i) if isinstance(x, PureStrategy) else x
-    return tuple((h, a) for h, a in zip(sets, v)
-                 if ctxs[h].strategy_reaches(v))
+    table = _classes(g, i)
+    return tuple((sets[p], v[p]) for p in table.reached[table.of[v]])
 
 
 def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     """check_sce_behavior plus the rationalizability support condition:
     every pure strategy realization-equivalent to a support member of the
     canonical mixed conversion must survive extensive-form
-    rationalizability.  That conversion reads every decision set, so each
-    real player's strategy needs a kernel at all of them; ValueError
-    otherwise."""
+    rationalizability.  The EFR engine keeps or drops whole realization
+    classes, so that is the survival of the member's class.  The conversion
+    reads every decision set, so each real player's strategy needs a kernel
+    at all of them; ValueError otherwise."""
     for i in g.players:
         if i in pi and None in _behavior_vector(g, pi[i], i):
             raise ValueError("%r has no kernel at some decision set"
@@ -382,25 +381,14 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     base = check_sce_behavior(g, pi)
     if not base.holds:
         return base
-    pi = _with_nature(g, pi)
-    surviving = efr_sets(g)
+    alive = _surviving_classes(g)
     for i in g.players:
-        sets = g.decision_sets(i)
-        survivors = {action_vector(g, x, i) for x in surviving[i]}
-        # realization classes with a surviving and with an eliminated member
-        allowed, eliminated = set(), set()
-        for v in strategy_vectors(g, i):
-            (allowed if v in survivors else eliminated).add(
-                _realization_key(g, i, v, sets))
+        of = _classes(g, i).of
         mixed = kuhn_convert(g, i, _as_behavior(g, pi[i]))
         for member in mixed.support():
-            key = _realization_key(g, i, member, sets)
-            if key not in allowed:
+            if of[action_vector(g, member, i)] not in alive[i]:
                 return SceVerdict(False, "efr-support", i,
                                   detail="support member not rationalizable")
-            if key in eliminated:
-                return SceVerdict(False, "efr-support", i,
-                                  detail="equivalent strategy eliminated")
     base.witnesses = dict(base.witnesses)
     return base
 
@@ -430,14 +418,20 @@ def _nature_weights(g: Game, nature: Optional[MixedStrategy]):
 def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     """Build a self-confirming equilibrium in rationalizable conjectures.
 
-    Requires a rationalizable self-confirming game.  Computes an exact Nash
-    equilibrium of the richest tree's normal form restricted to the
-    rationalizable strategies (pure scan, then support enumeration for two
-    players), converts it to behavior form, and verifies the result.  The
-    normal form has one strategy per realization class (``_realization_key``),
-    the first surviving member of the class: realization-equivalent
-    strategies earn the same payoffs, and ``kuhn_convert`` maps mixtures
-    over them to the same behavior strategy.
+    Requires a rationalizable self-confirming game; ValueError otherwise.
+    Computes an exact Nash equilibrium of the richest tree's normal form
+    restricted to the rationalizable strategies (pure scan, then support
+    enumeration for two players), converts it to behavior form, and
+    verifies the result.  The normal form has one strategy per realization
+    class (``_classes``), the first surviving member of the class:
+    realization-equivalent strategies earn the same payoffs, and
+    ``kuhn_convert`` maps mixtures over them to the same behavior strategy.
+
+    Limits: more than two players raise NotImplementedError.  Support
+    enumeration tries only supports of at most ``NASH_SUPPORT_CAP`` classes
+    per player, so a two-player game all of whose equilibria mix more
+    (rock-paper-scissors-lizard-Spock mixes all five actions) raises
+    RuntimeError although an equilibrium exists.
     """
     if not is_rationalizable_self_confirming(g):
         raise ValueError("not a rationalizable self-confirming game")
@@ -459,10 +453,10 @@ def _class_representatives(g: Game, i: Player,
                            pool: Sequence[PureStrategy]) -> list[PureStrategy]:
     """The first member of each realization class in the pool, in pool
     order."""
-    sets = g.decision_sets(i)
-    reps: dict[tuple, PureStrategy] = {}
+    of = _classes(g, i).of
+    reps: dict[int, PureStrategy] = {}
     for x in pool:
-        reps.setdefault(_realization_key(g, i, x, sets), x)
+        reps.setdefault(of[action_vector(g, x, i)], x)
     return list(reps.values())
 
 
@@ -520,8 +514,9 @@ def _restricted_nash(g, players, pools, nat) -> dict[Player, MixedStrategy]:
                             {pools[a][x]: w for x, w in zip(sup_a, wa)}),
                         b: MixedStrategy.make(
                             {pools[b][y]: w for y, w in zip(sup_b, wb)})}
-    raise RuntimeError("support enumeration exhausted without a Nash "
-                       "equilibrium; this should be unreachable")
+    raise RuntimeError("no Nash equilibrium with supports of at most %d "
+                       "classes per player (NASH_SUPPORT_CAP); larger "
+                       "supports are not searched" % NASH_SUPPORT_CAP)
 
 
 def _equalizing(own_pool, own_support, opp_support, value):
@@ -555,8 +550,12 @@ class AwarenessReport:
 
 def awareness_diagnostics(g: Game, pi: Profile) -> AwarenessReport:
     """Constancy of awareness: globally, per player along play, and as
-    seen from inside each player's own tree."""
+    seen from inside each player's own tree.
+
+    Every real player needs a strategy of its own (``_checked_vectors``;
+    nature defaults to uniform); ValueError otherwise."""
     pi = _with_nature(g, pi)
+    _checked_vectors(g, pi, _behavior_vector)
     tbar = g.tbar
     all_hosts = {g.info[(i, tbar, n)].host
                  for i in g.players for n in sorted(g.trees[tbar])

@@ -6,8 +6,11 @@ rule: at each information set, probability 1 goes to the opposing profiles
 from the *latest* previous round that still reach the set (falling back all
 the way to the full strategy set).
 
-The engine decides per-set optimality by exact linear feasibility over a
-payoff matrix (continuations x allowed opposing profiles).  ``efr_oracle``
+The engine keeps or drops whole realization classes (``_classes``): a
+verdict reads a strategy only at the sets it reaches and through the
+opposing columns there, so one member decides for its class.  It decides
+per-set optimality by exact linear feasibility over a payoff matrix
+(continuations x allowed opposing profiles).  ``efr_oracle``
 recomputes everything by explicitly assembling whole belief systems with
 Bayes conditioning enforced; it is exponential and guarded by a cap.
 """
@@ -22,7 +25,7 @@ from fractions import Fraction
 from operator import eq, ge, itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .core import Game, InfoSet, NodeId, Player, info_arborescence
+from .core import NATURE, Game, InfoSet, NodeId, Player, info_arborescence
 from .lp import solve_feasibility
 from .strategies import (
     PureProfile,
@@ -127,8 +130,14 @@ class _SetContext:
         self.reqs = [[(j, set_positions(g, j)[x], a)
                       for j, x, a in _requirements(g, t, m)]
                      for m in h.members]
+        # the own positions those constraints read
+        self.reach_positions = sorted({p for r in self.reqs
+                                       for j, p, _ in r if j == i})
+        self.reach_key = _getter(self.reach_positions)
         self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
+        self._restricted: dict[tuple, PureProfile] = {}
+        self._columns: dict[tuple, tuple] = {}
         self._own_reach: dict[tuple, bool] = {}
         self._ids: dict[tuple, int] = {}
         self._allowed: dict[int, tuple] = {}
@@ -148,13 +157,36 @@ class _SetContext:
 
     def representative(self, g: Game, tables, col: tuple) -> PureProfile:
         """The reaching column's representative as PureStrategy objects,
-        restricted to the host tree's partial game."""
-        prof = self._profiles[col]
-        return restrict_profile(
-            g, {j: tables[j][prof[j]] for j in self.opponents}, self.h.host)
+        restricted to the host tree's partial game; built once per column
+        and shared by every caller, which must not change it."""
+        got = self._restricted.get(col)
+        if got is None:
+            prof = self._profiles[col]
+            got = self._restricted[col] = restrict_profile(
+                g, {j: tables[j][prof[j]] for j in self.opponents},
+                self.h.host)
+        return got
+
+    def columns(self, classes: Mapping[Player, Mapping[tuple, int]],
+                alive: tuple) -> tuple:
+        """The reaching columns over the opponents' vectors in alive
+        classes, each opponent's keys in the order of their first vectors.
+
+        classes[j] maps opponent j's vectors, in pool order, to their
+        classes, and alive holds per opponent its alive classes."""
+        got = self._columns.get(alive)
+        if got is None:
+            keys = []
+            for j, get, live in zip(self.opponents, self.opp_keys, alive):
+                live = set(live)
+                keys.append(dict.fromkeys(get(v) for v, c in
+                                          classes[j].items() if c in live))
+            got = self._columns[alive] = tuple(
+                c for c in itertools.product(*keys) if self.column_reaches(c))
+        return got
 
     def strategy_reaches(self, v: tuple) -> bool:
-        key = self.own_key(v)
+        key = self.reach_key(v)
         got = self._own_reach.get(key)
         if got is None:
             got = any(all(v[p] == a for j, p, a in r if j == self.i)
@@ -240,23 +272,68 @@ class _SetContext:
 
 
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
+    """The set contexts of every real player's decision sets, built once
+    per game together with each player's realization classes."""
     ix = g._ix
     if ix.efr_contexts is None:
         pools = {j: strategy_vectors(g, j) for j in acting_players(g)}
-        ix.efr_contexts = {h: _SetContext(g, i, h, pools) for i in g.players
-                           for h in g.decision_sets(i)}
+        ix.efr_contexts = {}
+        for i in g.players:
+            sets = [_SetContext(g, i, h, pools) for h in g.decision_sets(i)]
+            ix.efr_contexts.update((ctx.h, ctx) for ctx in sets)
+            ix.classes[i] = _Classes(sets, pools[i])
     return ix.efr_contexts
 
 
-def _allowed_columns(ctx: _SetContext, rounds: list[dict[Player, list]],
-                     upto: int) -> tuple[int, tuple]:
+class _Classes:
+    """A player's pure strategies in realization classes, numbered in the
+    order of their first members.
+
+    Two pure strategies are realization-equivalent exactly when they reach
+    the same decision sets, each in its host tree, and choose alike there.
+    Own reach reads only the positions on the paths to the sets, so it is
+    found once per choice there.
+    """
+
+    def __init__(self, sets: Sequence[_SetContext], vectors: Sequence[tuple]):
+        self.of: dict[tuple, int] = {}  # each vector's class, in pool order
+        self.first: list[tuple] = []  # per class, its first member
+        self.reached: list[tuple] = []  # per class, the positions it reaches
+        path_key = _getter(sorted({p for ctx in sets
+                                   for p in ctx.reach_positions}))
+        # per choice at those positions, the positions reached and the mask
+        # selecting them
+        shapes: dict[tuple, tuple] = {}
+        ids: dict[tuple, int] = {}
+        for v in vectors:
+            u = path_key(v)
+            shape = shapes.get(u)
+            if shape is None:
+                mask = [ctx.strategy_reaches(v) for ctx in sets]
+                shape = shapes[u] = (
+                    tuple(itertools.compress(range(len(v)), mask)), mask)
+            at, mask = shape
+            c = self.of[v] = ids.setdefault(
+                (at, tuple(itertools.compress(v, mask))), len(ids))
+            if c == len(self.first):
+                self.first.append(v)
+                self.reached.append(at)
+
+
+def _classes(g: Game, i: Player) -> _Classes:
+    """Player i's realization classes over its pool of action vectors
+    (``strategy_vectors``)."""
+    _contexts(g)
+    return g._ix.classes[i]
+
+
+def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, Mapping],
+                     rounds: list[dict], upto: int) -> tuple[int, tuple]:
     """Best-rationalization support: columns from the latest round whose
-    survivors still reach the set.  Rounds hold action vectors."""
+    survivors still reach the set.  Rounds hold the alive classes."""
     for m in range(upto, -1, -1):
-        keys = [dict.fromkeys(map(get, rounds[m][j]))
-                for j, get in zip(ctx.opponents, ctx.opp_keys)]
-        cols = tuple(c for c in itertools.product(*keys)
-                     if ctx.column_reaches(c))
+        cols = ctx.columns(classes,
+                           tuple(rounds[m][j] for j in ctx.opponents))
         if cols:
             return m, cols
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
@@ -276,40 +353,65 @@ def efr(g: Game) -> EfrTrace:
     """
     ix = g._ix
     if ix.efr_trace is None:
-        ix.efr_trace = _efr(g)
+        ix.efr_trace, ix.efr_classes = _efr(g)
     return ix.efr_trace
 
 
-def _efr(g: Game) -> EfrTrace:
+def _surviving_classes(g: Game) -> dict[Player, frozenset]:
+    """Per real player, the realization classes (``_classes``) whose
+    members survive extensive-form rationalizability."""
+    efr(g)
+    return g._ix.efr_classes
+
+
+def _efr(g: Game) -> tuple[EfrTrace, dict[Player, frozenset]]:
     ctxs = _contexts(g)
     tables = _tables(g)
-    rounds = [{j: list(t) for j, t in tables.items()}]
+    # each pool's vectors by the class a round keeps or drops whole:
+    # realization classes, and nature's whole pool, never eliminated
+    classes = {j: dict.fromkeys(t, 0) if j == NATURE else _classes(g, j).of
+               for j, t in tables.items()}
+    rounds = [{j: tuple(dict.fromkeys(c.values()))
+               for j, c in classes.items()}]
     constraints: list[dict[InfoSet, BeliefConstraint]] = []
     while True:
         k = len(rounds)
         cons: dict[InfoSet, BeliefConstraint] = {}
-        new = dict(rounds[-1])  # nature is never eliminated
+        new = dict(rounds[-1])
         for i in g.players:
             allowed_at = []
             for h in g.decision_sets(i):
                 ctx = ctxs[h]
-                level, cols = _allowed_columns(ctx, rounds, k - 1)
+                level, cols = _allowed_columns(ctx, classes, rounds, k - 1)
                 allowed_at.append((ctx, ctx.intern(cols)))
                 cons[h] = BeliefConstraint(
                     i, h, level,
                     [ctx.representative(g, tables, c) for c in cols])
-            survivors = [v for v in rounds[-1][i]
-                         if all(ctx.optimal_for_some_belief(v, aid)
-                                for ctx, aid in allowed_at
-                                if ctx.strategy_reaches(v))]
-            assert survivors, "no rationalizable strategy for player %d" % i
-            new[i] = survivors
+            table = _classes(g, i)
+            new[i] = tuple(c for c in rounds[-1][i]
+                           if _rational(table, c, allowed_at))
+            assert new[i], "no rationalizable strategy for player %d" % i
         constraints.append(cons)
         rounds.append(new)
         if new == rounds[-2]:
-            return EfrTrace([{i: [tables[i][v] for v in rd[i]]
-                              for i in g.players} for rd in rounds],
-                            constraints, fixpoint_round=k)
+            break
+
+    def expand(i: Player, alive) -> list[PureStrategy]:
+        alive = set(alive)
+        return [tables[i][v] for v, c in classes[i].items() if c in alive]
+
+    trace = EfrTrace([{i: expand(i, rd[i]) for i in g.players}
+                      for rd in rounds], constraints, fixpoint_round=k)
+    return trace, {i: frozenset(new[i]) for i in g.players}
+
+
+def _rational(table: _Classes, c: int, allowed_at) -> bool:
+    """The verdict on class c, decided on its first member: optimal for
+    some allowed belief at every set the class reaches.  allowed_at holds
+    per decision set its context and interned columns."""
+    v = table.first[c]
+    return all(allowed_at[p][0].optimal_for_some_belief(v, allowed_at[p][1])
+               for p in table.reached[c])
 
 
 def efr_sets(g: Game) -> dict[Player, list[PureStrategy]]:
@@ -395,7 +497,7 @@ def efr_oracle(g: Game, cap: Optional[int] = None) -> dict[Player, list[PureStra
         new = dict(rounds[-1])
         for i in g.players:
             sets_i = g.decision_sets(i)
-            allowed_at = {h: _allowed_columns(ctxs[h], rounds, k - 1)[1]
+            allowed_at = {h: _oracle_columns(ctxs[h], rounds, k - 1)
                           for h in sets_i}
             survivors = [v for v in rounds[-1][i]
                          if _oracle_survives(g, i, tables[i][v], sets_i,
@@ -406,6 +508,20 @@ def efr_oracle(g: Game, cap: Optional[int] = None) -> dict[Player, list[PureStra
         if new == rounds[-1]:
             return {i: [tables[i][v] for v in new[i]] for i in g.players}
         rounds.append(new)
+
+
+def _oracle_columns(ctx: _SetContext, rounds: list[dict[Player, list]],
+                    upto: int) -> tuple:
+    """The engine's allowed columns, read off the survivors' action
+    vectors one by one instead of through the realization classes."""
+    for m in range(upto, -1, -1):
+        keys = [dict.fromkeys(map(get, rounds[m][j]))
+                for j, get in zip(ctx.opponents, ctx.opp_keys)]
+        cols = tuple(c for c in itertools.product(*keys)
+                     if ctx.column_reaches(c))
+        if cols:
+            return cols
+    raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
 
 
 def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of,

@@ -27,7 +27,10 @@ from ugt.rationalizability import (
 from ugt.strategies import (
     PureStrategy,
     acting_players,
+    opposing_profiles,
+    pure_strategies,
     reaches,
+    realization_equivalent,
     realized_tbar_path,
     restrict_strategy,
 )
@@ -306,3 +309,97 @@ def test_oracle_matches_engine_on_generated_shapes(players, nature):
             assert set(fast[i]) == set(slow[i]), k
         shrunk += trace.fixpoint_round > 1
     assert checked >= 25 and shrunk >= 5
+
+
+# ---------------------------------------------------------------------------
+# the class engine: rounds keep or drop whole realization classes
+
+FIXTURE_NAMES = [
+    "ex1_initial", "ex1_discovered", "ex2_initial", "ex2_rsc", "ex2_nonrat",
+    "ex2_full", "bos_aware", "bos_repeated", "bos_repeated_discovered",
+    "fig14", "matching_pennies", "trivial_single", "nature_coin"]
+SMALL_FIXTURES = [n for n in FIXTURE_NAMES if not n.startswith("bos_repeated")]
+GENERATED = {"nature": dict(players=2, nature=True), "3p": dict(players=3)}
+
+
+def generated_games(shape, draws=12):
+    return [generate_random_game(seed=seed, depth=2, branching=2 + seed % 2,
+                                 tree_count=2 + (seed % 3 == 0),
+                                 **GENERATED[shape])
+            for seed in range(draws)]
+
+
+def exhaustive_classes(g, i, pool):
+    """The pool split by exhaustive realization equivalence."""
+    opposing = opposing_profiles(g, i)
+    classes = []
+    for x in pool:
+        for c in classes:
+            if realization_equivalent(g, i, x, c[0], opposing):
+                c.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
+# strategies x opposing profiles of a player whose classes are compared
+# exhaustively; both players of the repeated battle of the sexes are over it
+CLASS_CHECK_CAP = 2500
+
+
+def assert_rounds_are_unions_of_classes(g):
+    trace = efr(g)
+    checked = 0
+    for i in g.players:
+        pool = pure_strategies(g, i)
+        if len(pool) * len(opposing_profiles(g, i)) > CLASS_CHECK_CAP:
+            continue
+        checked += 1
+        classes = exhaustive_classes(g, i, pool)
+        for rd in trace.rounds:
+            alive = set(rd[i])
+            for c in classes:
+                assert len(alive.intersection(c)) in (0, len(c))
+    return checked
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_rounds_are_unions_of_classes(name):
+    checked = assert_rounds_are_unions_of_classes(load(name))
+    assert checked or name not in SMALL_FIXTURES
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATED))
+def test_generated_rounds_are_unions_of_classes(shape):
+    games = generated_games(shape)
+    checked = sum(assert_rounds_are_unions_of_classes(g) for g in games)
+    assert checked >= 2 * len(games)
+
+
+def assert_rounds_match_per_strategy_reference(g):
+    """Strategy s survives round k+1 exactly when it has a best reply,
+    under round k's belief constraints, at every set it reaches."""
+    trace = efr(g)
+    shrunk = False
+    for k, cons in enumerate(trace.belief_constraints):
+        for i in g.players:
+            want = [s for s in trace.rounds[k][i]
+                    if all(best_reply_exists(g, i, hh, s, cons[hh].profiles)
+                           for hh in g.decision_sets(i)
+                           if reaches(g, {i: s}, hh))]
+            assert trace.rounds[k + 1][i] == want, (k, i)
+            shrunk |= len(want) < len(trace.rounds[k][i])
+    return shrunk
+
+
+@pytest.mark.parametrize("name", SMALL_FIXTURES)
+def test_fixture_rounds_match_per_strategy_reference(name):
+    assert_rounds_match_per_strategy_reference(load(name))
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATED))
+def test_generated_rounds_match_per_strategy_reference(shape):
+    shrunk = sum(map(assert_rounds_match_per_strategy_reference,
+                     generated_games(shape)))
+    assert shrunk >= 3

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from ugt.core import InfoSet, NATURE
+from ugt.core import Game, InfoSet, NATURE, NodeData, validate_game
 from ugt.equilibrium import (
     awareness_diagnostics,
     check_sce_behavior,
@@ -326,6 +326,23 @@ def test_sce_checks_reject_incomplete_profiles(check):
         assert run(g, s if check == "pure" else lift_pure(g, s)).holds
 
 
+def test_awareness_diagnostics_rejects_incomplete_profiles():
+    # used to leak a raw KeyError on a missing or foreign strategy
+    g = ex1_initial()
+    s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
+    for s in ({1: s1}, {2: s2}, {1: s1, 2: s1},
+              {1: s1, 2: PureStrategy.make(2, {})}):
+        for pi in (s, lift_pure(g, s)):
+            with pytest.raises(ValueError):
+                awareness_diagnostics(g, pi)
+    assert awareness_diagnostics(g, {1: s1, 2: s2}).per_player_constant[1]
+    # a set that no play can reach may be missing
+    g = ex1_discovered()
+    s = {1: PureStrategy.make(1, {h(1, "Tbar", (0,)): "r1"}),
+         2: pick(g, 2, {h(2, "Tbar", (1,)): "m2"})}
+    assert awareness_diagnostics(g, lift_pure(g, s)).per_player_constant[1]
+
+
 def test_bos_repeated_discovered_equilibrium():
     g = bos_repeated_discovered()
     s1 = pick(g, 1, {h(1, "Tbar", (0,)): "in", h(1, "Tbar", (2,)): "B1",
@@ -441,6 +458,41 @@ def test_construct_matching_pennies_mixes():
         [target] = g.decision_sets(i)
         for a in g.set_actions(target):
             assert pi[i].prob(target, a) == Fraction(1, 2)
+
+
+def rock_paper_scissors_lizard_spock():
+    """The zero-sum cyclic game on five actions, moved simultaneously in
+    one tree: its only equilibrium mixes all five uniformly."""
+    moves = ("rock", "paper", "scissors", "lizard", "spock")
+    beats = {("scissors", "paper"), ("paper", "rock"), ("rock", "lizard"),
+             ("lizard", "spock"), ("spock", "scissors"),
+             ("scissors", "lizard"), ("lizard", "paper"), ("paper", "spock"),
+             ("spock", "rock"), ("rock", "scissors")}
+    labels = {i: tuple(a + str(i) for a in moves) for i in (1, 2)}
+    nodes, children = {}, {}
+    for n, (a, b) in enumerate(itertools.product(moves, moves), start=1):
+        children[(a + "1", b + "2")] = n
+        u = 1 if (a, b) in beats else -1 if (b, a) in beats else 0
+        nodes[n] = NodeData(parent=0,
+                            payoffs={1: Fraction(u), 2: Fraction(-u)})
+    nodes[0] = NodeData(parent=None, players=(1, 2), actions=labels,
+                        children=children)
+    info = {(i, "G", n): InfoSet(i, "G", (n,)) for i in (1, 2) for n in nodes}
+    return Game((1, 2), {"G": nodes}, nodes, info)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP item 3: support cap")
+def test_construct_rock_paper_scissors_lizard_spock():
+    g = rock_paper_scissors_lizard_spock()
+    assert validate_game(g).ok
+    assert all(len(efr_sets(g)[i]) == 5 for i in g.players)
+    pi, v = construct_sce_efr(g)
+    assert v.holds
+    for i in g.players:
+        [target] = g.decision_sets(i)
+        assert all(pi[i].prob(target, a) == Fraction(1, 5)
+                   for a in g.set_actions(target))
 
 
 def test_game_caches_die_with_the_game():
