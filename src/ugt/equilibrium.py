@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
 from .discovery import _path_classes
 from .lp import solve_feasibility
-from .rationalizability import _classes, _surviving_classes, efr_sets
+from .rationalizability import _Classes, _classes, _surviving_classes
 from .strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -35,7 +35,6 @@ from .strategies import (
     acting_players,
     action_vector,
     behavior_payoff,
-    behavior_to_mixed,
     deviation_sets,
     has_nature,
     kernel_vector,
@@ -356,14 +355,13 @@ def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
 # the EFR-conjecture refinement
 
 
-def _realization_key(g: Game, i: Player, x, sets: Sequence[InfoSet]) -> tuple:
-    """Signature whose equality characterizes realization equivalence of
-    pure strategies: the actions at every own-reached decision set among
-    ``sets``, player i's decision sets in order, read off the class table
-    (``_classes``).  x is a PureStrategy or its action vector."""
-    v = action_vector(g, x, i) if isinstance(x, PureStrategy) else x
-    table = _classes(g, i)
-    return tuple((sets[p], v[p]) for p in table.reached[table.of[v]])
+def _positive_classes(table: _Classes, k: tuple) -> set[int]:
+    """The realization classes in table to which the canonical mixed
+    conversion of kernel vector k gives positive probability: those whose
+    first member's actions at the positions the class reaches are all in
+    the support of k there."""
+    return {c for c, (v, at) in enumerate(zip(table.first, table.reached))
+            if all(v[p] in k[p] for p in at)}
 
 
 def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
@@ -371,11 +369,13 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     every pure strategy realization-equivalent to a support member of the
     canonical mixed conversion must survive extensive-form
     rationalizability.  The EFR engine keeps or drops whole realization
-    classes, so that is the survival of the member's class.  The conversion
-    reads every decision set, so each real player's strategy needs a kernel
-    at all of them; ValueError otherwise."""
-    for i in g.players:
-        if i in pi and None in _behavior_vector(g, pi[i], i):
+    classes, so that is the survival of every class the conversion gives
+    positive probability (``_positive_classes``).  The conversion reads
+    every decision set, so each real player's strategy needs a kernel at
+    all of them; ValueError otherwise."""
+    kernels = {i: _behavior_vector(g, pi[i], i) for i in g.players if i in pi}
+    for i, k in kernels.items():
+        if None in k:
             raise ValueError("%r has no kernel at some decision set"
                              % (pi[i],))
     base = check_sce_behavior(g, pi)
@@ -383,21 +383,14 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
         return base
     alive = _surviving_classes(g)
     for i in g.players:
-        of = _classes(g, i).of
-        mixed = kuhn_convert(g, i, _as_behavior(g, pi[i]))
-        for member in mixed.support():
-            if of[action_vector(g, member, i)] not in alive[i]:
-                return SceVerdict(False, "efr-support", i,
-                                  detail="support member not rationalizable")
-    base.witnesses = dict(base.witnesses)
+        if not _positive_classes(_classes(g, i), kernels[i]) <= alive[i]:
+            return SceVerdict(False, "efr-support", i,
+                              detail="support member not rationalizable")
     return base
 
 
 # ---------------------------------------------------------------------------
 # construction via restricted Nash equilibrium
-
-
-NASH_SUPPORT_CAP = 4
 
 
 def is_rationalizable_self_confirming(g: Game) -> bool:
@@ -407,116 +400,105 @@ def is_rationalizable_self_confirming(g: Game) -> bool:
                for path, _, _ in _path_classes(g, "efr") for i in g.players)
 
 
-def _nature_weights(g: Game, nature: Optional[MixedStrategy]):
-    if not has_nature(g):
-        return [(None, ONE)]
-    if nature is None:
-        nature = behavior_to_mixed(g, uniform_nature(g))
-    return list(nature.weights)
-
-
 def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     """Build a self-confirming equilibrium in rationalizable conjectures.
 
-    Requires a rationalizable self-confirming game; ValueError otherwise.
     Computes an exact Nash equilibrium of the richest tree's normal form
-    restricted to the rationalizable strategies (pure scan, then support
-    enumeration for two players), converts it to behavior form, and
-    verifies the result.  The normal form has one strategy per realization
-    class (``_classes``), the first surviving member of the class:
-    realization-equivalent strategies earn the same payoffs, and
-    ``kuhn_convert`` maps mixtures over them to the same behavior strategy.
+    restricted to the rationalizable strategies, converts it to behavior
+    form, and verifies the result with ``check_sce_efr``.  The normal form
+    has one strategy per surviving realization class (``_classes``), the
+    class's first member: realization-equivalent strategies earn the same
+    payoffs, and ``kuhn_convert`` maps mixtures over them to the same
+    behavior strategy.  Nature plays ``nature``, a mixed strategy of
+    nature, or uniformly when it is None.  A pure scan of the normal form
+    comes first; for two players, support enumeration then tries every
+    pair of supports, smallest first, so it always finds an equilibrium.
 
-    Limits: more than two players raise NotImplementedError.  Support
-    enumeration tries only supports of at most ``NASH_SUPPORT_CAP`` classes
-    per player, so a two-player game all of whose equilibria mix more
-    (rock-paper-scissors-lizard-Spock mixes all five actions) raises
-    RuntimeError although an equilibrium exists.
+    Refusals, in the order they are checked: ValueError when ``nature`` is
+    given but is not a mixed strategy of nature, or nature never moves in
+    g; ValueError when g is not rationalizable self-confirming;
+    NotImplementedError when g has more than two players.
     """
+    if nature is not None:
+        if not isinstance(nature, MixedStrategy) or nature.owner != NATURE:
+            raise ValueError("not a mixed strategy of nature: %r" % (nature,))
+        if not has_nature(g):
+            raise ValueError("nature never moves in this game")
     if not is_rationalizable_self_confirming(g):
         raise ValueError("not a rationalizable self-confirming game")
-    surviving = efr_sets(g)
-    players = list(g.players)
-    pools = {i: _class_representatives(g, i, surviving[i]) for i in players}
-    sigma = _restricted_nash(g, players, pools, _nature_weights(g, nature))
-    pi: dict[Player, BehaviorStrategy] = {
-        i: kuhn_convert(g, i, sigma[i]) for i in players}
-    if has_nature(g):
-        pi[NATURE] = mixed_to_behavior(g, behavior_to_mixed(
-            g, uniform_nature(g))) if nature is None \
-            else mixed_to_behavior(g, nature)
-    verdict = check_sce_efr(g, pi)
-    return pi, verdict
-
-
-def _class_representatives(g: Game, i: Player,
-                           pool: Sequence[PureStrategy]) -> list[PureStrategy]:
-    """The first member of each realization class in the pool, in pool
-    order."""
-    of = _classes(g, i).of
-    reps: dict[int, PureStrategy] = {}
-    for x in pool:
-        reps.setdefault(of[action_vector(g, x, i)], x)
-    return list(reps.values())
-
-
-def _expected_payoffs(g: Game, profile: PureProfile, players, nat) -> tuple:
-    """The players' expected payoffs at a pure profile of the richest tree:
-    one play per nature draw, every payoff read from its terminal."""
-    totals = [ZERO] * len(players)
-    for s0, w in nat:
-        full = dict(profile)
-        if s0 is not None:
-            full[NATURE] = s0
-        payoffs = g.nodes[play_out(g, g.tbar, full)].payoffs
-        for k, i in enumerate(players):
-            totals[k] += w * payoffs[i]
-    return tuple(totals)
-
-
-def _restricted_nash(g, players, pools, nat) -> dict[Player, MixedStrategy]:
-    if len(players) == 1:
-        [i] = players
-        best = max(pools[i],
-                   key=lambda s: _expected_payoffs(g, {i: s}, players, nat)[0])
-        return {i: MixedStrategy.degenerate(best)}
-    if len(players) != 2:
+    if len(g.players) > 2:
         raise NotImplementedError(
             "restricted Nash construction supports at most two players")
+    alive = _surviving_classes(g)
+    pools = {i: [_classes(g, i).first[c] for c in sorted(alive[i])]
+             for i in g.players}
+    fixed = {}
+    if has_nature(g):
+        fixed[NATURE] = uniform_nature(g) if nature is None \
+            else mixed_to_behavior(g, nature)
+    u = _normal_form(g, pools, {j: kernel_vector(g, x, j)
+                                for j, x in fixed.items()})
+    pi: dict[Player, BehaviorStrategy] = {}
+    for i, weights in _restricted_nash(pools, u).items():
+        sets = g.decision_sets(i)
+        pi[i] = kuhn_convert(g, i, MixedStrategy.make(
+            {PureStrategy.make(i, dict(zip(sets, v))): w
+             for v, w in weights.items()}))
+    pi.update(fixed)
+    return pi, check_sce_efr(g, pi)
+
+
+def _normal_form(g: Game, pools: Mapping[Player, list],
+                 nature: Mapping[Player, tuple]) -> dict[tuple, tuple]:
+    """Per profile of indices into the players' pools of action vectors, in
+    product order, the players' expected payoffs in the richest tree with
+    nature playing the given kernel vectors."""
+    players = list(pools)
+    points = {i: [tuple({a: ONE} for a in v) for v in pools[i]]
+              for i in players}
+    u = {}
+    for cell in itertools.product(*[range(len(pools[i])) for i in players]):
+        kernels = {**nature, **{i: points[i][x]
+                                for i, x in zip(players, cell)}}
+        u[cell] = tuple(behavior_payoff(g, i, g.tbar, kernels)
+                        for i in players)
+    return u
+
+
+def _restricted_nash(pools: Mapping[Player, list], u: Mapping) -> dict:
+    """An exact Nash equilibrium of the normal form u (``_normal_form``) as
+    weights per action vector: the first pure profile in product order,
+    else, for two players, the first pair of supports that admits one."""
+    players = list(pools)
+    # pure scan: each player's payoff is its best against the others' play
+    best: list[dict] = [{} for _ in players]
+    for cell, pay in u.items():
+        for k, top in enumerate(best):
+            rest = cell[:k] + cell[k + 1:]
+            top[rest] = max(top.get(rest, pay[k]), pay[k])
+    for cell, pay in u.items():
+        if all(pay[k] == top[cell[:k] + cell[k + 1:]]
+               for k, top in enumerate(best)):
+            return {i: {pools[i][x]: ONE} for i, x in zip(players, cell)}
+    # support enumeration, smallest supports first; the pure scan has
+    # decided the singleton pairs
     a, b = players
     xs, ys = range(len(pools[a])), range(len(pools[b]))
-    u = {(x, y): _expected_payoffs(g, {a: pools[a][x], b: pools[b][y]},
-                                   players, nat)
-         for x in xs for y in ys}
-    # pure scan
-    col_max = [max(u[x, y][0] for x in xs) for y in ys]
-    row_max = [max(u[x, y][1] for y in ys) for x in xs]
-    for x in xs:
-        for y in ys:
-            if u[x, y][0] == col_max[y] and u[x, y][1] == row_max[x]:
-                return {a: MixedStrategy.degenerate(pools[a][x]),
-                        b: MixedStrategy.degenerate(pools[b][y])}
-    # support enumeration, smallest supports first
-    for ka in range(2, min(len(xs), NASH_SUPPORT_CAP) + 1):
-        for kb in range(2, min(len(ys), NASH_SUPPORT_CAP) + 1):
-            for sup_a in itertools.combinations(xs, ka):
-                for sup_b in itertools.combinations(ys, kb):
-                    wb = _equalizing(xs, sup_a, sup_b,
-                                     lambda x, y: u[x, y][0])
-                    if wb is None:
-                        continue
-                    wa = _equalizing(ys, sup_b, sup_a,
-                                     lambda y, x: u[x, y][1])
-                    if wa is None:
-                        continue
-                    return {
-                        a: MixedStrategy.make(
-                            {pools[a][x]: w for x, w in zip(sup_a, wa)}),
-                        b: MixedStrategy.make(
-                            {pools[b][y]: w for y, w in zip(sup_b, wb)})}
-    raise RuntimeError("no Nash equilibrium with supports of at most %d "
-                       "classes per player (NASH_SUPPORT_CAP); larger "
-                       "supports are not searched" % NASH_SUPPORT_CAP)
+    sizes = sorted(itertools.product(range(1, len(xs) + 1),
+                                     range(1, len(ys) + 1)), key=sum)
+    for ka, kb in sizes[1:]:
+        for sup_a in itertools.combinations(xs, ka):
+            for sup_b in itertools.combinations(ys, kb):
+                wb = _equalizing(xs, sup_a, sup_b, lambda x, y: u[x, y][0])
+                if wb is None:
+                    continue
+                wa = _equalizing(ys, sup_b, sup_a, lambda y, x: u[x, y][1])
+                if wa is None:
+                    continue
+                return {a: {pools[a][x]: w for x, w in zip(sup_a, wa)},
+                        b: {pools[b][y]: w for y, w in zip(sup_b, wb)}}
+    raise AssertionError("every finite two-player game has a Nash "
+                         "equilibrium, so some pair of supports admits one")
 
 
 def _equalizing(own_pool, own_support, opp_support, value):

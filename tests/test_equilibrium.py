@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from ugt.equilibrium import (
     lift_pure,
 )
 from ugt.fixtures import (
+    FIXTURES,
     bos_aware,
     bos_repeated_discovered,
     ex1_discovered,
@@ -28,22 +30,28 @@ from ugt.fixtures import (
 )
 from ugt.gamedoc import parse_game, serialize_game
 from ugt.randgen import generate_random_game, random_profile
-from ugt.rationalizability import efr, efr_sets
+from ugt.rationalizability import _classes, _surviving_classes, efr, efr_sets
 from ugt.strategies import (
     BehaviorStrategy,
+    MixedStrategy,
     PureStrategy,
     acting_players,
+    action_vector,
+    behavior_to_mixed,
+    kernel_vector,
+    kuhn_convert,
+    mixed_to_behavior,
     opposing_profiles,
     play_out,
     pure_strategies,
     realization_equivalent,
     realized_tbar_path,
 )
+from ugt import equilibrium
 from ugt.equilibrium import (
-    _class_representatives,
-    _expected_payoffs,
-    _nature_weights,
-    _realization_key,
+    _normal_form,
+    _positive_classes,
+    uniform_nature,
 )
 from fractions import Fraction
 
@@ -354,6 +362,8 @@ def test_bos_repeated_discovered_equilibrium():
 
 
 def test_realization_key_matches_exhaustive_equivalence():
+    # the class number is the realization key: equal exactly for
+    # realization-equivalent strategies
     games = [load(name) for name in
              ("ex1_initial", "bos_aware", "nature_coin", "fig14")]
     fixtures = len(games)
@@ -371,14 +381,63 @@ def test_realization_key_matches_exhaustive_equivalence():
                 if len(pool) ** 2 * len(opposing) > 2048:
                     continue
                 checked += 1
-            sets = g.decision_sets(i)
+            of = _classes(g, i).of
             for x in pool:
                 for y in pool:
-                    same = _realization_key(g, i, x, sets) == \
-                        _realization_key(g, i, y, sets)
+                    same = of[action_vector(g, x, i)] == \
+                        of[action_vector(g, y, i)]
                     assert same == realization_equivalent(g, i, x, y,
                                                           opposing)
     assert checked >= 40
+
+
+def random_behavior(g, rng):
+    """A behavior profile of every acting player, each kernel on a random
+    nonempty subset of the actions."""
+    pi = {}
+    for j in acting_players(g):
+        kernels = {}
+        for hh in g.decision_sets(j):
+            support = rng.sample(g.set_actions(hh),
+                                 rng.randint(1, len(g.set_actions(hh))))
+            weights = [rng.randint(1, 4) for _ in support]
+            kernels[hh] = {a: Fraction(w, sum(weights))
+                           for a, w in zip(support, weights)}
+        pi[j] = BehaviorStrategy.make(j, kernels)
+    return pi
+
+
+def test_positive_classes_match_the_mixed_conversion():
+    # reference: the classes of the support members of the canonical mixed
+    # conversion, each looked up through its action vector
+    games = [load(name) for name in sorted(FIXTURES)]
+    games += [generate_random_game(seed=seed, depth=2, branching=2,
+                                   tree_count=3, **shape)
+              for shape in GENERATED.values() for seed in range(6)]
+    rng = random.Random(5)
+    efr_dead = 0
+    for g in games:
+        players = acting_players(g)
+        pools = {j: pure_strategies(g, j) for j in players}
+        survivors = efr_sets(g)
+        profiles = []
+        for i in g.players:
+            alive = set(survivors[i])
+            dead = [x for x in pools[i] if x not in alive]
+            for x in survivors[i][:2] + dead[:2]:
+                s = {j: rng.choice(pools[j]) for j in players}
+                s[i] = x
+                profiles.append(lift_pure(g, s))
+        profiles += [random_behavior(g, rng) for _ in range(3)]
+        for pi in profiles:
+            for i in g.players:
+                table = _classes(g, i)
+                want = {table.of[action_vector(g, x, i)]
+                        for x in kuhn_convert(g, i, pi[i]).support()}
+                got = _positive_classes(table, kernel_vector(g, pi[i], i))
+                assert got == want
+                efr_dead += not got <= _surviving_classes(g)[i]
+    assert efr_dead > 0
 
 
 # ---------------------------------------------------------------------------
@@ -424,30 +483,64 @@ def test_construct_passes_its_own_check(name):
     "ex1_discovered", "ex2_rsc", "ex2_full", "bos_aware", "matching_pennies",
     "trivial_single", "fig14", "bos_repeated_discovered", "nature_coin"])
 def test_class_cells_pay_like_their_members(name):
-    # the construction plays one cell per pair of realization classes; each
-    # pair of surviving strategies must earn that cell's payoffs
+    # the construction plays one cell per profile of surviving realization
+    # classes, on the classes' first members; each profile of surviving
+    # strategies must earn its cell's payoffs, weighted by nature's draws
     g = load(name)
     players = list(g.players)
-    pools = efr_sets(g)
-    nat = _nature_weights(g, None)
-    reps = {}
-    for i in players:
-        sets = g.decision_sets(i)
-        by_key = {_realization_key(g, i, x, sets): x
-                  for x in _class_representatives(g, i, pools[i])}
-        reps[i] = {x: by_key[_realization_key(g, i, x, sets)]
-                   for x in pools[i]}
-    for combo in itertools.product(*[pools[i] for i in players]):
-        cell = {i: reps[i][x] for i, x in zip(players, combo)}
+    alive = _surviving_classes(g)
+    index = {i: {c: x for x, c in enumerate(sorted(alive[i]))}
+             for i in players}
+    pools = {i: [_classes(g, i).first[c] for c in sorted(alive[i])]
+             for i in players}
+    nature, draws = {}, [({}, Fraction(1))]
+    if NATURE in acting_players(g):
+        uniform = uniform_nature(g)
+        nature = {NATURE: kernel_vector(g, uniform, NATURE)}
+        draws = [({NATURE: s0}, w)
+                 for s0, w in behavior_to_mixed(g, uniform).weights]
+    u = _normal_form(g, pools, nature)
+    survivors = efr_sets(g)
+    for combo in itertools.product(*[survivors[i] for i in players]):
+        cell = tuple(index[i][_classes(g, i).of[action_vector(g, x, i)]]
+                     for i, x in zip(players, combo))
         want = [Fraction(0)] * len(players)
-        for s0, w in nat:
-            prof = dict(zip(players, combo))
-            if s0 is not None:
-                prof[NATURE] = s0
-            z = play_out(g, g.tbar, prof)
+        for s0, w in draws:
+            z = play_out(g, g.tbar, {**s0, **dict(zip(players, combo))})
             for k, i in enumerate(players):
                 want[k] += w * g.nodes[z].payoffs[i]
-        assert _expected_payoffs(g, cell, players, nat) == tuple(want)
+        assert u[cell] == tuple(want)
+
+
+def test_construct_checks_its_nature_argument():
+    g = nature_coin()
+    # a real player's mixture used to leak a raw KeyError
+    with pytest.raises(ValueError):
+        construct_sce_efr(g, MixedStrategy.degenerate(pure_strategies(g, 1)[0]))
+    # one given for a game where nature never moves used to be ignored
+    coin = MixedStrategy.degenerate(pure_strategies(g, NATURE)[0])
+    with pytest.raises(ValueError):
+        construct_sce_efr(matching_pennies(), coin)
+    pi, v = construct_sce_efr(g, coin)
+    assert pi[NATURE] == mixed_to_behavior(g, coin)
+    assert pi[NATURE].prob(h(NATURE, "G", (0,)), "heads") == 1
+    assert v.holds
+
+
+def test_construct_refuses_three_players_after_the_rsc_check(monkeypatch):
+    def no_payoffs(*args):
+        raise AssertionError("payoff work before the refusal")
+
+    monkeypatch.setattr(equilibrium, "_normal_form", no_payoffs)
+    games = [generate_random_game(seed=seed, depth=2, branching=2,
+                                  tree_count=3, players=3)
+             for seed in (1, 0)]
+    assert not is_rationalizable_self_confirming(games[0])
+    with pytest.raises(ValueError):
+        construct_sce_efr(games[0])
+    assert is_rationalizable_self_confirming(games[1])
+    with pytest.raises(NotImplementedError):
+        construct_sce_efr(games[1])
 
 
 def test_construct_matching_pennies_mixes():
@@ -481,8 +574,6 @@ def rock_paper_scissors_lizard_spock():
     return Game((1, 2), {"G": nodes}, nodes, info)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError,
-                   reason="ROADMAP item 3: support cap")
 def test_construct_rock_paper_scissors_lizard_spock():
     g = rock_paper_scissors_lizard_spock()
     assert validate_game(g).ok
