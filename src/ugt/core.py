@@ -79,16 +79,22 @@ class Game:
                   active at a decision node and for every real player at every
                   terminal node, in every tree containing the node
 
-    One private index (``_Index``), built on first use, holds what is derived
-    from these fields: per tree the restricted children, actions, root and
-    terminal flags; the upmost tree and tree order; per player the decision
-    sets and their positions in action vectors; per tree the play table,
-    each decision node's (player, position) pairs; the path constraints of
-    ``reaches``; host closures; per player the realization classes of its
-    pure strategies; the EFR set contexts, trace and surviving classes.  Its
-    memos fill as queries arrive and are never invalidated, as the fields
-    never change.  It holds no reference to the game, so reference counting
-    alone frees a dropped game.
+    What is derived from these fields lives in two private parts, built on
+    first use.  The structure (``_Structure``) depends on players, trees and
+    nodes alone: per tree the restricted children, actions, root and
+    terminal flags; the upmost tree and tree order; joins and the trees
+    above and below each tree; and per player its info keys, which a
+    discovered version keeps.  A discovered version (``_with_info``) shares
+    its parent's structure, and with it the very ``players``, ``trees`` and
+    ``nodes`` objects.  The index (``_Index``) depends on ``info`` and is
+    each game's own: per player the decision sets and their positions in
+    action vectors; per tree the play table, each decision node's (player,
+    position) pairs; the path constraints of ``reaches``; host closures;
+    per player the realization classes of its pure strategies; the EFR set
+    contexts, trace and per-round classes; the policy pools of discovery.
+    Memos fill as queries arrive and are never invalidated, as the fields
+    never change.  Neither part holds a reference to a game, so reference
+    counting alone frees a dropped game.
     """
 
     def __init__(self, players: Iterable[Player],
@@ -100,14 +106,44 @@ class Game:
         self.nodes = dict(nodes)
         self.info = dict(info)
         self._canon = None
+        self._shape: Optional[_Structure] = None
         self._index: Optional[_Index] = None
         self._check_ids()
 
     @property
+    def _st(self) -> "_Structure":
+        if self._shape is None:
+            self._shape = _Structure(self)
+        return self._shape
+
+    @property
     def _ix(self) -> "_Index":
         if self._index is None:
-            self._index = _Index(self)
+            self._index = _Index()
         return self._index
+
+    def _with_info(self, changed: Mapping[tuple[Player, TreeId, NodeId],
+                                          InfoSet]) -> "Game":
+        """This game with the entries of ``changed`` rewritten in ``info``.
+
+        The result shares ``players``, ``trees``, ``nodes`` and the
+        structure part of the index with this game, and starts its own
+        info part.  Only the rewritten entries are checked, each as
+        ``Game`` checks every entry, and each key must already be a key of
+        ``info``; StructuralError otherwise.
+        """
+        problems = ["info key (%d,%s,%d): not a key of the game" % key
+                    for key in changed if key not in self.info]
+        problems += self._info_problems(changed.items())
+        if problems:
+            raise StructuralError(problems)
+        g = Game.__new__(Game)
+        g.players, g.trees, g.nodes = self.players, self.trees, self.nodes
+        g.info = {**self.info, **changed}
+        g._canon = None
+        g._shape = self._st
+        g._index = None
+        return g
 
     # -- construction helpers -------------------------------------------------
 
@@ -125,7 +161,14 @@ class Game:
             for c in nd.children.values():
                 if c not in self.nodes:
                     problems.append("node %d has unknown child %d" % (n, c))
-        for (i, t, n), h in self.info.items():
+        problems += self._info_problems(self.info.items())
+        if problems:
+            raise StructuralError(problems)
+
+    def _info_problems(self, entries) -> list[str]:
+        """What is wrong with the given (key, InfoSet) entries of info."""
+        problems = []
+        for (i, t, n), h in entries:
             if t not in self.trees:
                 problems.append("info key (%d,%s,%d): unknown tree" % (i, t, n))
                 continue
@@ -137,54 +180,79 @@ class Game:
                 problems.append("info set %s: member outside host tree" % h.label())
             if h.player != i:
                 problems.append("info key (%d,%s,%d): owner mismatch" % (i, t, n))
-        if problems:
-            raise StructuralError(problems)
+        return problems
 
     # -- tree structure -------------------------------------------------------
 
     @property
     def tbar(self) -> TreeId:
         """The upmost tree (maximum of the lattice)."""
-        return self._ix.tbar
+        return self._st.tbar
 
     def leq(self, t1: TreeId, t2: TreeId) -> bool:
         return self.trees[t1] <= self.trees[t2]
 
     def join(self, t1: TreeId, t2: TreeId) -> TreeId:
         """Least stored upper bound of two trees; StructuralError if absent."""
-        ubs = [t for t, ns in self.trees.items()
-               if ns >= self.trees[t1] and ns >= self.trees[t2]]
-        for t in ubs:
-            if all(self.trees[t] <= self.trees[u] for u in ubs):
-                return t
-        raise StructuralError(["no join for trees %s, %s" % (t1, t2)])
+        joins = self._st.joins
+        got = joins.get((t1, t2))
+        if got is None:
+            ubs = [t for t, ns in self.trees.items()
+                   if ns >= self.trees[t1] and ns >= self.trees[t2]]
+            got = next((t for t in ubs
+                        if all(self.trees[t] <= self.trees[u] for u in ubs)),
+                       None)
+            if got is None:
+                raise StructuralError(["no join for trees %s, %s" % (t1, t2)])
+            joins[(t1, t2)] = got
+        return got
+
+    def _above_below(self, t: TreeId) -> tuple[frozenset, frozenset]:
+        """The trees at least as rich as t and those at most as rich, t in
+        both."""
+        st = self._st
+        got = st.above_below.get(t)
+        if got is None:
+            ns = self.trees[t]
+            got = st.above_below[t] = (
+                frozenset(u for u, us in self.trees.items() if ns <= us),
+                frozenset(u for u, us in self.trees.items() if us <= ns))
+        return got
+
+    def _own_keys(self, i: Player) -> tuple:
+        """The keys of ``info`` owned by player i, in ``info`` order."""
+        st = self._st
+        got = st.own_keys.get(i)
+        if got is None:
+            got = st.own_keys[i] = tuple(k for k in self.info if k[0] == i)
+        return got
 
     def root(self, t: TreeId) -> NodeId:
-        roots = self._ix.roots[t]
+        roots = self._st.roots[t]
         if len(roots) != 1:
             raise StructuralError(["tree %s has %d roots" % (t, len(roots))])
         return roots[0]
 
     def children_in(self, t: TreeId, n: NodeId) -> dict[tuple[str, ...], NodeId]:
-        return dict(self._ix.children[t][n])
+        return dict(self._st.children[t][n])
 
     def actions_in(self, t: TreeId, n: NodeId, i: Player) -> tuple[str, ...]:
         """Restricted action set of player i at node n within tree t."""
-        ix = self._ix
-        got = ix.actions.get((t, n, i))
+        st = self._st
+        got = st.actions.get((t, n, i))
         if got is None:
             nd = self.nodes[n]
             got = ()
             if i in nd.players:
                 idx = sorted(nd.players).index(i)
-                seen = {prof[idx] for prof in ix.children[t][n]}
+                seen = {prof[idx] for prof in st.children[t][n]}
                 # keep the declared label order
                 got = tuple(a for a in nd.actions[i] if a in seen)
-            ix.actions[(t, n, i)] = got
+            st.actions[(t, n, i)] = got
         return got
 
     def terminal_in(self, t: TreeId, n: NodeId) -> bool:
-        return not self._ix.children[t][n]
+        return not self._st.children[t][n]
 
     def path_in(self, t: TreeId, n: NodeId) -> list[NodeId]:
         """Node path from the root of t down to n (inclusive)."""
@@ -200,7 +268,7 @@ class Game:
         return path[::-1]
 
     def descendants_in(self, t: TreeId, n: NodeId) -> list[NodeId]:
-        kids = self._ix.children[t]
+        kids = self._st.children[t]
         out = []
         stack = [n]
         while stack:
@@ -229,7 +297,7 @@ class Game:
 
     def info_sets(self, i: Player) -> list[InfoSet]:
         """Distinct information sets of real player i, canonically ordered."""
-        out = {h for (j, _, _), h in self.info.items() if j == i}
+        out = set(map(self.info.__getitem__, self._own_keys(i)))
         return sorted(out, key=self._set_sort_key)
 
     def decision_sets(self, i: Player) -> list[InfoSet]:
@@ -239,14 +307,14 @@ class Game:
         nature decision node per tree, so that nature's strategies use the
         same machinery as everyone else's.
         """
-        ix = self._ix
+        ix, st = self._ix, self._st
         got = ix.decision_sets.get(i)
         if got is None:
             if i == NATURE:
-                got = tuple(InfoSet(NATURE, t, (n,)) for t in ix.tree_order
-                            for n in sorted(self.trees[t])
+                got = tuple(InfoSet(NATURE, t, (n,)) for t in st.tree_order
+                            for n in st.tree_keys[t][1]
                             if NATURE in self.nodes[n].players
-                            and ix.children[t][n])
+                            and st.children[t][n])
             else:
                 got = tuple(h for h in self.info_sets(i)
                             if any(i in self.nodes[m].players
@@ -264,10 +332,10 @@ class Game:
     # -- canonical ordering / equality ---------------------------------------
 
     def tree_sort_key(self, t: TreeId):
-        return self._ix.tree_keys[t]
+        return self._st.tree_keys[t]
 
     def tree_order(self) -> list[TreeId]:
-        return list(self._ix.tree_order)
+        return list(self._st.tree_order)
 
     def canonical_key(self):
         if self._canon is None:
@@ -297,8 +365,9 @@ class Game:
             self.players, len(self.trees), len(self.nodes))
 
 
-class _Index:
-    """The derived tables of one game, described on ``Game``."""
+class _Structure:
+    """The tables derived from players, trees and nodes, described on
+    ``Game``; shared by a game and its discovered versions."""
 
     def __init__(self, g: Game):
         trees, nodes = g.trees, g.nodes
@@ -314,13 +383,23 @@ class _Index:
             for t, ns in trees.items()}
         self.roots = {t: [n for n in ns if nodes[n].parent not in ns]
                       for t, ns in trees.items()}
-        # memos keyed by (tree, node, player), player, player, tree,
-        # (tree, node) and tree
-        self.actions, self.decision_sets, self.positions = {}, {}, {}
+        # memos keyed by (tree, node, player), (tree, tree), tree and player
+        self.actions, self.joins, self.above_below = {}, {}, {}
+        self.own_keys = {}
+
+
+class _Index:
+    """The tables one game derives from its info, described on ``Game``."""
+
+    def __init__(self):
+        # memos keyed by player, player, tree, (tree, node) and tree
+        self.decision_sets, self.positions = {}, {}
         self.plays, self.requirements, self.hosts = {}, {}, {}
         # player -> its realization classes
         self.classes = {}
         self.efr_contexts = self.efr_trace = self.efr_classes = None
+        # discovery policy -> (acting players, action vectors per player)
+        self.pools = {}
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
-from .rationalizability import efr
+from .rationalizability import _class_rounds, _classes
 from .strategies import (
     PureProfile,
-    PureStrategy,
     _check_total,
-    _key_set,
-    _sets_along,
     acting_players,
+    action_vector,
+    play_table,
     profile_key,
-    pure_strategies,
     realized_tbar_path,
+    strategy_vectors,
+    vector_strategy,
 )
 
 Policy = Union[str, Callable[[Game], Sequence[PureProfile]]]
@@ -44,10 +44,17 @@ def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
 
 def _awareness_along(g: Game, path: Sequence[NodeId], i: Player) -> TreeId:
     tree = None
-    for t in {h.host for h in _sets_along(g, path, i)}:
+    for t in _hosts_along(g, path, i):
         tree = t if tree is None else g.join(tree, t)
     assert tree is not None
     return tree
+
+
+def _hosts_along(g: Game, path: Sequence[NodeId], i: Player) -> set[TreeId]:
+    """The host trees of player i's information sets at the given
+    upmost-tree nodes."""
+    tbar, info = g.tbar, g.info
+    return {h.host for n in path if (h := info.get((i, tbar, n))) is not None}
 
 
 def discovered_version(g: Game, s: PureProfile) -> Game:
@@ -59,7 +66,8 @@ def discovered_version(g: Game, s: PureProfile) -> Game:
     tree T'' moves only when the host of its richest-tree anchor is inside
     T^i: it is rebuilt in T^i itself when T'' is at least as rich,
     projected onto T'' when T'' is poorer, and left alone when the trees
-    are incomparable.
+    are incomparable.  The version shares g's players, trees and nodes;
+    when no set moves, it is g itself.
 
     Raises ValueError when s is not a total pure profile (see
     ``realized_tbar_path``).
@@ -68,33 +76,34 @@ def discovered_version(g: Game, s: PureProfile) -> Game:
 
 
 def _discovered_along(g: Game, path: Sequence[NodeId]) -> Game:
-    tbar = g.tbar
-    new_info = dict(g.info)
+    tbar, info, trees = g.tbar, g.info, g.trees
+    changed = {}
     for i in g.players:
         t_i = _awareness_along(g, path, i)
-        richer = {t for t in g.trees if g.leq(t_i, t)}
-        poorer = {t for t in g.trees if g.leq(t, t_i)}
-        # anchor -> its members in T^i, from one pass over T^i
-        lifted: dict[InfoSet, list[NodeId]] = {}
-        for n2 in sorted(g.trees[t_i]):
-            h = g.info.get((i, t_i, n2))
+        richer, poorer = g._above_below(t_i)
+        # each of i's sets at T^i, by host and members -> its nodes in T^i
+        lifted: dict[tuple, list[NodeId]] = {}
+        for n2 in sorted(trees[t_i]):
+            h = info.get((i, t_i, n2))
             if h is not None:
-                lifted.setdefault(h, []).append(n2)
-        for (j, t2, n), old in g.info.items():
-            if j != i:
-                continue
-            anchor = g.info[(i, tbar, n)]
+                lifted.setdefault((h.host, h.members), []).append(n2)
+        for key in g._own_keys(i):
+            t2, n = key[1], key[2]
+            anchor = info[(i, tbar, n)]
             if anchor.host not in poorer:
                 continue  # the revelation does not cover this set
+            got = lifted.get((anchor.host, anchor.members), ())
             if t2 in richer:
-                members = tuple(lifted.get(anchor, ()))
-                new_info[(i, t2, n)] = InfoSet(i, t_i, members)
+                host, members = t_i, tuple(got)
             elif t2 in poorer:
-                members = tuple(x for x in lifted.get(anchor, ())
-                                if x in g.trees[t2])
-                new_info[(i, t2, n)] = InfoSet(i, t2, members)
-            # incomparable trees: unchanged
-    return Game(g.players, g.trees, g.nodes, new_info)
+                ns = trees[t2]
+                host, members = t2, tuple(x for x in got if x in ns)
+            else:
+                continue  # incomparable trees: unchanged
+            old = info[key]
+            if old.host != host or old.members != members:
+                changed[key] = InfoSet(i, host, members)
+    return g._with_info(changed) if changed else g
 
 
 @dataclass
@@ -130,28 +139,37 @@ def discovery_relations(g_from: Game, g_to: Game) -> DiscoveryReport:
 # policies and the supergame
 
 
-def _pools(g: Game,
-           policy: str) -> tuple[list[Player], list[list[PureStrategy]]]:
-    """The acting players, nature first when it moves, and the pure
-    strategies a named policy permits each of them."""
-    if policy == "all":
-        pools = {i: pure_strategies(g, i) for i in g.players}
-    elif policy == "efr":
-        pools = efr(g).surviving()
-    elif policy in ("rational_only", "rational"):
-        pools = efr(g).rounds[1]
-    else:
-        raise ValueError("unknown policy %r" % (policy,))
+def _vector_pools(g: Game,
+                  policy: str) -> tuple[list[Player], list[list[tuple]]]:
+    """The acting players, nature first when it moves, and the action
+    vectors (``strategy_vectors``) a named policy permits each of them, in
+    ``strategy_vectors`` order.  The EFR policies' pools are kept in the
+    game's index, so that their classes are read once per game."""
     players = acting_players(g)
-    return players, [pools[i] if i != NATURE else pure_strategies(g, NATURE)
-                     for i in players]
+    if policy == "all":
+        return players, [strategy_vectors(g, j) for j in players]
+    got = g._ix.pools.get(policy)
+    if got is None:
+        if policy == "efr":
+            alive = _class_rounds(g)[-1]
+        elif policy in ("rational_only", "rational"):
+            alive = _class_rounds(g)[1]
+        else:
+            raise ValueError("unknown policy %r" % (policy,))
+        got = g._ix.pools[policy] = (players, [
+            strategy_vectors(g, j) if j == NATURE else
+            [v for v, c in _classes(g, j).of.items() if c in alive[j]]
+            for j in players])
+    return got
 
 
 def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
     """The pure profiles a policy permits in a state, nature included."""
     if callable(policy):
         return list(policy(g))
-    players, pools = _pools(g, policy)
+    players, pools = _vector_pools(g, policy)
+    pools = [list(map(vector_strategy(g, j), pool))
+             for j, pool in zip(players, pools)]
     return [dict(zip(players, combo)) for combo in itertools.product(*pools)]
 
 
@@ -166,7 +184,21 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     is the first profile with the path and the weight counts the profiles.
     Explicit profiles weigh as given (those with weight <= 0 are dropped)
     and must be total (ValueError otherwise); a callable policy's profiles
-    weigh 1.
+    weigh 1.  ``_path_groups`` gives the same classes without building
+    representatives.
+    """
+    players, groups = _path_groups(g, source)
+    return [(path, s, w) for (path, w, _, _), s
+            in zip(groups, _representatives(g, players, groups))]
+
+
+def _path_groups(g: Game, source: Union[Policy, Sequence[tuple]]
+                 ) -> tuple[list[Player], list[tuple]]:
+    """The acting players and, per path class of ``_path_classes`` in the
+    same order, (path, weight, block, first): the block the representative
+    comes from and its index in each pool of the block.  A block is a pair
+    of per-player pools of action vectors and the explicit profile it
+    stands for, None for a named policy.
 
     A named policy's profiles are never enumerated: the walk descends the
     richest tree once, splitting each mover's pool by its action at the
@@ -177,57 +209,76 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     if callable(source):
         source = [(s, 1) for s in source(g)]
     if isinstance(source, str):
-        players, pools = _pools(g, source)
-        blocks = [(pools, 1)]
+        players, pools = _vector_pools(g, source)
+        blocks = [((pools, None), 1)]
     else:
         players = acting_players(g)
         blocks = []
         for s, w in source:
             if w > 0:
                 _check_total(g, s)
-                blocks.append(([[s[j]] for j in players], w))
+                pools = [[action_vector(g, s[j], j)] for j in players]
+                blocks.append(((pools, s), w))
     tbar = g.tbar
+    kids, table = g._st.children[tbar], play_table(g, tbar)
     slot = {j: k for k, j in enumerate(players)}
     merged: dict[tuple[NodeId, ...], list] = {}
-    for pools, w in blocks:
+    for block, w in blocks:
+        pools = block[0]
         found: list = []
-        _walk(g, tbar, pools, slot, g.root(tbar),
-              [list(range(len(p))) for p in pools], [], found)
+        _walk(kids, table, pools, slot, g.root(tbar),
+              [range(len(p)) for p in pools], [], found)
         # lexicographic first indices give the product order
         for first, path, count in sorted(found):
             got = merged.get(path)
             if got is None:
-                merged[path] = [dict(zip(players, (
-                    p[x] for p, x in zip(pools, first)))), count * w]
+                merged[path] = [path, count * w, block, first]
             else:
                 got[1] += count * w
-    return [(path, s, w) for path, (s, w) in merged.items()]
+    return players, list(map(tuple, merged.values()))
 
 
-def _walk(g: Game, tbar: TreeId, pools, slot: dict[Player, int], n: NodeId,
-          subsets: list[list[int]], path: list[NodeId], found: list) -> None:
+def _representatives(g: Game, players: Sequence[Player],
+                     groups: Sequence[tuple]) -> list[PureProfile]:
+    """The representative profile of each path class of ``_path_groups``."""
+    makers = None
+    out = []
+    for _, _, (pools, given), first in groups:
+        if given is not None:
+            out.append({j: given[j] for j in players})
+            continue
+        if makers is None:
+            makers = [vector_strategy(g, j) for j in players]
+        out.append({j: make(pool[x]) for j, make, pool, x
+                    in zip(players, makers, pools, first)})
+    return out
+
+
+def _walk(kids, table, pools, slot: dict[Player, int], n: NodeId,
+          subsets: list, path: list[NodeId], found: list) -> None:
     """Append (first indices, path, profile count) for every terminal node
-    below n that some profile of the subsets reaches.
+    below n that some profile of the subsets reaches.  ``kids`` and
+    ``table`` are the richest tree's children and ``play_table``.
 
     A module-level function, not a closure: a self-referencing closure is a
     reference cycle, which only the cyclic collector frees, so every
     state's game and pools would outlive the call.
     """
     path.append(n)
-    kids = g._ix.children[tbar][n]
-    if not kids:
+    pairs = table.get(n)
+    if pairs is None:
         found.append((tuple(sub[0] for sub in subsets), tuple(path),
                       math.prod(map(len, subsets))))
     else:
         split = []
-        for j in sorted(g.nodes[n].players):
-            h = _key_set(g, j, tbar, n)
+        for j, p in pairs:
             k = slot[j]
+            pool = pools[k]
             by: dict[str, list[int]] = {}
             for x in subsets[k]:
-                by.setdefault(pools[k][x].as_dict()[h], []).append(x)
+                by.setdefault(pool[x][p], []).append(x)
             split.append((k, by))
-        for prof, c in kids.items():
+        for prof, c in kids[n].items():
             sub = list(subsets)
             for (k, by), a in zip(split, prof):
                 got = by.get(a)
@@ -235,7 +286,7 @@ def _walk(g: Game, tbar: TreeId, pools, slot: dict[Player, int], n: NodeId,
                     break
                 sub[k] = got
             else:
-                _walk(g, tbar, pools, slot, c, sub, path, found)
+                _walk(kids, table, pools, slot, c, sub, path, found)
     path.pop()
 
 
@@ -248,14 +299,21 @@ class DiscoverySupergame:
     # per state and path class, one representative allowed profile
     representatives: dict[int, dict[tuple[NodeId, ...], PureProfile]]
     policy: Policy
-    # canonical key of each state -> its index
+    # each state's info values, in the initial state's key order -> the
+    # state's index.  Every state shares the initial state's players, trees
+    # and nodes, so that key tells states apart as canonical equality does.
     ids: dict[tuple, int] = field(repr=False, compare=False)
 
     def index(self, g: Game) -> int:
-        try:
-            return self.ids[g.canonical_key()]
-        except KeyError:
-            raise ValueError("%r is not a supergame state" % g) from None
+        """The index of the state equal to g; ValueError when g is not a
+        state."""
+        g0 = self.states[self.initial]
+        if isinstance(g, Game) and len(g.info) == len(g0.info) \
+                and g.canonical_key()[:3] == g0.canonical_key()[:3]:
+            k = self.ids.get(tuple(map(g.info.get, g0.info)))
+            if k is not None:
+                return k
+        raise ValueError("%r is not a supergame state" % (g,))
 
     def successors(self, k: int) -> set[int]:
         return set(self.edges[k].values())
@@ -267,11 +325,14 @@ class DiscoverySupergame:
 def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
     """Breadth-first closure of the discovered-version transition.
 
-    One edge per realized-path class of allowed profiles; states are
-    deduplicated by canonical equality.
+    One edge per realized-path class of allowed profiles.  A discovered
+    version changes only ``info`` and shares the rest with g0, so states
+    are deduplicated by their info values in g0's key order (``ids``),
+    which within one supergame is canonical equality.
     """
+    keys = tuple(g0.info)
     states = [g0]
-    ids = {g0.canonical_key(): 0}
+    ids = {tuple(map(g0.info.__getitem__, keys)): 0}
     edges: dict[int, dict[tuple[NodeId, ...], int]] = {}
     reps: dict[int, dict[tuple[NodeId, ...], PureProfile]] = {}
     frontier = [0]
@@ -282,7 +343,9 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
         reps[k] = {}
         for path, s, _ in _path_classes(g, policy):
             succ = _discovered_along(g, path)
-            j = ids.setdefault(succ.canonical_key(), len(states))
+            # a version where no set moves is the state itself
+            j = k if succ is g else ids.setdefault(
+                tuple(map(succ.info.__getitem__, keys)), len(states))
             if j == len(states):
                 states.append(succ)
                 frontier.append(j)
@@ -340,23 +403,24 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
         # profiles with the same realized path share their transition, so
         # one discovered version per path class suffices
         moving = []
-        for path, s, w in _path_classes(g, source):
-            succ = _discovered_along(g, path)
-            if succ != g:
-                moving.append((s, w, succ))
+        players, groups = _path_groups(g, source)
+        for group in groups:
+            succ = _discovered_along(g, group[0])
+            if succ.info != g.info:
+                moving.append((group, succ))
         if not moving:
             return DiscoveryTrace(states, profiles)
-        total = float(sum(w for _, w, _ in moving))
+        total = float(sum(group[1] for group, _ in moving))
         pick = rng.uniform(0, total)
         acc = 0.0
-        chosen, succ = moving[-1][0], moving[-1][2]
-        for s, w, nxt in moving:
-            acc += float(w)
+        chosen, succ = moving[-1]
+        for group, nxt in moving:
+            acc += float(group[1])
             if pick <= acc:
-                chosen, succ = s, nxt
+                chosen, succ = group, nxt
                 break
         states.append(succ)
-        profiles.append(chosen)
+        profiles.append(_representatives(g, players, [chosen])[0])
         assert len(states) <= bound, "discovery trace exceeded its bound"
 
 

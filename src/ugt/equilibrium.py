@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
-from .discovery import _path_classes
+from .discovery import _hosts_along, _path_groups
 from .lp import solve_feasibility
 from .rationalizability import _Classes, _classes, _surviving_classes
 from .strategies import (
@@ -396,8 +396,9 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
 def is_rationalizable_self_confirming(g: Game) -> bool:
     """Every profile of rationalizable strategies keeps each player's
     occurring information sets inside one tree."""
-    return all(len({h.host for h in _sets_along(g, path, i)}) == 1
-               for path, _, _ in _path_classes(g, "efr") for i in g.players)
+    _, groups = _path_groups(g, "efr")
+    return all(len(_hosts_along(g, path, i)) == 1
+               for path, _, _, _ in groups for i in g.players)
 
 
 def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):

@@ -100,7 +100,7 @@ class _SetContext:
         self.i = i
         self.h = h
         t = h.host
-        self.kids = g._ix.children[t]
+        self.kids = g._st.children[t]
         self.table = play_table(g, t)
         self.root = g.root(t)
         self.payoff = {n: g.nodes[n].payoffs[i]
@@ -357,14 +357,20 @@ def efr(g: Game) -> EfrTrace:
     return ix.efr_trace
 
 
-def _surviving_classes(g: Game) -> dict[Player, frozenset]:
-    """Per real player, the realization classes (``_classes``) whose
-    members survive extensive-form rationalizability."""
+def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
+    """Per round of ``efr(g).rounds``, per real player, the realization
+    classes (``_classes``) whose members the round holds."""
     efr(g)
     return g._ix.efr_classes
 
 
-def _efr(g: Game) -> tuple[EfrTrace, dict[Player, frozenset]]:
+def _surviving_classes(g: Game) -> dict[Player, frozenset]:
+    """Per real player, the realization classes (``_classes``) whose
+    members survive extensive-form rationalizability."""
+    return _class_rounds(g)[-1]
+
+
+def _efr(g: Game) -> tuple[EfrTrace, list[dict[Player, frozenset]]]:
     ctxs = _contexts(g)
     tables = _tables(g)
     # each pool's vectors by the class a round keeps or drops whole:
@@ -402,7 +408,7 @@ def _efr(g: Game) -> tuple[EfrTrace, dict[Player, frozenset]]:
 
     trace = EfrTrace([{i: expand(i, rd[i]) for i in g.players}
                       for rd in rounds], constraints, fixpoint_round=k)
-    return trace, {i: frozenset(new[i]) for i in g.players}
+    return trace, [{i: frozenset(rd[i]) for i in g.players} for rd in rounds]
 
 
 def _rational(table: _Classes, c: int, allowed_at) -> bool:

@@ -154,11 +154,16 @@ def action_vector(g: Game, s: PureStrategy, i: Player) -> tuple:
 
 
 def pure_strategies(g: Game, i: Player) -> list[PureStrategy]:
+    return list(map(vector_strategy(g, i), strategy_vectors(g, i)))
+
+
+def vector_strategy(g: Game, i: Player):
+    """A function turning player i's action vectors into PureStrategy
+    objects, as ``pure_strategies`` lists them."""
     sets = g.decision_sets(i)
     # the order PureStrategy.make sorts choices into, found once
     order = sorted(range(len(sets)), key=sets.__getitem__)
-    return [PureStrategy(i, tuple([(sets[k], v[k]) for k in order]))
-            for v in strategy_vectors(g, i)]
+    return lambda v: PureStrategy(i, tuple([(sets[k], v[k]) for k in order]))
 
 
 def has_nature(g: Game) -> bool:
@@ -199,7 +204,7 @@ def play_table(g: Game, t: TreeId) -> dict[NodeId, tuple]:
         got = ix.plays[t] = {
             n: tuple((j, set_positions(g, j)[_key_set(g, j, t, n)])
                      for j in sorted(g.nodes[n].players))
-            for n, kids in ix.children[t].items() if kids}
+            for n, kids in g._st.children[t].items() if kids}
     return got
 
 
@@ -209,7 +214,7 @@ def _requirements(g: Game, t: TreeId, n: NodeId):
     got = ix.requirements.get((t, n))
     if got is not None:
         return got
-    kids = ix.children[t]
+    kids = g._st.children[t]
     reqs = []
     path = g.path_in(t, n)
     for k, b in enumerate(path[:-1]):
@@ -286,7 +291,7 @@ def occurring_info_sets(g: Game, s: Profile, i: Player,
 
 def play_out(g: Game, t: TreeId, s: PureProfile, start: Optional[NodeId] = None) -> NodeId:
     """Follow the induced actions within tree t down to a terminal node."""
-    kids = g._ix.children[t]
+    kids = g._st.children[t]
     n = g.root(t) if start is None else start
     while kids[n]:
         prof = tuple(s[j].action_at(_key_set(g, j, t, n))
@@ -492,7 +497,7 @@ def behavior_payoff(g: Game, i: Player, t: TreeId,
                     kernels: Mapping[Player, tuple]) -> Fraction:
     """Player i's expected payoff when tree t is played from its root under
     the kernel vectors (``kernel_vector``) of every player moving in it."""
-    return _payoff_from(g._ix.children[t], play_table(g, t), g.nodes, i,
+    return _payoff_from(g._st.children[t], play_table(g, t), g.nodes, i,
                         kernels, g.root(t))
 
 

@@ -1,11 +1,18 @@
+import gc
+import hashlib
 import itertools
 import random
+import weakref
+from dataclasses import replace
 
 import pytest
 
-from ugt.core import NATURE, InfoSet, validate_game
+from ugt.core import NATURE, Game, InfoSet, StructuralError, validate_game
 from ugt.discovery import (
+    _discovered_along,
     _path_classes,
+    _path_groups,
+    _vector_pools,
     allowed_profiles,
     awareness_tree,
     build_supergame,
@@ -28,11 +35,14 @@ from ugt.fixtures import (
     FIXTURES,
     load,
 )
+from ugt.gamedoc import parse_game, serialize_game
 from ugt.randgen import generate_random_game
+from ugt.rationalizability import efr
 from ugt.strategies import (
     pure_strategies,
     realized_tbar_path,
     restrict_strategy,
+    vector_strategy,
 )
 
 
@@ -302,6 +312,18 @@ def test_path_classes_on_generated_games(shape):
                 reference_discovery(g, "efr", k)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_policy_pools_are_the_efr_rounds(name):
+    g = load(name)
+    trace = efr(g)
+    for policy, pools in (("efr", trace.surviving()),
+                          ("rational", trace.rounds[1])):
+        players, vectors = _vector_pools(g, policy)
+        for j, pool in zip(players, vectors):
+            want = pure_strategies(g, j) if j == NATURE else pools[j]
+            assert list(map(vector_strategy(g, j), pool)) == want
+
+
 def test_unknown_policy_is_rejected():
     g = ex2_initial()
     for call in (allowed_profiles, build_supergame, run_discovery):
@@ -395,3 +417,241 @@ def test_supergame_dot_deterministic():
     assert out.startswith("digraph discovery {")
     assert '"ex2_full" [shape=doublecircle];' in out
     assert '"ex2_initial" -> "ex2_rsc"' in out
+
+
+# ---------------------------------------------------------------------------
+# discovered versions share their parent's structure
+
+
+def reference_discovered_info(g, path):
+    """The discovered version's info map, rebuilt in full from the
+    definition: a copy of every entry, lifted members grouped by set."""
+    tbar = g.tbar
+    new_info = dict(g.info)
+    for i in g.players:
+        hosts = {g.info[(i, tbar, n)].host for n in path
+                 if (i, tbar, n) in g.info}
+        t_i = None
+        for t in hosts:
+            t_i = t if t_i is None else g.join(t_i, t)
+        richer = {t for t in g.trees if g.leq(t_i, t)}
+        poorer = {t for t in g.trees if g.leq(t, t_i)}
+        lifted = {}
+        for n2 in sorted(g.trees[t_i]):
+            if (i, t_i, n2) in g.info:
+                lifted.setdefault(g.info[(i, t_i, n2)], []).append(n2)
+        for (j, t2, n) in g.info:
+            anchor = g.info[(i, tbar, n)] if j == i else None
+            if anchor is None or anchor.host not in poorer:
+                continue
+            members = lifted.get(anchor, [])
+            if t2 in richer:
+                new_info[(i, t2, n)] = InfoSet(i, t_i, tuple(members))
+            elif t2 in poorer:
+                new_info[(i, t2, n)] = InfoSet(
+                    i, t2, tuple(x for x in members if x in g.trees[t2]))
+    return new_info
+
+
+def differential_games():
+    games = [(name, load(name)) for name in sorted(FIXTURES)]
+    for shape, extra in (("nature", dict(players=2, nature=True)),
+                         ("3p", dict(players=3))):
+        games += [("%s#%d" % (shape, seed),
+                   generate_random_game(seed=seed, depth=3, branching=2,
+                                        tree_count=3, **extra))
+                  for seed in range(4)]
+    return games
+
+
+@pytest.mark.parametrize("name,g", differential_games(),
+                         ids=[n for n, _ in differential_games()])
+def test_shared_structure_versions_match_public_construction(name, g):
+    policy = "efr" if name.startswith("bos_repeated") else "all"
+    for state in build_supergame(g, policy).states:
+        _, groups = _path_groups(state, "all")
+        for group in groups:
+            fast = _discovered_along(state, group[0])
+            slow = Game(state.players, state.trees, state.nodes,
+                        reference_discovered_info(state, group[0]))
+            assert fast.canonical_key() == slow.canonical_key()
+            assert serialize_game(fast) == serialize_game(slow)
+            assert validate_game(fast) == validate_game(slow)
+            # the version shares the parent's structure, not its info part
+            assert fast.players is state.players
+            assert fast.trees is state.trees and fast.nodes is state.nodes
+            assert fast._st is state._st
+            if fast is not state:
+                assert fast.info != state.info
+                assert fast._ix is not state._ix
+
+
+def test_shared_structure_version_checks_rewritten_entries():
+    g = ex2_initial()
+    key = next(k for k in g.info if k[0] == 1)
+    bad = {"unknown host": InfoSet(1, "nowhere", (0,)),
+           "member outside host": InfoSet(1, key[1], (999,)),
+           "owner mismatch": InfoSet(2, key[1], (key[2],))}
+    for h in bad.values():
+        with pytest.raises(StructuralError):
+            g._with_info({key: h})
+    with pytest.raises(StructuralError):
+        g._with_info({(1, key[1], 999): g.info[key]})
+    same = g._with_info({key: g.info[key]})
+    assert same == g and same._st is g._st
+
+
+@pytest.mark.parametrize("policy", ["all", "efr"])
+def test_supergame_states_die_with_the_supergame(policy):
+    # states share the structure part of the index, which holds no
+    # reference to any game, so with the cycle collector off reference
+    # counting alone frees every state
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        g0 = parse_game(serialize_game(ex2_initial()))
+        sg = build_supergame(g0, policy)
+        assert len(sg.states) > 1
+        refs = [weakref.ref(g) for g in sg.states]
+        del sg, g0
+        assert all(ref() is None for ref in refs)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_supergame_index_checks_the_structure():
+    sg = build_supergame(ex2_initial(), "all")
+    for k, g in enumerate(sg.states):
+        assert sg.index(parse_game(serialize_game(g))) == k
+    g = ex2_initial()
+    z = next(n for n, nd in g.nodes.items() if nd.is_terminal)
+    nodes = dict(g.nodes)
+    nodes[z] = replace(nodes[z], payoffs={
+        i: p + 1 for i, p in nodes[z].payoffs.items()})
+    repaid = Game(g.players, g.trees, nodes, g.info)
+    assert repaid.info == g.info
+    retreed = Game(g.players, {**g.trees, "extra": g.trees[g.tbar]},
+                   g.nodes, g.info)
+    for other in (repaid, retreed, None, "ex2_initial", ex1_initial()):
+        with pytest.raises(ValueError):
+            sg.index(other)
+
+
+# ---------------------------------------------------------------------------
+# supergame outputs pinned by digest
+
+
+def _profile_text(s):
+    return repr([(j, [(h.label(), a) for h, a in s[j].choices])
+                 for j in sorted(s)])
+
+
+def supergame_digest(g0, policy):
+    """Digest of the supergame's states in breadth-first order, its edges
+    and representatives in order, and run_discovery traces of seeds 0-2."""
+    sg = build_supergame(g0, policy)
+    lines = [serialize_game(g) for g in sg.states]
+    lines += ["%d %r %d" % (k, path, j)
+              for k, e in sg.edges.items() for path, j in e.items()]
+    lines += ["%d %r %s" % (k, path, _profile_text(s))
+              for k, r in sg.representatives.items() for path, s in r.items()]
+    for seed in range(3):
+        trace = run_discovery(g0, policy, seed=seed)
+        lines += [serialize_game(g) for g in trace.states]
+        lines += [_profile_text(s) for s in trace.profiles]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def pinned_game(name):
+    shape, _, seed = name.partition("#")
+    if not seed:
+        return load(name)
+    extra = dict(players=2, nature=True) if shape == "nature" \
+        else dict(players=3)
+    return generate_random_game(seed=int(seed), depth=3, branching=2,
+                                tree_count=3, **extra)
+
+
+# taken with the supergame that deduplicated states by canonical_key()
+PINNED = {
+    "bos_aware|all": "b7f040fbfd5551cd",
+    "bos_aware|efr": "d4f18e19cffa0c4f",
+    "bos_aware|rational": "6599803e6f9f4abb",
+    "bos_repeated|efr": "f29ab264ed0637e2",
+    "bos_repeated|rational": "d7b0889b22dd5fc9",
+    "bos_repeated_discovered|efr": "00bb190c957274e1",
+    "bos_repeated_discovered|rational": "6c46d37c4fe77657",
+    "ex1_discovered|all": "b883d560a3bf0cdd",
+    "ex1_discovered|efr": "973be4db9a19f152",
+    "ex1_discovered|rational": "b13f1e2ea3e33143",
+    "ex1_initial|all": "44f367ad71e9e4a2",
+    "ex1_initial|efr": "a96bc95a28a01934",
+    "ex1_initial|rational": "a40ffb6206a0ca6c",
+    "ex2_full|all": "50ca126c5ae1bd5c",
+    "ex2_full|efr": "3cc275f72209ea8d",
+    "ex2_full|rational": "1b29e915c16f0e0f",
+    "ex2_initial|all": "0d41a3afcf8362c1",
+    "ex2_initial|efr": "fc0f0984fe494d68",
+    "ex2_initial|rational": "40d38acabaa7f8f0",
+    "ex2_nonrat|all": "25862a9fe5361577",
+    "ex2_nonrat|efr": "feafbdab355f7db0",
+    "ex2_nonrat|rational": "8e0626473fde9d3f",
+    "ex2_rsc|all": "3ea111ae0ddb8b81",
+    "ex2_rsc|efr": "4b4df8283b17c8ae",
+    "ex2_rsc|rational": "dc7b3d96679dd6fa",
+    "fig14|all": "4a77dc2a2fb8e163",
+    "fig14|efr": "10b3db15fdadd23c",
+    "fig14|rational": "10b3db15fdadd23c",
+    "matching_pennies|all": "7d66e722c342988a",
+    "matching_pennies|efr": "7d66e722c342988a",
+    "matching_pennies|rational": "7d66e722c342988a",
+    "nature_coin|all": "4d0c9c36fa006735",
+    "nature_coin|efr": "4d0c9c36fa006735",
+    "nature_coin|rational": "4d0c9c36fa006735",
+    "trivial_single|all": "81922253f0514aa5",
+    "trivial_single|efr": "3a52d573bbf176f4",
+    "trivial_single|rational": "3a52d573bbf176f4",
+    "nature#0|all": "56ff005b1f5e79ed",
+    "nature#0|efr": "bf336b47062e2e37",
+    "nature#0|rational": "95abcc90c7ca278e",
+    "nature#1|all": "f092b0d230fc9b31",
+    "nature#1|efr": "898ae9c14bd5dca1",
+    "nature#1|rational": "b8e38331118452a5",
+    "nature#2|all": "ee1c6146e96c8449",
+    "nature#2|efr": "f836a42033034283",
+    "nature#2|rational": "f836a42033034283",
+    "3p#0|all": "6b2ea62dece96003",
+    "3p#0|efr": "cf10d29ecbf2376b",
+    "3p#0|rational": "cf10d29ecbf2376b",
+    "3p#1|all": "d74dbbe1a17ce1a8",
+    "3p#1|efr": "098bf3ef7a1bb88b",
+    "3p#1|rational": "098bf3ef7a1bb88b",
+    "3p#2|all": "0e700ec73e4b39e5",
+    "3p#2|efr": "05ed977d10b7c222",
+    "3p#2|rational": "05ed977d10b7c222",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_supergame_outputs_are_pinned(case):
+    name, policy = case.split("|")
+    assert supergame_digest(pinned_game(name), policy) == PINNED[case]
+
+
+def test_successors_are_built_without_public_construction(monkeypatch):
+    g0 = ex2_initial()
+    calls = []
+    init = Game.__init__
+
+    def counted_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
+
+    monkeypatch.setattr(Game, "__init__", counted_init)
+    monkeypatch.setattr(Game, "canonical_key",
+                        lambda self: calls.append("canonical_key"))
+    sg = build_supergame(g0, "all")
+    trace = run_discovery(g0, "all", seed=0)
+    assert len(sg.states) == 4 and len(trace.states) > 1
+    assert calls == []
