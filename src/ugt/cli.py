@@ -120,7 +120,7 @@ def _read_profile(g: Game, path: str) -> dict:
                     for e in desc["behavior"]})
             else:
                 raise CliError("player %d: neither pure nor behavior" % j)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CliError("%s: malformed profile: %s" % (path, e))
     return out
 
@@ -247,6 +247,8 @@ def _cmd_construct_sce(args) -> int:
     except ValueError as e:
         _emit(args, {"holds": False, "error": str(e)}, "failed: %s" % e)
         return 1
+    except NotImplementedError as e:
+        raise CliError(str(e))
     payload = _verdict_json(verdict)
     payload["profile"] = {str(j): _behavior_json(pi[j]) for j in sorted(pi)}
     _emit(args, payload,

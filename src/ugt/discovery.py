@@ -33,8 +33,6 @@ from .strategies import (
 
 Policy = Union[str, Callable[[Game], Sequence[PureProfile]]]
 
-POLICIES = ("efr", "rational_only", "all")
-
 
 def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
     """Join of the host trees of i's information sets along the realized

@@ -6,19 +6,25 @@ along play fits inside one tree, (i) their strategy is rational at every
 information set that occurs, and (ii) the supporting belief is confirmed:
 it weights only opposing play consistent with what the player observes
 during the game, and stays constant along the path.  Off the path the
-conjecture is unconstrained.  The EFR variant additionally requires every
-pure strategy equivalent to the played one to be extensive-form
-rationalizable.
+conjecture is unconstrained.  One routine, ``_conditions``, checks all
+three on kernel vectors.  The pure and the behavior checks differ only in
+its candidate rule, the opposing profiles a confirmed belief may weight:
+every restricted pure profile of the player's tree for a pure profile,
+the completions of the observed kernels for a behavior profile.  The EFR
+variant additionally requires every pure strategy equivalent to the
+played one to be extensive-form rationalizable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
+from .core import (
+    Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
 from .discovery import _hosts_along, _path_groups
 from .lp import solve_feasibility
 from .rationalizability import _Classes, _classes, _surviving_classes
@@ -39,15 +45,8 @@ from .strategies import (
     has_nature,
     kernel_vector,
     kuhn_convert,
-    local_deviations,
     mixed_to_behavior,
-    path_info_sets,
-    play_out,
     play_table,
-    pure_strategies,
-    reach_probability,
-    reaches,
-    restrict_strategy,
     set_positions,
 )
 
@@ -71,23 +70,17 @@ def uniform_nature(g: Game) -> BehaviorStrategy:
     return BehaviorStrategy.make(NATURE, kernels)
 
 
-def _with_nature(g: Game, pi: Profile) -> dict:
-    out = dict(pi)
-    if has_nature(g) and NATURE not in out:
-        out[NATURE] = uniform_nature(g)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # profile checks at entry
 
 
 def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
-    """Every acting player's strategy in pi as a vector (``action_vector``
-    or a kernel vector).  ValueError unless each has a strategy of its own
-    that chooses at every set the SCE checks can consult: its sets at the
-    nodes of the richest tree and of each tree hosting an information set
-    there.  Play never reaches the other sets, so they may be missing."""
+    """Every acting player's strategy in pi as a vector, made by
+    ``vector(g, strategy, player)``.  ValueError unless each has a strategy
+    of its own that chooses at every set the SCE checks can consult: its
+    sets at the nodes of the richest tree and of each tree hosting an
+    information set there.  Play never reaches the other sets, so they may
+    be missing."""
     out = {}
     for j in acting_players(g):
         if j not in pi:
@@ -104,70 +97,23 @@ def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
     return out
 
 
-def _behavior_vector(g: Game, x, j: Player) -> tuple:
-    return kernel_vector(g, _as_behavior(g, x), j)
+def _behavior_vectors(g: Game, pi: Profile) -> dict[Player, tuple]:
+    """``_checked_vectors`` of the behavior form of each strategy in pi;
+    nature plays uniformly unless pi gives it a strategy."""
+    if has_nature(g) and NATURE not in pi:
+        pi = {**pi, NATURE: uniform_nature(g)}
+    return _checked_vectors(g, pi, lambda g, x, j: kernel_vector(
+        g, _as_behavior(g, x), j))
+
+
+def _point_vector(g: Game, s: PureStrategy, j: Player) -> tuple:
+    """A pure strategy's kernel vector: point masses where it chooses."""
+    return tuple(None if a is None else {a: ONE}
+                 for a in action_vector(g, s, j))
 
 
 # ---------------------------------------------------------------------------
-# pure-profile check
-
-
-def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
-    """Self-confirming equilibrium check for a pure profile.
-
-    Every acting player, nature included, needs a pure strategy of its own
-    (``_checked_vectors``); ValueError otherwise.  Per player, the confirmed
-    beliefs are the distributions over opposing pure profiles of the
-    player's tree (nature conjectured alongside the opponents) that reach
-    the terminal information set the play produces; one exact feasibility
-    question asks whether some such belief makes every local deviation at
-    every occurring decision set weakly unprofitable.
-    """
-    _checked_vectors(g, s, action_vector)
-    witnesses: dict[Player, list] = {}
-    for i in g.players:
-        occ = sorted(path_info_sets(g, s, i), key=g._set_sort_key)
-        hosts = {x.host for x in occ}
-        if len(hosts) != 1:
-            return SceVerdict(False, "awareness", i,
-                              detail="occurring hosts %s" % sorted(hosts))
-        tstar = hosts.pop()
-        own = set(g.decision_sets(i))
-        ends = [hh for hh in occ if g.terminal_in(hh.host, hh.members[0])]
-        assert len(ends) == 1, "pure play must end in exactly one set"
-        # restriction acts per player, so restricting and deduplicating
-        # each pool first lists the restricted profiles in the order of
-        # their first appearance in the product of the full pools
-        others = [j for j in acting_players(g) if j != i]
-        pools = [list(dict.fromkeys(restrict_strategy(g, x, tstar)
-                                    for x in pure_strategies(g, j)))
-                 for j in others]
-        cand = [rp for rp in (dict(zip(others, combo))
-                              for combo in itertools.product(*pools))
-                if reaches(g, rp, ends[0])]
-        assert cand, "the true opposing play always confirms itself"
-
-        def value(strat, p):
-            return g.nodes[play_out(g, tstar, {**p, i: strat})].payoffs[i]
-
-        rows = []
-        for hh in occ:
-            if hh not in own or not reaches(g, {i: s[i]}, hh):
-                continue
-            base = [value(s[i], p) for p in cand]
-            for dev in local_deviations(g, i, hh, s[i]):
-                rows.append([value(dev, p) - b for p, b in zip(cand, base)])
-        n = len(cand)
-        x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
-                              a_ub=rows, b_ub=[ZERO] * len(rows))
-        if x is None:
-            return SceVerdict(False, "rationality", i)
-        witnesses[i] = [(p, w) for p, w in zip(cand, x) if w > 0]
-    return SceVerdict(True, witnesses=witnesses)
-
-
-# ---------------------------------------------------------------------------
-# behavior-profile check
+# the conditions, on kernel vectors
 #
 # Strategies are kernel vectors (``kernel_vector``), whose dicts hold only
 # positive probabilities, so an action is possible when it is a key.
@@ -188,6 +134,163 @@ def _live_nodes(g: Game, kernels: Mapping[Player, tuple],
     probability, in order."""
     return [n for n in sorted(g.trees[t])
             if _kernels_reach(g, kernels, t, (n,))]
+
+
+def _path_components(g: Game, i: Player, live: list[NodeId]) -> list[list]:
+    """The player's occurring information sets grouped by shared paths of
+    play: sets met along paths to a common end (and chains thereof) must
+    share one constant confirmed belief.  live lists the positively
+    reached nodes of the richest tree."""
+    tbar = g.tbar
+    groups: list[set] = []
+    for z in live:
+        if not g.terminal_in(tbar, z):
+            continue
+        ds = _sets_along(g, g.path_in(tbar, z), i)
+        hit = [grp for grp in groups if grp & ds]
+        for grp in hit:
+            groups.remove(grp)
+            ds |= grp
+        groups.append(ds)
+    return [sorted(grp, key=g._set_sort_key) for grp in groups]
+
+
+def _point_masses(g: Game, h: InfoSet) -> list[dict]:
+    """One point-mass kernel per action at h, shared by every vector that
+    plays it."""
+    return [{a: ONE} for a in g.set_actions(h)]
+
+
+def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
+    """Conditions (0)-(ii) for every player, on checked kernel vectors.
+
+    (0) The player's sets at the live richest-tree nodes share one host
+    t*.  Per group of sets along shared paths (``_path_components``):
+    (ii) some candidate reaches all the group's ends, where ``candidates(g,
+    i, kernels, t*)`` lists the pure-kernel opposing profiles a confirmed
+    belief may weight; (i) one belief over them makes every point-mass
+    local deviation at the group's reached decision sets weakly
+    unprofitable in t*.  The first failing verdict, else a holding one
+    whose witnesses hold per player and group the belief's positive
+    weights on restricted behavior profiles."""
+    live = _live_nodes(g, kernels, g.tbar)
+    weights: dict[Player, list] = {}
+    for i in g.players:
+        hosts = {x.host for x in _sets_along(g, live, i)}
+        if len(hosts) != 1:
+            return SceVerdict(False, "awareness", i,
+                              detail="occurring hosts %s" % sorted(hosts))
+        tstar = hosts.pop()
+        pos = set_positions(g, i)
+        cand = candidates(g, i, kernels, tstar)
+        weights[i] = []
+        for group in _path_components(g, i, live):
+            ends = [hh for hh in group
+                    if g.terminal_in(hh.host, hh.members[0])]
+            pool = [p for p in cand
+                    if all(_kernels_reach(g, p, hz.host, hz.members)
+                           for hz in ends)]
+            if not pool:
+                return SceVerdict(
+                    False, "belief-confirmation", i,
+                    detail="no confirmed belief reaches %s"
+                    % " ".join(hz.label() for hz in ends))
+
+            def values(v):
+                return [behavior_payoff(g, i, tstar, {**p, i: v})
+                        for p in pool]
+
+            base = values(kernels[i])
+            rows = []
+            for hh in group:
+                if hh not in pos or not _kernels_reach(
+                        g, {i: kernels[i]}, hh.host, hh.members):
+                    continue
+                # local deviations: point masses at the deviation sets
+                dev_sets = deviation_sets(g, i, hh)
+                at = [pos[x] for x in dev_sets]
+                dev = list(kernels[i])
+                for combo in itertools.product(
+                        *[_point_masses(g, x) for x in dev_sets]):
+                    for p, d in zip(at, combo):
+                        dev[p] = d
+                    rows.append([v - b for v, b in
+                                 zip(values(tuple(dev)), base)])
+            n = len(pool)
+            x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
+                                  a_ub=rows, b_ub=[ZERO] * len(rows))
+            if x is None:
+                return SceVerdict(
+                    False, "rationality", i,
+                    detail="at %s" % " ".join(h.label() for h in group))
+            weights[i].append([({j: _as_strategy(g, j, v)
+                                 for j, v in p.items()}, w)
+                                for p, w in zip(pool, x) if w > 0])
+    return SceVerdict(True, witnesses=weights)
+
+
+def _as_strategy(g: Game, j: Player, v: tuple) -> BehaviorStrategy:
+    """The behavior strategy of a kernel vector, restricted to the
+    positions it fills."""
+    return BehaviorStrategy.make(j, {h: k for h, k in zip(
+        g.decision_sets(j), v) if k is not None})
+
+
+def _completions(fixed: Mapping[Player, list],
+                 free: list[tuple[Player, int, list]]) -> list[dict]:
+    """The kernel profiles that copy fixed and fill each free (player,
+    position, menu) with one entry of its menu, in product order."""
+    out = []
+    for combo in itertools.product(*[menu for _, _, menu in free]):
+        full = {j: list(v) for j, v in fixed.items()}
+        for (j, p, _), d in zip(free, combo):
+            full[j][p] = d
+        out.append({j: tuple(v) for j, v in full.items()})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pure-profile check
+
+
+def _restricted_candidates(g: Game, i: Player, kernels, tstar: TreeId
+                           ) -> list[dict[Player, tuple]]:
+    """Every opposing pure profile of the tstar-partial game: point masses
+    at the sets hosted in ``hosts_reachable(g, tstar)``, None elsewhere,
+    listed as the distinct restrictions of the full pure profiles first
+    appear in product order."""
+    keep = set(hosts_reachable(g, tstar))
+    others = {j: g.decision_sets(j) for j in acting_players(g) if j != i}
+    return _completions(
+        {j: [None] * len(sets) for j, sets in others.items()},
+        [(j, p, _point_masses(g, h)) for j, sets in others.items()
+         for p, h in enumerate(sets) if h.host in keep])
+
+
+def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
+    """Self-confirming equilibrium check for a pure profile.
+
+    Every acting player, nature included, needs a pure strategy of its own
+    (``_checked_vectors``); ValueError otherwise.  Per player, the confirmed
+    beliefs are the distributions over opposing pure profiles of the
+    player's tree (nature conjectured alongside the opponents) that reach
+    the terminal information set the play produces; one exact feasibility
+    question asks whether some such belief makes every local deviation at
+    every occurring decision set weakly unprofitable.  Each player's
+    witness lists the (restricted pure profile, weight) pairs of that
+    belief.
+    """
+    v = _conditions(g, _checked_vectors(g, s, _point_vector),
+                    _restricted_candidates)
+    # pure play has one end, so one group per player
+    v.witnesses = {i: [({j: PureStrategy.make(j, {
+        h: a for h, ((a, _),) in x.kernels}) for j, x in p.items()}, w)
+        for p, w in group] for i, [group] in v.witnesses.items()}
+    return v
+
+
+# ---------------------------------------------------------------------------
+# behavior-profile check
 
 
 def _confirmed_candidates(g: Game, i: Player, kernels: Mapping[Player, tuple],
@@ -222,45 +325,7 @@ def _confirmed_candidates(g: Game, i: Player, kernels: Mapping[Player, tuple],
                 pinned[j][p] = kernels[j][p]
             else:
                 free.append((j, p, _point_masses(g, sets_j[p])))
-    out = []
-    for combo in itertools.product(*[menu for _, _, menu in free]):
-        full = {j: list(v) for j, v in pinned.items()}
-        for (j, p, _), d in zip(free, combo):
-            full[j][p] = d
-        out.append({j: tuple(v) for j, v in full.items()})
-    return out
-
-
-def _point_masses(g: Game, h: InfoSet) -> list[dict]:
-    """One point-mass kernel per action at h, shared by every vector that
-    plays it."""
-    return [{a: ONE} for a in g.set_actions(h)]
-
-
-def _as_strategy(g: Game, j: Player, v: tuple) -> BehaviorStrategy:
-    """The behavior strategy of a kernel vector, restricted to the
-    positions it fills."""
-    return BehaviorStrategy.make(j, {h: k for h, k in zip(
-        g.decision_sets(j), v) if k is not None})
-
-
-def _path_components(g: Game, i: Player, live: list[NodeId]) -> list[list]:
-    """The player's occurring information sets grouped by shared paths of
-    play: sets met along paths to a common end (and chains thereof) must
-    share one constant confirmed belief.  live lists the positively
-    reached nodes of the richest tree."""
-    tbar = g.tbar
-    groups: list[set] = []
-    for z in live:
-        if not g.terminal_in(tbar, z):
-            continue
-        ds = _sets_along(g, g.path_in(tbar, z), i)
-        hit = [grp for grp in groups if grp & ds]
-        for grp in hit:
-            groups.remove(grp)
-            ds |= grp
-        groups.append(ds)
-    return [sorted(grp, key=g._set_sort_key) for grp in groups]
+    return _completions(pinned, free)
 
 
 def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
@@ -273,66 +338,11 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     chain of occurring information sets the belief is constant, so it must
     weight only completions reaching the chain's ends of play while making
     every local deviation at the chain's decision sets weakly unprofitable;
-    the search is exact over pure-kernel completions.
+    the search is exact over pure-kernel completions.  Each player's
+    witness lists, per chain, the (restricted behavior profile, weight)
+    pairs of that belief.
     """
-    kernels = _checked_vectors(g, _with_nature(g, pi), _behavior_vector)
-    live = _live_nodes(g, kernels, g.tbar)
-    witnesses: dict[Player, list] = {}
-    for i in g.players:
-        occ = _sets_along(g, live, i)
-        hosts = {x.host for x in occ}
-        if len(hosts) != 1:
-            return SceVerdict(False, "awareness", i,
-                              detail="occurring hosts %s" % sorted(hosts))
-        tstar = hosts.pop()
-        own_v = kernels[i]
-        own = {i: own_v}
-        pos = set_positions(g, i)
-        cand = _confirmed_candidates(g, i, kernels, tstar)
-        witnesses[i] = []
-        for group in _path_components(g, i, live):
-            ends = [hh for hh in group
-                    if g.terminal_in(hh.host, hh.members[0])]
-            pool = [p for p in cand
-                    if all(_kernels_reach(g, p, hz.host, hz.members)
-                           for hz in ends)]
-            if not pool:
-                return SceVerdict(
-                    False, "belief-confirmation", i,
-                    detail="no confirmed belief reaches %s"
-                    % " ".join(hz.label() for hz in ends))
-
-            def values(v):
-                return [behavior_payoff(g, i, tstar, {**p, i: v})
-                        for p in pool]
-
-            base = values(own_v)
-            rows = []
-            for hh in group:
-                if hh not in pos or \
-                        not _kernels_reach(g, own, hh.host, hh.members):
-                    continue
-                # local deviations: point masses at the deviation sets
-                dev_sets = deviation_sets(g, i, hh)
-                at = [pos[x] for x in dev_sets]
-                dev = list(own_v)
-                for combo in itertools.product(
-                        *[_point_masses(g, x) for x in dev_sets]):
-                    for p, d in zip(at, combo):
-                        dev[p] = d
-                    rows.append([v - b for v, b in
-                                 zip(values(tuple(dev)), base)])
-            n = len(pool)
-            x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
-                                  a_ub=rows, b_ub=[ZERO] * len(rows))
-            if x is None:
-                return SceVerdict(
-                    False, "rationality", i,
-                    detail="at %s" % " ".join(h.label() for h in group))
-            witnesses[i].append(
-                [({j: _as_strategy(g, j, v) for j, v in p.items()}, w)
-                 for p, w in zip(pool, x) if w > 0])
-    return SceVerdict(True, witnesses=witnesses)
+    return _conditions(g, _behavior_vectors(g, pi), _confirmed_candidates)
 
 
 def _as_behavior(g: Game, x) -> BehaviorStrategy:
@@ -373,12 +383,12 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     positive probability (``_positive_classes``).  The conversion reads
     every decision set, so each real player's strategy needs a kernel at
     all of them; ValueError otherwise."""
-    kernels = {i: _behavior_vector(g, pi[i], i) for i in g.players if i in pi}
-    for i, k in kernels.items():
-        if None in k:
+    kernels = _behavior_vectors(g, pi)
+    for i in g.players:
+        if None in kernels[i]:
             raise ValueError("%r has no kernel at some decision set"
                              % (pi[i],))
-    base = check_sce_behavior(g, pi)
+    base = _conditions(g, kernels, _confirmed_candidates)
     if not base.holds:
         return base
     alive = _surviving_classes(g)
@@ -537,30 +547,21 @@ def awareness_diagnostics(g: Game, pi: Profile) -> AwarenessReport:
 
     Every real player needs a strategy of its own (``_checked_vectors``;
     nature defaults to uniform); ValueError otherwise."""
-    pi = _with_nature(g, pi)
-    _checked_vectors(g, pi, _behavior_vector)
+    kernels = _behavior_vectors(g, pi)
     tbar = g.tbar
+    live = _live_nodes(g, kernels, tbar)
     all_hosts = {g.info[(i, tbar, n)].host
                  for i in g.players for n in sorted(g.trees[tbar])
                  if (i, tbar, n) in g.info}
     per_player: dict[Player, bool] = {}
     mutual: dict[Player, bool] = {}
     for i in g.players:
-        occ = path_info_sets(g, pi, i)
-        hosts = {x.host for x in occ}
+        # every play ends in a terminal set of each player
+        hosts = {x.host for x in _sets_along(g, live, i)}
         per_player[i] = len(hosts) == 1
-        t_i = None
-        for t in hosts:
-            t_i = t if t_i is None else g.join(t_i, t)
-        visited = [n for n in sorted(g.trees[t_i])
-                   if reach_probability(g, pi, (t_i, n)) > 0]
-        ok = True
-        for j in g.players:
-            if j == i:
-                continue
-            seen = {g.info[(j, t_i, n)].host for n in visited
-                    if (j, t_i, n) in g.info}
-            if len(seen) > 1:
-                ok = False
-        mutual[i] = ok
+        t_i = functools.reduce(g.join, hosts)
+        visited = _live_nodes(g, kernels, t_i)
+        mutual[i] = all(len({g.info[(j, t_i, n)].host for n in visited
+                             if (j, t_i, n) in g.info}) <= 1
+                        for j in g.players if j != i)
     return AwarenessReport(len(all_hosts) == 1, per_player, mutual)

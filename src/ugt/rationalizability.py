@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, ge, itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .core import NATURE, Game, InfoSet, NodeId, Player, info_arborescence
 from .lp import solve_feasibility
@@ -455,10 +454,6 @@ def best_reply_exists(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
 # brute-force oracle
 
 
-def oracle_cap() -> int:
-    return int(os.environ.get("UGT_ORACLE_CAP", str(DEFAULT_ORACLE_CAP)))
-
-
 class OracleCapExceeded(RuntimeError):
     pass
 
@@ -481,7 +476,7 @@ def _support_allowed(g: Game, ctx: _SetContext, belief, cols: tuple) -> bool:
     return True
 
 
-def efr_oracle(g: Game, cap: Optional[int] = None) -> dict[Player, list[PureStrategy]]:
+def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[PureStrategy]]:
     """Recompute the fixpoint by explicit belief-system search.
 
     Belief systems are assembled from point and uniform beliefs over the
@@ -489,7 +484,6 @@ def efr_oracle(g: Game, cap: Optional[int] = None) -> dict[Player, list[PureStra
     whenever the later set lives in a weakly poorer tree and gets positive
     mass.  Exponential; refuses games above the cap.
     """
-    cap = oracle_cap() if cap is None else cap
     sizes = math.prod(len(strategy_vectors(g, i)) for i in g.players)
     if sizes > cap:
         raise OracleCapExceeded("strategy-profile count %d exceeds cap %d"

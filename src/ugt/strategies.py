@@ -384,7 +384,12 @@ def behavior_to_mixed(g: Game, pi: BehaviorStrategy) -> MixedStrategy:
 
 
 def mixed_to_behavior(g: Game, sigma: MixedStrategy) -> BehaviorStrategy:
+    """ValueError unless every member chooses an available action at each
+    decision set of its owner."""
     i = sigma.owner
+    for s, _ in sigma.weights:
+        if None in action_vector(g, s, i):
+            raise ValueError("%r makes no choice at some decision set" % (s,))
     kernels = {}
     for h in g.decision_sets(i):
         actions = g.set_actions(h)
@@ -481,16 +486,20 @@ def kernel_vector(g: Game, x: Union[PureStrategy, BehaviorStrategy],
     """Player i's strategy x as a kernel vector: per decision set of i, in
     ``g.decision_sets(i)`` order, a dict from action to its positive
     probability; None where x makes no choice (a restricted strategy).
-    ValueError if x is not a pure or behavior strategy of i."""
+    ValueError if x is not a pure or behavior strategy of i, or names an
+    action unavailable at its set."""
     if isinstance(x, PureStrategy):
         return tuple(None if a is None else {a: ONE}
                      for a in action_vector(g, x, i))
     if not isinstance(x, BehaviorStrategy) or x.owner != i:
         raise ValueError("not a strategy of player %d: %r" % (i, x))
     kernels = x.as_dict()
+    sets = g.decision_sets(i)
+    if any(a not in g.set_actions(h)
+           for h in sets for a, _ in kernels.get(h, ())):
+        raise ValueError("unavailable action in %r" % (x,))
     return tuple(None if (k := kernels.get(h)) is None
-                 else {a: p for a, p in k if p}
-                 for h in g.decision_sets(i))
+                 else {a: p for a, p in k if p} for h in sets)
 
 
 def behavior_payoff(g: Game, i: Player, t: TreeId,
@@ -510,15 +519,11 @@ def _payoff_from(kids, table, nodes, i, kernels, n) -> Fraction:
             return nodes[n].payoffs[i]
         dists = [kernels[j][p] for j, p in pairs]
         if all(len(d) == 1 for d in dists):
-            n = kids[n].get(tuple([next(iter(d)) for d in dists]))
-            if n is None:
-                return ZERO
+            n = kids[n][tuple([next(iter(d)) for d in dists])]
             continue
         total = ZERO
         for combo in itertools.product(*[d.items() for d in dists]):
-            child = kids[n].get(tuple([a for a, _ in combo]))
-            if child is None:
-                continue
+            child = kids[n][tuple([a for a, _ in combo])]
             w = ONE
             for _, q in combo:
                 w *= q
@@ -586,7 +591,6 @@ class BeliefSystem:
 
     owner: Player
     beliefs: dict[InfoSet, list[tuple[PureProfile, Fraction]]]
-    mode: str = "pure"
 
     def at(self, h: InfoSet) -> Belief:
         return self.beliefs[h]

@@ -5,6 +5,7 @@ import pytest
 from ugt.cli import main
 from ugt.fixtures import load
 from ugt.gamedoc import parse_game, serialize_game
+from ugt.randgen import generate_random_game
 
 
 @pytest.fixture
@@ -83,6 +84,14 @@ def test_discover_two_state_trace(game_file, capsys):
     assert payload["absorbing_reached"]
 
 
+def test_discover_steps_out(game_file, tmp_path, capsys):
+    out = tmp_path / "steps.dot"
+    status, payload = run_json(capsys, "discover", game_file("ex1_initial"),
+                               "--policy", "efr", "--steps-out", str(out))
+    assert status == 0 and payload["num_states"] == 2
+    assert out.read_text() == 'digraph trace {\n  "s0" -> "s1";\n}\n'
+
+
 def test_supergame_dot_output(game_file, tmp_path, capsys):
     out = tmp_path / "sg.dot"
     status, payload = run_json(capsys, "supergame", game_file("ex2_initial"),
@@ -123,6 +132,58 @@ def test_sce_with_profile_file(game_file, tmp_path, capsys):
     status, payload = run_json(capsys, "sce", game_file("ex1_discovered"),
                                "--mode", "behavior", "--profile", str(path))
     assert status == 0 and payload["holds"]
+
+
+def test_sce_with_behavior_profile_file(game_file, tmp_path, capsys):
+    def profile(weights):
+        return {"profile": {
+            "1": {"behavior": [{"host": "G", "members": [0],
+                                "weights": weights}]},
+            "2": {"behavior": [{"host": "G", "members": [0],
+                                "weights": {"h": "1/2", "t": "1/2"}}]},
+        }}
+
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile({"H": "1/2", "T": "1/2"})))
+    game = game_file("matching_pennies")
+    for mode in ("behavior", "efr"):
+        status, payload = run_json(capsys, "sce", game, "--mode", mode,
+                                   "--profile", str(path))
+        assert status == 0 and payload["holds"]
+    path.write_text(json.dumps(profile({"H": "1"})))
+    status, payload = run_json(capsys, "sce", game, "--mode", "behavior",
+                               "--profile", str(path))
+    assert status == 1 and payload["violated_condition"] == "rationality"
+
+
+@pytest.mark.parametrize("doc", [
+    {"profile": [1, 2]},
+    {"profile": {"1": {"behavior": [{"host": "G", "members": [0],
+                                     "weights": [["H", "1"]]}]}}},
+    {"profile": {"1": {"behavior": [{"host": "G", "members": [0],
+                                     "weights": {"zz": "1"}}]},
+                 "2": {"behavior": [{"host": "G", "members": [0],
+                                     "weights": {"h": "1"}}]}}},
+])
+def test_sce_malformed_profile_exits_2(doc, game_file, tmp_path, capsys):
+    # the first two used to leak an AttributeError, the third to pass
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(capsys, "sce", game_file("matching_pennies"),
+                           "--mode", "behavior", "--profile", str(path))
+    assert status == 2 and not out
+    assert err.startswith("error: ")
+
+
+def test_construct_sce_three_players_exits_2(tmp_path, capsys):
+    # rationalizable self-confirming, so the refusal is the player count;
+    # it used to leak a NotImplementedError traceback
+    path = tmp_path / "three.game.json"
+    path.write_text(serialize_game(generate_random_game(
+        players=3, seed=0, depth=2, tree_count=1)))
+    status, out, err = run(capsys, "--json", "construct-sce", str(path))
+    assert status == 2 and not out
+    assert err.startswith("error: ") and "two players" in err
 
 
 def test_construct_sce(game_file, capsys):

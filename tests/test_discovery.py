@@ -34,6 +34,7 @@ from ugt.fixtures import (
     fig14,
     FIXTURES,
     load,
+    nature_coin,
 )
 from ugt.gamedoc import parse_game, serialize_game
 from ugt.randgen import generate_random_game
@@ -187,6 +188,22 @@ def test_discovery_relations_directions():
     assert rel.more_awareness and rel.preserves_information
     with pytest.raises(ValueError):
         discovery_relations(a, ex2_initial())
+
+
+def test_discovery_relations_detect_lost_information():
+    g = nature_coin()
+    pooled = InfoSet(1, "G", (1, 2))
+    assert g.info[(1, "G", 1)] == g.info[(1, "G", 2)] == pooled
+    # splitting the pooled set loses the nodes it held together
+    split = Game(g.players, g.trees, g.nodes, {
+        **g.info, (1, "G", 1): InfoSet(1, "G", (1,)),
+        (1, "G", 2): InfoSet(1, "G", (2,))})
+    # widening one copy keeps every member but parts the pooled nodes
+    parted = Game(g.players, g.trees, g.nodes, {
+        **g.info, (1, "G", 2): InfoSet(1, "G", (1, 2, 3))})
+    for h in (split, parted):
+        rel = discovery_relations(g, h)
+        assert rel.more_awareness and not rel.preserves_information
 
 
 # ---------------------------------------------------------------------------

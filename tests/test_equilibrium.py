@@ -29,26 +29,36 @@ from ugt.fixtures import (
     nature_coin,
 )
 from ugt.gamedoc import parse_game, serialize_game
+from ugt.lp import solve_feasibility
 from ugt.randgen import generate_random_game, random_profile
 from ugt.rationalizability import _classes, _surviving_classes, efr, efr_sets
 from ugt.strategies import (
     BehaviorStrategy,
     MixedStrategy,
     PureStrategy,
+    ONE,
+    ZERO,
     acting_players,
     action_vector,
     behavior_to_mixed,
+    expected_payoff_at,
     kernel_vector,
     kuhn_convert,
+    local_deviations,
     mixed_to_behavior,
     opposing_profiles,
+    path_info_sets,
     play_out,
     pure_strategies,
+    reaches,
     realization_equivalent,
     realized_tbar_path,
+    restrict_strategy,
 )
 from ugt import equilibrium
 from ugt.equilibrium import (
+    SceVerdict,
+    _checked_vectors,
     _normal_form,
     _positive_classes,
     uniform_nature,
@@ -170,8 +180,62 @@ def test_ex1_initial_behavior_awareness_violation():
     g = ex1_initial()
     s = {1: pick(g, 1, {h(1, "T", (0,)): "l1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2", h(2, "T", (1,)): "r2"})}
-    v = check_sce_behavior(g, lift_pure(g, s))
-    assert not v.holds and v.violated_condition == "awareness" and v.player == 1
+    for check in (check_sce_behavior, check_sce_efr):
+        v = check(g, lift_pure(g, s))
+        assert not v.holds and v.violated_condition == "awareness"
+        assert v.player == 1
+
+
+def test_nature_defaults_to_uniform():
+    g = nature_coin()
+    [target] = g.decision_sets(1)
+    for a in g.set_actions(target):
+        own = {1: BehaviorStrategy.make(1, {target: {a: 1}})}
+        explicit = {**own, NATURE: uniform_nature(g)}
+        for check in (check_sce_behavior, check_sce_efr):
+            assert check(g, own) == check(g, explicit)
+        assert awareness_diagnostics(g, own) == \
+            awareness_diagnostics(g, explicit)
+
+
+def test_mixed_profiles_check_through_their_behavior_form():
+    g = matching_pennies()
+    pi = {i: uniform_at(g, i, g.decision_sets(i)) for i in g.players}
+    mixed = {i: behavior_to_mixed(g, pi[i]) for i in g.players}
+    assert len(mixed[1].support()) == 2
+    for check in (check_sce_behavior, check_sce_efr):
+        v = check(g, mixed)
+        assert v.holds and v == check(g, pi)
+
+
+def test_unavailable_actions_are_rejected():
+    # an action the set does not offer used to pass silently as a kernel,
+    # and to leak a raw KeyError from the mixed conversion
+    g = matching_pennies()
+    [h1] = g.decision_sets(1)
+    two = uniform_at(g, 2, g.decision_sets(2))
+    for kernel in ({"zz": 1}, {"zz": Fraction(1, 2), "H": Fraction(1, 2)}):
+        bad = BehaviorStrategy.make(1, {h1: kernel})
+        with pytest.raises(ValueError):
+            kernel_vector(g, bad, 1)
+        for check in (check_sce_behavior, check_sce_efr,
+                      awareness_diagnostics):
+            with pytest.raises(ValueError):
+                check(g, {1: bad, 2: two})
+    heads = pick(g, 1, {h1: "H"})
+    for bad in (PureStrategy.make(1, {h1: "zz"}), PureStrategy.make(1, {})):
+        sigma = MixedStrategy.make({heads: Fraction(1, 2),
+                                    bad: Fraction(1, 2)})
+        with pytest.raises(ValueError):
+            mixed_to_behavior(g, sigma)
+        with pytest.raises(ValueError):
+            check_sce_behavior(g, {1: sigma, 2: two})
+    g = nature_coin()
+    [coin] = g.decision_sets(NATURE)
+    for bad in (PureStrategy.make(NATURE, {coin: "edge"}),
+                PureStrategy.make(NATURE, {})):
+        with pytest.raises(ValueError):
+            construct_sce_efr(g, MixedStrategy.degenerate(bad))
 
 
 def test_confirmed_beliefs_respect_observed_play():
@@ -225,50 +289,165 @@ def consistent_across_trees(g, s_j):
     return True
 
 
-@pytest.mark.parametrize("name", [
-    "ex1_initial", "ex1_discovered", "ex2_initial", "ex2_rsc", "ex2_nonrat",
-    "ex2_full", "bos_aware", "matching_pennies", "trivial_single",
-    "nature_coin", "fig14"])
-def test_pure_and_degenerate_behavior_checks_agree(name):
-    g = load(name)
+def reference_check_sce_pure(g: Game, s) -> SceVerdict:
+    """The pure check on the object world, kept as an independent
+    reference: it enumerates and restricts every opposing pure strategy
+    and plays deviations out node by node."""
+    _checked_vectors(g, s, action_vector)
+    witnesses: dict = {}
+    for i in g.players:
+        occ = sorted(path_info_sets(g, s, i), key=g._set_sort_key)
+        hosts = {x.host for x in occ}
+        if len(hosts) != 1:
+            return SceVerdict(False, "awareness", i,
+                              detail="occurring hosts %s" % sorted(hosts))
+        tstar = hosts.pop()
+        own = set(g.decision_sets(i))
+        ends = [hh for hh in occ if g.terminal_in(hh.host, hh.members[0])]
+        assert len(ends) == 1, "pure play must end in exactly one set"
+        # restriction acts per player, so restricting and deduplicating
+        # each pool first lists the restricted profiles in the order of
+        # their first appearance in the product of the full pools
+        others = [j for j in acting_players(g) if j != i]
+        pools = [list(dict.fromkeys(restrict_strategy(g, x, tstar)
+                                    for x in pure_strategies(g, j)))
+                 for j in others]
+        cand = [rp for rp in (dict(zip(others, combo))
+                              for combo in itertools.product(*pools))
+                if reaches(g, rp, ends[0])]
+        assert cand, "the true opposing play always confirms itself"
+
+        def value(strat, p):
+            return g.nodes[play_out(g, tstar, {**p, i: strat})].payoffs[i]
+
+        rows = []
+        for hh in occ:
+            if hh not in own or not reaches(g, {i: s[i]}, hh):
+                continue
+            base = [value(s[i], p) for p in cand]
+            for dev in local_deviations(g, i, hh, s[i]):
+                rows.append([value(dev, p) - b for p, b in zip(cand, base)])
+        n = len(cand)
+        x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
+                              a_ub=rows, b_ub=[ZERO] * len(rows))
+        if x is None:
+            return SceVerdict(False, "rationality", i)
+        witnesses[i] = [(p, w) for p, w in zip(cand, x) if w > 0]
+    return SceVerdict(True, witnesses=witnesses)
+
+
+def assert_agrees_with_reference(g, s, v):
+    ref = reference_check_sce_pure(g, s)
+    assert (v.holds, v.violated_condition, v.player, v.witnesses) == \
+        (ref.holds, ref.violated_condition, ref.player, ref.witnesses), s
+
+
+def fixture_profiles(g):
+    """The first 60 pure profiles, in product order, whose real players'
+    strategies are consistent across trees."""
     players = acting_players(g)
     pools = [pure_strategies(g, j) for j in players]
-    checked = 0
-    for combo in itertools.product(*pools):
-        if checked >= 60:
-            break
-        s = dict(zip(players, combo))
-        if not all(consistent_across_trees(g, s[j]) for j in g.players):
-            continue
-        checked += 1
+    profiles = (dict(zip(players, combo))
+                for combo in itertools.product(*pools))
+    return list(itertools.islice(
+        (s for s in profiles
+         if all(consistent_across_trees(g, s[j]) for j in g.players)), 60))
+
+
+AGREEMENT_FIXTURES = [
+    "ex1_initial", "ex1_discovered", "ex2_initial", "ex2_rsc", "ex2_nonrat",
+    "ex2_full", "bos_aware", "matching_pennies", "trivial_single",
+    "nature_coin", "fig14"]
+
+
+@pytest.mark.parametrize("name", AGREEMENT_FIXTURES)
+def test_pure_and_degenerate_behavior_checks_agree(name):
+    g = load(name)
+    profiles = fixture_profiles(g)
+    for s in profiles:
         a = check_sce_pure(g, s)
         b = check_sce_behavior(g, lift_pure(g, s))
         assert a.holds == b.holds, s
-    assert checked > 0
+        assert_agrees_with_reference(g, s, a)
+    assert profiles
 
 
 GENERATED = {"nature": dict(players=2, nature=True), "3p": dict(players=3)}
 
 
-@pytest.mark.parametrize("shape", sorted(GENERATED))
-def test_pure_and_degenerate_behavior_checks_agree_on_generated_games(shape):
-    # random nature plans that differ between trees split the checks
-    # legitimately, so every acting player's strategy must be consistent
-    checked = failed = 0
+def generated_profiles(shape):
+    """(game, profile) pairs of 20 random profiles on each of 10 generated
+    games of the shape, kept when every acting player's strategy is
+    consistent across trees: random nature plans that differ between
+    trees split the pure and behavior checks legitimately."""
+    out = []
     for seed in range(10):
         g = generate_random_game(seed=seed, depth=3, branching=2,
                                  tree_count=3, **GENERATED[shape])
         for k in range(20):
             s = random_profile(g, seed=k)
-            if not all(consistent_across_trees(g, s[j])
-                       for j in acting_players(g)):
-                continue
-            checked += 1
-            a = check_sce_pure(g, s)
-            b = check_sce_behavior(g, lift_pure(g, s))
-            assert a.holds == b.holds, (seed, k)
-            failed += not a.holds
+            if all(consistent_across_trees(g, s[j])
+                   for j in acting_players(g)):
+                out.append((g, s))
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATED))
+def test_pure_and_degenerate_behavior_checks_agree_on_generated_games(shape):
+    checked = failed = 0
+    for g, s in generated_profiles(shape):
+        checked += 1
+        a = check_sce_pure(g, s)
+        b = check_sce_behavior(g, lift_pure(g, s))
+        assert a.holds == b.holds, s
+        assert_agrees_with_reference(g, s, a)
+        failed += not a.holds
     assert checked >= 40 and 0 < failed < checked
+
+
+def assert_witnesses_hold(g, s, witnesses):
+    """A holding verdict's witness beliefs, checked without the LP: each
+    is a distribution over opposing profiles that reach the end of play,
+    and no local deviation at an occurring decision set the player's own
+    strategy reaches pays more against it."""
+    for i in g.players:
+        belief = witnesses[i]
+        assert sum(w for _, w in belief) == 1 and all(w > 0 for _, w in belief)
+        occ = path_info_sets(g, s, i)
+        ends = [hh for hh in occ if g.terminal_in(hh.host, hh.members[0])]
+        assert all(reaches(g, p, hz) for p, _ in belief for hz in ends)
+        for hh in occ:
+            if hh not in g.decision_sets(i) or not reaches(g, {i: s[i]}, hh):
+                continue
+            base = expected_payoff_at(g, i, hh, s[i], belief)
+            for dev in local_deviations(g, i, hh, s[i]):
+                assert expected_payoff_at(g, i, hh, dev, belief) <= base
+
+
+def as_pure(x):
+    """The pure strategy of a point-mass behavior strategy."""
+    return PureStrategy.make(x.owner, {h: a for h, ((a, _),) in x.kernels})
+
+
+def test_witnesses_check_without_the_lp():
+    pairs = [(g, s) for g in map(load, AGREEMENT_FIXTURES)
+             for s in fixture_profiles(g)]
+    pairs += [pair for shape in sorted(GENERATED)
+              for pair in generated_profiles(shape)]
+    held = 0
+    for g, s in pairs:
+        v = check_sce_pure(g, s)
+        if v.holds:
+            held += 1
+            assert_witnesses_hold(g, s, v.witnesses)
+        b = check_sce_behavior(g, lift_pure(g, s))
+        if b.holds:
+            # one path of play, so one group per player
+            assert_witnesses_hold(g, s, {
+                i: [({j: as_pure(x) for j, x in p.items()}, w)
+                    for p, w in group]
+                for i, [group] in b.witnesses.items()})
+    assert held >= 90
 
 
 def test_inconsistent_strategy_splits_the_checks():
