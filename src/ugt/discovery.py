@@ -15,10 +15,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import Game, InfoSet, NATURE, NodeId, Player, TreeId
-from .rationalizability import _class_rounds, _classes
+from .core import Game, InfoSet, NodeId, Player, TreeId
+from .rationalizability import _class_rounds, _pools
 from .strategies import (
     PureProfile,
     _check_total,
@@ -154,9 +155,9 @@ def _vector_pools(g: Game,
             alive = _class_rounds(g)[1]
         else:
             raise ValueError("unknown policy %r" % (policy,))
+        pools = _pools(g)
         got = g._ix.pools[policy] = (players, [
-            strategy_vectors(g, j) if j == NATURE else
-            [v for v, c in _classes(g, j).of.items() if c in alive[j]]
+            [v for v, c in pools[j].items() if c in alive[j]]
             for j in players])
     return got
 
@@ -380,7 +381,8 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
     """Simulate the discovery process until an absorbing state.
 
     ``f`` maps a state and its allowed profiles to a weighted list; the
-    default is uniform.  Sampling is conditioned on state-changing profiles
+    default is uniform.  The draw is exact, so huge and tiny weights keep
+    their ratios.  Sampling is conditioned on state-changing profiles
     (staying put is dropped, which every full-support process leaves almost
     surely), so the trace length is bounded by 1 + players * trees.
     """
@@ -408,12 +410,13 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
                 moving.append((group, succ))
         if not moving:
             return DiscoveryTrace(states, profiles)
-        total = float(sum(group[1] for group, _ in moving))
-        pick = rng.uniform(0, total)
-        acc = 0.0
+        # exact: random() is a multiple of 2**-53, so the pick is exact too
+        weights = [Fraction(group[1]) for group, _ in moving]
+        pick = Fraction(rng.random()) * sum(weights)
+        acc = 0
         chosen, succ = moving[-1]
-        for group, nxt in moving:
-            acc += float(group[1])
+        for (group, nxt), w in zip(moving, weights):
+            acc += w
             if pick <= acc:
                 chosen, succ = group, nxt
                 break

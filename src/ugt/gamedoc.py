@@ -72,6 +72,13 @@ def _object(x, where: str) -> dict:
     return x
 
 
+def _labels(x, where: str) -> tuple:
+    """x as a tuple, when the document has a list of strings there."""
+    if not isinstance(x, list) or not all(isinstance(a, str) for a in x):
+        raise DocSemanticError("%s is not a list of strings" % where)
+    return tuple(x)
+
+
 def serialize_game(g: Game, provenance: Optional[Mapping] = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     nodes = {}
@@ -127,12 +134,14 @@ def parse_game(text: str) -> Game:
             nd = _object(nd, "node %s" % key)
             children = {}
             for entry in nd.get("children", []):
-                children[tuple(entry["profile"])] = int(entry["child"])
+                children[_labels(entry["profile"], "a profile of node %s"
+                                 % key)] = int(entry["child"])
+            where = "actions of node %d" % n
             nodes[n] = NodeData(
                 parent=None if nd.get("parent") is None else int(nd["parent"]),
                 players=tuple(sorted(int(i) for i in nd.get("players", []))),
-                actions={int(i): tuple(a) for i, a in _object(
-                    nd.get("actions", {}), "actions of node %d" % n).items()},
+                actions={int(i): _labels(a, where) for i, a in
+                         _object(nd.get("actions", {}), where).items()},
                 children=children,
                 payoffs={int(i): _parse_frac(v, "payoffs of node %d" % n)
                          for i, v in _object(nd.get("payoffs", {}),

@@ -6,9 +6,10 @@ rule: at each information set, probability 1 goes to the opposing profiles
 from the *latest* previous round that still reach the set (falling back all
 the way to the full strategy set).
 
-The engine keeps or drops whole realization classes (``_classes``): a
-verdict reads a strategy only at the sets it reaches and through the
-opposing columns there, so one member decides for its class.  It decides
+The engine (``_efr``) keeps or drops whole realization classes
+(``_classes``), and ``efr`` builds its public trace from them: a verdict
+reads a strategy only at the sets it reaches and through the opposing
+columns there, so one member decides for its class.  The engine decides
 per-set optimality by exact linear feasibility over a payoff matrix
 (continuations x allowed opposing profiles).  ``efr_oracle``
 recomputes everything by explicitly assembling whole belief systems with
@@ -24,7 +25,8 @@ from fractions import Fraction
 from operator import eq, ge, itemgetter
 from typing import Mapping, Sequence
 
-from .core import NATURE, Game, InfoSet, NodeId, Player, info_arborescence
+from .core import (
+    NATURE, Game, InfoSet, NodeId, Player, hosts_reachable, info_arborescence)
 from .lp import solve_feasibility
 from .strategies import (
     PureProfile,
@@ -38,11 +40,10 @@ from .strategies import (
     deviation_sets,
     is_rational_at,
     play_table,
-    pure_strategies,
     reaches,
-    restrict_profile,
     set_positions,
     strategy_vectors,
+    vector_strategy,
 )
 
 DEFAULT_ORACLE_CAP = 1000
@@ -154,16 +155,18 @@ class _SetContext:
                 self._profiles[col] = prof
         return got
 
-    def representative(self, g: Game, tables, col: tuple) -> PureProfile:
+    def representative(self, g: Game, col: tuple) -> PureProfile:
         """The reaching column's representative as PureStrategy objects,
         restricted to the host tree's partial game; built once per column
         and shared by every caller, which must not change it."""
         got = self._restricted.get(col)
         if got is None:
+            keep = set(hosts_reachable(g, self.h.host))
             prof = self._profiles[col]
-            got = self._restricted[col] = restrict_profile(
-                g, {j: tables[j][prof[j]] for j in self.opponents},
-                self.h.host)
+            got = self._restricted[col] = {
+                j: PureStrategy.make(j, {x: a for x, a in zip(
+                    g.decision_sets(j), prof[j]) if x.host in keep})
+                for j in self.opponents}
         return got
 
     def columns(self, classes: Mapping[Player, Mapping[tuple, int]],
@@ -177,7 +180,6 @@ class _SetContext:
         if got is None:
             keys = []
             for j, get, live in zip(self.opponents, self.opp_keys, alive):
-                live = set(live)
                 keys.append(dict.fromkeys(get(v) for v, c in
                                           classes[j].items() if c in live))
             got = self._columns[alive] = tuple(
@@ -326,22 +328,23 @@ def _classes(g: Game, i: Player) -> _Classes:
     return g._ix.classes[i]
 
 
-def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, Mapping],
+def _pools(g: Game) -> dict[Player, dict[tuple, int]]:
+    """Per acting player, its action vectors (``strategy_vectors``) in pool
+    order, each mapped to the class a round keeps or drops whole: its
+    realization class, or for nature the one class 0, never eliminated."""
+    return {j: dict.fromkeys(strategy_vectors(g, j), 0) if j == NATURE
+            else _classes(g, j).of for j in acting_players(g)}
+
+
+def _allowed_columns(ctx: _SetContext, pools: Mapping[Player, Mapping],
                      rounds: list[dict], upto: int) -> tuple[int, tuple]:
     """Best-rationalization support: columns from the latest round whose
     survivors still reach the set.  Rounds hold the alive classes."""
     for m in range(upto, -1, -1):
-        cols = ctx.columns(classes,
-                           tuple(rounds[m][j] for j in ctx.opponents))
+        cols = ctx.columns(pools, tuple(rounds[m][j] for j in ctx.opponents))
         if cols:
             return m, cols
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
-
-
-def _tables(g: Game) -> dict[Player, dict[tuple, PureStrategy]]:
-    """Per acting player, each action vector's PureStrategy, built once."""
-    return {j: dict(zip(strategy_vectors(g, j), pure_strategies(g, j)))
-            for j in acting_players(g)}
 
 
 def efr(g: Game) -> EfrTrace:
@@ -352,62 +355,60 @@ def efr(g: Game) -> EfrTrace:
     """
     ix = g._ix
     if ix.efr_trace is None:
-        ix.efr_trace, ix.efr_classes = _efr(g)
+        rounds, ctxs, pools = _class_rounds(g), _contexts(g), _pools(g)
+        constraints = []
+        for k in range(len(rounds) - 1):
+            cons = {}
+            for i in g.players:
+                for h in g.decision_sets(i):
+                    level, cols = _allowed_columns(ctxs[h], pools, rounds, k)
+                    cons[h] = BeliefConstraint(i, h, level, [
+                        ctxs[h].representative(g, c) for c in cols])
+            constraints.append(cons)
+        # one object per pure strategy, shared by every round
+        made = {i: dict(zip(pools[i], map(vector_strategy(g, i), pools[i])))
+                for i in g.players}
+        ix.efr_trace = EfrTrace(
+            [{i: [made[i][v] for v, c in pools[i].items() if c in rd[i]]
+              for i in g.players} for rd in rounds],
+            constraints, fixpoint_round=len(rounds) - 1)
     return ix.efr_trace
 
 
 def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
-    """Per round of ``efr(g).rounds``, per real player, the realization
-    classes (``_classes``) whose members the round holds."""
-    efr(g)
+    """Per round of ``efr(g).rounds``, per acting player, the classes of
+    ``_pools`` whose members the round holds; computed once per game."""
+    if g._ix.efr_classes is None:
+        g._ix.efr_classes = _efr(g)
     return g._ix.efr_classes
 
 
 def _surviving_classes(g: Game) -> dict[Player, frozenset]:
-    """Per real player, the realization classes (``_classes``) whose
-    members survive extensive-form rationalizability."""
+    """Per acting player, the classes (``_pools``) whose members survive
+    extensive-form rationalizability: realization classes (``_classes``)
+    for a real player."""
     return _class_rounds(g)[-1]
 
 
-def _efr(g: Game) -> tuple[EfrTrace, list[dict[Player, frozenset]]]:
-    ctxs = _contexts(g)
-    tables = _tables(g)
-    # each pool's vectors by the class a round keeps or drops whole:
-    # realization classes, and nature's whole pool, never eliminated
-    classes = {j: dict.fromkeys(t, 0) if j == NATURE else _classes(g, j).of
-               for j, t in tables.items()}
-    rounds = [{j: tuple(dict.fromkeys(c.values()))
-               for j, c in classes.items()}]
-    constraints: list[dict[InfoSet, BeliefConstraint]] = []
+def _efr(g: Game) -> list[dict[Player, frozenset]]:
+    """Per round, per acting player, the alive classes of ``_pools``."""
+    ctxs, pools = _contexts(g), _pools(g)
+    rounds = [{j: frozenset(c.values()) for j, c in pools.items()}]
     while True:
-        k = len(rounds)
-        cons: dict[InfoSet, BeliefConstraint] = {}
         new = dict(rounds[-1])
         for i in g.players:
             allowed_at = []
             for h in g.decision_sets(i):
-                ctx = ctxs[h]
-                level, cols = _allowed_columns(ctx, classes, rounds, k - 1)
-                allowed_at.append((ctx, ctx.intern(cols)))
-                cons[h] = BeliefConstraint(
-                    i, h, level,
-                    [ctx.representative(g, tables, c) for c in cols])
+                _, cols = _allowed_columns(ctxs[h], pools, rounds,
+                                           len(rounds) - 1)
+                allowed_at.append((ctxs[h], ctxs[h].intern(cols)))
             table = _classes(g, i)
-            new[i] = tuple(c for c in rounds[-1][i]
-                           if _rational(table, c, allowed_at))
+            new[i] = frozenset(c for c in rounds[-1][i]
+                               if _rational(table, c, allowed_at))
             assert new[i], "no rationalizable strategy for player %d" % i
-        constraints.append(cons)
         rounds.append(new)
         if new == rounds[-2]:
-            break
-
-    def expand(i: Player, alive) -> list[PureStrategy]:
-        alive = set(alive)
-        return [tables[i][v] for v, c in classes[i].items() if c in alive]
-
-    trace = EfrTrace([{i: expand(i, rd[i]) for i in g.players}
-                      for rd in rounds], constraints, fixpoint_round=k)
-    return trace, [{i: frozenset(rd[i]) for i in g.players} for rd in rounds]
+            return rounds
 
 
 def _rational(table: _Classes, c: int, allowed_at) -> bool:
@@ -458,9 +459,9 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
-def _candidate_beliefs(g: Game, ctx: _SetContext, cols: tuple, tables):
+def _candidate_beliefs(g: Game, ctx: _SetContext, cols: tuple):
     """Point beliefs on each allowed column plus the uniform mixture."""
-    reps = [ctx.representative(g, tables, c) for c in cols]
+    reps = [ctx.representative(g, c) for c in cols]
     out = [[(p, ONE)] for p in reps]
     if len(cols) > 1:
         u = Fraction(1, len(cols))
@@ -489,9 +490,9 @@ def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[Pure
         raise OracleCapExceeded("strategy-profile count %d exceeds cap %d"
                                 % (sizes, cap))
     ctxs = _contexts(g)
-    tables = _tables(g)
+    make = {i: vector_strategy(g, i) for i in g.players}
     parents = {i: info_arborescence(g, i) for i in g.players}
-    rounds = [{j: list(t) for j, t in tables.items()}]
+    rounds = [{j: strategy_vectors(g, j) for j in acting_players(g)}]
     while True:
         k = len(rounds)
         new = dict(rounds[-1])
@@ -500,13 +501,12 @@ def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[Pure
             allowed_at = {h: _oracle_columns(ctxs[h], rounds, k - 1)
                           for h in sets_i}
             survivors = [v for v in rounds[-1][i]
-                         if _oracle_survives(g, i, tables[i][v], sets_i,
-                                             allowed_at, ctxs, parents[i],
-                                             tables)]
+                         if _oracle_survives(g, i, make[i](v), sets_i,
+                                             allowed_at, ctxs, parents[i])]
             assert survivors
             new[i] = survivors
         if new == rounds[-1]:
-            return {i: [tables[i][v] for v in new[i]] for i in g.players}
+            return {i: list(map(make[i], new[i])) for i in g.players}
         rounds.append(new)
 
 
@@ -524,8 +524,8 @@ def _oracle_columns(ctx: _SetContext, rounds: list[dict[Player, list]],
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
 
 
-def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of,
-                     tables) -> bool:
+def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs,
+                     parent_of) -> bool:
     reached = [h for h in sets_i if reaches(g, {i: s_i}, h)]
     order = []
     done = set()
@@ -555,7 +555,7 @@ def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs, parent_of,
         if forced is not None:
             options = [forced]
         else:
-            options = _candidate_beliefs(g, ctx, cols, tables)
+            options = _candidate_beliefs(g, ctx, cols)
         for belief in options:
             if not _support_allowed(g, ctx, belief, cols):
                 continue

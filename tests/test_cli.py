@@ -1,10 +1,13 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ugt.cli import main
 from ugt.fixtures import load
-from ugt.gamedoc import parse_game, serialize_game
+from ugt.gamedoc import DocAxiomError, GameDocError, parse_game, serialize_game
 from ugt.randgen import generate_random_game
 
 
@@ -50,6 +53,16 @@ def test_validate_wrong_shape(tmp_path, capsys):
     status, _, err = run(capsys, "validate", str(path))
     assert status == 2
     assert "nodes is not an object" in err
+
+
+def test_validate_unhashable_action_label(tmp_path, capsys):
+    doc = json.loads(serialize_game(load("ex2_initial")))
+    doc["nodes"]["0"]["actions"]["1"][0] = []
+    path = tmp_path / "label.game.json"
+    path.write_text(json.dumps(doc))
+    status, _, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert "actions of node 0 is not a list of strings" in err
 
 
 def test_validate_axiom_failure(game_file, tmp_path, capsys):
@@ -221,3 +234,64 @@ def test_missing_file(capsys):
 def test_bad_arguments(capsys):
     assert main(["discover"]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the input boundary under mutated documents
+
+FUZZ_FIXTURES = ["ex1_initial", "ex2_initial", "matching_pennies",
+                 "nature_coin", "trivial_single"]
+# what a retyped field becomes: every JSON type, and numbers that are
+# valid elsewhere in a document
+FUZZ_VALUES = [None, True, 0, -1, 7, 1.5, "", "x", "1/0", [], ["x"], [[]],
+               {}, {"1": "x"}]
+
+
+def _slots(x, path=()):
+    """The path of every value below the document root."""
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _slots(v, path + (k,))
+
+
+def _mutate(doc, path, op, value):
+    """Drop, retype or duplicate the field at path."""
+    *head, last = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    if op == "drop":
+        del parent[last]
+    elif op == "retype":
+        parent[last] = json.loads(json.dumps(value))
+    elif isinstance(parent, list):
+        parent.insert(last, json.loads(json.dumps(parent[last])))
+    else:
+        parent[last + "0"] = json.loads(json.dumps(parent[last]))
+
+
+@given(name=st.sampled_from(FUZZ_FIXTURES), data=st.data())
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+def test_mutated_documents_fail_only_as_documented(name, data):
+    doc = json.loads(serialize_game(load(name)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = sorted(_slots(doc), key=repr)
+        if slots:
+            _mutate(doc, data.draw(st.sampled_from(slots)),
+                    data.draw(st.sampled_from(["drop", "retype", "dup"])),
+                    data.draw(st.sampled_from(FUZZ_VALUES)))
+    text = json.dumps(doc)
+    try:
+        parse_game(text)
+        want = 0
+    except DocAxiomError:
+        want = 1
+    except GameDocError:
+        want = 2
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "fuzz.game.json")
+        with open(path, "w") as f:
+            f.write(text)
+        assert main(["validate", path]) == want

@@ -4,6 +4,7 @@ import itertools
 import random
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -419,6 +420,22 @@ def test_run_discovery_rejects_bad_sampler():
 
     with pytest.raises(ValueError):
         run_discovery(g, "efr", f=f, seed=0)
+
+
+@pytest.mark.parametrize("scale", [Fraction(10**400), Fraction(1, 10**400)])
+def test_run_discovery_samples_exactly(scale):
+    """Scaling every weight keeps every draw: neither overflow nor underflow
+    to a float decides the pick."""
+    def weighted(w):
+        return lambda state, allowed: [(s, w) for s in allowed]
+
+    g = fig14()
+    firsts = set()
+    for seed in range(40):
+        trace = run_discovery(g, "all", f=weighted(1), seed=seed)
+        assert run_discovery(g, "all", f=weighted(scale), seed=seed) == trace
+        firsts.add(trace.states[1])
+    assert len(firsts) == 3
 
 
 # ---------------------------------------------------------------------------

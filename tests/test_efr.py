@@ -1,6 +1,7 @@
 import pytest
 
-from ugt.core import InfoSet
+from ugt.core import NATURE, InfoSet
+from ugt.discovery import build_supergame
 from ugt.fixtures import (
     bos_aware,
     bos_repeated,
@@ -19,6 +20,7 @@ from ugt.fixtures import (
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     OracleCapExceeded,
+    _classes,
     best_reply_exists,
     efr,
     efr_oracle,
@@ -28,6 +30,7 @@ from ugt.strategies import (
     PureStrategy,
     acting_players,
     opposing_profiles,
+    play_table,
     pure_strategies,
     reaches,
     realization_equivalent,
@@ -375,6 +378,62 @@ def test_generated_rounds_are_unions_of_classes(shape):
     games = generated_games(shape)
     checked = sum(assert_rounds_are_unions_of_classes(g) for g in games)
     assert checked >= 2 * len(games)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_trace_is_built_once_from_class_rounds(name):
+    """Each round lists the very objects of round 0, and the trace is the
+    same whether the engine's consumers ran before it or not."""
+    g = load(name)
+    trace = efr(g)
+    for i in g.players:
+        first = {id(s) for s in trace.rounds[0][i]}
+        assert all(id(s) in first for rd in trace.rounds for s in rd[i])
+    late = load(name)
+    build_supergame(late, "efr")
+    assert efr(late) == trace
+
+
+def assert_reads_stay_in_reached_positions(g):
+    """Every play-out of every tree reads a real player's action vector only
+    at positions its realization class reaches, the premise that lets one
+    member decide for its class.  A walk down each tree fixes the actions
+    read so far; the vectors that agree with them are exactly those with a
+    play-out through the node.  Returns the number of reads checked."""
+    checked = 0
+    for t in g.trees:
+        table = play_table(g, t)
+        stack = [(g.root(t), {})]
+        while stack:
+            n, fixed = stack.pop()
+            pairs = table.get(n, ())
+            for j, p in pairs:
+                if j == NATURE:
+                    continue
+                own = [(q, a) for (k, q), a in fixed.items() if k == j]
+                table_j = _classes(g, j)
+                for v, c in table_j.of.items():
+                    if all(v[q] == a for q, a in own):
+                        assert p in table_j.reached[c], (t, n, j, v)
+                        checked += 1
+            for prof, child in g.children_in(t, n).items():
+                nxt = dict(fixed)
+                if all(nxt.setdefault(jp, a) == a
+                       for jp, a in zip(pairs, prof)):
+                    stack.append((child, nxt))
+    return checked
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_reads_stay_in_reached_positions(name):
+    assert assert_reads_stay_in_reached_positions(load(name))
+
+
+@pytest.mark.parametrize("shape", ["plain", "nature", "3p"])
+def test_generated_reads_stay_in_reached_positions(shape):
+    assert sum(assert_reads_stay_in_reached_positions(generate_random_game(
+        seed=seed, depth=3, branching=2, tree_count=3,
+        **GENERATED.get(shape, {}))) for seed in range(20))
 
 
 def assert_rounds_match_per_strategy_reference(g):

@@ -107,6 +107,15 @@ def _first_decision_node(doc):
     return next(n for n, nd in doc["nodes"].items() if nd["actions"])
 
 
+def _first_labels(doc, field):
+    """The label lists of the first decision node: its action menus or its
+    children's profiles."""
+    nd = doc["nodes"][_first_decision_node(doc)]
+    if field == "actions":
+        return list(nd["actions"].values())
+    return [c["profile"] for c in nd["children"]]
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: doc.update(nodes=list(doc["nodes"].values())),
     lambda doc: doc.update(trees=list(doc["trees"].values())),
@@ -115,8 +124,10 @@ def _first_decision_node(doc):
         actions=[["l1", "r1"]]),
     lambda doc: doc["info"][0].update(host=["T"]),
     lambda doc: doc.update(trees={}, info=[]),
+    lambda doc: _first_labels(doc, "actions")[0].__setitem__(0, []),
+    lambda doc: _first_labels(doc, "children")[0].__setitem__(0, {}),
 ], ids=["nodes-list", "trees-list", "node-null", "actions-list",
-        "host-list", "no-trees"])
+        "host-list", "no-trees", "action-label-list", "profile-label-object"])
 def test_wrong_document_shape_is_semantic(damage):
     doc = json.loads(serialize_game(load("ex1_initial")))
     damage(doc)
