@@ -31,6 +31,7 @@ from .equilibrium import (
 from .gamedoc import (
     DocAxiomError,
     GameDocError,
+    _read_id,
     game_dot,
     parse_game,
     serialize_game,
@@ -93,8 +94,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _parse_set(g: Game, entry: dict, player: int) -> InfoSet:
-    return InfoSet(player, entry["host"],
-                   tuple(sorted(int(m) for m in entry["members"])))
+    return InfoSet(player, entry["host"], tuple(sorted(
+        _read_id(m, "members") for m in entry["members"])))
 
 
 def _read_profile(g: Game, path: str) -> dict:
@@ -109,7 +110,7 @@ def _read_profile(g: Game, path: str) -> dict:
     out = {}
     try:
         for key, desc in doc["profile"].items():
-            j = int(key)
+            j = _read_id(key, "profile", key=True)
             if "pure" in desc:
                 out[j] = PureStrategy.make(j, {
                     _parse_set(g, e, j): e["action"] for e in desc["pure"]})
@@ -221,7 +222,8 @@ def _cmd_sce(args) -> int:
     # for mode efr), nature's pure moves enumerated alongside
     first = None
     checked = 0
-    for s in allowed_profiles(g, "efr" if args.mode == "efr" else "rational"):
+    policy = "efr" if args.mode == "efr" else "rational_only"
+    for s in allowed_profiles(g, policy):
         checked += 1
         prof = s if args.mode == "pure" else lift_pure(g, s)
         v = check(g, prof)

@@ -90,8 +90,8 @@ class Game:
     each game's own: per player the decision sets and their positions in
     action vectors; per tree the play table, each decision node's (player,
     position) pairs; the path constraints of ``reaches``; host closures;
-    per player the realization classes of its pure strategies; the EFR set
-    contexts, trace and per-round classes; the policy pools of discovery.
+    per acting player the classes of its pure strategies; the EFR set
+    contexts, trace and per-round classes.
     Memos fill as queries arrive and are never invalidated, as the fields
     never change.  Neither part holds a reference to a game, so reference
     counting alone frees a dropped game.
@@ -395,11 +395,9 @@ class _Index:
         # memos keyed by player, player, tree, (tree, node) and tree
         self.decision_sets, self.positions = {}, {}
         self.plays, self.requirements, self.hosts = {}, {}, {}
-        # player -> its realization classes
+        # acting player -> its classes
         self.classes = {}
         self.efr_contexts = self.efr_trace = self.efr_classes = None
-        # discovery policy -> (acting players, action vectors per player)
-        self.pools = {}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import Game, InfoSet, NodeId, Player, TreeId
-from .rationalizability import _class_rounds, _pools
+from .rationalizability import _class_rounds, _classes
 from .strategies import (
     PureProfile,
     _check_total,
@@ -142,24 +142,18 @@ def _vector_pools(g: Game,
                   policy: str) -> tuple[list[Player], list[list[tuple]]]:
     """The acting players, nature first when it moves, and the action
     vectors (``strategy_vectors``) a named policy permits each of them, in
-    ``strategy_vectors`` order.  The EFR policies' pools are kept in the
-    game's index, so that their classes are read once per game."""
+    ``strategy_vectors`` order."""
     players = acting_players(g)
     if policy == "all":
         return players, [strategy_vectors(g, j) for j in players]
-    got = g._ix.pools.get(policy)
-    if got is None:
-        if policy == "efr":
-            alive = _class_rounds(g)[-1]
-        elif policy in ("rational_only", "rational"):
-            alive = _class_rounds(g)[1]
-        else:
-            raise ValueError("unknown policy %r" % (policy,))
-        pools = _pools(g)
-        got = g._ix.pools[policy] = (players, [
-            [v for v, c in pools[j].items() if c in alive[j]]
-            for j in players])
-    return got
+    if policy == "efr":
+        alive = _class_rounds(g)[-1]
+    elif policy == "rational_only":
+        alive = _class_rounds(g)[1]
+    else:
+        raise ValueError("unknown policy %r" % (policy,))
+    return players, [[v for v, c in _classes(g, j).of.items() if c in alive[j]]
+                     for j in players]
 
 
 def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:

@@ -65,6 +65,20 @@ def _parse_frac(s, where: str) -> Fraction:
         raise DocSemanticError("bad rational %r in %s" % (s, where)) from None
 
 
+def _read_id(x, where: str, key: bool = False) -> int:
+    """x as a player or node id: a JSON integer that is not a boolean, or,
+    as an object key (key set), the decimal text of one."""
+    if key and isinstance(x, str):
+        try:
+            if str(int(x)) == x:
+                return int(x)
+        except ValueError:
+            pass
+    elif isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise DocSemanticError("bad id %r in %s" % (x, where))
+
+
 def _object(x, where: str) -> dict:
     """x itself, when the document has a JSON object there."""
     if not isinstance(x, dict):
@@ -127,35 +141,41 @@ def parse_game(text: str) -> Game:
         if field not in doc:
             raise DocSemanticError("missing field %r" % field)
     try:
-        players = [int(i) for i in doc["players"]]
+        players = [_read_id(i, "players") for i in doc["players"]]
         nodes = {}
         for key, nd in _object(doc["nodes"], "nodes").items():
-            n = int(key)
+            n = _read_id(key, "nodes", key=True)
             nd = _object(nd, "node %s" % key)
+            where = "node %d" % n
             children = {}
             for entry in nd.get("children", []):
                 children[_labels(entry["profile"], "a profile of node %s"
-                                 % key)] = int(entry["child"])
-            where = "actions of node %d" % n
+                                 % key)] = _read_id(entry["child"], where)
+            acts = "actions of node %d" % n
+            pays = "payoffs of node %d" % n
             nodes[n] = NodeData(
-                parent=None if nd.get("parent") is None else int(nd["parent"]),
-                players=tuple(sorted(int(i) for i in nd.get("players", []))),
-                actions={int(i): _labels(a, where) for i, a in
-                         _object(nd.get("actions", {}), where).items()},
+                parent=None if nd.get("parent") is None
+                else _read_id(nd["parent"], where),
+                players=tuple(sorted(_read_id(i, where)
+                                     for i in nd.get("players", []))),
+                actions={_read_id(i, acts, key=True): _labels(a, acts)
+                         for i, a in _object(nd.get("actions", {}),
+                                             acts).items()},
                 children=children,
-                payoffs={int(i): _parse_frac(v, "payoffs of node %d" % n)
+                payoffs={_read_id(i, pays, key=True): _parse_frac(v, pays)
                          for i, v in _object(nd.get("payoffs", {}),
-                                             "payoffs of node %d" % n).items()})
-        trees = {t: [int(n) for n in ns]
+                                             pays).items()})
+        trees = {t: [_read_id(n, "tree %s" % t) for n in ns]
                  for t, ns in _object(doc["trees"], "trees").items()}
         info = {}
         for entry in doc["info"]:
             if not all(isinstance(entry[k], str) for k in ("tree", "host")):
                 raise DocSemanticError("info entry %r: tree names must be "
                                        "strings" % (entry,))
-            key = (int(entry["player"]), entry["tree"], int(entry["node"]))
-            info[key] = InfoSet(key[0], entry["host"],
-                                tuple(sorted(int(m) for m in entry["members"])))
+            key = (_read_id(entry["player"], "info"), entry["tree"],
+                   _read_id(entry["node"], "info"))
+            info[key] = InfoSet(key[0], entry["host"], tuple(sorted(
+                _read_id(m, "info") for m in entry["members"])))
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, GameDocError):
             raise

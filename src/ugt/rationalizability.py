@@ -9,9 +9,10 @@ the way to the full strategy set).
 The engine (``_efr``) keeps or drops whole realization classes
 (``_classes``), and ``efr`` builds its public trace from them: a verdict
 reads a strategy only at the sets it reaches and through the opposing
-columns there, so one member decides for its class.  The engine decides
-per-set optimality by exact linear feasibility over a payoff matrix
-(continuations x allowed opposing profiles).  ``efr_oracle``
+columns there, so one member decides for its class, and the first members
+of the opposing classes give every column that plays differently.  The
+engine decides per-set optimality by exact linear feasibility over a
+payoff matrix (continuations x allowed opposing profiles).  ``efr_oracle``
 recomputes everything by explicitly assembling whole belief systems with
 Bayes conditioning enforced; it is exponential and guarded by a cap.
 """
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq, ge, itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     NATURE, Game, InfoSet, NodeId, Player, hosts_reachable, info_arborescence)
@@ -91,12 +92,11 @@ class _SetContext:
     A column is the tuple of the opponents' keys, each an opponent's actions
     at its decision sets in the host tree; nature counts as an opponent.
     Equal columns play the host tree out identically.  A column's
-    representative takes, per opponent, the first vector of its full pool
-    with that key.
+    representative takes, per opponent, its key at the positions the host
+    tree reads and the first action everywhere else.
     """
 
-    def __init__(self, g: Game, i: Player, h: InfoSet,
-                 pools: Mapping[Player, Sequence[tuple]]):
+    def __init__(self, g: Game, i: Player, h: InfoSet):
         self.i = i
         self.h = h
         t = h.host
@@ -121,10 +121,10 @@ class _SetContext:
         self.prefix_key = _getter([p for p in own if p not in self.dev])
         self.opponents = [j for j in acting_players(g) if j != i]
         self.opp_keys = [_getter(used.get(j, [])) for j in self.opponents]
-        # per opponent, the first vector of its pool with each key (read
-        # backwards, so that the first one is written last)
-        self.reps = [dict(zip(map(get, pools[j][::-1]), pools[j][::-1]))
-                     for j, get in zip(self.opponents, self.opp_keys)]
+        # per opponent, the positions its key reads and its first actions
+        self.fills = [(used.get(j, []),
+                       [g.set_actions(x)[0] for x in g.decision_sets(j)])
+                      for j in self.opponents]
         # per member of h, the (player, position, action) constraints of
         # the path to it
         self.reqs = [[(j, set_positions(g, j)[x], a)
@@ -146,8 +146,12 @@ class _SetContext:
     def column_reaches(self, col: tuple) -> bool:
         got = self._col_reaches.get(col)
         if got is None:
-            prof = dict(zip(self.opponents,
-                            map(dict.__getitem__, self.reps, col)))
+            prof = {}
+            for j, (at, first), key in zip(self.opponents, self.fills, col):
+                v = list(first)
+                for p, a in zip(at, key):
+                    v[p] = a
+                prof[j] = tuple(v)
             got = any(all(prof[j][p] == a for j, p, a in r if j != self.i)
                       for r in self.reqs)
             self._col_reaches[col] = got
@@ -169,19 +173,19 @@ class _SetContext:
                 for j in self.opponents}
         return got
 
-    def columns(self, classes: Mapping[Player, Mapping[tuple, int]],
+    def columns(self, classes: Mapping[Player, _Classes],
                 alive: tuple) -> tuple:
-        """The reaching columns over the opponents' vectors in alive
-        classes, each opponent's keys in the order of their first vectors.
+        """The reaching columns over the first members of the opponents'
+        alive classes, each opponent's keys in class order.
 
-        classes[j] maps opponent j's vectors, in pool order, to their
-        classes, and alive holds per opponent its alive classes."""
+        classes maps each opponent to its class table, and alive holds per
+        opponent its alive classes."""
         got = self._columns.get(alive)
         if got is None:
-            keys = []
-            for j, get, live in zip(self.opponents, self.opp_keys, alive):
-                keys.append(dict.fromkeys(get(v) for v, c in
-                                          classes[j].items() if c in live))
+            keys = [dict.fromkeys(get(classes[j].first[c])
+                                  for c in sorted(live))
+                    for j, get, live in zip(self.opponents, self.opp_keys,
+                                            alive)]
             got = self._columns[alive] = tuple(
                 c for c in itertools.product(*keys) if self.column_reaches(c))
         return got
@@ -266,7 +270,7 @@ class _SetContext:
         col = tuple(get(action_vector(g, p[j], j) if j in p
                         else (None,) * len(g.decision_sets(j)))
                     for j, get in zip(self.opponents, self.opp_keys))
-        if not all(map(dict.__contains__, self.reps, col)):
+        if any(None in key for key in col):
             raise ValueError("profile lacks a choice that %s consults"
                              % self.h.host)
         return col
@@ -274,34 +278,42 @@ class _SetContext:
 
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
     """The set contexts of every real player's decision sets, built once
-    per game together with each player's realization classes."""
+    per game together with each acting player's classes."""
     ix = g._ix
     if ix.efr_contexts is None:
-        pools = {j: strategy_vectors(g, j) for j in acting_players(g)}
         ix.efr_contexts = {}
-        for i in g.players:
-            sets = [_SetContext(g, i, h, pools) for h in g.decision_sets(i)]
-            ix.efr_contexts.update((ctx.h, ctx) for ctx in sets)
-            ix.classes[i] = _Classes(sets, pools[i])
+        for j in acting_players(g):
+            sets = None
+            if j != NATURE:
+                sets = [_SetContext(g, j, h) for h in g.decision_sets(j)]
+                ix.efr_contexts.update((ctx.h, ctx) for ctx in sets)
+            ix.classes[j] = _Classes(strategy_vectors(g, j), sets)
     return ix.efr_contexts
 
 
 class _Classes:
-    """A player's pure strategies in realization classes, numbered in the
-    order of their first members.
+    """An acting player's pure strategies in the classes a round keeps or
+    drops whole, numbered in the order of their first members.
 
-    Two pure strategies are realization-equivalent exactly when they reach
-    the same decision sets, each in its host tree, and choose alike there.
-    Own reach reads only the positions on the paths to the sets, so it is
-    found once per choice there.
+    A real player's classes are its realization classes: two pure
+    strategies are realization-equivalent exactly when they reach the same
+    decision sets, each in its host tree, and choose alike there.  Own
+    reach reads only the positions on the paths to the sets, so it is found
+    once per choice there.  Nature, given no set contexts, reaches every
+    position, so each of its vectors is its own class; no round drops one.
     """
 
-    def __init__(self, sets: Sequence[_SetContext], vectors: Sequence[tuple]):
+    def __init__(self, vectors: Sequence[tuple],
+                 sets: Optional[Sequence[_SetContext]] = None):
         self.of: dict[tuple, int] = {}  # each vector's class, in pool order
         self.first: list[tuple] = []  # per class, its first member
         self.reached: list[tuple] = []  # per class, the positions it reaches
-        path_key = _getter(sorted({p for ctx in sets
-                                   for p in ctx.reach_positions}))
+        if sets is None:
+            path_key, reach = tuple, lambda v: [True] * len(v)
+        else:
+            path_key = _getter(sorted({p for ctx in sets
+                                       for p in ctx.reach_positions}))
+            reach = lambda v: [ctx.strategy_reaches(v) for ctx in sets]
         # per choice at those positions, the positions reached and the mask
         # selecting them
         shapes: dict[tuple, tuple] = {}
@@ -310,7 +322,7 @@ class _Classes:
             u = path_key(v)
             shape = shapes.get(u)
             if shape is None:
-                mask = [ctx.strategy_reaches(v) for ctx in sets]
+                mask = reach(v)
                 shape = shapes[u] = (
                     tuple(itertools.compress(range(len(v)), mask)), mask)
             at, mask = shape
@@ -321,27 +333,20 @@ class _Classes:
                 self.reached.append(at)
 
 
-def _classes(g: Game, i: Player) -> _Classes:
-    """Player i's realization classes over its pool of action vectors
+def _classes(g: Game, j: Player) -> _Classes:
+    """Acting player j's classes over its pool of action vectors
     (``strategy_vectors``)."""
     _contexts(g)
-    return g._ix.classes[i]
+    return g._ix.classes[j]
 
 
-def _pools(g: Game) -> dict[Player, dict[tuple, int]]:
-    """Per acting player, its action vectors (``strategy_vectors``) in pool
-    order, each mapped to the class a round keeps or drops whole: its
-    realization class, or for nature the one class 0, never eliminated."""
-    return {j: dict.fromkeys(strategy_vectors(g, j), 0) if j == NATURE
-            else _classes(g, j).of for j in acting_players(g)}
-
-
-def _allowed_columns(ctx: _SetContext, pools: Mapping[Player, Mapping],
+def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
                      rounds: list[dict], upto: int) -> tuple[int, tuple]:
     """Best-rationalization support: columns from the latest round whose
     survivors still reach the set.  Rounds hold the alive classes."""
     for m in range(upto, -1, -1):
-        cols = ctx.columns(pools, tuple(rounds[m][j] for j in ctx.opponents))
+        cols = ctx.columns(classes,
+                           tuple(rounds[m][j] for j in ctx.opponents))
         if cols:
             return m, cols
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
@@ -355,54 +360,55 @@ def efr(g: Game) -> EfrTrace:
     """
     ix = g._ix
     if ix.efr_trace is None:
-        rounds, ctxs, pools = _class_rounds(g), _contexts(g), _pools(g)
+        rounds, ctxs, classes = _class_rounds(g), _contexts(g), ix.classes
         constraints = []
         for k in range(len(rounds) - 1):
             cons = {}
             for i in g.players:
                 for h in g.decision_sets(i):
-                    level, cols = _allowed_columns(ctxs[h], pools, rounds, k)
+                    level, cols = _allowed_columns(ctxs[h], classes, rounds,
+                                                   k)
                     cons[h] = BeliefConstraint(i, h, level, [
                         ctxs[h].representative(g, c) for c in cols])
             constraints.append(cons)
         # one object per pure strategy, shared by every round
-        made = {i: dict(zip(pools[i], map(vector_strategy(g, i), pools[i])))
+        of = {i: classes[i].of for i in g.players}
+        made = {i: dict(zip(of[i], map(vector_strategy(g, i), of[i])))
                 for i in g.players}
         ix.efr_trace = EfrTrace(
-            [{i: [made[i][v] for v, c in pools[i].items() if c in rd[i]]
+            [{i: [made[i][v] for v, c in of[i].items() if c in rd[i]]
               for i in g.players} for rd in rounds],
             constraints, fixpoint_round=len(rounds) - 1)
     return ix.efr_trace
 
 
 def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
-    """Per round of ``efr(g).rounds``, per acting player, the classes of
-    ``_pools`` whose members the round holds; computed once per game."""
+    """Per round of ``efr(g).rounds``, per acting player, the classes
+    (``_classes``) whose members the round holds; computed once per game."""
     if g._ix.efr_classes is None:
         g._ix.efr_classes = _efr(g)
     return g._ix.efr_classes
 
 
 def _surviving_classes(g: Game) -> dict[Player, frozenset]:
-    """Per acting player, the classes (``_pools``) whose members survive
-    extensive-form rationalizability: realization classes (``_classes``)
-    for a real player."""
+    """Per acting player, the classes (``_classes``) whose members survive
+    extensive-form rationalizability."""
     return _class_rounds(g)[-1]
 
 
 def _efr(g: Game) -> list[dict[Player, frozenset]]:
-    """Per round, per acting player, the alive classes of ``_pools``."""
-    ctxs, pools = _contexts(g), _pools(g)
-    rounds = [{j: frozenset(c.values()) for j, c in pools.items()}]
+    """Per round, per acting player, its alive classes (``_classes``)."""
+    ctxs, classes = _contexts(g), g._ix.classes
+    rounds = [{j: frozenset(range(len(c.first))) for j, c in classes.items()}]
     while True:
         new = dict(rounds[-1])
         for i in g.players:
             allowed_at = []
             for h in g.decision_sets(i):
-                _, cols = _allowed_columns(ctxs[h], pools, rounds,
+                _, cols = _allowed_columns(ctxs[h], classes, rounds,
                                            len(rounds) - 1)
                 allowed_at.append((ctxs[h], ctxs[h].intern(cols)))
-            table = _classes(g, i)
+            table = classes[i]
             new[i] = frozenset(c for c in rounds[-1][i]
                                if _rational(table, c, allowed_at))
             assert new[i], "no rationalizable strategy for player %d" % i
@@ -512,8 +518,9 @@ def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[Pure
 
 def _oracle_columns(ctx: _SetContext, rounds: list[dict[Player, list]],
                     upto: int) -> tuple:
-    """The engine's allowed columns, read off the survivors' action
-    vectors one by one instead of through the realization classes."""
+    """The allowed columns of every survivor's key, read off the
+    survivors' action vectors one by one; the engine reads only the first
+    members of their classes."""
     for m in range(upto, -1, -1):
         keys = [dict.fromkeys(map(get, rounds[m][j]))
                 for j, get in zip(ctx.opponents, ctx.opp_keys)]

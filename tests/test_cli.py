@@ -129,16 +129,19 @@ def test_sce_search_finds_holding_profile(game_file, capsys):
     assert payload["holds"] is True
 
 
+# a pure profile of ex1_discovered that is self-confirming
+PURE_PROFILE = {"profile": {
+    "1": {"pure": [
+        {"host": "Tbar", "members": [0], "action": "r1"}]},
+    "2": {"pure": [
+        {"host": "Tbar", "members": [1], "action": "m2"},
+        {"host": "T", "members": [1], "action": "r2"}]},
+}}
+
+
 def test_sce_with_profile_file(game_file, tmp_path, capsys):
-    profile = {"profile": {
-        "1": {"pure": [
-            {"host": "Tbar", "members": [0], "action": "r1"}]},
-        "2": {"pure": [
-            {"host": "Tbar", "members": [1], "action": "m2"},
-            {"host": "T", "members": [1], "action": "r2"}]},
-    }}
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(profile))
+    path.write_text(json.dumps(PURE_PROFILE))
     status, payload = run_json(capsys, "sce", game_file("ex1_discovered"),
                                "--mode", "pure", "--profile", str(path))
     assert status == 0 and payload["holds"]
@@ -186,6 +189,24 @@ def test_sce_malformed_profile_exits_2(doc, game_file, tmp_path, capsys):
                            "--mode", "behavior", "--profile", str(path))
     assert status == 2 and not out
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda p: p["2"]["pure"][0].update(members=[1.25]),
+    lambda p: p["2"]["pure"][0].update(members=[True]),
+    lambda p: p.update({" 1": p.pop("1")}),
+], ids=["member-float", "member-bool", "player-key-padded"])
+def test_sce_profile_ids_must_be_integers(damage, game_file, tmp_path,
+                                          capsys):
+    # each damaged id reads, through int(), as the holding PURE_PROFILE
+    profile = json.loads(json.dumps(PURE_PROFILE))
+    damage(profile["profile"])
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    status, out, err = run(capsys, "sce", game_file("ex1_discovered"),
+                           "--mode", "pure", "--profile", str(path))
+    assert status == 2 and not out
+    assert err.startswith("error: ") and "bad id" in err
 
 
 def test_construct_sce_three_players_exits_2(tmp_path, capsys):
@@ -257,12 +278,18 @@ def _slots(x, path=()):
 
 
 def _mutate(doc, path, op, value):
-    """Drop, retype or duplicate the field at path."""
+    """Drop, retype or duplicate the field at path, or write it as an id in
+    a wrong form: an integer as a float, a decimal key padded."""
     *head, last = path
     parent = doc
     for k in head:
         parent = parent[k]
-    if op == "drop":
+    if op == "id":
+        if type(parent[last]) is int:
+            parent[last] = float(parent[last])
+        elif isinstance(last, str) and last.isdecimal():
+            parent[" " + last] = parent.pop(last)
+    elif op == "drop":
         del parent[last]
     elif op == "retype":
         parent[last] = json.loads(json.dumps(value))
@@ -275,13 +302,18 @@ def _mutate(doc, path, op, value):
 @given(name=st.sampled_from(FUZZ_FIXTURES), data=st.data())
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 def test_mutated_documents_fail_only_as_documented(name, data):
-    doc = json.loads(serialize_game(load(name)))
+    original = serialize_game(load(name))
+    doc = json.loads(original)
+    done = []
     for _ in range(data.draw(st.integers(1, 3))):
         slots = sorted(_slots(doc), key=repr)
         if slots:
-            _mutate(doc, data.draw(st.sampled_from(slots)),
-                    data.draw(st.sampled_from(["drop", "retype", "dup"])),
-                    data.draw(st.sampled_from(FUZZ_VALUES)))
+            done.append((data.draw(st.sampled_from(slots)),
+                         data.draw(st.sampled_from(["drop", "retype", "dup",
+                                                    "id"]))))
+            _mutate(doc, *done[-1], data.draw(st.sampled_from(FUZZ_VALUES)))
+        if done[0][1] == "id":
+            break   # a first id mutation stays alone
     text = json.dumps(doc)
     try:
         parse_game(text)
@@ -295,3 +327,8 @@ def test_mutated_documents_fail_only_as_documented(name, data):
         with open(path, "w") as f:
             f.write(text)
         assert main(["validate", path]) == want
+    # an id in a wrong form is refused, never read as another game
+    (path, op), *_ = done
+    if op == "id" and path != ("format_version",) \
+            and json.loads(original) != json.loads(text, parse_float=str):
+        assert want == 2

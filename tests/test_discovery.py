@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from ugt.cli import POLICY
 from ugt.core import NATURE, Game, InfoSet, StructuralError, validate_game
 from ugt.discovery import (
     _discovered_along,
@@ -257,10 +258,13 @@ def reference_classes(g, policy):
 SMALL = [n for n in FIXTURES if not n.startswith("bos_repeated")]
 
 
-@pytest.mark.parametrize("name,policy", [
+# policy cases are named by the CLI's --policy options, which POLICY maps
+# to the library's policy names
+@pytest.mark.parametrize("name,option", [
     *[(n, p) for n in SMALL for p in ("all", "efr", "rational")],
     ("bos_repeated", "efr"), ("bos_repeated", "rational")])
-def test_edges_depend_only_on_paths(name, policy):
+def test_edges_depend_only_on_paths(name, option):
+    policy = POLICY[option]
     sg = build_supergame(load(name), policy)
     for k, by_path in sg.edges.items():
         g = sg.states[k]
@@ -274,11 +278,12 @@ def test_edges_depend_only_on_paths(name, policy):
             assert discovered_version(g, s) == sg.states[j]
 
 
-@pytest.mark.parametrize("policy", ["all", "efr", "rational"])
+@pytest.mark.parametrize("option", ["all", "efr", "rational"])
 @pytest.mark.parametrize("name", SMALL)
-def test_listed_profiles_group_like_their_policy(name, policy):
+def test_listed_profiles_group_like_their_policy(name, option):
     """A callable policy's explicit list is grouped one profile at a time
     and must give the supergame of the named policy it lists."""
+    policy = POLICY[option]
     sg = build_supergame(load(name), policy)
     listed = build_supergame(load(name),
                              lambda g: allowed_profiles(g, policy))
@@ -335,7 +340,7 @@ def test_policy_pools_are_the_efr_rounds(name):
     g = load(name)
     trace = efr(g)
     for policy, pools in (("efr", trace.surviving()),
-                          ("rational", trace.rounds[1])):
+                          ("rational_only", trace.rounds[1])):
         players, vectors = _vector_pools(g, policy)
         for j, pool in zip(players, vectors):
             want = pure_strategies(g, j) if j == NATURE else pools[j]
@@ -345,8 +350,9 @@ def test_policy_pools_are_the_efr_rounds(name):
 def test_unknown_policy_is_rejected():
     g = ex2_initial()
     for call in (allowed_profiles, build_supergame, run_discovery):
-        with pytest.raises(ValueError):
-            call(g, "bogus")
+        for policy in ("bogus", "rational"):
+            with pytest.raises(ValueError):
+                call(g, policy)
 
 
 @pytest.mark.parametrize("case", ["missing player", "wrong owner",
@@ -607,7 +613,8 @@ def pinned_game(name):
                                 tree_count=3, **extra)
 
 
-# taken with the supergame that deduplicated states by canonical_key()
+# keyed by game and --policy option; taken with the supergame that
+# deduplicated states by canonical_key()
 PINNED = {
     "bos_aware|all": "b7f040fbfd5551cd",
     "bos_aware|efr": "d4f18e19cffa0c4f",
@@ -669,8 +676,8 @@ PINNED = {
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_supergame_outputs_are_pinned(case):
-    name, policy = case.split("|")
-    assert supergame_digest(pinned_game(name), policy) == PINNED[case]
+    name, option = case.split("|")
+    assert supergame_digest(pinned_game(name), POLICY[option]) == PINNED[case]
 
 
 def test_successors_are_built_without_public_construction(monkeypatch):

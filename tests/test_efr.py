@@ -1,6 +1,9 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from ugt.core import NATURE, InfoSet
+from ugt.core import NATURE, Game, InfoSet, NodeData
 from ugt.discovery import build_supergame
 from ugt.fixtures import (
     bos_aware,
@@ -20,7 +23,9 @@ from ugt.fixtures import (
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     OracleCapExceeded,
+    _class_rounds,
     _classes,
+    _contexts,
     best_reply_exists,
     efr,
     efr_oracle,
@@ -434,6 +439,96 @@ def test_generated_reads_stay_in_reached_positions(shape):
     assert sum(assert_reads_stay_in_reached_positions(generate_random_game(
         seed=seed, depth=3, branching=2, tree_count=3,
         **GENERATED.get(shape, {}))) for seed in range(20))
+
+
+def play(g, t, prof):
+    """The terminal node of tree t under a profile of action vectors."""
+    table, n = play_table(g, t), g.root(t)
+    while n in table:
+        n = g.children_in(t, n)[tuple(prof[j][p] for j, p in table[n])]
+    return n
+
+
+def assert_columns_lose_no_play(g):
+    """Every column of the opponents' alive members (each opponent's keys
+    in pool order) reaches the set, and plays the host tree against every
+    own class, exactly like the kept column of their classes' first
+    members; the kept columns are a subsequence of all of them.  Returns
+    the number of member columns checked."""
+    ctxs = _contexts(g)
+    tables = {j: _classes(g, j) for j in acting_players(g)}
+    checked = 0
+    for rd in _class_rounds(g):
+        for i in g.players:
+            for hh in g.decision_sets(i):
+                ctx = ctxs[hh]
+                kept = ctx.columns(tables,
+                                   tuple(rd[j] for j in ctx.opponents))
+                members = [[(v, tables[j].first[c])
+                            for v, c in tables[j].of.items() if c in rd[j]]
+                           for j in ctx.opponents]
+                expanded = [c for c in itertools.product(*(
+                    dict.fromkeys(get(v) for v, _ in vs)
+                    for get, vs in zip(ctx.opp_keys, members)))
+                    if ctx.column_reaches(c)]
+                rest = iter(expanded)
+                assert all(c in rest for c in kept), hh
+                # per opponent, one member per (key, first member's key)
+                pairs = [dict(((get(v), get(f)), (v, f)) for v, f in vs[::-1])
+                         for get, vs in zip(ctx.opp_keys, members)]
+                for combo in itertools.product(*(p.values() for p in pairs)):
+                    col = tuple(get(v) for get, (v, _) in
+                                zip(ctx.opp_keys, combo))
+                    first = tuple(get(f) for get, (_, f) in
+                                  zip(ctx.opp_keys, combo))
+                    assert ctx.column_reaches(col) == \
+                        ctx.column_reaches(first), (hh, col)
+                    checked += 1
+                    if not ctx.column_reaches(col):
+                        continue
+                    assert first in kept, (hh, col)
+                    for own in tables[i].first:
+                        assert play(g, hh.host, {i: own, **{
+                            j: v for j, (v, _) in zip(ctx.opponents, combo)
+                        }}) == play(g, hh.host, {i: own, **{
+                            j: f for j, (_, f) in zip(ctx.opponents, combo)
+                        }}), (hh, col, own)
+    return checked
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_columns_lose_no_play(name):
+    assert assert_columns_lose_no_play(load(name))
+
+
+@pytest.mark.parametrize("shape", ["plain", "nature", "3p"])
+def test_generated_columns_lose_no_play(shape):
+    assert sum(assert_columns_lose_no_play(generate_random_game(
+        seed=seed, depth=3, branching=2, tree_count=3,
+        **GENERATED.get(shape, {}))) for seed in range(20))
+
+
+def test_best_reply_only_to_a_mixed_belief_survives():
+    """Player 1's D is beaten under every point belief on player 2's L, M
+    and R, yet is a best reply to (1/2, 1/2, 0); player 2 is indifferent."""
+    pay = {"A": (3, 0, 0), "B": (0, 3, 0), "C": (0, 0, 3), "D": (2, 2, -10)}
+    labels = {1: tuple(pay), 2: ("L", "M", "R")}
+    nodes, children = {}, {}
+    for n, (a, b) in enumerate(itertools.product(*labels.values()), start=1):
+        children[(a, b)] = n
+        nodes[n] = NodeData(parent=0, payoffs={
+            1: Fraction(pay[a][labels[2].index(b)]), 2: Fraction(0)})
+    nodes[0] = NodeData(parent=None, players=(1, 2), actions=labels,
+                        children=children)
+    info = {(i, "G", n): InfoSet(i, "G", (n,)) for i in (1, 2) for n in nodes}
+    g = Game((1, 2), {"G": nodes}, nodes, info)
+    root = h(1, "G", (0,))
+    d = PureStrategy(1, ((root, "D"),))
+    col = {b: {2: PureStrategy(2, ((h(2, "G", (0,)), b),))}
+           for b in labels[2]}
+    assert not any(best_reply_exists(g, 1, root, d, [p]) for p in col.values())
+    assert best_reply_exists(g, 1, root, d, [col["L"], col["M"]])
+    assert actions(efr_sets(g)[1], root) == set(pay)
 
 
 def assert_rounds_match_per_strategy_reference(g):

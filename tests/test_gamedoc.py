@@ -116,6 +116,17 @@ def _first_labels(doc, field):
     return [c["profile"] for c in nd["children"]]
 
 
+def _child(doc):
+    """The first node with a parent."""
+    return next(nd for nd in doc["nodes"].values() if nd["parent"] is not None)
+
+
+def _rekey(d, key, new):
+    d[new] = d.pop(key)
+
+
+# the id damages, from player-float on, each read through int() as the
+# undamaged game
 @pytest.mark.parametrize("damage", [
     lambda doc: doc.update(nodes=list(doc["nodes"].values())),
     lambda doc: doc.update(trees=list(doc["trees"].values())),
@@ -126,8 +137,17 @@ def _first_labels(doc, field):
     lambda doc: doc.update(trees={}, info=[]),
     lambda doc: _first_labels(doc, "actions")[0].__setitem__(0, []),
     lambda doc: _first_labels(doc, "children")[0].__setitem__(0, {}),
+    lambda doc: doc["players"].__setitem__(0, doc["players"][0] + 0.7),
+    lambda doc: doc["players"].__setitem__(0, True),
+    lambda doc: _child(doc).update(parent=_child(doc)["parent"] + 0.9),
+    lambda doc: doc["info"][0]["members"].__setitem__(0, 0.0),
+    lambda doc: _rekey(doc["nodes"], "1", " 1"),
+    lambda doc: _rekey(next(nd["payoffs"] for nd in doc["nodes"].values()
+                            if nd["payoffs"]), "1", "01"),
 ], ids=["nodes-list", "trees-list", "node-null", "actions-list",
-        "host-list", "no-trees", "action-label-list", "profile-label-object"])
+        "host-list", "no-trees", "action-label-list", "profile-label-object",
+        "player-float", "player-bool", "parent-float", "member-whole-float",
+        "node-key-padded", "payoff-key-padded"])
 def test_wrong_document_shape_is_semantic(damage):
     doc = json.loads(serialize_game(load("ex1_initial")))
     damage(doc)
