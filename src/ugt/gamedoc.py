@@ -135,7 +135,8 @@ def parse_game(text: str) -> Game:
     if not isinstance(doc, dict):
         raise DocSemanticError("document is not an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # a JSON integer that is not a boolean, as for ids: 1.0 and true are not 1
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DocSemanticError("unsupported format_version %r" % (version,))
     for field in ("players", "trees", "nodes", "info"):
         if field not in doc:

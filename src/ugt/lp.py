@@ -1,30 +1,38 @@
 """Exact rational linear feasibility via phase-1 simplex.
 
 Decides whether {x >= 0 : A_eq x = b_eq, A_ub x <= b_ub} is nonempty and
-returns a witness.  Everything runs over Fraction; Bland's rule guarantees
-termination.  Problem sizes in this package are tiny (tens of variables), so
-a dense tableau is fine.
+returns a witness.  Entries are int or Fraction; anything else (a float, a
+string) raises TypeError.  Bland's rule guarantees termination, and the
+problems here are tiny, so the tableau is dense.  It holds integers only
+(integer-preserving elimination, Edmonds 1967, Bareiss 1968): all rows are
+scaled by the lcm of the entries' denominators, slack and artificial columns
+get coefficient 1, and the rational tableau is the integer one over d, the
+current basis determinant in absolute value.  A pivot on p maps each other
+row, the objective's too, to (p*row - row[c]*pivot_row) // d, which divides
+exactly, then sets d to p.  One scale for all rows keeps the phase-1
+objective a positive multiple of the rational one, and every sign and ratio
+is the rational tableau's, so pivots and witnesses match a Fraction simplex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 Row = Sequence[Fraction]
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def solve_feasibility(n: int,
                       a_eq: Sequence[Row] = (), b_eq: Sequence = (),
                       a_ub: Sequence[Row] = (), b_ub: Sequence = ()
                       ) -> Optional[list[Fraction]]:
-    """A nonnegative solution of the system, or None when infeasible.
-
-    Inequality rows that every x >= 0 satisfies (no positive coefficient,
-    b >= 0) and repeated ones are dropped first; this is exact, as a witness
-    of the remaining rows satisfies them too.
+    """A nonnegative solution of the system, or None when infeasible;
+    ValueError for a row whose length is not n, TypeError for an entry not
+    of type int or Fraction.  Inequality rows that every x >= 0 satisfies
+    (no positive coefficient, b >= 0) and repeated ones are dropped first;
+    this is exact, as a witness of the remaining rows satisfies them.
     """
     eqs = list(zip(a_eq, b_eq))
     ubs = list(zip(a_ub, b_ub))
@@ -32,88 +40,80 @@ def solve_feasibility(n: int,
         if len(row) != n:
             raise ValueError("row %d has length %d, expected %d"
                              % (k, len(row), n))
-    # insertion-ordered and duplicate-free
-    kept = dict.fromkeys(
-        (tuple(Fraction(v) for v in row), Fraction(b)) for row, b in ubs)
-    ineqs = [(row, b) for row, b in kept if b < 0 or any(v > 0 for v in row)]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    n_slack = len(ineqs)
-    for k, (row, b) in enumerate(eqs + ineqs):
-        full = [Fraction(v) for v in row] + [ZERO] * n_slack
-        if k >= len(eqs):
-            full[n + (k - len(eqs))] = ONE
-        b = Fraction(b)
-        if b < 0:
-            full = [-v for v in full]
-            b = -b
-        rows.append(full)
-        rhs.append(b)
-
-    m = len(rows)
+    flat = [v for row, b in eqs + ubs for v in (*row, b)]
+    if not {type(v) for v in flat} <= {int, Fraction}:
+        raise TypeError("entries must be of type int or Fraction")
+    # every row and its right-hand side as integers over one denominator
+    den = lcm(*(v.denominator for v in flat))
+    ints = [v.numerator * (den // v.denominator) for v in flat]
+    rows = [ints[k:k + n + 1] for k in range(0, len(ints), n + 1)]
+    # inequalities insertion-ordered and duplicate-free
+    kept = dict.fromkeys(map(tuple, rows[len(eqs):]))
+    ineqs = [r for r in kept if r[-1] < 0 or any(v > 0 for v in r[:-1])]
+    system = rows[:len(eqs)] + ineqs
+    m = len(system)
     if m == 0:
         return [ZERO] * n
-    total = n + n_slack + m  # artificials at the end
+    cols = n + len(ineqs)  # then the artificials, then the right-hand side
+    total = cols + m
     tableau = []
-    basis = []
-    for k, row in enumerate(rows):
-        art = [ZERO] * m
-        art[k] = ONE
-        tableau.append(row + art + [rhs[k]])
-        basis.append(n + n_slack + k)
+    for k, r in enumerate(system):
+        sign = -1 if r[-1] < 0 else 1
+        full = [sign * v for v in r[:-1]] + [0] * (total - n) + [sign * r[-1]]
+        if k >= len(eqs):
+            full[n + k - len(eqs)] = sign
+        full[cols + k] = 1
+        tableau.append(full)
     # phase-1 objective: minimize the sum of artificials; the canonical
-    # reduced-cost row is minus the sum of the constraint rows on
-    # non-artificial columns
-    obj = [ZERO] * (total + 1)
-    for row in tableau:
-        for j in range(total + 1):
-            obj[j] -= row[j]
-    for k in range(m):
-        obj[n + n_slack + k] = ZERO
+    # reduced-cost row, kept last, is minus the sum of the constraint rows
+    # on non-artificial columns
+    obj = [-sum(col) for col in zip(*tableau)]
+    tableau.append(obj[:cols] + [0] * m + obj[total:])
+    basis = list(range(cols, total))
+    d = 1
 
     def pivot(r: int, c: int) -> None:
-        piv = tableau[r][c]
-        tableau[r] = [v / piv for v in tableau[r]]
-        for idx in range(m):
-            if idx != r and tableau[idx][c] != 0:
-                f = tableau[idx][c]
-                tableau[idx] = [v - f * w for v, w in zip(tableau[idx], tableau[r])]
-        if obj[c] != 0:
-            f = obj[c]
-            for j in range(total + 1):
-                obj[j] -= f * tableau[r][j]
+        nonlocal d
+        p, prow = tableau[r][c], tableau[r]
+        for i, row in enumerate(tableau):
+            f = row[c]
+            if i != r and (f or p != d):
+                tableau[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
+        d = abs(p)
+        if p < 0:  # a drive-out pivot; keep d positive
+            tableau[:] = [[-v for v in row] for row in tableau]
         basis[r] = c
 
     while True:
-        entering = next((j for j in range(total) if obj[j] < 0), None)
+        entering = next((j for j in range(total) if tableau[m][j] < 0), None)
         if entering is None:
             break
-        # ratio test, ties broken by smallest basis index (Bland)
+        # ratio test by cross-multiplication, ties to the smallest basis index
         best = None
         for r in range(m):
             a = tableau[r][entering]
-            if a > 0:
-                ratio = tableau[r][-1] / a
-                key = (ratio, basis[r])
-                if best is None or key < best[0]:
-                    best = (key, r)
+            if a <= 0:
+                continue
+            if best is not None:
+                s = tableau[r][-1] * best_a - tableau[best][-1] * a
+                if s > 0 or s == 0 and basis[r] > basis[best]:
+                    continue
+            best, best_a = r, a
         if best is None:
             raise ArithmeticError("phase-1 objective unbounded below")
-        pivot(best[1], entering)
+        pivot(best, entering)
 
-    if -obj[-1] != 0:  # minimal artificial mass
+    if tableau[m][-1] != 0:  # minimal artificial mass
         return None
     # drive any residual artificial out of the basis (degenerate rows)
     for r in range(m):
-        if basis[r] >= n + n_slack:
-            c = next((j for j in range(n + n_slack) if tableau[r][j] != 0), None)
+        if basis[r] >= cols:
+            c = next((j for j in range(cols) if tableau[r][j] != 0), None)
             if c is not None:
                 pivot(r, c)
-    x = [ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[r][-1]
-    return x
+    at = {b: r for r, b in enumerate(basis)}
+    return [Fraction(tableau[at[j]][-1], d) if j in at else ZERO
+            for j in range(n)]
 
 
 def check_solution(x: Sequence[Fraction], n: int,

@@ -55,6 +55,17 @@ def test_validate_wrong_shape(tmp_path, capsys):
     assert "nodes is not an object" in err
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_validate_format_version_not_an_integer(version, tmp_path, capsys):
+    doc = json.loads(serialize_game(load("ex1_initial")))
+    doc["format_version"] = version
+    path = tmp_path / "version.game.json"
+    path.write_text(json.dumps(doc))
+    status, _, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert "unsupported format_version" in err
+
+
 def test_validate_unhashable_action_label(tmp_path, capsys):
     doc = json.loads(serialize_game(load("ex2_initial")))
     doc["nodes"]["0"]["actions"]["1"][0] = []
@@ -304,6 +315,8 @@ def _mutate(doc, path, op, value):
 def test_mutated_documents_fail_only_as_documented(name, data):
     original = serialize_game(load(name))
     doc = json.loads(original)
+    # the version as the integer 1, or as a value equal to it that is not
+    doc["format_version"] = data.draw(st.sampled_from([1, 1, 1, 1.0, True]))
     done = []
     for _ in range(data.draw(st.integers(1, 3))):
         slots = sorted(_slots(doc), key=repr)
@@ -327,8 +340,12 @@ def test_mutated_documents_fail_only_as_documented(name, data):
         with open(path, "w") as f:
             f.write(text)
         assert main(["validate", path]) == want
-    # an id in a wrong form is refused, never read as another game
+    # an id or a version in a wrong form is refused, never read as another
+    # game
+    version = json.loads(text).get("format_version")
+    if type(version) is not int or version != 1:
+        assert want == 2
     (path, op), *_ = done
-    if op == "id" and path != ("format_version",) \
+    if op == "id" \
             and json.loads(original) != json.loads(text, parse_float=str):
         assert want == 2

@@ -125,8 +125,8 @@ def _rekey(d, key, new):
     d[new] = d.pop(key)
 
 
-# the id damages, from player-float on, each read through int() as the
-# undamaged game
+# the id damages, from player-float to payoff-key-padded, each read through
+# int() as the undamaged game; the version damages compared equal to 1
 @pytest.mark.parametrize("damage", [
     lambda doc: doc.update(nodes=list(doc["nodes"].values())),
     lambda doc: doc.update(trees=list(doc["trees"].values())),
@@ -144,10 +144,13 @@ def _rekey(d, key, new):
     lambda doc: _rekey(doc["nodes"], "1", " 1"),
     lambda doc: _rekey(next(nd["payoffs"] for nd in doc["nodes"].values()
                             if nd["payoffs"]), "1", "01"),
+    lambda doc: doc.update(format_version=True),
+    lambda doc: doc.update(format_version=1.0),
 ], ids=["nodes-list", "trees-list", "node-null", "actions-list",
         "host-list", "no-trees", "action-label-list", "profile-label-object",
         "player-float", "player-bool", "parent-float", "member-whole-float",
-        "node-key-padded", "payoff-key-padded"])
+        "node-key-padded", "payoff-key-padded", "version-bool",
+        "version-float"])
 def test_wrong_document_shape_is_semantic(damage):
     doc = json.loads(serialize_game(load("ex1_initial")))
     damage(doc)
