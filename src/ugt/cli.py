@@ -9,6 +9,7 @@ negative verdict, and 2 for errors (bad files, bad arguments).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -268,7 +269,10 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call reuses it."""
     p = argparse.ArgumentParser(
         prog="ugt",
         description="analysis of extensive-form games with unawareness")

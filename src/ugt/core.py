@@ -91,7 +91,8 @@ class Game:
     action vectors; per tree the play table, each decision node's (player,
     position) pairs; the path constraints of ``reaches``; host closures;
     per acting player the classes of its pure strategies; the EFR set
-    contexts, trace and per-round classes.
+    contexts, trace and per-round classes; and per player and awareness
+    tree the info entries discovery rewrites.
     Memos fill as queries arrive and are never invalidated, as the fields
     never change.  Neither part holds a reference to a game, so reference
     counting alone frees a dropped game.
@@ -397,6 +398,8 @@ class _Index:
         self.plays, self.requirements, self.hosts = {}, {}, {}
         # acting player -> its classes
         self.classes = {}
+        # (player, tree) -> the info entries discovery rewrites for them
+        self.rewrites = {}
         self.efr_contexts = self.efr_trace = self.efr_classes = None
 
 

@@ -75,34 +75,44 @@ def discovered_version(g: Game, s: PureProfile) -> Game:
 
 
 def _discovered_along(g: Game, path: Sequence[NodeId]) -> Game:
-    tbar, info, trees = g.tbar, g.info, g.trees
     changed = {}
     for i in g.players:
-        t_i = _awareness_along(g, path, i)
-        richer, poorer = g._above_below(t_i)
-        # each of i's sets at T^i, by host and members -> its nodes in T^i
-        lifted: dict[tuple, list[NodeId]] = {}
-        for n2 in sorted(trees[t_i]):
-            h = info.get((i, t_i, n2))
-            if h is not None:
-                lifted.setdefault((h.host, h.members), []).append(n2)
-        for key in g._own_keys(i):
-            t2, n = key[1], key[2]
-            anchor = info[(i, tbar, n)]
-            if anchor.host not in poorer:
-                continue  # the revelation does not cover this set
-            got = lifted.get((anchor.host, anchor.members), ())
-            if t2 in richer:
-                host, members = t_i, tuple(got)
-            elif t2 in poorer:
-                ns = trees[t2]
-                host, members = t2, tuple(x for x in got if x in ns)
-            else:
-                continue  # incomparable trees: unchanged
-            old = info[key]
-            if old.host != host or old.members != members:
-                changed[key] = InfoSet(i, host, members)
+        changed.update(_rewrite(g, i, _awareness_along(g, path, i)))
     return g._with_info(changed) if changed else g
+
+
+def _rewrite(g: Game, i: Player, t_i: TreeId) -> dict:
+    """The entries of ``info`` that move when player i's view grows to
+    t_i, each with its new set; computed once per game, player and tree."""
+    out = g._ix.rewrites.get((i, t_i))
+    if out is not None:
+        return out
+    tbar, info, trees = g.tbar, g.info, g.trees
+    richer, poorer = g._above_below(t_i)
+    # each of i's sets at T^i, by host and members -> its nodes in T^i
+    lifted: dict[tuple, list[NodeId]] = {}
+    for n2 in sorted(trees[t_i]):
+        h = info.get((i, t_i, n2))
+        if h is not None:
+            lifted.setdefault((h.host, h.members), []).append(n2)
+    out = g._ix.rewrites[(i, t_i)] = {}
+    for key in g._own_keys(i):
+        t2, n = key[1], key[2]
+        anchor = info[(i, tbar, n)]
+        if anchor.host not in poorer:
+            continue  # the revelation does not cover this set
+        got = lifted.get((anchor.host, anchor.members), ())
+        if t2 in richer:
+            host, members = t_i, tuple(got)
+        elif t2 in poorer:
+            ns = trees[t2]
+            host, members = t2, tuple(x for x in got if x in ns)
+        else:
+            continue  # incomparable trees: unchanged
+        old = info[key]
+        if old.host != host or old.members != members:
+            out[key] = InfoSet(i, host, members)
+    return out
 
 
 @dataclass

@@ -12,9 +12,13 @@ reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
 of the opposing classes give every column that plays differently.  The
 engine decides per-set optimality by exact linear feasibility over a
-payoff matrix (continuations x allowed opposing profiles).  ``efr_oracle``
-recomputes everything by explicitly assembling whole belief systems with
-Bayes conditioning enforced; it is exponential and guarded by a cap.
+payoff matrix (continuations x allowed opposing profiles).  Each column of
+the matrix comes from one walk of the host tree that branches only at the
+deviation sets the play meets, and its entries are the player's payoffs
+times one positive integer per set, so they compare and pivot as ints.
+``efr_oracle`` recomputes everything by explicitly assembling whole belief
+systems with Bayes conditioning enforced; it is exponential and guarded by
+a cap.
 """
 
 from __future__ import annotations
@@ -103,8 +107,12 @@ class _SetContext:
         self.kids = g._st.children[t]
         self.table = play_table(g, t)
         self.root = g.root(t)
-        self.payoff = {n: g.nodes[n].payoffs[i]
-                       for n, kids in self.kids.items() if not kids}
+        # i's payoffs at the terminals, times one positive integer scale
+        pays = {n: g.nodes[n].payoffs[i]
+                for n, kids in self.kids.items() if not kids}
+        scale = math.lcm(*(x.denominator for x in pays.values()))
+        self.payoff = {n: x.numerator * (scale // x.denominator)
+                       for n, x in pays.items()}
         pos = set_positions(g, i)
         dev_sets = deviation_sets(g, i, h)
         self.menus = [g.set_actions(x) for x in dev_sets]
@@ -205,12 +213,26 @@ class _SetContext:
         self._allowed.setdefault(aid, cols)
         return aid
 
-    def _play(self, prof: Mapping[Player, tuple]) -> NodeId:
+    def _walk(self, prof: Mapping[Player, list], n: NodeId):
+        """The host tree played from n under prof, whose own vector holds
+        None at the deviation positions not fixed yet: the terminal reached,
+        or at the first such position met, (its deviation index, per action
+        the walk with that action fixed)."""
         kids, table = self.kids, self.table
-        n = self.root
         pairs = table.get(n)
         while pairs is not None:
-            n = kids[n][tuple([prof[j][p] for j, p in pairs])]
+            acts = tuple([prof[j][p] for j, p in pairs])
+            if None in acts:
+                w = prof[self.i]
+                p = next(p for j, p in pairs if j == self.i)
+                k = self.dev.index(p)
+                branches = {}
+                for a in self.menus[k]:
+                    w[p] = a
+                    branches[a] = self._walk(prof, n)
+                w[p] = None
+                return k, branches
+            n = kids[n][acts]
             pairs = table.get(n)
         return n
 
@@ -219,24 +241,38 @@ class _SetContext:
         by all strategies with the same choices before the set: each
         continuation's index into the distinct rows, those rows, the
         column maxima, the distinct rows no other row dominates (only those
-        can constrain a belief) and a verdict slot per distinct row."""
+        can constrain a belief) and a verdict slot per distinct row.
+
+        Each allowed column plays the host tree once, with v's choices off
+        the deviation positions, branching only at the deviation positions
+        the play meets; a continuation's cell is the terminal its actions
+        select in that walk.  Rows are compared first as tuples of terminal
+        ids, then as payoffs, which are integers (``payoff``)."""
         key = (self.prefix_key(v), aid)
         got = self._matrices.get(key)
         if got is not None:
             return got
-        cells = [dict(self._profiles[c]) for c in self._allowed[aid]]
         w = list(v)
+        for p in self.dev:
+            w[p] = None
+        walks = [self._walk({**self._profiles[c], self.i: w}, self.root)
+                 for c in self._allowed[aid]]
         index: dict[tuple, int] = {}
         at = {}
         for combo in itertools.product(*self.menus):
-            for p, a in zip(self.dev, combo):
-                w[p] = a
-            own = tuple(w)
-            for prof in cells:
-                prof[self.i] = own
-            row = tuple([self.payoff[self._play(prof)] for prof in cells])
-            at[combo] = index.setdefault(row, len(index))
-        rows = list(index)
+            ids = []
+            for x in walks:
+                while type(x) is tuple:
+                    x = x[1][combo[x[0]]]
+                ids.append(x)
+            at[combo] = index.setdefault(tuple(ids), len(index))
+        pay = self.payoff
+        distinct: dict[tuple, int] = {}
+        of = [distinct.setdefault(tuple([pay[n] for n in ids]), len(distinct))
+              for ids in index]
+        if len(distinct) < len(index):
+            at = {combo: of[r] for combo, r in at.items()}
+        rows = list(distinct)
         col_max = tuple(map(max, zip(*rows)))
         kept = [r for r in rows
                 if not any(o != r and all(map(ge, o, r)) for o in rows)]

@@ -68,8 +68,8 @@ class BehaviorStrategy:
              mapping: Mapping[InfoSet, Mapping[str, Fraction]]) -> "BehaviorStrategy":
         kernels = []
         for h, dist in sorted(mapping.items()):
-            items = tuple((a, Fraction(p)) for a, p in sorted(dist.items())
-                          if Fraction(p) != 0)
+            items = tuple((a, q) for a, p in sorted(dist.items())
+                          if (q := Fraction(p)) != 0)
             if sum(p for _, p in items) != 1:
                 raise ValueError("kernel at %s does not sum to 1" % h.label())
             kernels.append((h, items))
@@ -98,8 +98,9 @@ class MixedStrategy:
 
     @staticmethod
     def make(weights: Mapping[PureStrategy, Fraction]) -> "MixedStrategy":
-        items = tuple((s, Fraction(w)) for s, w in sorted(
-            weights.items(), key=lambda kv: kv[0].choices) if Fraction(w) != 0)
+        items = tuple((s, q) for s, w in sorted(
+            weights.items(), key=lambda kv: kv[0].choices)
+            if (q := Fraction(w)) != 0)
         if not items or sum(w for _, w in items) != 1:
             raise ValueError("mixed-strategy weights must sum to 1")
         owners = {s.owner for s, _ in items}

@@ -5,7 +5,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ugt import cli
 from ugt.cli import main
+from ugt.discovery import run_discovery
 from ugt.fixtures import load
 from ugt.gamedoc import DocAxiomError, GameDocError, parse_game, serialize_game
 from ugt.randgen import generate_random_game
@@ -266,6 +268,27 @@ def test_missing_file(capsys):
 def test_bad_arguments(capsys):
     assert main(["discover"]) == 2
     capsys.readouterr()
+
+
+def test_reused_parser_keeps_no_state(game_file, monkeypatch, capsys):
+    """One parser serves every call: a refused argv and an explicit option
+    leave nothing behind for the next call."""
+    seeds = []
+
+    def record(g, policy, seed=None):
+        seeds.append(seed)
+        return run_discovery(g, policy, seed=seed)
+
+    monkeypatch.setattr(cli, "run_discovery", record)
+    path = game_file("ex1_initial")
+    assert main(["discover", path, "--policy", "nope"]) == 2
+    for argv, code in [(["--seed", "7", "--steps-out", os.devnull], 0),
+                       ([], 0), (["--seed", "x"], 2), ([], 0)]:
+        status, out, _ = run(capsys, "discover", path, "--policy", "efr",
+                             *argv)
+        assert status == code
+    assert seeds == [7, 0, 0]
+    assert out == "2 states, absorbing reached\n"
 
 
 # ---------------------------------------------------------------------------

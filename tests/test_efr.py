@@ -1,9 +1,12 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
+from operator import eq, ge
 
 import pytest
 
-from ugt.core import NATURE, Game, InfoSet, NodeData
+from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
 from ugt.fixtures import (
     bos_aware,
@@ -557,3 +560,147 @@ def test_generated_rounds_match_per_strategy_reference(shape):
     shrunk = sum(map(assert_rounds_match_per_strategy_reference,
                      generated_games(shape)))
     assert shrunk >= 3
+
+
+# ---------------------------------------------------------------------------
+# the payoff matrix kernel against a replay-from-root reference
+
+
+def reference_matrix(g, ctx, v, aid):
+    """The matrix of ``_SetContext._matrix`` built the direct way: every
+    continuation plays every allowed column from the host tree's root, and
+    rows of Fraction payoffs are deduplicated as they are.  Returns each
+    continuation's row index, the rows, the undominated rows and a verdict
+    per row."""
+    cells = [dict(ctx._profiles[c]) for c in ctx._allowed[aid]]
+    w = list(v)
+    index, at = {}, {}
+    for combo in itertools.product(*ctx.menus):
+        for p, a in zip(ctx.dev, combo):
+            w[p] = a
+        for prof in cells:
+            prof[ctx.i] = tuple(w)
+        row = tuple(g.nodes[play(g, ctx.h.host, prof)].payoffs[ctx.i]
+                    for prof in cells)
+        at[combo] = index.setdefault(row, len(index))
+    rows = list(index)
+    col_max = tuple(map(max, zip(*rows)))
+    kept = [r for r in rows
+            if not any(o != r and all(map(ge, o, r)) for o in rows)]
+    verdicts = [any(map(eq, r, col_max)) or ctx._lp(r, kept) for r in rows]
+    return at, rows, kept, verdicts
+
+
+def assert_matrices_match_reference(g):
+    """Every matrix the engine can build for the first members of each
+    player's classes, over every column set its rounds allowed, matches the
+    reference: the same partition of continuations, rows and undominated
+    rows equal up to the context's integer scale, and the same verdicts.
+    Returns the number of matrices checked."""
+    efr(g)
+    ctxs = _contexts(g)
+    checked = 0
+    for i in g.players:
+        for hh in g.decision_sets(i):
+            ctx, t = ctxs[hh], hh.host
+            scale = math.lcm(*(g.nodes[n].payoffs[i].denominator
+                               for n in g.trees[t] if g.terminal_in(t, n)))
+            seen = set()
+            for v in _classes(g, i).first:
+                for aid in list(ctx._allowed):
+                    if not ctx.strategy_reaches(v) or \
+                            (ctx.prefix_key(v), aid) in seen:
+                        continue
+                    seen.add((ctx.prefix_key(v), aid))
+                    at, rows, _, kept, _ = ctx._matrix(v, aid)
+                    want_at, want_rows, want_kept, verdicts = \
+                        reference_matrix(g, ctx, v, aid)
+                    assert at == want_at, hh
+                    assert rows == [tuple(x * scale for x in r)
+                                    for r in want_rows], hh
+                    assert kept == [tuple(x * scale for x in r)
+                                    for r in want_kept], hh
+                    assert all(type(x) is int for r in rows for x in r)
+                    for combo, r in at.items():
+                        w = list(v)
+                        for p, a in zip(ctx.dev, combo):
+                            w[p] = a
+                        assert ctx.optimal_for_some_belief(tuple(w), aid) \
+                            == verdicts[r], (hh, combo)
+                    checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_matrices_match_reference(name):
+    assert assert_matrices_match_reference(load(name))
+
+
+@pytest.mark.parametrize("shape", ["plain", "nature", "3p"])
+def test_generated_matrices_match_reference(shape):
+    assert sum(assert_matrices_match_reference(generate_random_game(
+        seed=seed, depth=3, branching=2, tree_count=3,
+        **GENERATED.get(shape, {}))) for seed in range(12))
+
+
+def simultaneous_deviation_game():
+    """Players 1 and 2 move at once at the root (U/D, l/r); after U they
+    move at once again, player 1 not knowing 2's first move (a/b against
+    c/d after l, e/f after r).
+    Player 1's root set and its second set are both met at simultaneous
+    nodes, and payoffs have denominators 2, 3 and 5."""
+    nodes, info = {}, {}
+    first = {(x, y): n for n, (x, y) in enumerate(
+        itertools.product("UD", "lr"), start=1)}
+    nodes[0] = NodeData(parent=None, players=(1, 2),
+                        actions={1: ("U", "D"), 2: ("l", "r")},
+                        children=first)
+    z = 5
+    for (x, y), n in first.items():
+        if x == "D":
+            nodes[n] = NodeData(parent=0, payoffs={
+                1: Fraction(1 + (y == "r"), 2), 2: Fraction(1, 3)})
+            continue
+        second, menu = {}, ("c", "d") if y == "l" else ("e", "f")
+        for a, c in itertools.product("ab", menu):
+            second[(a, c)] = z
+            nodes[z] = NodeData(parent=n, payoffs={
+                1: Fraction(3 * (a == "a") + (c in "df") + (y == "r"), 3),
+                2: Fraction(2 * (c in "ce") + (a == "b"), 5)})
+            z += 1
+        nodes[n] = NodeData(parent=0, players=(1, 2),
+                            actions={1: ("a", "b"), 2: menu},
+                            children=second)
+    after_u = tuple(first[("U", y)] for y in "lr")
+    for n in nodes:
+        for i in (1, 2):
+            members = after_u if i == 1 and n in after_u else (n,)
+            info[(i, "G", n)] = InfoSet(i, "G", members)
+    return Game((1, 2), {"G": nodes}, nodes, info)
+
+
+def test_deviation_sets_met_at_simultaneous_nodes():
+    g = simultaneous_deviation_game()
+    assert validate_game(g).ok
+    ctx = _contexts(g)[h(1, "G", (0,))]
+    table = play_table(g, "G")
+    met = [n for n, pairs in table.items() if len(pairs) == 2
+           and any(j == 1 and p in ctx.dev for j, p in pairs)]
+    assert len(ctx.dev) == 2 and len(met) == 3
+    assert assert_matrices_match_reference(g) >= 3
+    assert {i: set(s) for i, s in efr_sets(g).items()} == \
+        {i: set(s) for i, s in efr_oracle(g).items()}
+
+
+@pytest.mark.parametrize("name", ["ex2_full", "bos_aware", "nature_coin"])
+def test_efr_ignores_a_positive_affine_payoff_change(name):
+    """Rescaling each player's payoffs by a fraction and shifting them
+    changes the contexts' integer scales, not a round."""
+    g = load(name)
+    change = {i: (Fraction(2, 7 + i), Fraction(1, 3 + i)) for i in g.players}
+    nodes = {n: replace(nd, payoffs={i: change[i][0] * x + change[i][1]
+                                     for i, x in nd.payoffs.items()})
+             for n, nd in g.nodes.items()}
+    scaled = Game(g.players, g.trees, nodes, g.info)
+    assert efr(scaled).rounds == efr(g).rounds
+    assert assert_matrices_match_reference(scaled)
