@@ -82,17 +82,17 @@ class Game:
     What is derived from these fields lives in two private parts, built on
     first use.  The structure (``_Structure``) depends on players, trees and
     nodes alone: per tree the restricted children, actions, root and
-    terminal flags; the upmost tree and tree order; joins and the trees
-    above and below each tree; and per player its info keys, which a
-    discovered version keeps.  A discovered version (``_with_info``) shares
-    its parent's structure, and with it the very ``players``, ``trees`` and
-    ``nodes`` objects.  The index (``_Index``) depends on ``info`` and is
-    each game's own: per player the decision sets and their positions in
-    action vectors; per tree the play table, each decision node's (player,
-    position) pairs; the path constraints of ``reaches``; host closures;
-    per acting player the classes of its pure strategies; the EFR set
-    contexts, trace and per-round classes; and per player and awareness
-    tree the info entries discovery rewrites.
+    terminal flags; the upmost tree and tree order; whether nature moves;
+    joins and the trees above and below each tree; and per player its info
+    keys, which a discovered version keeps.  A discovered version
+    (``_with_info``) shares its parent's structure, and with it the very
+    ``players``, ``trees`` and ``nodes`` objects.  The index (``_Index``)
+    depends on ``info`` and is each game's own: per player the decision sets
+    and their positions in action vectors; per tree the play table, each
+    decision node's (player, position) pairs; the path constraints of
+    ``reaches``; host closures; per acting player the classes of its pure
+    strategies; the EFR set contexts, trace and per-round classes; and per
+    player and awareness tree the info entries discovery rewrites.
     Memos fill as queries arrive and are never invalidated, as the fields
     never change.  Neither part holds a reference to a game, so reference
     counting alone frees a dropped game.
@@ -377,6 +377,7 @@ class _Structure:
         self.tree_order = tuple(sorted(trees, key=self.tree_keys.__getitem__))
         # ties between distinct node sets fail validation
         self.tbar = max(trees, key=lambda t: len(trees[t]), default=None)
+        self.nature = any(NATURE in nd.players for nd in nodes.values())
         # tree -> node -> {action profile: child}, restricted to the tree
         self.children = {
             t: {n: {p: c for p, c in nodes[n].children.items() if c in ns}

@@ -22,9 +22,7 @@ from .core import Game, InfoSet, NodeId, Player, TreeId
 from .rationalizability import _class_rounds, _classes
 from .strategies import (
     PureProfile,
-    _check_total,
     acting_players,
-    action_vector,
     play_table,
     profile_key,
     realized_tbar_path,
@@ -182,79 +180,43 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
 
     ``source`` is a named policy, a callable policy, or an explicit list of
     (profile, weight) pairs.  Returns one (path, representative, weight)
-    per path, in the order the paths first appear among the profiles: for
-    a named policy that is ``allowed_profiles`` order, the representative
-    is the first profile with the path and the weight counts the profiles.
-    Explicit profiles weigh as given (those with weight <= 0 are dropped)
-    and must be total (ValueError otherwise); a callable policy's profiles
-    weigh 1.  ``_path_groups`` gives the same classes without building
-    representatives.
-    """
-    players, groups = _path_groups(g, source)
-    return [(path, s, w) for (path, w, _, _), s
-            in zip(groups, _representatives(g, players, groups))]
-
-
-def _path_groups(g: Game, source: Union[Policy, Sequence[tuple]]
-                 ) -> tuple[list[Player], list[tuple]]:
-    """The acting players and, per path class of ``_path_classes`` in the
-    same order, (path, weight, block, first): the block the representative
-    comes from and its index in each pool of the block.  A block is a pair
-    of per-player pools of action vectors and the explicit profile it
-    stands for, None for a named policy.
+    per path, in the order the paths first appear among the profiles; the
+    representative is the first profile with the path, restricted to the
+    acting players.  A named policy's profiles come in ``allowed_profiles``
+    order and a callable policy's in its own, each weighing 1.  Explicit
+    profiles weigh as given (those with weight <= 0 are dropped) and must
+    be total (ValueError otherwise).
 
     A named policy's profiles are never enumerated: the walk descends the
     richest tree once, splitting each mover's pool by its action at the
     node, so a path class is the product of the per-player subsets that
-    reach its terminal node.  An explicit profile is a product of
-    singletons.
+    reach its terminal node.
     """
-    if callable(source):
-        source = [(s, 1) for s in source(g)]
     if isinstance(source, str):
         players, pools = _vector_pools(g, source)
-        blocks = [((pools, None), 1)]
-    else:
-        players = acting_players(g)
-        blocks = []
-        for s, w in source:
-            if w > 0:
-                _check_total(g, s)
-                pools = [[action_vector(g, s[j], j)] for j in players]
-                blocks.append(((pools, s), w))
-    tbar = g.tbar
-    kids, table = g._st.children[tbar], play_table(g, tbar)
-    slot = {j: k for k, j in enumerate(players)}
-    merged: dict[tuple[NodeId, ...], list] = {}
-    for block, w in blocks:
-        pools = block[0]
+        tbar = g.tbar
         found: list = []
-        _walk(kids, table, pools, slot, g.root(tbar),
+        _walk(g._st.children[tbar], play_table(g, tbar), pools,
+              {j: k for k, j in enumerate(players)}, g.root(tbar),
               [range(len(p)) for p in pools], [], found)
+        makers = [vector_strategy(g, j) for j in players]
         # lexicographic first indices give the product order
-        for first, path, count in sorted(found):
+        return [(path, {j: make(pool[x]) for j, make, pool, x
+                        in zip(players, makers, pools, first)}, count)
+                for first, path, count in sorted(found)]
+    if callable(source):
+        source = [(s, 1) for s in source(g)]
+    players = acting_players(g)
+    merged: dict[tuple[NodeId, ...], list] = {}
+    for s, w in source:
+        if w > 0:
+            path = tuple(realized_tbar_path(g, s))
             got = merged.get(path)
             if got is None:
-                merged[path] = [path, count * w, block, first]
+                merged[path] = [path, {j: s[j] for j in players}, w]
             else:
-                got[1] += count * w
-    return players, list(map(tuple, merged.values()))
-
-
-def _representatives(g: Game, players: Sequence[Player],
-                     groups: Sequence[tuple]) -> list[PureProfile]:
-    """The representative profile of each path class of ``_path_groups``."""
-    makers = None
-    out = []
-    for _, _, (pools, given), first in groups:
-        if given is not None:
-            out.append({j: given[j] for j in players})
-            continue
-        if makers is None:
-            makers = [vector_strategy(g, j) for j in players]
-        out.append({j: make(pool[x]) for j, make, pool, x
-                    in zip(players, makers, pools, first)})
-    return out
+                got[2] += w
+    return list(map(tuple, merged.values()))
 
 
 def _walk(kids, table, pools, slot: dict[Player, int], n: NodeId,
@@ -407,25 +369,24 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
         # profiles with the same realized path share their transition, so
         # one discovered version per path class suffices
         moving = []
-        players, groups = _path_groups(g, source)
-        for group in groups:
-            succ = _discovered_along(g, group[0])
-            if succ.info != g.info:
-                moving.append((group, succ))
+        for path, s, w in _path_classes(g, source):
+            succ = _discovered_along(g, path)
+            if succ is not g:
+                moving.append((s, w, succ))
         if not moving:
             return DiscoveryTrace(states, profiles)
         # exact: random() is a multiple of 2**-53, so the pick is exact too
-        weights = [Fraction(group[1]) for group, _ in moving]
+        weights = [Fraction(w) for _, w, _ in moving]
         pick = Fraction(rng.random()) * sum(weights)
         acc = 0
-        chosen, succ = moving[-1]
-        for (group, nxt), w in zip(moving, weights):
+        chosen, _, succ = moving[-1]
+        for (s, _, nxt), w in zip(moving, weights):
             acc += w
             if pick <= acc:
-                chosen, succ = group, nxt
+                chosen, succ = s, nxt
                 break
         states.append(succ)
-        profiles.append(_representatives(g, players, [chosen])[0])
+        profiles.append(chosen)
         assert len(states) <= bound, "discovery trace exceeded its bound"
 
 

@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 from .core import (
     Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
-from .discovery import _hosts_along, _path_groups
+from .discovery import _hosts_along, _path_classes
 from .lp import solve_feasibility
 from .rationalizability import _Classes, _classes, _surviving_classes
 from .strategies import (
@@ -39,7 +39,6 @@ from .strategies import (
     _requirements,
     _sets_along,
     acting_players,
-    action_vector,
     behavior_payoff,
     deviation_sets,
     has_nature,
@@ -104,12 +103,6 @@ def _behavior_vectors(g: Game, pi: Profile) -> dict[Player, tuple]:
         pi = {**pi, NATURE: uniform_nature(g)}
     return _checked_vectors(g, pi, lambda g, x, j: kernel_vector(
         g, _as_behavior(g, x), j))
-
-
-def _point_vector(g: Game, s: PureStrategy, j: Player) -> tuple:
-    """A pure strategy's kernel vector: point masses where it chooses."""
-    return tuple(None if a is None else {a: ONE}
-                 for a in action_vector(g, s, j))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +273,9 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     witness lists the (restricted pure profile, weight) pairs of that
     belief.
     """
-    v = _conditions(g, _checked_vectors(g, s, _point_vector),
+    if any(isinstance(s.get(j), BehaviorStrategy) for j in acting_players(g)):
+        raise ValueError("not a pure profile: %r" % (s,))
+    v = _conditions(g, _checked_vectors(g, s, kernel_vector),
                     _restricted_candidates)
     # pure play has one end, so one group per player
     v.witnesses = {i: [({j: PureStrategy.make(j, {
@@ -406,9 +401,8 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
 def is_rationalizable_self_confirming(g: Game) -> bool:
     """Every profile of rationalizable strategies keeps each player's
     occurring information sets inside one tree."""
-    _, groups = _path_groups(g, "efr")
     return all(len(_hosts_along(g, path, i)) == 1
-               for path, _, _, _ in groups for i in g.players)
+               for path, _, _ in _path_classes(g, "efr") for i in g.players)
 
 
 def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):

@@ -168,12 +168,12 @@ def vector_strategy(g: Game, i: Player):
 
 
 def has_nature(g: Game) -> bool:
-    return any(NATURE in nd.players for nd in g.nodes.values())
+    return g._st.nature
 
 
 def acting_players(g: Game) -> list[Player]:
     """Real players plus nature when it moves somewhere."""
-    return ([NATURE] if has_nature(g) else []) + list(g.players)
+    return ([NATURE] if g._st.nature else []) + list(g.players)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +290,10 @@ def occurring_info_sets(g: Game, s: Profile, i: Player,
     return out
 
 
-def play_out(g: Game, t: TreeId, s: PureProfile, start: Optional[NodeId] = None) -> NodeId:
+def play_out(g: Game, t: TreeId, s: PureProfile) -> NodeId:
     """Follow the induced actions within tree t down to a terminal node."""
     kids = g._st.children[t]
-    n = g.root(t) if start is None else start
+    n = g.root(t)
     while kids[n]:
         prof = tuple(s[j].action_at(_key_set(g, j, t, n))
                      for j in sorted(g.nodes[n].players))

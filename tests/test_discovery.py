@@ -13,7 +13,6 @@ from ugt.core import NATURE, Game, InfoSet, StructuralError, validate_game
 from ugt.discovery import (
     _discovered_along,
     _path_classes,
-    _path_groups,
     _vector_pools,
     allowed_profiles,
     awareness_tree,
@@ -509,11 +508,10 @@ def differential_games():
 def test_shared_structure_versions_match_public_construction(name, g):
     policy = "efr" if name.startswith("bos_repeated") else "all"
     for state in build_supergame(g, policy).states:
-        _, groups = _path_groups(state, "all")
-        for group in groups:
-            fast = _discovered_along(state, group[0])
+        for path, _, _ in _path_classes(state, "all"):
+            fast = _discovered_along(state, path)
             slow = Game(state.players, state.trees, state.nodes,
-                        reference_discovered_info(state, group[0]))
+                        reference_discovered_info(state, path))
             assert fast.canonical_key() == slow.canonical_key()
             assert serialize_game(fast) == serialize_game(slow)
             assert validate_game(fast) == validate_game(slow)

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from ugt.core import Game, InfoSet, NATURE, NodeData, validate_game
+from ugt.discovery import allowed_profiles, build_supergame
 from ugt.equilibrium import (
     awareness_diagnostics,
     check_sce_behavior,
@@ -162,6 +163,11 @@ def test_nature_coin_pure_profiles():
     assert not check_sce_pure(g, {NATURE: tails, 1: up}).holds
     with pytest.raises(ValueError):
         check_sce_pure(g, {1: up})
+    # a behavior strategy is not pure, not even a point mass
+    point = BehaviorStrategy.make(1, {target: {"u": ONE}})
+    for bad in ({NATURE: uniform_nature(g), 1: up}, {NATURE: heads, 1: point}):
+        with pytest.raises(ValueError):
+            check_sce_pure(g, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +636,30 @@ def test_construct_requires_rationalizable_self_confirming_game():
         construct_sce_efr(ex1_initial())
     assert is_rationalizable_self_confirming(ex1_discovered())
     assert is_rationalizable_self_confirming(ex2_rsc())
+
+
+def test_rationalizable_self_confirming_matches_its_definition():
+    """On every state of each EFR supergame: a game is rationalizable
+    self-confirming exactly when every profile of rationalizable
+    strategies meets each player's sets along the realized richest-tree
+    path in one host tree."""
+    games = [load(n) for n in sorted(FIXTURES)
+             if not n.startswith("bos_repeated")]
+    for shape in (dict(), dict(nature=True), dict(players=3)):
+        games += [generate_random_game(seed=seed, depth=3, branching=2,
+                                       tree_count=3, **shape)
+                  for seed in range(8)]
+    verdicts = []
+    for g0 in games:
+        for g in build_supergame(g0, "efr").states:
+            want = all(
+                len({g.info[(i, g.tbar, n)].host
+                     for n in realized_tbar_path(g, s)
+                     if (i, g.tbar, n) in g.info}) == 1
+                for s in allowed_profiles(g, "efr") for i in g.players)
+            assert is_rationalizable_self_confirming(g) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_construct_ex1_discovered_is_forced():
