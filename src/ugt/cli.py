@@ -27,7 +27,6 @@ from .equilibrium import (
     check_sce_efr,
     check_sce_pure,
     construct_sce_efr,
-    lift_pure,
 )
 from .gamedoc import (
     DocAxiomError,
@@ -207,12 +206,8 @@ def _cmd_sce(args) -> int:
     g = _load(args.file)
     check = _checker(args.mode)
     if args.profile:
-        prof = _read_profile(g, args.profile)
-        if args.mode != "pure":
-            prof = {j: s if isinstance(s, BehaviorStrategy)
-                    else lift_pure(g, {j: s})[j] for j, s in prof.items()}
         try:
-            v = check(g, prof)
+            v = check(g, _read_profile(g, args.profile))
         except ValueError as e:
             raise CliError(str(e))
         _emit(args, _verdict_json(v),
@@ -226,8 +221,7 @@ def _cmd_sce(args) -> int:
     policy = "efr" if args.mode == "efr" else "rational_only"
     for s in allowed_profiles(g, policy):
         checked += 1
-        prof = s if args.mode == "pure" else lift_pure(g, s)
-        v = check(g, prof)
+        v = check(g, s)
         if v.holds:
             payload = _verdict_json(v)
             payload["profile"] = {str(j): _pure_json(s[j]) for j in sorted(s)}

@@ -11,6 +11,7 @@ are the self-confirming games.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -40,18 +41,9 @@ def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
 
 
 def _awareness_along(g: Game, path: Sequence[NodeId], i: Player) -> TreeId:
-    tree = None
-    for t in _hosts_along(g, path, i):
-        tree = t if tree is None else g.join(tree, t)
-    assert tree is not None
-    return tree
-
-
-def _hosts_along(g: Game, path: Sequence[NodeId], i: Player) -> set[TreeId]:
-    """The host trees of player i's information sets at the given
-    upmost-tree nodes."""
     tbar, info = g.tbar, g.info
-    return {h.host for n in path if (h := info.get((i, tbar, n))) is not None}
+    return functools.reduce(g.join, {
+        h.host for n in path if (h := info.get((i, tbar, n))) is not None})
 
 
 def discovered_version(g: Game, s: PureProfile) -> Game:

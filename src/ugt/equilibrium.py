@@ -25,7 +25,7 @@ from typing import Mapping, Optional
 
 from .core import (
     Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
-from .discovery import _hosts_along, _path_classes
+from .discovery import _path_classes
 from .lp import solve_feasibility
 from .rationalizability import _Classes, _classes, _surviving_classes
 from .strategies import (
@@ -47,6 +47,7 @@ from .strategies import (
     mixed_to_behavior,
     play_table,
     set_positions,
+    vector_strategy,
 )
 
 
@@ -97,12 +98,11 @@ def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
 
 
 def _behavior_vectors(g: Game, pi: Profile) -> dict[Player, tuple]:
-    """``_checked_vectors`` of the behavior form of each strategy in pi;
+    """``_checked_vectors`` of the kernel vector of each strategy in pi;
     nature plays uniformly unless pi gives it a strategy."""
     if has_nature(g) and NATURE not in pi:
         pi = {**pi, NATURE: uniform_nature(g)}
-    return _checked_vectors(g, pi, lambda g, x, j: kernel_vector(
-        g, _as_behavior(g, x), j))
+    return _checked_vectors(g, pi, kernel_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,8 @@ def _kernels_reach(g: Game, kernels: Mapping[Player, tuple], t: TreeId,
                    nodes) -> bool:
     """Whether the given players' kernels give some of the nodes of tree t
     positive probability, the other players' moves permitting."""
-    return any(all(a in kernels[j][set_positions(g, j)[x]]
-                   for j, x, a in _requirements(g, t, n) if j in kernels)
+    return any(all(a in kernels[j][p]
+                   for j, _, p, a in _requirements(g, t, n) if j in kernels)
                for n in nodes)
 
 
@@ -200,15 +200,11 @@ def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
                         g, {i: kernels[i]}, hh.host, hh.members):
                     continue
                 # local deviations: point masses at the deviation sets
-                dev_sets = deviation_sets(g, i, hh)
-                at = [pos[x] for x in dev_sets]
-                dev = list(kernels[i])
-                for combo in itertools.product(
-                        *[_point_masses(g, x) for x in dev_sets]):
-                    for p, d in zip(at, combo):
-                        dev[p] = d
+                for dev in _completions(
+                        {i: kernels[i]}, [(i, pos[x], _point_masses(g, x))
+                                          for x in deviation_sets(g, i, hh)]):
                     rows.append([v - b for v, b in
-                                 zip(values(tuple(dev)), base)])
+                                 zip(values(dev[i]), base)])
             n = len(pool)
             x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
                                   a_ub=rows, b_ub=[ZERO] * len(rows))
@@ -273,7 +269,8 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     witness lists the (restricted pure profile, weight) pairs of that
     belief.
     """
-    if any(isinstance(s.get(j), BehaviorStrategy) for j in acting_players(g)):
+    if any(isinstance(s.get(j), (BehaviorStrategy, MixedStrategy))
+           for j in acting_players(g)):
         raise ValueError("not a pure profile: %r" % (s,))
     v = _conditions(g, _checked_vectors(g, s, kernel_vector),
                     _restricted_candidates)
@@ -326,8 +323,9 @@ def _confirmed_candidates(g: Game, i: Player, kernels: Mapping[Player, tuple],
 def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     """Self-confirming equilibrium check for a behavior profile.
 
-    Every real player needs a strategy of its own (``_checked_vectors``;
-    nature defaults to uniform); ValueError otherwise.  Confirmed beliefs
+    Every real player needs a pure, mixed or behavior strategy of its own
+    (``_checked_vectors``; nature defaults to uniform), a mixed one counting
+    through its behavior form; ValueError otherwise.  Confirmed beliefs
     fix the opposing kernels wherever the player's view of the play
     arrives with positive probability and are free elsewhere.  Along each
     chain of occurring information sets the belief is constant, so it must
@@ -340,20 +338,10 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     return _conditions(g, _behavior_vectors(g, pi), _confirmed_candidates)
 
 
-def _as_behavior(g: Game, x) -> BehaviorStrategy:
-    if isinstance(x, BehaviorStrategy):
-        return x
-    if isinstance(x, MixedStrategy):
-        return mixed_to_behavior(g, x)
-    if isinstance(x, PureStrategy):
-        return BehaviorStrategy.make(
-            x.owner, {h: {a: ONE} for h, a in x.choices})
-    raise TypeError("not a strategy: %r" % (x,))
-
-
 def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
     """Degenerate behavior profile playing exactly s."""
-    return {j: _as_behavior(g, sj) for j, sj in s.items()}
+    return {j: BehaviorStrategy.make(
+        sj.owner, {h: {a: ONE} for h, a in sj.choices}) for j, sj in s.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +389,7 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
 def is_rationalizable_self_confirming(g: Game) -> bool:
     """Every profile of rationalizable strategies keeps each player's
     occurring information sets inside one tree."""
-    return all(len(_hosts_along(g, path, i)) == 1
+    return all(len({h.host for h in _sets_along(g, path, i)}) == 1
                for path, _, _ in _path_classes(g, "efr") for i in g.players)
 
 
@@ -445,10 +433,9 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
                                 for j, x in fixed.items()})
     pi: dict[Player, BehaviorStrategy] = {}
     for i, weights in _restricted_nash(pools, u).items():
-        sets = g.decision_sets(i)
+        make = vector_strategy(g, i)
         pi[i] = kuhn_convert(g, i, MixedStrategy.make(
-            {PureStrategy.make(i, dict(zip(sets, v))): w
-             for v, w in weights.items()}))
+            {make(v): w for v, w in weights.items()}))
     pi.update(fixed)
     return pi, check_sce_efr(g, pi)
 

@@ -182,12 +182,6 @@ def parse_game(text: str) -> Game:
             raise
         raise DocSemanticError("malformed document: %s" % e) from None
 
-    # completeness before construction, for pointed diagnostics
-    for t, ns in trees.items():
-        for n in ns:
-            if n not in nodes:
-                raise DocSemanticError(
-                    "tree %s references unknown node %d" % (t, n))
     try:
         g = Game(players, trees, nodes, info)
     except StructuralError as e:

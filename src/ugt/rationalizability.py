@@ -133,14 +133,12 @@ class _SetContext:
         self.fills = [(used.get(j, []),
                        [g.set_actions(x)[0] for x in g.decision_sets(j)])
                       for j in self.opponents]
-        # per member of h, the (player, position, action) constraints of
-        # the path to it
-        self.reqs = [[(j, set_positions(g, j)[x], a)
-                      for j, x, a in _requirements(g, t, m)]
-                     for m in h.members]
+        # per member of h, the (player, set, position, action) constraints
+        # of the path to it
+        self.reqs = [_requirements(g, t, m) for m in h.members]
         # the own positions those constraints read
         self.reach_positions = sorted({p for r in self.reqs
-                                       for j, p, _ in r if j == i})
+                                       for j, _, p, _ in r if j == i})
         self.reach_key = _getter(self.reach_positions)
         self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
@@ -160,7 +158,7 @@ class _SetContext:
                 for p, a in zip(at, key):
                     v[p] = a
                 prof[j] = tuple(v)
-            got = any(all(prof[j][p] == a for j, p, a in r if j != self.i)
+            got = any(all(prof[j][p] == a for j, _, p, a in r if j != self.i)
                       for r in self.reqs)
             self._col_reaches[col] = got
             if got:
@@ -202,7 +200,7 @@ class _SetContext:
         key = self.reach_key(v)
         got = self._own_reach.get(key)
         if got is None:
-            got = any(all(v[p] == a for j, p, a in r if j == self.i)
+            got = any(all(v[p] == a for j, _, p, a in r if j == self.i)
                       for r in self.reqs)
             self._own_reach[key] = got
         return got

@@ -210,7 +210,8 @@ def play_table(g: Game, t: TreeId) -> dict[NodeId, tuple]:
 
 
 def _requirements(g: Game, t: TreeId, n: NodeId):
-    """(player, information set, action) constraints along the path to n."""
+    """(player, information set, vector position, action) constraints along
+    the path to n; the position is the set's in ``set_positions``."""
     ix = g._ix
     got = ix.requirements.get((t, n))
     if got is not None:
@@ -222,7 +223,8 @@ def _requirements(g: Game, t: TreeId, n: NodeId):
         nxt = path[k + 1]
         prof = next(pr for pr, c in kids[b].items() if c == nxt)
         for idx, j in enumerate(sorted(g.nodes[b].players)):
-            reqs.append((j, _key_set(g, j, t, b), prof[idx]))
+            x = _key_set(g, j, t, b)
+            reqs.append((j, x, set_positions(g, j)[x], prof[idx]))
     got = ix.requirements[(t, n)] = tuple(reqs)
     return got
 
@@ -242,7 +244,7 @@ def reaches(g: Game, s: Profile, target: Target) -> bool:
     t, n = target
     if t not in g.trees or n not in g.trees[t]:
         raise KeyError("no node %r in tree %r" % (n, t))
-    for j, h, a in _requirements(g, t, n):
+    for j, h, _, a in _requirements(g, t, n):
         sj = s.get(j)
         if sj is not None and sj.action_at(h) != a:
             return False
@@ -350,7 +352,7 @@ def path_info_sets(g: Game, s: Profile, i: Player) -> set[InfoSet]:
 def reach_probability(g: Game, s: Profile, node: NodeRef) -> Fraction:
     t, n = node
     by_player: dict[Player, list] = {}
-    for j, h, a in _requirements(g, t, n):
+    for j, h, _, a in _requirements(g, t, n):
         by_player.setdefault(j, []).append((h, a))
     total = ONE
     for j, reqs in by_player.items():
@@ -453,14 +455,14 @@ def _check_belief(g: Game, h: InfoSet, belief: Belief) -> None:
                              % h.label())
 
 
-def expected_payoff_at(g: Game, i: Player, h: InfoSet,
-                       s_i: Union[PureStrategy, BehaviorStrategy],
+def expected_payoff_at(g: Game, i: Player, h: InfoSet, s_i: Strategy,
                        belief: Belief, validate: bool = True) -> Fraction:
     """Expected payoff of player i at h, inside h's host tree.
 
     The belief is a finite-support distribution over opposing profiles (all
     reaching h); the player follows their own strategy from the root of the
-    host tree onward.
+    host tree onward.  s_i is a pure, behavior or mixed strategy of i (a
+    mixed one plays its behavior form); ValueError otherwise.
     """
     if validate:
         _check_belief(g, h, belief)
@@ -482,16 +484,18 @@ def expected_payoff_at(g: Game, i: Player, h: InfoSet,
     return total
 
 
-def kernel_vector(g: Game, x: Union[PureStrategy, BehaviorStrategy],
-                  i: Player) -> tuple:
+def kernel_vector(g: Game, x: Strategy, i: Player) -> tuple:
     """Player i's strategy x as a kernel vector: per decision set of i, in
     ``g.decision_sets(i)`` order, a dict from action to its positive
-    probability; None where x makes no choice (a restricted strategy).
-    ValueError if x is not a pure or behavior strategy of i, or names an
-    action unavailable at its set."""
+    probability; None where x makes no choice (a restricted strategy).  A
+    mixed strategy counts through its behavior form (``mixed_to_behavior``).
+    ValueError if x is not a pure, behavior or mixed strategy of i, or names
+    an action unavailable at its set."""
     if isinstance(x, PureStrategy):
         return tuple(None if a is None else {a: ONE}
                      for a in action_vector(g, x, i))
+    if isinstance(x, MixedStrategy) and x.owner == i:
+        x = mixed_to_behavior(g, x)
     if not isinstance(x, BehaviorStrategy) or x.owner != i:
         raise ValueError("not a strategy of player %d: %r" % (i, x))
     kernels = x.as_dict()
@@ -592,9 +596,6 @@ class BeliefSystem:
 
     owner: Player
     beliefs: dict[InfoSet, list[tuple[PureProfile, Fraction]]]
-
-    def at(self, h: InfoSet) -> Belief:
-        return self.beliefs[h]
 
 
 def restrict_strategy(g: Game, s: PureStrategy, t: TreeId) -> PureStrategy:

@@ -291,6 +291,8 @@ def test_listed_profiles_group_like_their_policy(name, option):
         [list(e.items()) for e in sg.edges.values()]
     assert listed.representatives == sg.representatives
     for k, g in enumerate(sg.states):
+        assert allowed_profiles(g, lambda gg: allowed_profiles(gg, policy)) \
+            == allowed_profiles(g, policy)
         weighted = [(s, 2) for s in allowed_profiles(g, policy)]
         assert _path_classes(g, weighted) == [
             (path, s, 2 * n) for path, s, n in _path_classes(g, policy)]

@@ -252,6 +252,18 @@ def test_best_reply_exists_direct():
     assert not best_reply_exists(g, 2, target, l2, allowed)
     with pytest.raises(ValueError):
         best_reply_exists(g, 2, target, m2, [])
+    with pytest.raises(ValueError):  # a set of player 2, asked of player 1
+        best_reply_exists(g, 1, target, s_l1, allowed)
+    # y1 at 1@Tpp{3} is never a best reply, yet it holds vacuously for a
+    # strategy that avoids the set with r1
+    g = ex2_initial()
+    first, later = h(1, "Tpp", (0,)), h(1, "Tpp", (3,))
+    y1 = next(s for s in pure_strategies(g, 1)
+              if s.action_at(first) == "l1" and s.action_at(later) == "y1")
+    allowed = [p for p in ({2: s} for s in pure_strategies(g, 2))
+               if reaches(g, p, later)]
+    assert not best_reply_exists(g, 1, later, y1, allowed)
+    assert best_reply_exists(g, 1, later, y1.replace({first: "r1"}), allowed)
 
 
 def test_best_reply_exists_rejects_nonreaching_profile():

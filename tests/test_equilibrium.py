@@ -507,6 +507,15 @@ def test_sce_checks_reject_incomplete_profiles(check):
     for s in ({1: s1}, {1: s1, 2: s1}, {1: s1, 2: PureStrategy.make(2, {})}):
         with pytest.raises(ValueError):
             run(g, s if check == "pure" else lift_pure(g, s))
+    # entries that are no strategy of their player, and for the pure check
+    # a mixed strategy of its own
+    mixed = {j: MixedStrategy.degenerate(x) for j, x in ((1, s1), (2, s2))}
+    bad = [{1: "junk", 2: s2}, {1: s1, 2: mixed[1]}]
+    if check == "pure":
+        bad.append({1: s1, 2: mixed[2]})
+    for s in bad:
+        with pytest.raises(ValueError):
+            run(g, s)
     # a set that no play can reach may be missing, except for the EFR
     # support condition, whose mixed conversion reads every set
     g = ex1_discovered()
@@ -528,6 +537,9 @@ def test_awareness_diagnostics_rejects_incomplete_profiles():
         for pi in (s, lift_pure(g, s)):
             with pytest.raises(ValueError):
                 awareness_diagnostics(g, pi)
+    for pi in ({1: "junk", 2: s2}, {1: s1, 2: MixedStrategy.degenerate(s1)}):
+        with pytest.raises(ValueError):
+            awareness_diagnostics(g, pi)
     assert awareness_diagnostics(g, {1: s1, 2: s2}).per_player_constant[1]
     # a set that no play can reach may be missing
     g = ex1_discovered()

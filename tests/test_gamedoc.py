@@ -125,6 +125,13 @@ def _rekey(d, key, new):
     d[new] = d.pop(key)
 
 
+def _two_upmost(doc):
+    """ex1_initial with two largest trees, each missing a different leaf."""
+    doc["trees"].update(Tbar=[0, 1, 2, 3, 4], U=[0, 1, 2, 3, 5])
+    doc["info"] = [e for e in doc["info"]
+                   if (e["tree"], e["node"]) != ("Tbar", 5)]
+
+
 # the id damages, from player-float to payoff-key-padded, each read through
 # int() as the undamaged game; the version damages compared equal to 1
 @pytest.mark.parametrize("damage", [
@@ -146,11 +153,16 @@ def _rekey(d, key, new):
                             if nd["payoffs"]), "1", "01"),
     lambda doc: doc.update(format_version=True),
     lambda doc: doc.update(format_version=1.0),
+    lambda doc: doc["trees"]["T"].append(99),
+    # X and Y have the upper bounds C, D and Tbar, but no least one
+    lambda doc: doc["trees"].update(X=[0, 1, 2], Y=[0, 1, 3],
+                                    C=[0, 1, 2, 3, 4], D=[0, 1, 2, 3, 5]),
+    _two_upmost,
 ], ids=["nodes-list", "trees-list", "node-null", "actions-list",
         "host-list", "no-trees", "action-label-list", "profile-label-object",
         "player-float", "player-bool", "parent-float", "member-whole-float",
         "node-key-padded", "payoff-key-padded", "version-bool",
-        "version-float"])
+        "version-float", "tree-unknown-node", "no-join", "two-upmost"])
 def test_wrong_document_shape_is_semantic(damage):
     doc = json.loads(serialize_game(load("ex1_initial")))
     damage(doc)

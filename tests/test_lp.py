@@ -69,6 +69,11 @@ def test_entries_must_be_int_or_fraction():
         with pytest.raises(TypeError):
             solve_feasibility(1, a_ub=[[bad]], b_ub=[F(0)])
     assert solve_feasibility(2, a_eq=[[1, F(1, 2)]], b_eq=[1]) is not None
+    # a row whose length is not the variable count
+    with pytest.raises(ValueError):
+        solve_feasibility(2, a_eq=[[F(1)]], b_eq=[F(1)])
+    with pytest.raises(ValueError):
+        solve_feasibility(1, a_ub=[[F(1), F(1)]], b_ub=[F(0)])
 
 
 def _entry(rng):

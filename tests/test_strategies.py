@@ -145,6 +145,8 @@ def test_occurring_info_sets_examples():
     reach = occurring_info_sets(g, s, 1, "reach")
     assert InfoSet(1, "T", (5,)) in reach
     assert InfoSet(1, "Tbar", (4,)) in reach
+    with pytest.raises(ValueError):
+        occurring_info_sets(g, s, 1, "observe")
 
 
 def test_occurring_sets_repeated_game_out_path():
@@ -183,6 +185,8 @@ def test_reach_probability_coin_flip():
     assert reach_probability(g, {1: pi1, 2: s2}, ("T", 1)) == F(1, 2)
     assert reach_probability(g, {1: pi1, 2: s2}, ("Tbar", 4)) == F(1, 2)
     assert reach_probability(g, {1: pi1, 2: s2}, ("T", 2)) == F(1, 2)
+    with pytest.raises(ValueError):  # a kernel summing to 1/2
+        BehaviorStrategy.make(1, {h1: {"l1": F(1, 2)}})
 
 
 def test_reach_probability_degenerate_mixed_matches_reaches():
@@ -204,6 +208,9 @@ def test_reach_probability_offpath_mixture_indistinguishable():
     s2a = PureStrategy.make(2, {hbar: "m2", ht: "l2"})
     s2b = PureStrategy.make(2, {hbar: "m2", ht: "r2"})
     sigma2 = MixedStrategy.make({s2a: F(1, 3), s2b: F(2, 3)})
+    for bad in ({s2a: F(1, 3), s2b: F(1, 3)}, {a: F(1, 2), s2a: F(1, 2)}):
+        with pytest.raises(ValueError):  # a bad sum, then mixed owners
+            MixedStrategy.make(bad)
     # player 1 ends the game; the off-path difference inside T never shows
     for n in (0, 2):
         assert reach_probability(g, {1: a, 2: sigma2}, ("Tbar", n)) == \
@@ -227,6 +234,9 @@ def test_degenerate_mixed_to_behavior_is_pointwise():
     g, s1, _ = ex1_profile()
     pi = kuhn_convert(g, 1, MixedStrategy.degenerate(s1))
     assert pi.prob(InfoSet(1, "T", (0,)), "l1") == 1
+    for x in (MixedStrategy.degenerate(s1), pi):
+        with pytest.raises(ValueError):  # player 1's strategy as player 2's
+            kuhn_convert(g, 2, x)
 
 
 def test_uniform_behavior_two_chained_sets_quarter_weights():
