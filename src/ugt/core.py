@@ -672,9 +672,12 @@ def _action_towards(g: Game, n: NodeId, child: NodeId, i: Player) -> str:
 
 
 def hosts_reachable(g: Game, t: TreeId) -> list[TreeId]:
-    """Trees reachable from t through information-set hosts (t included)."""
+    """Trees reachable from t through information-set hosts (t included).
+    ValueError when t is not a tree of g."""
     got = g._ix.hosts.get(t)
     if got is None:
+        if t not in g.trees:
+            raise ValueError("no tree %r" % (t,))
         seen = {t}
         frontier = [t]
         while frontier:

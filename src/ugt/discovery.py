@@ -138,22 +138,31 @@ def discovery_relations(g_from: Game, g_to: Game) -> DiscoveryReport:
 # policies and the supergame
 
 
+def _alive(g: Game, policy: str) -> dict[Player, frozenset]:
+    """Per acting player, the classes (``_classes``) a named policy other
+    than "all" permits."""
+    if policy == "efr":
+        return _class_rounds(g)[-1]
+    if policy == "rational_only":
+        return _class_rounds(g)[1]
+    raise ValueError("unknown policy %r" % (policy,))
+
+
 def _vector_pools(g: Game,
                   policy: str) -> tuple[list[Player], list[list[tuple]]]:
     """The acting players, nature first when it moves, and the action
     vectors (``strategy_vectors``) a named policy permits each of them, in
     ``strategy_vectors`` order."""
     players = acting_players(g)
-    if policy == "all":
-        return players, [strategy_vectors(g, j) for j in players]
-    if policy == "efr":
-        alive = _class_rounds(g)[-1]
-    elif policy == "rational_only":
-        alive = _class_rounds(g)[1]
-    else:
-        raise ValueError("unknown policy %r" % (policy,))
-    return players, [[v for v, c in _classes(g, j).of.items() if c in alive[j]]
-                     for j in players]
+    pools = [strategy_vectors(g, j) for j in players]
+    if policy != "all":
+        alive = _alive(g, policy)
+        for k, j in enumerate(players):
+            table = _classes(g, j)
+            if len(alive[j]) < len(table.first):
+                pools[k] = [v for v, c in zip(pools[k], table.pool())
+                            if c in alive[j]]
+    return players, pools
 
 
 def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
@@ -182,13 +191,31 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     A named policy's profiles are never enumerated: the walk descends the
     richest tree once, splitting each mover's pool by its action at the
     node, so a path class is the product of the per-player subsets that
-    reach its terminal node.
+    reach its terminal node.  Under "all" a pool holds a player's vectors;
+    under another policy, the first members of its permitted classes
+    (``_classes``), each weighing its class size: a play-out reads a class
+    only where it reaches, so its members split alike.  "all" could walk
+    every class the same way, but would then build a class table for each
+    state of an all-profiles supergame, which nothing else there needs.
     """
     if isinstance(source, str):
-        players, pools = _vector_pools(g, source)
+        players = acting_players(g)
+        sizes = None
+        if source == "all":
+            pools = [strategy_vectors(g, j) for j in players]
+        else:
+            alive = _alive(g, source)
+            pools, sizes = [], []
+            for j in players:
+                table, cs = _classes(g, j), sorted(alive[j])
+                pools.append([table.first[c] for c in cs])
+                sizes.append([table.size[c] for c in cs])
+            # plain counts are cheaper than summing unit weights
+            if all(s == 1 for w in sizes for s in w):
+                sizes = None
         tbar = g.tbar
         found: list = []
-        _walk(g._st.children[tbar], play_table(g, tbar), pools,
+        _walk(g._st.children[tbar], play_table(g, tbar), pools, sizes,
               {j: k for k, j in enumerate(players)}, g.root(tbar),
               [range(len(p)) for p in pools], [], found)
         makers = [vector_strategy(g, j) for j in players]
@@ -211,11 +238,12 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     return list(map(tuple, merged.values()))
 
 
-def _walk(kids, table, pools, slot: dict[Player, int], n: NodeId,
+def _walk(kids, table, pools, sizes, slot: dict[Player, int], n: NodeId,
           subsets: list, path: list[NodeId], found: list) -> None:
     """Append (first indices, path, profile count) for every terminal node
     below n that some profile of the subsets reaches.  ``kids`` and
-    ``table`` are the richest tree's children and ``play_table``.
+    ``table`` are the richest tree's children and ``play_table``; sizes
+    holds per pool the weight of each entry, or is None when all weigh 1.
 
     A module-level function, not a closure: a self-referencing closure is a
     reference cycle, which only the cyclic collector frees, so every
@@ -224,8 +252,12 @@ def _walk(kids, table, pools, slot: dict[Player, int], n: NodeId,
     path.append(n)
     pairs = table.get(n)
     if pairs is None:
-        found.append((tuple(sub[0] for sub in subsets), tuple(path),
-                      math.prod(map(len, subsets))))
+        if sizes is None:
+            count = math.prod(map(len, subsets))
+        else:
+            count = math.prod(sum(map(size.__getitem__, sub))
+                              for size, sub in zip(sizes, subsets))
+        found.append((tuple(sub[0] for sub in subsets), tuple(path), count))
     else:
         split = []
         for j, p in pairs:
@@ -243,7 +275,7 @@ def _walk(kids, table, pools, slot: dict[Player, int], n: NodeId,
                     break
                 sub[k] = got
             else:
-                _walk(kids, table, pools, slot, c, sub, path, found)
+                _walk(kids, table, pools, sizes, slot, c, sub, path, found)
     path.pop()
 
 

@@ -339,9 +339,13 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
 
 
 def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
-    """Degenerate behavior profile playing exactly s."""
+    """Degenerate behavior profile playing exactly s.  ValueError when an
+    entry is not a PureStrategy of its key's player."""
+    for j, sj in s.items():
+        if not isinstance(sj, PureStrategy) or sj.owner != j:
+            raise ValueError("not a pure strategy of player %s: %r" % (j, sj))
     return {j: BehaviorStrategy.make(
-        sj.owner, {h: {a: ONE} for h, a in sj.choices}) for j, sj in s.items()}
+        j, {h: {a: ONE} for h, a in sj.choices}) for j, sj in s.items()}
 
 
 # ---------------------------------------------------------------------------

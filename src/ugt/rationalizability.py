@@ -10,7 +10,10 @@ The engine (``_efr``) keeps or drops whole realization classes
 (``_classes``), and ``efr`` builds its public trace from them: a verdict
 reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
-of the opposing classes give every column that plays differently.  The
+of the opposing classes give every column that plays differently.  Each
+player's class table comes from a branch over its decision-set positions,
+not from its pure strategies, and carries per class its first member, the
+positions it reaches and its size.  The
 engine decides per-set optimality by exact linear feasibility over a
 payoff matrix (continuations x allowed opposing profiles).  Each column of
 the matrix comes from one walk of the host tree that branches only at the
@@ -136,15 +139,11 @@ class _SetContext:
         # per member of h, the (player, set, position, action) constraints
         # of the path to it
         self.reqs = [_requirements(g, t, m) for m in h.members]
-        # the own positions those constraints read
-        self.reach_positions = sorted({p for r in self.reqs
-                                       for j, _, p, _ in r if j == i})
-        self.reach_key = _getter(self.reach_positions)
         self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
         self._restricted: dict[tuple, PureProfile] = {}
+        self._kept: Optional[list] = None
         self._columns: dict[tuple, tuple] = {}
-        self._own_reach: dict[tuple, bool] = {}
         self._ids: dict[tuple, int] = {}
         self._allowed: dict[int, tuple] = {}
         self._matrices: dict[tuple, tuple] = {}
@@ -171,12 +170,17 @@ class _SetContext:
         and shared by every caller, which must not change it."""
         got = self._restricted.get(col)
         if got is None:
-            keep = set(hosts_reachable(g, self.h.host))
+            if self._kept is None:
+                # per opponent, its sets in the partial game with their
+                # positions, in PureStrategy.make's order
+                keep = set(hosts_reachable(g, self.h.host))
+                self._kept = [sorted((x, p) for p, x in enumerate(
+                    g.decision_sets(j)) if x.host in keep)
+                    for j in self.opponents]
             prof = self._profiles[col]
             got = self._restricted[col] = {
-                j: PureStrategy.make(j, {x: a for x, a in zip(
-                    g.decision_sets(j), prof[j]) if x.host in keep})
-                for j in self.opponents}
+                j: PureStrategy(j, tuple([(x, prof[j][p]) for x, p in kept]))
+                for j, kept in zip(self.opponents, self._kept)}
         return got
 
     def columns(self, classes: Mapping[Player, _Classes],
@@ -197,13 +201,8 @@ class _SetContext:
         return got
 
     def strategy_reaches(self, v: tuple) -> bool:
-        key = self.reach_key(v)
-        got = self._own_reach.get(key)
-        if got is None:
-            got = any(all(v[p] == a for j, _, p, a in r if j == self.i)
-                      for r in self.reqs)
-            self._own_reach[key] = got
-        return got
+        return any(all(v[p] == a for j, _, p, a in r if j == self.i)
+                   for r in self.reqs)
 
     def intern(self, cols: tuple) -> int:
         """A small id for a tuple of allowed reaching columns."""
@@ -312,16 +311,11 @@ class _SetContext:
 
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
     """The set contexts of every real player's decision sets, built once
-    per game together with each acting player's classes."""
+    per game."""
     ix = g._ix
     if ix.efr_contexts is None:
-        ix.efr_contexts = {}
-        for j in acting_players(g):
-            sets = None
-            if j != NATURE:
-                sets = [_SetContext(g, j, h) for h in g.decision_sets(j)]
-                ix.efr_contexts.update((ctx.h, ctx) for ctx in sets)
-            ix.classes[j] = _Classes(strategy_vectors(g, j), sets)
+        ix.efr_contexts = {h: _SetContext(g, i, h) for i in g.players
+                           for h in g.decision_sets(i)}
     return ix.efr_contexts
 
 
@@ -331,47 +325,140 @@ class _Classes:
 
     A real player's classes are its realization classes: two pure
     strategies are realization-equivalent exactly when they reach the same
-    decision sets, each in its host tree, and choose alike there.  Own
-    reach reads only the positions on the paths to the sets, so it is found
-    once per choice there.  Nature, given no set contexts, reaches every
-    position, so each of its vectors is its own class; no round drops one.
+    decision sets, each in its host tree, and choose alike there.  The
+    table is built by a depth-first branch over the decision-set positions,
+    never by classifying vectors: a position whose set is reached under the
+    choices fixed so far branches on its actions, and any other holds its
+    first action and multiplies the class size by its menu size.  So each
+    class is its first member's choices at the positions it reaches times
+    every action at the others.  Nature reaches every position, so each of
+    its vectors is its own class; no round drops one.
     """
 
-    def __init__(self, vectors: Sequence[tuple],
-                 sets: Optional[Sequence[_SetContext]] = None):
-        self.of: dict[tuple, int] = {}  # each vector's class, in pool order
-        self.first: list[tuple] = []  # per class, its first member
-        self.reached: list[tuple] = []  # per class, the positions it reaches
-        if sets is None:
-            path_key, reach = tuple, lambda v: [True] * len(v)
+    def __init__(self, g: Game, j: Player):
+        sets = g.decision_sets(j)
+        self.menus = [g.set_actions(h) for h in sets]  # per position
+        # per set, per member, the own (position, action) constraints of the
+        # path to it; nature's sets are always reached
+        rows = [[()]] * len(sets) if j == NATURE else [
+            [tuple((p, a) for k, _, p, a in _requirements(g, h.host, m)
+                   if k == j) for m in h.members] for h in sets]
+        order = _position_order([{p for r in rs for p, _ in r}
+                                 for rs in rows])
+        leaves: list[tuple] = []
+        _branch(order, self.menus, rows, 0, [m[0] for m in self.menus],
+                [False] * len(sets), 1, leaves)
+        if order != sorted(order):
+            # reach reads a later position, so the leaves need not come in
+            # pool order of their first members, which is their actions' order
+            rank = [dict(zip(m, itertools.count())) for m in self.menus]
+            leaves.sort(key=lambda leaf: [r[a] for r, a in zip(rank, leaf[0])])
+        # per class: its first member, the positions it reaches and its size
+        self.first, self.reached, self.size = map(list, zip(*leaves))
+
+    def pool(self) -> Sequence[int]:
+        """Per vector of the pool, in ``strategy_vectors`` order, its
+        class, filled in from the table: a class holds the vectors with its
+        first member's actions at the positions it reaches."""
+        total = sum(self.size)
+        if len(self.first) == total:
+            return range(total)
+        return _fill(self.menus, self.first, list(map(set, self.reached)), 0,
+                     list(range(len(self.first))))
+
+
+def _position_order(reads: Sequence[set]) -> list[int]:
+    """The decision-set positions, each after every position its reach
+    reads (least available first, so the identity when reach reads only
+    earlier positions).  AssertionError when no such order exists."""
+    order: list[int] = []
+    done: set[int] = set()
+    while len(order) < len(reads):
+        k = next((k for k, r in enumerate(reads)
+                  if k not in done and r <= done), None)
+        if k is None:
+            raise AssertionError("decision-set reach has no position order")
+        order.append(k)
+        done.add(k)
+    return order
+
+
+def _branch(order, menus, rows, d: int, v: list, mark: list, size: int,
+            out: list) -> None:
+    """Append (first member, reached positions, size) for every class that
+    agrees with v at the positions order[:d], where mark flags the reached
+    ones and size counts the choices at the others.
+
+    A module-level function, not a closure: a self-referencing closure is a
+    reference cycle, which only the cyclic collector frees.
+    """
+    if d == len(order):
+        out.append((tuple(v), tuple(itertools.compress(range(len(v)), mark)),
+                    size))
+        return
+    k = order[d]
+    if _reaches(rows[k], v, mark):
+        mark[k] = True
+        for a in menus[k]:
+            v[k] = a
+            _branch(order, menus, rows, d + 1, v, mark, size, out)
+        v[k] = menus[k][0]
+        mark[k] = False
+    else:
+        _branch(order, menus, rows, d + 1, v, mark, size * len(menus[k]),
+                out)
+
+
+def _reaches(rows, v: list, mark: list) -> bool:
+    """Whether a set is reached by v, given per member of the set the own
+    (position, action) constraints of the path to it.  AssertionError when
+    the answer turns on a position marked unreached: then a class would not
+    be a product."""
+    pending = False
+    for row in rows:
+        loose = False
+        for p, a in row:
+            if not mark[p]:
+                loose = True
+            elif v[p] != a:
+                break
         else:
-            path_key = _getter(sorted({p for ctx in sets
-                                       for p in ctx.reach_positions}))
-            reach = lambda v: [ctx.strategy_reaches(v) for ctx in sets]
-        # per choice at those positions, the positions reached and the mask
-        # selecting them
-        shapes: dict[tuple, tuple] = {}
-        ids: dict[tuple, int] = {}
-        for v in vectors:
-            u = path_key(v)
-            shape = shapes.get(u)
-            if shape is None:
-                mask = reach(v)
-                shape = shapes[u] = (
-                    tuple(itertools.compress(range(len(v)), mask)), mask)
-            at, mask = shape
-            c = self.of[v] = ids.setdefault(
-                (at, tuple(itertools.compress(v, mask))), len(ids))
-            if c == len(self.first):
-                self.first.append(v)
-                self.reached.append(at)
+            if not loose:
+                return True
+            pending = True
+    if pending:
+        raise AssertionError("reach of a decision set reads an unreached "
+                             "position")
+    return False
+
+
+def _fill(menus, first, reached, p: int, cs: list[int]) -> list[int]:
+    """Per vector of the pool that agrees with every class in cs at the
+    positions before p, in pool order, its class; reached holds per class
+    the set of positions it reaches."""
+    if p == len(menus):
+        return cs
+    if not any(p in reached[c] for c in cs):
+        return _fill(menus, first, reached, p + 1, cs) * len(menus[p])
+    out: list[int] = []
+    for a in menus[p]:
+        out += _fill(menus, first, reached, p + 1, [
+            c for c in cs if p not in reached[c] or first[c][p] == a])
+    return out
 
 
 def _classes(g: Game, j: Player) -> _Classes:
     """Acting player j's classes over its pool of action vectors
-    (``strategy_vectors``)."""
-    _contexts(g)
-    return g._ix.classes[j]
+    (``strategy_vectors``), built once per game."""
+    got = g._ix.classes.get(j)
+    if got is None:
+        got = g._ix.classes[j] = _Classes(g, j)
+    return got
+
+
+def _tables(g: Game) -> dict[Player, _Classes]:
+    """Every acting player's classes (``_classes``)."""
+    return {j: _classes(g, j) for j in acting_players(g)}
 
 
 def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
@@ -394,7 +481,7 @@ def efr(g: Game) -> EfrTrace:
     """
     ix = g._ix
     if ix.efr_trace is None:
-        rounds, ctxs, classes = _class_rounds(g), _contexts(g), ix.classes
+        rounds, ctxs, classes = _class_rounds(g), _contexts(g), _tables(g)
         constraints = []
         for k in range(len(rounds) - 1):
             cons = {}
@@ -406,11 +493,12 @@ def efr(g: Game) -> EfrTrace:
                         ctxs[h].representative(g, c) for c in cols])
             constraints.append(cons)
         # one object per pure strategy, shared by every round
-        of = {i: classes[i].of for i in g.players}
-        made = {i: dict(zip(of[i], map(vector_strategy(g, i), of[i])))
+        made = {i: list(map(vector_strategy(g, i), strategy_vectors(g, i)))
                 for i in g.players}
+        ids = {i: classes[i].pool() for i in g.players}
         ix.efr_trace = EfrTrace(
-            [{i: [made[i][v] for v, c in of[i].items() if c in rd[i]]
+            [{i: list(itertools.compress(made[i], map(rd[i].__contains__,
+                                                      ids[i])))
               for i in g.players} for rd in rounds],
             constraints, fixpoint_round=len(rounds) - 1)
     return ix.efr_trace
@@ -432,7 +520,7 @@ def _surviving_classes(g: Game) -> dict[Player, frozenset]:
 
 def _efr(g: Game) -> list[dict[Player, frozenset]]:
     """Per round, per acting player, its alive classes (``_classes``)."""
-    ctxs, classes = _contexts(g), g._ix.classes
+    ctxs, classes = _contexts(g), _tables(g)
     rounds = [{j: frozenset(range(len(c.first))) for j, c in classes.items()}]
     while True:
         new = dict(rounds[-1])

@@ -155,6 +155,10 @@ def action_vector(g: Game, s: PureStrategy, i: Player) -> tuple:
 
 
 def pure_strategies(g: Game, i: Player) -> list[PureStrategy]:
+    """Player i's pure strategies (nature's too), in ``strategy_vectors``
+    order.  ValueError when i is neither nature nor a player of g."""
+    if i != NATURE and i not in g.players:
+        raise ValueError("no player %r" % (i,))
     return list(map(vector_strategy(g, i), strategy_vectors(g, i)))
 
 
@@ -429,7 +433,13 @@ def opposing_profiles(g: Game, i: Player) -> list[PureProfile]:
 
 def realization_equivalent(g: Game, i: Player, x: Strategy, y: Strategy,
                            opposing: Optional[Iterable[PureProfile]] = None) -> bool:
-    """Exact agreement of ρ(n | ., s_-i) on every node of every tree."""
+    """Exact agreement of ρ(n | ., s_-i) on every node of every tree.
+    ValueError when x or y is not a pure, behavior or mixed strategy of
+    player i."""
+    for s in (x, y):
+        if not isinstance(s, (PureStrategy, BehaviorStrategy, MixedStrategy)) \
+                or s.owner != i:
+            raise ValueError("not a strategy of player %d: %r" % (i, s))
     opp = list(opposing) if opposing is not None else opposing_profiles(g, i)
     for s_minus in opp:
         for t in g.tree_order():

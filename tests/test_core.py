@@ -316,6 +316,9 @@ def test_hosts_reachable():
     assert hosts_reachable(g, "Tbar") == ["T", "Tp", "Tpp", "Tbar"]
     assert hosts_reachable(g, "T") == ["T"]
     assert hosts_reachable(g, "Tp") == ["T", "Tp"]
+    # used to leak a raw KeyError
+    with pytest.raises(ValueError):
+        hosts_reachable(g, "nope")
 
 
 # -- information-set arborescence -------------------------------------------

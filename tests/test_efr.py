@@ -44,6 +44,7 @@ from ugt.strategies import (
     realization_equivalent,
     realized_tbar_path,
     restrict_strategy,
+    strategy_vectors,
 )
 
 
@@ -432,7 +433,7 @@ def assert_reads_stay_in_reached_positions(g):
                     continue
                 own = [(q, a) for (k, q), a in fixed.items() if k == j]
                 table_j = _classes(g, j)
-                for v, c in table_j.of.items():
+                for v, c in zip(strategy_vectors(g, j), table_j.pool()):
                     if all(v[q] == a for q, a in own):
                         assert p in table_j.reached[c], (t, n, j, v)
                         checked += 1
@@ -479,8 +480,8 @@ def assert_columns_lose_no_play(g):
                 ctx = ctxs[hh]
                 kept = ctx.columns(tables,
                                    tuple(rd[j] for j in ctx.opponents))
-                members = [[(v, tables[j].first[c])
-                            for v, c in tables[j].of.items() if c in rd[j]]
+                members = [[(v, tables[j].first[c]) for v, c in zip(
+                    strategy_vectors(g, j), tables[j].pool()) if c in rd[j]]
                            for j in ctx.opponents]
                 expanded = [c for c in itertools.product(*(
                     dict.fromkeys(get(v) for v, _ in vs)

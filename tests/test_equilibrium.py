@@ -55,6 +55,7 @@ from ugt.strategies import (
     realization_equivalent,
     realized_tbar_path,
     restrict_strategy,
+    strategy_vectors,
 )
 from ugt import equilibrium
 from ugt.equilibrium import (
@@ -497,6 +498,12 @@ def test_efr_support_violation_detected():
     assert v.player == 2
 
 
+def lift_each(g, s):
+    """lift_pure entry by entry, each under its strategy's owner, so that a
+    foreign entry stays foreign."""
+    return {j: lift_pure(g, {x.owner: x})[x.owner] for j, x in s.items()}
+
+
 @pytest.mark.parametrize("check", ["pure", "behavior", "efr"])
 def test_sce_checks_reject_incomplete_profiles(check):
     # each used to leak a raw KeyError from deep inside the check
@@ -506,7 +513,7 @@ def test_sce_checks_reject_incomplete_profiles(check):
     s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
     for s in ({1: s1}, {1: s1, 2: s1}, {1: s1, 2: PureStrategy.make(2, {})}):
         with pytest.raises(ValueError):
-            run(g, s if check == "pure" else lift_pure(g, s))
+            run(g, s if check == "pure" else lift_each(g, s))
     # entries that are no strategy of their player, and for the pure check
     # a mixed strategy of its own
     mixed = {j: MixedStrategy.degenerate(x) for j, x in ((1, s1), (2, s2))}
@@ -528,13 +535,26 @@ def test_sce_checks_reject_incomplete_profiles(check):
         assert run(g, s if check == "pure" else lift_pure(g, s)).holds
 
 
+def test_lift_pure_rejects_non_pure_entries():
+    # the first two used to leak a raw AttributeError, and the third was
+    # lifted under the wrong key
+    g = ex1_initial()
+    s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
+    for s in ({1: "junk", 2: s2}, {1: s1, 2: MixedStrategy.degenerate(s2)},
+              {1: s1, 2: s1}):
+        with pytest.raises(ValueError):
+            lift_pure(g, s)
+    lifted = lift_pure(g, {1: s1, 2: s2})
+    assert {j: b.owner for j, b in lifted.items()} == {1: 1, 2: 2}
+
+
 def test_awareness_diagnostics_rejects_incomplete_profiles():
     # used to leak a raw KeyError on a missing or foreign strategy
     g = ex1_initial()
     s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
     for s in ({1: s1}, {2: s2}, {1: s1, 2: s1},
               {1: s1, 2: PureStrategy.make(2, {})}):
-        for pi in (s, lift_pure(g, s)):
+        for pi in (s, lift_each(g, s)):
             with pytest.raises(ValueError):
                 awareness_diagnostics(g, pi)
     for pi in ({1: "junk", 2: s2}, {1: s1, 2: MixedStrategy.degenerate(s1)}):
@@ -558,6 +578,11 @@ def test_bos_repeated_discovered_equilibrium():
     assert v.holds
 
 
+def vector_classes(g, i):
+    """Each of player i's action vectors -> its class in ``_classes``."""
+    return dict(zip(strategy_vectors(g, i), _classes(g, i).pool()))
+
+
 def test_realization_key_matches_exhaustive_equivalence():
     # the class number is the realization key: equal exactly for
     # realization-equivalent strategies
@@ -578,7 +603,7 @@ def test_realization_key_matches_exhaustive_equivalence():
                 if len(pool) ** 2 * len(opposing) > 2048:
                     continue
                 checked += 1
-            of = _classes(g, i).of
+            of = vector_classes(g, i)
             for x in pool:
                 for y in pool:
                     same = of[action_vector(g, x, i)] == \
@@ -628,10 +653,11 @@ def test_positive_classes_match_the_mixed_conversion():
         profiles += [random_behavior(g, rng) for _ in range(3)]
         for pi in profiles:
             for i in g.players:
-                table = _classes(g, i)
-                want = {table.of[action_vector(g, x, i)]
+                of = vector_classes(g, i)
+                want = {of[action_vector(g, x, i)]
                         for x in kuhn_convert(g, i, pi[i]).support()}
-                got = _positive_classes(table, kernel_vector(g, pi[i], i))
+                got = _positive_classes(_classes(g, i),
+                                        kernel_vector(g, pi[i], i))
                 assert got == want
                 efr_dead += not got <= _surviving_classes(g)[i]
     assert efr_dead > 0
@@ -722,8 +748,9 @@ def test_class_cells_pay_like_their_members(name):
                  for s0, w in behavior_to_mixed(g, uniform).weights]
     u = _normal_form(g, pools, nature)
     survivors = efr_sets(g)
+    of = {i: vector_classes(g, i) for i in players}
     for combo in itertools.product(*[survivors[i] for i in players]):
-        cell = tuple(index[i][_classes(g, i).of[action_vector(g, x, i)]]
+        cell = tuple(index[i][of[i][action_vector(g, x, i)]]
                      for i, x in zip(players, combo))
         want = [Fraction(0)] * len(players)
         for s0, w in draws:

@@ -67,6 +67,24 @@ def test_pure_strategy_enumeration_counts():
     assert len(pure_strategies(rep, 2)) == 2 ** 4
 
 
+def test_pure_strategies_of_unknown_player():
+    g = ex1_initial()
+    with pytest.raises(ValueError):
+        pure_strategies(g, 7)
+    # nature is valid in every game: one empty strategy where it never moves
+    assert pure_strategies(g, NATURE) == [PureStrategy(NATURE, ())]
+
+
+def test_realization_equivalent_rejects_other_players_strategies():
+    # a strategy of player 2 passed for player 1 used to leak a raw KeyError
+    g = load("fig14")
+    x, y = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
+    assert realization_equivalent(g, 1, x, x)
+    for a, b in ((x, y), (y, x), (x, "junk")):
+        with pytest.raises(ValueError):
+            realization_equivalent(g, 1, a, b)
+
+
 def test_nature_strategies_use_synthetic_sets():
     g = load("nature_coin")
     nats = pure_strategies(g, NATURE)
