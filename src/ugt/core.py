@@ -553,16 +553,11 @@ def validate_game(g: Game) -> ValidationReport:
                 if not nd.is_terminal:
                     fails["prop1"].append((t, n))
                 continue
-            # prop2: children in t = product of nonempty restricted sets
-            plist = sorted(nd.players)
-            restr = [g.actions_in(t, n, i) for i in plist]
-            if any(not r for r in restr):
+            # prop2: children in t = product of the restricted action sets
+            # (each nonempty: a node not terminal in t has a child in t)
+            restr = [g.actions_in(t, n, i) for i in sorted(nd.players)]
+            if set(itertools.product(*restr)) != set(g.children_in(t, n)):
                 fails["prop2"].append((t, n))
-            else:
-                want = {prof for prof in itertools.product(*restr)}
-                have = set(g.children_in(t, n))
-                if want != have:
-                    fails["prop2"].append((t, n))
         # prop3 and I5, per player within tree t
         for i in g.players:
             decs = [n for n in sorted(ns)
@@ -695,9 +690,8 @@ def t_partial_game(g: Game, t: TreeId) -> Game:
 
     By confined awareness every tree in the host closure sits below t, so the
     restricted game's upmost tree is t itself and its node set is t's.
+    ValueError when t is not a tree of g.
     """
-    if t not in g.trees:
-        raise KeyError("unknown tree %r" % t)
     keep = hosts_reachable(g, t)
     kept_nodes = g.trees[t]
     nodes = {}

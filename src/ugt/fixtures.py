@@ -1,19 +1,32 @@
 """Built-in example games used across the test-suite and the demos.
 
-Each builder returns a freshly constructed Game.  The families:
+Each fixture ships once, as the canonical document ``data/<name>.game.json``;
+``load(name)`` parses a fresh Game from it and ``ugt export --format dot``
+draws it.  The families:
 
-* ``ex1_*``    -- a two-move game where player 1 starts out unaware of one of
-                  player 2's actions and can discover it through play.
-* ``ex2_*``    -- the same skeleton plus a second decision of player 1 that
-                  player 2 is in turn unaware of, giving a diamond lattice of
-                  four views and mutual, asymmetric unawareness.
-* ``bos_*``    -- a battle-of-the-sexes stage game with an outside option
-                  (fully aware single-tree version) and a twice-repeated
-                  version where player 2 is initially unaware of the outside
-                  option.
-* ``fig14``    -- a four-tree game whose equilibrium path keeps each player's
-                  own awareness constant while player 1's picture of player
-                  2's awareness shifts along the path.
+* ``ex1_*``  -- a two-move game where player 1 is unaware of player 2's
+                middle action m2 until the m2 terminal is reached
+                (``ex1_initial``); in ``ex1_discovered`` player 1 knows m2.
+* ``ex2_*``  -- the same skeleton plus a follow-up z1 of player 1 that player
+                2 is in turn unaware of: a diamond lattice of four views
+                (Tbar has m2 and z1, Tpp drops m2, Tp drops z1, T drops both)
+                and mutual, asymmetric unawareness.  In ``ex2_initial``
+                each is unaware of the other's; in ``ex2_rsc`` player 1 has
+                discovered m2, in ``ex2_nonrat`` player 2 has discovered z1,
+                and in ``ex2_full`` both are aware within every view.
+* ``bos_*``  -- a battle of the sexes with an outside option: ``bos_aware``
+                is the fully aware single tree; ``bos_repeated`` plays it
+                twice with player 2 unaware of the outside option and
+                monitoring that pools the opponent's stage-1 coordination
+                action; ``bos_repeated_discovered`` follows player 2's
+                discovery of the outside option.
+* ``fig14``  -- four trees separating the two constant-awareness notions:
+                along the unique equilibrium path player 1 never becomes
+                aware of a and player 2 never of L and R, yet inside player
+                1's view the host of player 2's sets shifts along the path.
+* small single-tree games: ``matching_pennies``, ``trivial_single`` (one
+  player, one move) and ``nature_coin`` (nature flips a coin that player 1
+  does not observe).
 
 Payoffs are exact rationals.  Stage-2 action labels in the repeated game
 carry the stage-1 history tag, since two decision nodes of one player in one
@@ -22,366 +35,17 @@ tree may share action labels only if they share the information set.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Mapping, Optional
-
-from .core import Game, InfoSet, NodeData, NodeId, Player, TreeId
-
-
-def _leaf(parent: NodeId, payoffs: Mapping[Player, int]) -> NodeData:
-    return NodeData(parent=parent,
-                    payoffs={i: Fraction(v) for i, v in payoffs.items()})
-
-
-def _move(parent: Optional[NodeId], player: Player,
-          branches: Mapping[str, NodeId]) -> NodeData:
-    """Decision node with a single mover."""
-    return NodeData(parent=parent, players=(player,),
-                    actions={player: tuple(branches)},
-                    children={(a,): c for a, c in branches.items()})
-
-
-def _sim(parent: NodeId, actions: Mapping[Player, tuple[str, ...]],
-         branches: Mapping[tuple[str, ...], NodeId]) -> NodeData:
-    """Simultaneous-move node; branch keys follow sorted player order."""
-    return NodeData(parent=parent, players=tuple(sorted(actions)),
-                    actions={i: tuple(a) for i, a in actions.items()},
-                    children=dict(branches))
-
-
-HostFn = Callable[[Player, TreeId, NodeId], TreeId]
-
-
-def _with_info(players, trees, nodes, host_of: HostFn,
-               pools=(), overrides=None) -> Game:
-    """Fill the information map over the full key domain.
-
-    ``host_of`` gives the host tree per key; members default to the singleton
-    of the key's node.  ``pools`` lists (player, host, members) groups whose
-    member nodes share one set; ``overrides`` pins members per key directly.
-    """
-    skeleton = Game(players, trees, nodes, {})
-    pooled = {}
-    for i, host, members in pools:
-        for m in members:
-            pooled[(i, host, m)] = tuple(members)
-    overrides = dict(overrides or {})
-    info = {}
-    for i, t, n in skeleton.info_domain():
-        host = host_of(i, t, n)
-        members = overrides.get((i, t, n)) or pooled.get((i, host, n)) or (n,)
-        info[(i, t, n)] = InfoSet(i, host, members)
-    return Game(players, trees, nodes, info)
-
-
-# ---------------------------------------------------------------------------
-# ex1: one-sided unawareness of player 2's middle action
-
-
-def _ex1_nodes() -> dict[NodeId, NodeData]:
-    return {
-        0: _move(None, 1, {"l1": 1, "r1": 2}),
-        1: _move(0, 2, {"l2": 3, "m2": 4, "r2": 5}),
-        2: _leaf(0, {1: 1, 2: 1}),
-        3: _leaf(1, {1: 3, 2: 1}),
-        4: _leaf(1, {1: 0, 2: 10}),
-        5: _leaf(1, {1: 2, 2: 2}),
-    }
-
-
-_EX1_TREES = {"Tbar": range(6), "T": (0, 1, 2, 3, 5)}
-
-
-def ex1_initial() -> Game:
-    """Player 1 is unaware of m2 until the m2 terminal is reached."""
-    def host(i, t, n):
-        if i == 1 and n != 4:
-            return "T"
-        return t
-    return _with_info((1, 2), _EX1_TREES, _ex1_nodes(), host)
-
-
-def ex1_discovered() -> Game:
-    """The version of ex1 where player 1 knows m2 upfront."""
-    return _with_info((1, 2), _EX1_TREES, _ex1_nodes(), lambda i, t, n: t)
-
-
-# ---------------------------------------------------------------------------
-# ex2: mutual asymmetric unawareness on a diamond lattice of four views
-#
-# Tbar has both the middle action m2 and player 1's follow-up z1; Tpp drops
-# m2, Tp drops z1, T drops both.
-
-
-def _ex2_nodes() -> dict[NodeId, NodeData]:
-    return {
-        0: _move(None, 1, {"l1": 1, "r1": 2}),
-        1: _move(0, 2, {"l2": 3, "m2": 4, "r2": 5}),
-        2: _leaf(0, {1: 1, 2: 1}),
-        3: _move(1, 1, {"y1": 6, "z1": 7}),
-        4: _leaf(1, {1: 0, 2: 10}),
-        5: _leaf(1, {1: 2, 2: 2}),
-        6: _leaf(3, {1: 3, 2: 1}),
-        7: _leaf(3, {1: 5, 2: 12}),
-    }
-
-
-_EX2_TREES = {
-    "Tbar": range(8),
-    "Tpp": (0, 1, 2, 3, 5, 6, 7),
-    "Tp": range(7),
-    "T": (0, 1, 2, 3, 5, 6),
-}
-
-
-def _ex2_host_p1_initial(t: TreeId, n: NodeId) -> TreeId:
-    if n == 4:
-        return t
-    if n == 7:
-        return "Tpp"
-    return "Tpp" if t in ("Tbar", "Tpp") else "T"
-
-
-def _ex2_host_p2_initial(t: TreeId, n: NodeId) -> TreeId:
-    if n == 7:
-        return t
-    if n == 4:
-        return "Tp"
-    return "Tp" if t in ("Tbar", "Tp") else "T"
-
-
-def _ex2(p1_aware: bool, p2_aware: bool) -> Game:
-    def host(i, t, n):
-        if i == 1:
-            return t if p1_aware else _ex2_host_p1_initial(t, n)
-        return t if p2_aware else _ex2_host_p2_initial(t, n)
-    return _with_info((1, 2), _EX2_TREES, _ex2_nodes(), host)
-
-
-def ex2_initial() -> Game:
-    """Player 1 unaware of m2, player 2 unaware of z1."""
-    return _ex2(False, False)
-
-
-def ex2_rsc() -> Game:
-    """Player 1 has discovered m2; player 2 still unaware of z1."""
-    return _ex2(True, False)
-
-
-def ex2_nonrat() -> Game:
-    """Player 2 has discovered z1; player 1 still unaware of m2."""
-    return _ex2(False, True)
-
-
-def ex2_full() -> Game:
-    """Both players fully aware within every view."""
-    return _ex2(True, True)
-
-
-# ---------------------------------------------------------------------------
-# bos_aware: single-tree battle of the sexes with an outside option
-
-
-def bos_aware() -> Game:
-    nodes = {
-        0: _move(None, 1, {"out": 1, "in": 2}),
-        1: _leaf(0, {1: 2, 2: 0}),
-        2: _sim(0, {1: ("B", "S"), 2: ("b", "s")},
-                {("B", "b"): 3, ("B", "s"): 4, ("S", "b"): 5, ("S", "s"): 6}),
-        3: _leaf(2, {1: 3, 2: 1}),
-        4: _leaf(2, {1: 0, 2: 0}),
-        5: _leaf(2, {1: 0, 2: 0}),
-        6: _leaf(2, {1: 1, 2: 3}),
-    }
-    return _with_info((1, 2), {"G": range(7)}, nodes, lambda i, t, n: "G")
-
-
-# ---------------------------------------------------------------------------
-# bos_repeated: the stage game played twice, player 2 initially unaware of
-# the outside option; monitoring pools the opponent's stage-1 coordination
-# action for both players
-
-
-def _bos_repeated_nodes() -> dict[NodeId, NodeData]:
-    nodes: dict[NodeId, NodeData] = {
-        0: _move(None, 1, {"out": 1, "in": 2}),
-        # outside branch: opting out pays (2,0) on top of the continuation
-        1: _move(0, 1, {"o2a": 10, "i2a": 11}),
-        10: _leaf(1, {1: 4, 2: 0}),
-        11: _sim(1, {1: ("B2a", "S2a"), 2: ("b2a", "s2a")},
-                 {("B2a", "b2a"): 12, ("B2a", "s2a"): 13,
-                  ("S2a", "b2a"): 14, ("S2a", "s2a"): 15}),
-        12: _leaf(11, {1: 5, 2: 1}),
-        13: _leaf(11, {1: 2, 2: 0}),
-        14: _leaf(11, {1: 2, 2: 0}),
-        15: _leaf(11, {1: 3, 2: 3}),
-        # inside branch: stage-1 coordination
-        2: _sim(0, {1: ("B1", "S1"), 2: ("b1", "s1")},
-                {("B1", "b1"): 3, ("B1", "s1"): 4,
-                 ("S1", "b1"): 5, ("S1", "s1"): 6}),
-        3: _move(2, 1, {"o2b": 20, "i2b": 21}),
-        4: _move(2, 1, {"o2b": 22, "i2b": 23}),
-        5: _move(2, 1, {"o2s": 24, "i2s": 25}),
-        6: _move(2, 1, {"o2s": 26, "i2s": 27}),
-        20: _leaf(3, {1: 5, 2: 1}),
-        22: _leaf(4, {1: 2, 2: 0}),
-        24: _leaf(5, {1: 2, 2: 0}),
-        26: _leaf(6, {1: 3, 2: 3}),
-    }
-    stage2 = [
-        (21, 3, ("B2b", "S2b"), ("b2b", "s2b"), 30,
-         [(6, 2), (3, 1), (3, 1), (4, 4)]),
-        (23, 4, ("B2b", "S2b"), ("b2s", "s2s"), 34,
-         [(3, 1), (0, 0), (0, 0), (1, 3)]),
-        (25, 5, ("B2s", "S2s"), ("b2b", "s2b"), 38,
-         [(3, 1), (0, 0), (0, 0), (1, 3)]),
-        (27, 6, ("B2s", "S2s"), ("b2s", "s2s"), 42,
-         [(4, 4), (1, 3), (1, 3), (2, 6)]),
-    ]
-    for n, parent, a1, a2, z0, pays in stage2:
-        branches = {}
-        for k, (x, y) in enumerate(pays):
-            z = z0 + k
-            branches[(a1[k // 2], a2[k % 2])] = z
-            nodes[z] = _leaf(n, {1: x, 2: y})
-        nodes[n] = _sim(parent, {1: a1, 2: a2}, branches)
-    return nodes
-
-
-_BOS_TBAR = tuple(sorted([0, 1, 2, 3, 4, 5, 6, 10, 11, 12, 13, 14, 15,
-                          20, 21, 22, 23, 24, 25, 26, 27] + list(range(30, 46))))
-_BOS_T0 = tuple(sorted([0, 2, 3, 4, 5, 6, 21, 23, 25, 27] + list(range(30, 46))))
-_BOS_TREES = {"Tbar": _BOS_TBAR, "T0": _BOS_T0}
-_BOS_OUT_ONLY = frozenset({1, 10, 11, 12, 13, 14, 15, 20, 22, 24, 26})
-
-_BOS_P1_POOLS = [(3, 4), (5, 6), (21, 23), (25, 27)]
-_BOS_P2_POOLS = [(21, 25), (23, 27)]
-
-
-def bos_repeated() -> Game:
-    """Twice-repeated stage game; player 2 unaware of the outside option."""
-    def host(i, t, n):
-        if i == 2:
-            return "Tbar" if n in _BOS_OUT_ONLY else "T0"
-        return t
-    pools = [(1, t, m) for t in _BOS_TREES for m in _BOS_P1_POOLS] + \
-            [(2, "T0", m) for m in _BOS_P2_POOLS]
-    return _with_info((1, 2), _BOS_TREES, _bos_repeated_nodes(), host, pools)
-
-
-def bos_repeated_discovered() -> Game:
-    """The repeated game after player 2 has discovered the outside option."""
-    pools = [(1, t, m) for t in _BOS_TREES for m in _BOS_P1_POOLS] + \
-            [(2, t, m) for t in _BOS_TREES for m in _BOS_P2_POOLS]
-    return _with_info((1, 2), _BOS_TREES, _bos_repeated_nodes(),
-                      lambda i, t, n: t, pools)
-
-
-# ---------------------------------------------------------------------------
-# fig14: own awareness constant along the path, the view of the opponent's
-# awareness is not
-
-
-def fig14() -> Game:
-    """Four-tree game separating the two constant-awareness notions.
-
-    Player 1 never becomes aware of action a along the unique equilibrium
-    path and player 2 never becomes aware of L and R, yet inside player 1's
-    view the host of player 2's information sets shifts along the path.
-    """
-    nodes = {
-        0: _move(None, 1, {"L": 1, "M": 2, "R": 3}),
-        1: _move(0, 2, {"a": 4, "b": 5}),
-        2: _move(0, 2, {"a": 6, "b": 7}),
-        3: _move(0, 2, {"a": 8, "b": 9}),
-        4: _leaf(1, {1: 0, 2: 0}),
-        5: _leaf(1, {1: 1, 2: 0}),
-        6: _leaf(2, {1: 1, 2: 0}),
-        7: _leaf(2, {1: 2, 2: 1}),
-        8: _leaf(3, {1: 0, 2: 0}),
-        9: _leaf(3, {1: 0, 2: 0}),
-    }
-    trees = {
-        "Tbar": range(10),
-        "T1": (0, 1, 2, 3, 5, 7, 9),
-        "T3": (0, 2, 6, 7),
-        "T2": (0, 2, 7),
-    }
-
-    def host(i, t, n):
-        if i == 1:
-            if t == "Tbar" and n in (0, 5, 7, 9):
-                return "T1"
-            return t
-        if t == "Tbar":
-            if n in (1, 2, 3, 6, 7):
-                return "T3"
-            return "Tbar"
-        if t == "T1":
-            return "T2" if n in (1, 2, 3) else "T1"
-        return t
-
-    overrides = {(2, t, n): (2,)
-                 for t in ("Tbar", "T1") for n in (1, 3)}
-    return _with_info((1, 2), trees, nodes, host, overrides=overrides)
-
-
-# ---------------------------------------------------------------------------
-# small single-tree games
-
-
-def matching_pennies() -> Game:
-    nodes = {
-        0: _sim(None, {1: ("H", "T"), 2: ("h", "t")},
-                {("H", "h"): 1, ("H", "t"): 2, ("T", "h"): 3, ("T", "t"): 4}),
-        1: _leaf(0, {1: 1, 2: -1}),
-        2: _leaf(0, {1: -1, 2: 1}),
-        3: _leaf(0, {1: -1, 2: 1}),
-        4: _leaf(0, {1: 1, 2: -1}),
-    }
-    return _with_info((1, 2), {"G": range(5)}, nodes, lambda i, t, n: "G")
-
-
-def trivial_single() -> Game:
-    """One player, one move."""
-    nodes = {
-        0: _move(None, 1, {"a": 1, "b": 2}),
-        1: _leaf(0, {1: 1}),
-        2: _leaf(0, {1: 0}),
-    }
-    return _with_info((1,), {"G": range(3)}, nodes, lambda i, t, n: "G")
-
-
-def nature_coin() -> Game:
-    """Nature flips a coin that player 1 does not observe."""
-    nodes = {
-        0: _move(None, 0, {"heads": 1, "tails": 2}),
-        1: _move(0, 1, {"u": 3, "d": 4}),
-        2: _move(0, 1, {"u": 5, "d": 6}),
-        3: _leaf(1, {1: 1}),
-        4: _leaf(1, {1: 0}),
-        5: _leaf(2, {1: 0}),
-        6: _leaf(2, {1: 1}),
-    }
-    return _with_info((1,), {"G": range(7)}, nodes, lambda i, t, n: "G",
-                      pools=[(1, "G", (1, 2))])
-
-
-FIXTURES: dict[str, Callable[[], Game]] = {
-    "ex1_initial": ex1_initial,
-    "ex1_discovered": ex1_discovered,
-    "ex2_initial": ex2_initial,
-    "ex2_rsc": ex2_rsc,
-    "ex2_nonrat": ex2_nonrat,
-    "ex2_full": ex2_full,
-    "bos_aware": bos_aware,
-    "bos_repeated": bos_repeated,
-    "bos_repeated_discovered": bos_repeated_discovered,
-    "fig14": fig14,
-    "matching_pennies": matching_pennies,
-    "trivial_single": trivial_single,
-    "nature_coin": nature_coin,
-}
+from functools import partial
+from importlib import resources
+from typing import Callable
+
+from .core import Game
+from .gamedoc import parse_game
+
+NAMES = ("ex1_initial", "ex1_discovered", "ex2_initial", "ex2_rsc",
+         "ex2_nonrat", "ex2_full", "bos_aware", "bos_repeated",
+         "bos_repeated_discovered", "fig14", "matching_pennies",
+         "trivial_single", "nature_coin")
 
 # games meant as starting points of a discovery process
 INITIAL_GAMES = ("ex1_initial", "ex2_initial", "bos_aware", "bos_repeated",
@@ -389,8 +53,14 @@ INITIAL_GAMES = ("ex1_initial", "ex2_initial", "bos_aware", "bos_repeated",
 
 
 def load(name: str) -> Game:
-    try:
-        return FIXTURES[name]()
-    except KeyError:
-        raise KeyError("unknown fixture %r (available: %s)"
-                       % (name, ", ".join(sorted(FIXTURES)))) from None
+    """A freshly parsed copy of the named fixture.
+
+    ValueError when name is not a fixture."""
+    if name not in NAMES:
+        raise ValueError("unknown fixture %r (available: %s)"
+                         % (name, ", ".join(sorted(NAMES))))
+    path = resources.files("ugt") / "data" / f"{name}.game.json"
+    return parse_game(path.read_text(encoding="utf-8"))
+
+
+FIXTURES: dict[str, Callable[[], Game]] = {n: partial(load, n) for n in NAMES}

@@ -548,10 +548,6 @@ def _rational(table: _Classes, c: int, allowed_at) -> bool:
                for p in table.reached[c])
 
 
-def efr_sets(g: Game) -> dict[Player, list[PureStrategy]]:
-    return efr(g).surviving()
-
-
 def best_reply_exists(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
                       allowed: Sequence[PureProfile]) -> bool:
     """Whether some belief over the allowed profiles makes s_i's

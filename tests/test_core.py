@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,7 @@ from ugt.core import (
     validate_game,
     validate_structure,
 )
-from ugt.fixtures import FIXTURES, bos_aware, bos_repeated, ex1_initial, \
-    ex1_discovered, ex2_initial, fig14, load
+from ugt.fixtures import FIXTURES, load
 
 
 def reinfo(g: Game, **_ignored):
@@ -38,7 +38,7 @@ def test_fixture_passes_all_checks(name):
 
 
 def test_report_has_thirteen_named_checks():
-    report = validate_game(ex1_initial())
+    report = validate_game(load("ex1_initial"))
     assert [c.name for c in report.checks] == [n for n, _ in CHECK_NAMES]
     assert len(report.checks) == 13
     # descriptions ride along for reporting
@@ -49,7 +49,7 @@ def test_report_has_thirteen_named_checks():
 
 
 def test_unknown_child_is_structural():
-    g = ex1_initial()
+    g = load("ex1_initial")
     nodes = dict(g.nodes)
     nodes[0] = NodeData(parent=None, players=(1,),
                         actions={1: ("l1", "r1")},
@@ -59,7 +59,7 @@ def test_unknown_child_is_structural():
 
 
 def test_missing_information_set_is_structural():
-    g = ex1_initial()
+    g = load("ex1_initial")
     info = dict(g.info)
     del info[(1, "T", 0)]
     with pytest.raises(StructuralError, match="missing information set"):
@@ -87,7 +87,7 @@ def test_non_injective_successors_are_structural():
 
 
 def test_member_outside_host_is_structural():
-    g = ex1_initial()
+    g = load("ex1_initial")
     info = dict(g.info)
     # node 4 has no copy in tree T, so a T-hosted set cannot contain it
     info[(1, "Tbar", 4)] = InfoSet(1, "T", (4,))
@@ -99,7 +99,7 @@ def test_member_outside_host_is_structural():
 
 
 def test_prop1_detects_early_termination():
-    g = ex1_initial()
+    g = load("ex1_initial")
     trees = dict(g.trees)
     trees["S"] = frozenset({0, 1, 2})
     info = dict(g.info)
@@ -115,7 +115,7 @@ def test_prop1_detects_early_termination():
 
 
 def test_prop2_detects_non_product_children():
-    g = bos_aware()
+    g = load("bos_aware")
     trees = dict(g.trees)
     trees["S"] = frozenset({0, 1, 2, 3, 5, 6})  # drops one joint outcome
     info = dict(g.info)
@@ -129,7 +129,7 @@ def test_prop2_detects_non_product_children():
 
 
 def test_prop3_detects_partially_shared_labels():
-    g = bos_aware()
+    g = load("bos_aware")
     nodes = dict(g.nodes)
     nodes[2] = NodeData(parent=0, players=(1, 2),
                         actions={1: ("out", "S"), 2: ("b", "s")},
@@ -139,7 +139,7 @@ def test_prop3_detects_partially_shared_labels():
 
 
 def test_U0_detects_host_above_tree():
-    g = fig14()
+    g = load("fig14")
     info = dict(g.info)
     info[(2, "T1", 2)] = InfoSet(2, "T3", (2,))
     names = failed_names(rebuild(g, info=info))
@@ -149,14 +149,14 @@ def test_U0_detects_host_above_tree():
 
 
 def test_U1_detects_self_exclusion():
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     info = dict(g.info)
     info[(2, "Tbar", 3)] = InfoSet(2, "Tbar", (4,))
     assert "U1" in failed_names(rebuild(g, info=info))
 
 
 def test_I2_detects_member_disagreement():
-    g = ex1_initial()
+    g = load("ex1_initial")
     info = dict(g.info)
     # pool two terminals without telling the second one about it
     info[(2, "Tbar", 2)] = InfoSet(2, "Tbar", (2, 5))
@@ -165,7 +165,7 @@ def test_I2_detects_member_disagreement():
 
 
 def test_I3_detects_divined_awareness():
-    g = ex2_initial()
+    g = load("ex2_initial")
     info = dict(g.info)
     info[(1, "T", 3)] = InfoSet(1, "Tp", (3,))
     names = failed_names(rebuild(g, info=info))
@@ -174,7 +174,7 @@ def test_I3_detects_divined_awareness():
 
 
 def test_I5_detects_split_information():
-    g = bos_repeated()
+    g = load("bos_repeated")
     info = dict(g.info)
     for t in ("Tbar", "T0"):
         info[(1, t, 3)] = InfoSet(1, t, (3,))
@@ -183,7 +183,7 @@ def test_I5_detects_split_information():
 
 
 def test_I6_detects_forgotten_own_action():
-    g = bos_repeated()
+    g = load("bos_repeated")
     info = dict(g.info)
     # pool two continuations reached by different own stage-1 actions
     for t in ("Tbar", "T0"):
@@ -195,7 +195,7 @@ def test_I6_detects_forgotten_own_action():
 
 
 def test_U4_detects_intermediate_disagreement():
-    g = ex2_initial()
+    g = load("ex2_initial")
     info = dict(g.info)
     info[(1, "Tpp", 0)] = InfoSet(1, "T", (0,))
     names = failed_names(rebuild(g, info=info))
@@ -203,7 +203,7 @@ def test_U4_detects_intermediate_disagreement():
 
 
 def test_U5_detects_missing_projection():
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     info = dict(g.info)
     info[(1, "T", 5)] = InfoSet(1, "T", (3, 5))
     names = failed_names(rebuild(g, info=info))
@@ -211,7 +211,7 @@ def test_U5_detects_missing_projection():
 
 
 def test_I7_detects_payoff_mismatch():
-    g = ex1_initial()
+    g = load("ex1_initial")
     info = dict(g.info)
     # relocate the set of the discovery terminal into the poor tree
     info[(1, "Tbar", 4)] = InfoSet(1, "T", (5,))
@@ -219,8 +219,21 @@ def test_I7_detects_payoff_mismatch():
     assert "I7" in names
 
 
+def test_I7_detects_nonterminal_member():
+    g = load("ex1_initial")
+    info = dict(g.info)
+    # the discovery terminal's set holds a decision node of its host, which
+    # fails I7 even when that node carries the terminal's payoffs
+    info[(1, "Tbar", 4)] = InfoSet(1, "T", (1,))
+    nodes = dict(g.nodes)
+    nodes[1] = dataclasses.replace(nodes[1], payoffs=nodes[4].payoffs)
+    for game in (rebuild(g, info=info), rebuild(g, info=info, nodes=nodes)):
+        report = validate_game(game)
+        assert report.by_name("I7").witnesses == ((1, "Tbar", 4, 1),)
+
+
 def test_witnesses_capped():
-    g = bos_repeated()
+    g = load("bos_repeated")
     info = {k: InfoSet(k[0], g.tbar, (k[2],)) if k[2] in g.trees["Tbar"]
             else v for k, v in g.info.items()}
     report = validate_game(rebuild(g, info=info))
@@ -233,7 +246,7 @@ def test_witnesses_capped():
 
 
 def test_tree_order_and_tbar():
-    g = ex2_initial()
+    g = load("ex2_initial")
     assert g.tbar == "Tbar"
     order = g.tree_order()
     assert order[0] == "T" and order[-1] == "Tbar"
@@ -244,7 +257,7 @@ def test_tree_order_and_tbar():
 
 
 def test_restricted_actions():
-    g = ex2_initial()
+    g = load("ex2_initial")
     assert g.actions_in("Tbar", 1, 2) == ("l2", "m2", "r2")
     assert g.actions_in("Tpp", 1, 2) == ("l2", "r2")
     assert g.actions_in("Tp", 3, 1) == ("y1",)
@@ -252,7 +265,7 @@ def test_restricted_actions():
 
 
 def test_paths_and_descendants():
-    g = bos_repeated()
+    g = load("bos_repeated")
     assert g.path_in("Tbar", 31) == [0, 2, 3, 21, 31]
     assert g.path_in("T0", 31) == [0, 2, 3, 21, 31]
     assert 1 not in g.descendants_in("T0", 0)
@@ -260,10 +273,10 @@ def test_paths_and_descendants():
 
 
 def test_terminal_in_tree_only():
-    g = ex2_initial()
+    g = load("ex2_initial")
     assert g.terminal_in("Tp", 3) is False  # y1 remains available
     assert not g.nodes[3].is_terminal
-    g2 = ex1_initial()
+    g2 = load("ex1_initial")
     assert g2.terminal_in("T", 1) is False
     assert g2.terminal_in("T", 5) is True
 
@@ -272,9 +285,9 @@ def test_terminal_in_tree_only():
 
 
 def test_structural_equality_and_hash():
-    assert ex1_initial() == ex1_initial()
-    assert hash(ex2_initial()) == hash(ex2_initial())
-    assert ex1_initial() != ex1_discovered()
+    assert load("ex1_initial") == load("ex1_initial")
+    assert hash(load("ex2_initial")) == hash(load("ex2_initial"))
+    assert load("ex1_initial") != load("ex1_discovered")
     assert len({load(n) for n in FIXTURES}) == len(FIXTURES)
 
 
@@ -282,7 +295,7 @@ def test_structural_equality_and_hash():
 
 
 def test_partial_game_to_unaware_tree_is_single_tree():
-    g = ex1_initial()
+    g = load("ex1_initial")
     sub = t_partial_game(g, "T")
     assert set(sub.trees) == {"T"}
     assert all(h.host == "T" for h in sub.info.values())
@@ -291,16 +304,21 @@ def test_partial_game_to_unaware_tree_is_single_tree():
 
 
 def test_partial_game_of_upmost_tree_is_identity():
-    g = ex2_initial()
+    g = load("ex2_initial")
     assert t_partial_game(g, "Tbar") == g
 
 
+def test_partial_game_of_unknown_tree():
+    with pytest.raises(ValueError, match="no tree 'nope'"):
+        t_partial_game(load("ex2_initial"), "nope")
+
+
 def test_partial_game_of_diamond_side_matches_small_game():
-    g = ex2_initial()
+    g = load("ex2_initial")
     sub = t_partial_game(g, "Tp")
     assert validate_game(sub).ok
     assert set(sub.trees) == {"Tp", "T"}
-    small = ex1_initial()
+    small = load("ex1_initial")
     # same two-tier awareness shape as the two-tree game: player 1 sees the
     # poor tree at the root, player 2 the rich one
     assert sub.info[(1, "Tp", 0)].host == "T"
@@ -312,7 +330,7 @@ def test_partial_game_of_diamond_side_matches_small_game():
 
 
 def test_hosts_reachable():
-    g = ex2_initial()
+    g = load("ex2_initial")
     assert hosts_reachable(g, "Tbar") == ["T", "Tp", "Tpp", "Tbar"]
     assert hosts_reachable(g, "T") == ["T"]
     assert hosts_reachable(g, "Tp") == ["T", "Tp"]
@@ -325,7 +343,7 @@ def test_hosts_reachable():
 
 
 def test_arborescence_single_root_two_trees():
-    g = ex1_initial()
+    g = load("ex1_initial")
     parents = info_arborescence(g, 1)
     root = InfoSet(1, "T", (0,))
     assert parents[root] is None
@@ -338,7 +356,7 @@ def test_arborescence_single_root_two_trees():
 
 
 def test_arborescence_stage_chain():
-    g = bos_repeated()
+    g = load("bos_repeated")
     parents = info_arborescence(g, 2)
     stage1 = InfoSet(2, "T0", (2,))
     stage2 = InfoSet(2, "T0", (21, 25))
@@ -361,7 +379,7 @@ def test_decision_sets_for_nature():
 
 
 def test_set_actions_identical_across_members():
-    g = bos_repeated()
+    g = load("bos_repeated")
     h = InfoSet(2, "T0", (21, 25))
     assert g.set_actions(h) == ("b2b", "s2b")
     for m in h.members:
@@ -369,7 +387,7 @@ def test_set_actions_identical_across_members():
 
 
 def test_payoffs_are_fractions():
-    g = ex1_initial()
+    g = load("ex1_initial")
     assert g.nodes[4].payoffs[2] == Fraction(10)
     assert all(isinstance(v, Fraction)
                for nd in g.nodes.values() for v in nd.payoffs.values())

@@ -23,20 +23,7 @@ from ugt.discovery import (
     self_confirming_games,
     supergame_dot,
 )
-from ugt.fixtures import (
-    bos_repeated,
-    bos_repeated_discovered,
-    ex1_discovered,
-    ex1_initial,
-    ex2_full,
-    ex2_initial,
-    ex2_nonrat,
-    ex2_rsc,
-    fig14,
-    FIXTURES,
-    load,
-    nature_coin,
-)
+from ugt.fixtures import FIXTURES, load
 from ugt.gamedoc import parse_game, serialize_game
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import efr
@@ -60,7 +47,7 @@ def pick(g, i, choices):
 
 
 def ex1_profiles():
-    g = ex1_initial()
+    g = load("ex1_initial")
     s1_in = pick(g, 1, {h(1, "T", (0,)): "l1"})
     s1_out = pick(g, 1, {h(1, "T", (0,)): "r1"})
     s2 = pick(g, 2, {h(2, "Tbar", (1,)): "m2", h(2, "T", (1,)): "r2"})
@@ -76,7 +63,7 @@ def test_awareness_tree_examples():
     assert awareness_tree(g, {1: s1_in, 2: s2}, 1) == "Tbar"
     assert awareness_tree(g, {1: s1_out, 2: s2}, 1) == "T"
     # a player whose sets all live in one tree stays there
-    d = ex1_discovered()
+    d = load("ex1_discovered")
     for s in allowed_profiles(d, "all"):
         assert awareness_tree(d, s, 1) == "Tbar"
         assert awareness_tree(d, s, 2) == "Tbar"
@@ -88,41 +75,41 @@ def test_awareness_tree_examples():
 
 def test_ex1_discovery_and_absorption():
     g, s1_in, s1_out, s2 = ex1_profiles()
-    assert discovered_version(g, {1: s1_in, 2: s2}) == ex1_discovered()
+    assert discovered_version(g, {1: s1_in, 2: s2}) == load("ex1_discovered")
     assert discovered_version(g, {1: s1_out, 2: s2}) == g
-    d = ex1_discovered()
+    d = load("ex1_discovered")
     for s in allowed_profiles(d, "all"):
         assert discovered_version(d, s) == d
 
 
 def test_ex2_transitions():
-    g = ex2_initial()
+    g = load("ex2_initial")
     m2_path = {1: pick(g, 1, {h(1, "Tpp", (0,)): "l1"}),
                2: pick(g, 2, {h(2, "Tp", (1,)): "m2"})}
     z1_path = {1: pick(g, 1, {h(1, "Tpp", (0,)): "l1",
                               h(1, "Tpp", (3,)): "z1"}),
                2: pick(g, 2, {h(2, "Tp", (1,)): "l2"})}
-    assert discovered_version(g, m2_path) == ex2_rsc()
-    assert discovered_version(g, z1_path) == ex2_nonrat()
+    assert discovered_version(g, m2_path) == load("ex2_rsc")
+    assert discovered_version(g, z1_path) == load("ex2_nonrat")
 
-    rsc = ex2_rsc()
+    rsc = load("ex2_rsc")
     to_full = {1: pick(rsc, 1, {h(1, "Tbar", (0,)): "l1",
                                 h(1, "Tbar", (3,)): "z1"}),
                2: pick(rsc, 2, {h(2, "Tp", (1,)): "l2"})}
-    assert discovered_version(rsc, to_full) == ex2_full()
+    assert discovered_version(rsc, to_full) == load("ex2_full")
 
-    nonrat = ex2_nonrat()
+    nonrat = load("ex2_nonrat")
     via_m2 = {1: pick(nonrat, 1, {h(1, "Tpp", (0,)): "l1"}),
               2: pick(nonrat, 2, {h(2, "Tbar", (1,)): "m2"})}
-    assert discovered_version(nonrat, via_m2) == ex2_full()
+    assert discovered_version(nonrat, via_m2) == load("ex2_full")
 
-    full = ex2_full()
+    full = load("ex2_full")
     for s in allowed_profiles(full, "all"):
         assert discovered_version(full, s) == full
 
 
 def test_bos_repeated_transition():
-    g = bos_repeated()
+    g = load("bos_repeated")
     exit_path = {1: pick(g, 1, {h(1, "Tbar", (0,)): "out",
                                 h(1, "Tbar", (1,)): "i2a"}),
                  2: pick(g, 2, {})}
@@ -130,18 +117,18 @@ def test_bos_repeated_transition():
                                 h(1, "Tbar", (3, 4)): "i2b",
                                 h(1, "Tbar", (5, 6)): "i2s"}),
                  2: pick(g, 2, {})}
-    assert discovered_version(g, exit_path) == bos_repeated_discovered()
+    assert discovered_version(g, exit_path) == load("bos_repeated_discovered")
     assert discovered_version(g, stay_path) == g
     # opting out but never reaching the second stage still reveals the
     # outside branch's terminal set, which is hosted in the richest tree
     bail = {1: pick(g, 1, {h(1, "Tbar", (0,)): "out",
                            h(1, "Tbar", (1,)): "o2a"}),
             2: pick(g, 2, {})}
-    assert discovered_version(g, bail) == bos_repeated_discovered()
+    assert discovered_version(g, bail) == load("bos_repeated_discovered")
 
 
 def test_fig14_absorbing_on_equilibrium_path():
-    g = fig14()
+    g = load("fig14")
     s = {1: pick(g, 1, {h(1, "T1", (0,)): "M"}),
          2: pick(g, 2, {h(2, "T3", (2,)): "b"})}
     assert discovered_version(g, s) == g
@@ -160,7 +147,7 @@ def test_discovered_versions_stay_valid(name):
 
 
 def test_equal_paths_give_equal_versions():
-    g = ex2_initial()
+    g = load("ex2_initial")
     by_path = {}
     for s in allowed_profiles(g, "all"):
         path = tuple(realized_tbar_path(g, s))
@@ -181,18 +168,18 @@ def test_discovery_is_idempotent_along_a_path():
 
 
 def test_discovery_relations_directions():
-    a, b = ex1_initial(), ex1_discovered()
+    a, b = load("ex1_initial"), load("ex1_discovered")
     rel = discovery_relations(a, b)
     assert rel.more_awareness and rel.preserves_information
     assert not discovery_relations(b, a).more_awareness
     rel = discovery_relations(a, a)
     assert rel.more_awareness and rel.preserves_information
     with pytest.raises(ValueError):
-        discovery_relations(a, ex2_initial())
+        discovery_relations(a, load("ex2_initial"))
 
 
 def test_discovery_relations_detect_lost_information():
-    g = nature_coin()
+    g = load("nature_coin")
     pooled = InfoSet(1, "G", (1, 2))
     assert g.info[(1, "G", 1)] == g.info[(1, "G", 2)] == pooled
     # splitting the pooled set loses the nodes it held together
@@ -212,7 +199,7 @@ def test_discovery_relations_detect_lost_information():
 
 
 def test_ex2_supergame_all_policy():
-    sg = build_supergame(ex2_initial(), "all")
+    sg = build_supergame(load("ex2_initial"), "all")
     assert len(sg.states) == 4
     idx = {name: sg.index(load(name))
            for name in ("ex2_initial", "ex2_rsc", "ex2_nonrat", "ex2_full")}
@@ -222,26 +209,27 @@ def test_ex2_supergame_all_policy():
     assert sg.successors(idx["ex2_nonrat"]) == {
         idx["ex2_nonrat"], idx["ex2_full"]}
     assert sg.is_absorbing(idx["ex2_full"])
-    assert self_confirming_games(sg) == {ex2_full()}
+    assert self_confirming_games(sg) == {load("ex2_full")}
 
 
 def test_ex2_supergame_efr_policy():
-    sg = build_supergame(ex2_initial(), "efr")
-    assert set(sg.states) == {ex2_initial(), ex2_rsc()}
-    assert self_confirming_games(sg) == {ex2_rsc()}
+    sg = build_supergame(load("ex2_initial"), "efr")
+    assert set(sg.states) == {load("ex2_initial"), load("ex2_rsc")}
+    assert self_confirming_games(sg) == {load("ex2_rsc")}
 
 
 def test_single_state_supergames():
-    sg = build_supergame(ex1_discovered(), "all")
+    sg = build_supergame(load("ex1_discovered"), "all")
     assert len(sg.states) == 1 and sg.is_absorbing(0)
     sg = build_supergame(load("matching_pennies"), "all")
     assert len(sg.states) == 1  # single-tree games cannot discover anything
 
 
 def test_bos_repeated_supergame_efr():
-    sg = build_supergame(bos_repeated(), "efr")
-    assert set(sg.states) == {bos_repeated(), bos_repeated_discovered()}
-    assert self_confirming_games(sg) == {bos_repeated_discovered()}
+    sg = build_supergame(load("bos_repeated"), "efr")
+    assert set(sg.states) == {load("bos_repeated"),
+                              load("bos_repeated_discovered")}
+    assert self_confirming_games(sg) == {load("bos_repeated_discovered")}
 
 
 def reference_classes(g, policy):
@@ -349,7 +337,7 @@ def test_policy_pools_are_the_efr_rounds(name):
 
 
 def test_unknown_policy_is_rejected():
-    g = ex2_initial()
+    g = load("ex2_initial")
     for call in (allowed_profiles, build_supergame, run_discovery):
         for policy in ("bogus", "rational"):
             with pytest.raises(ValueError):
@@ -381,20 +369,20 @@ def test_incomplete_profiles_raise_value_error(case):
 
 
 def test_run_discovery_ex1():
-    trace = run_discovery(ex1_initial(), "efr", seed=7)
-    assert trace.states == [ex1_initial(), ex1_discovered()]
-    assert trace.absorbing == ex1_discovered()
+    trace = run_discovery(load("ex1_initial"), "efr", seed=7)
+    assert trace.states == [load("ex1_initial"), load("ex1_discovered")]
+    assert trace.absorbing == load("ex1_discovered")
     assert len(trace.profiles) == 1
 
 
 def test_run_discovery_absorbing_start():
-    trace = run_discovery(ex1_discovered(), "all", seed=1)
-    assert trace.states == [ex1_discovered()]
+    trace = run_discovery(load("ex1_discovered"), "all", seed=1)
+    assert trace.states == [load("ex1_discovered")]
     assert trace.profiles == []
 
 
 def test_run_discovery_explicit_policy():
-    initial = ex2_initial()
+    initial = load("ex2_initial")
 
     def policy(g):
         if g == initial:
@@ -404,7 +392,7 @@ def test_run_discovery_explicit_policy():
         return allowed_profiles(g, "efr")
 
     trace = run_discovery(initial, policy, seed=3)
-    assert trace.states == [initial, ex2_nonrat()]
+    assert trace.states == [initial, load("ex2_nonrat")]
 
 
 def test_run_discovery_monotone_chain_and_bound():
@@ -418,7 +406,7 @@ def test_run_discovery_monotone_chain_and_bound():
 
 
 def test_run_discovery_rejects_bad_sampler():
-    g = ex2_initial()
+    g = load("ex2_initial")
     alien = {1: pick(g, 1, {h(1, "Tpp", (0,)): "r1"}),
              2: pick(g, 2, {})}
 
@@ -436,7 +424,7 @@ def test_run_discovery_samples_exactly(scale):
     def weighted(w):
         return lambda state, allowed: [(s, w) for s in allowed]
 
-    g = fig14()
+    g = load("fig14")
     firsts = set()
     for seed in range(40):
         trace = run_discovery(g, "all", f=weighted(1), seed=seed)
@@ -450,7 +438,7 @@ def test_run_discovery_samples_exactly(scale):
 
 
 def test_supergame_dot_deterministic():
-    sg = build_supergame(ex2_initial(), "all")
+    sg = build_supergame(load("ex2_initial"), "all")
     labels = {load(n): n
               for n in ("ex2_initial", "ex2_rsc", "ex2_nonrat", "ex2_full")}
     out = supergame_dot(sg, labels)
@@ -527,7 +515,7 @@ def test_shared_structure_versions_match_public_construction(name, g):
 
 
 def test_shared_structure_version_checks_rewritten_entries():
-    g = ex2_initial()
+    g = load("ex2_initial")
     key = next(k for k in g.info if k[0] == 1)
     bad = {"unknown host": InfoSet(1, "nowhere", (0,)),
            "member outside host": InfoSet(1, key[1], (999,)),
@@ -549,7 +537,7 @@ def test_supergame_states_die_with_the_supergame(policy):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        g0 = parse_game(serialize_game(ex2_initial()))
+        g0 = parse_game(serialize_game(load("ex2_initial")))
         sg = build_supergame(g0, policy)
         assert len(sg.states) > 1
         refs = [weakref.ref(g) for g in sg.states]
@@ -561,10 +549,10 @@ def test_supergame_states_die_with_the_supergame(policy):
 
 
 def test_supergame_index_checks_the_structure():
-    sg = build_supergame(ex2_initial(), "all")
+    sg = build_supergame(load("ex2_initial"), "all")
     for k, g in enumerate(sg.states):
         assert sg.index(parse_game(serialize_game(g))) == k
-    g = ex2_initial()
+    g = load("ex2_initial")
     z = next(n for n, nd in g.nodes.items() if nd.is_terminal)
     nodes = dict(g.nodes)
     nodes[z] = replace(nodes[z], payoffs={
@@ -573,7 +561,7 @@ def test_supergame_index_checks_the_structure():
     assert repaid.info == g.info
     retreed = Game(g.players, {**g.trees, "extra": g.trees[g.tbar]},
                    g.nodes, g.info)
-    for other in (repaid, retreed, None, "ex2_initial", ex1_initial()):
+    for other in (repaid, retreed, None, "ex2_initial", load("ex1_initial")):
         with pytest.raises(ValueError):
             sg.index(other)
 
@@ -681,7 +669,7 @@ def test_supergame_outputs_are_pinned(case):
 
 
 def test_successors_are_built_without_public_construction(monkeypatch):
-    g0 = ex2_initial()
+    g0 = load("ex2_initial")
     calls = []
     init = Game.__init__
 

@@ -8,21 +8,7 @@ import pytest
 
 from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
-from ugt.fixtures import (
-    bos_aware,
-    bos_repeated,
-    ex1_discovered,
-    ex1_initial,
-    ex2_full,
-    ex2_initial,
-    ex2_nonrat,
-    ex2_rsc,
-    fig14,
-    load,
-    matching_pennies,
-    nature_coin,
-    trivial_single,
-)
+from ugt.fixtures import load
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     OracleCapExceeded,
@@ -32,7 +18,6 @@ from ugt.rationalizability import (
     best_reply_exists,
     efr,
     efr_oracle,
-    efr_sets,
 )
 from ugt.strategies import (
     PureStrategy,
@@ -69,7 +54,7 @@ def outcomes(result, g):
 
 
 def test_ex1_initial_outcome():
-    g = ex1_initial()
+    g = load("ex1_initial")
     trace = efr(g)
     r = trace.surviving()
     assert actions(r[1], h(1, "T", (0,))) == {"l1"}
@@ -83,8 +68,8 @@ def test_ex1_initial_outcome():
 
 
 def test_ex1_discovered_forces_outside_action():
-    g = ex1_discovered()
-    r = efr_sets(g)
+    g = load("ex1_discovered")
+    r = efr(g).surviving()
     assert len(r[1]) == 1
     assert r[1][0].action_at(h(1, "Tbar", (0,))) == "r1"
     assert r[1][0].action_at(h(1, "T", (0,))) == "l1"
@@ -92,8 +77,8 @@ def test_ex1_discovered_forces_outside_action():
 
 
 def test_ex2_initial_outcome():
-    g = ex2_initial()
-    r = efr_sets(g)
+    g = load("ex2_initial")
+    r = efr(g).surviving()
     assert len(r[1]) == 1 and len(r[2]) == 1
     assert r[1][0].action_at(h(1, "Tpp", (0,))) == "l1"
     assert r[1][0].action_at(h(1, "Tpp", (3,))) == "z1"
@@ -103,8 +88,8 @@ def test_ex2_initial_outcome():
 
 
 def test_ex2_rsc_root_action_flips():
-    g = ex2_rsc()
-    r = efr_sets(g)
+    g = load("ex2_rsc")
+    r = efr(g).surviving()
     assert actions(r[1], h(1, "Tbar", (0,))) == {"r1"}
     assert actions(r[1], h(1, "Tp", (0,))) == {"r1"}
     assert actions(r[1], h(1, "Tpp", (0,))) == {"l1"}
@@ -116,8 +101,8 @@ def test_ex2_rsc_root_action_flips():
 
 
 def test_ex2_nonrat_outcome():
-    g = ex2_nonrat()
-    r = efr_sets(g)
+    g = load("ex2_nonrat")
+    r = efr(g).surviving()
     assert len(r[1]) == 1 and len(r[2]) == 1
     assert r[2][0].action_at(h(2, "Tbar", (1,))) == "l2"
     assert r[2][0].action_at(h(2, "Tpp", (1,))) == "l2"
@@ -126,8 +111,8 @@ def test_ex2_nonrat_outcome():
 
 
 def test_ex2_full_outcome():
-    g = ex2_full()
-    r = efr_sets(g)
+    g = load("ex2_full")
+    r = efr(g).surviving()
     assert actions(r[1], h(1, "Tbar", (0,))) == {"l1"}
     assert actions(r[1], h(1, "Tp", (0,))) == {"r1"}
     assert actions(r[2], h(2, "Tbar", (1,))) == {"l2"}
@@ -135,7 +120,7 @@ def test_ex2_full_outcome():
 
 
 def test_bos_aware_forward_induction_rounds():
-    g = bos_aware()
+    g = load("bos_aware")
     trace = efr(g)
     root, stage = h(1, "G", (0,)), h(1, "G", (2,))
     r1 = trace.rounds[1]
@@ -155,16 +140,16 @@ def test_bos_aware_forward_induction_rounds():
 
 
 def test_fig14_unique_outcome():
-    g = fig14()
-    r = efr_sets(g)
+    g = load("fig14")
+    r = efr(g).surviving()
     assert actions(r[1], h(1, "T1", (0,))) == {"M"}
     assert actions(r[2], h(2, "T3", (2,))) == {"b"}
     assert outcomes(r, g) == {(0, 2, 7)}
 
 
 def test_bos_repeated_exit_strategy_survives():
-    g = bos_repeated()
-    r = efr_sets(g)
+    g = load("bos_repeated")
+    r = efr(g).surviving()
     assert any(s.action_at(h(1, "Tbar", (0,))) == "out"
                and s.action_at(h(1, "Tbar", (1,))) == "i2a"
                and s.action_at(h(1, "Tbar", (11,))) == "B2a"
@@ -173,14 +158,14 @@ def test_bos_repeated_exit_strategy_survives():
 
 
 def test_trivial_and_matching_pennies():
-    r = efr_sets(trivial_single())
+    r = efr(load("trivial_single")).surviving()
     assert len(r[1]) == 1 and r[1][0].action_at(h(1, "G", (0,))) == "a"
-    r = efr_sets(matching_pennies())
+    r = efr(load("matching_pennies")).surviving()
     assert len(r[1]) == 2 and len(r[2]) == 2  # everything is rationalizable
 
 
 def test_nature_coin_both_guesses_survive():
-    r = efr_sets(nature_coin())
+    r = efr(load("nature_coin")).surviving()
     assert actions(r[1], h(1, "G", (1, 2))) == {"u", "d"}
 
 
@@ -243,9 +228,9 @@ def test_big_fixture_rounds_pinned(name, sizes):
 
 
 def test_best_reply_exists_direct():
-    g = ex1_initial()
+    g = load("ex1_initial")
     target = h(2, "Tbar", (1,))
-    [s_l1] = [s for s in efr_sets(g)[1]]
+    [s_l1] = [s for s in efr(g).surviving()[1]]
     m2 = PureStrategy.make(2, {target: "m2", h(2, "T", (1,)): "r2"})
     l2 = PureStrategy.make(2, {target: "l2", h(2, "T", (1,)): "l2"})
     allowed = [{1: s_l1}]
@@ -257,7 +242,7 @@ def test_best_reply_exists_direct():
         best_reply_exists(g, 1, target, s_l1, allowed)
     # y1 at 1@Tpp{3} is never a best reply, yet it holds vacuously for a
     # strategy that avoids the set with r1
-    g = ex2_initial()
+    g = load("ex2_initial")
     first, later = h(1, "Tpp", (0,)), h(1, "Tpp", (3,))
     y1 = next(s for s in pure_strategies(g, 1)
               if s.action_at(first) == "l1" and s.action_at(later) == "y1")
@@ -268,7 +253,7 @@ def test_best_reply_exists_direct():
 
 
 def test_best_reply_exists_rejects_nonreaching_profile():
-    g = ex1_initial()
+    g = load("ex1_initial")
     target = h(2, "Tbar", (1,))
     m2 = PureStrategy.make(2, {target: "m2", h(2, "T", (1,)): "r2"})
     r1 = PureStrategy.make(1, {h(1, "T", (0,)): "r1"})
@@ -277,9 +262,9 @@ def test_best_reply_exists_rejects_nonreaching_profile():
 
 
 def test_best_reply_exists_rejects_malformed_strategies():
-    g = ex1_initial()
+    g = load("ex1_initial")
     target = h(2, "Tbar", (1,))
-    [s_l1] = efr_sets(g)[1]
+    [s_l1] = efr(g).surviving()[1]
     m2 = PureStrategy.make(2, {target: "m2", h(2, "T", (1,)): "r2"})
     with pytest.raises(ValueError):
         best_reply_exists(g, 2, target, m2, [{1: PureStrategy.make(1, {})}])
@@ -302,7 +287,7 @@ def test_best_reply_exists_rejects_malformed_strategies():
     "bos_aware", "fig14", "matching_pennies", "trivial_single", "nature_coin"])
 def test_oracle_matches_engine(name):
     g = load(name)
-    fast = efr_sets(g)
+    fast = efr(g).surviving()
     slow = efr_oracle(g)
     for i in g.players:
         assert set(fast[i]) == set(slow[i]), name
@@ -310,9 +295,9 @@ def test_oracle_matches_engine(name):
 
 def test_oracle_cap_enforced():
     with pytest.raises(OracleCapExceeded):
-        efr_oracle(bos_repeated(), cap=100)
+        efr_oracle(load("bos_repeated"), cap=100)
     with pytest.raises(OracleCapExceeded):
-        efr_oracle(ex2_full(), cap=1000)
+        efr_oracle(load("ex2_full"), cap=1000)
 
 
 @pytest.mark.parametrize("players,nature", [(2, True), (3, False), (3, True)])
@@ -544,7 +529,7 @@ def test_best_reply_only_to_a_mixed_belief_survives():
            for b in labels[2]}
     assert not any(best_reply_exists(g, 1, root, d, [p]) for p in col.values())
     assert best_reply_exists(g, 1, root, d, [col["L"], col["M"]])
-    assert actions(efr_sets(g)[1], root) == set(pay)
+    assert actions(efr(g).surviving()[1], root) == set(pay)
 
 
 def assert_rounds_match_per_strategy_reference(g):
@@ -701,7 +686,7 @@ def test_deviation_sets_met_at_simultaneous_nodes():
            and any(j == 1 and p in ctx.dev for j, p in pairs)]
     assert len(ctx.dev) == 2 and len(met) == 3
     assert assert_matrices_match_reference(g) >= 3
-    assert {i: set(s) for i, s in efr_sets(g).items()} == \
+    assert {i: set(s) for i, s in efr(g).surviving().items()} == \
         {i: set(s) for i, s in efr_oracle(g).items()}
 
 

@@ -16,23 +16,11 @@ from ugt.equilibrium import (
     is_rationalizable_self_confirming,
     lift_pure,
 )
-from ugt.fixtures import (
-    FIXTURES,
-    bos_aware,
-    bos_repeated_discovered,
-    ex1_discovered,
-    ex1_initial,
-    ex2_initial,
-    ex2_rsc,
-    fig14,
-    load,
-    matching_pennies,
-    nature_coin,
-)
+from ugt.fixtures import FIXTURES, load
 from ugt.gamedoc import parse_game, serialize_game
 from ugt.lp import solve_feasibility
 from ugt.randgen import generate_random_game, random_profile
-from ugt.rationalizability import _classes, _surviving_classes, efr, efr_sets
+from ugt.rationalizability import _classes, _surviving_classes, efr
 from ugt.strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -92,7 +80,7 @@ def uniform_at(g, i, sets):
 
 
 def test_ex1_initial_rational_play_breaks_awareness():
-    g = ex1_initial()
+    g = load("ex1_initial")
     s = {1: pick(g, 1, {h(1, "T", (0,)): "l1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2", h(2, "T", (1,)): "r2"})}
     v = check_sce_pure(g, s)
@@ -100,7 +88,7 @@ def test_ex1_initial_rational_play_breaks_awareness():
 
 
 def test_ex1_initial_outside_option_is_irrational():
-    g = ex1_initial()
+    g = load("ex1_initial")
     s = {1: pick(g, 1, {h(1, "T", (0,)): "r1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2", h(2, "T", (1,)): "r2"})}
     v = check_sce_pure(g, s)
@@ -109,7 +97,7 @@ def test_ex1_initial_outside_option_is_irrational():
 
 
 def test_ex1_discovered_outside_option_holds():
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     s = {1: pick(g, 1, {h(1, "Tbar", (0,)): "r1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2"})}
     v = check_sce_pure(g, s)
@@ -121,28 +109,28 @@ def test_ex1_discovered_outside_option_holds():
 
 
 def test_ex2_rsc_efr_profile_is_self_confirming():
-    g = ex2_rsc()
-    r = efr_sets(g)
+    g = load("ex2_rsc")
+    r = efr(g).surviving()
     for s1 in r[1]:
         assert check_sce_pure(g, {1: s1, 2: r[2][0]}).holds
 
 
 def test_ex2_initial_efr_profile_breaks_awareness():
-    g = ex2_initial()
-    r = efr_sets(g)
+    g = load("ex2_initial")
+    r = efr(g).surviving()
     v = check_sce_pure(g, {1: r[1][0], 2: r[2][0]})
     assert not v.holds and v.violated_condition == "awareness" and v.player == 1
 
 
 def test_bos_aware_forward_induction_profile_holds():
-    g = bos_aware()
+    g = load("bos_aware")
     s = {1: pick(g, 1, {h(1, "G", (0,)): "in", h(1, "G", (2,)): "B"}),
          2: pick(g, 2, {h(2, "G", (2,)): "b"})}
     assert check_sce_pure(g, s).holds
 
 
 def test_matching_pennies_has_no_pure_equilibrium():
-    g = matching_pennies()
+    g = load("matching_pennies")
     for s1 in pure_strategies(g, 1):
         for s2 in pure_strategies(g, 2):
             v = check_sce_pure(g, {1: s1, 2: s2})
@@ -150,7 +138,7 @@ def test_matching_pennies_has_no_pure_equilibrium():
 
 
 def test_nature_coin_pure_profiles():
-    g = nature_coin()
+    g = load("nature_coin")
     target = h(1, "G", (1, 2))
     heads = pick(g, NATURE, {h(NATURE, "G", (0,)): "heads"})
     tails = pick(g, NATURE, {h(NATURE, "G", (0,)): "tails"})
@@ -176,7 +164,7 @@ def test_nature_coin_pure_profiles():
 
 
 def test_matching_pennies_uniform_behavior_holds():
-    g = matching_pennies()
+    g = load("matching_pennies")
     pi = {i: uniform_at(g, i, g.decision_sets(i)) for i in g.players}
     v = check_sce_behavior(g, pi)
     assert v.holds
@@ -184,7 +172,7 @@ def test_matching_pennies_uniform_behavior_holds():
 
 
 def test_ex1_initial_behavior_awareness_violation():
-    g = ex1_initial()
+    g = load("ex1_initial")
     s = {1: pick(g, 1, {h(1, "T", (0,)): "l1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2", h(2, "T", (1,)): "r2"})}
     for check in (check_sce_behavior, check_sce_efr):
@@ -194,7 +182,7 @@ def test_ex1_initial_behavior_awareness_violation():
 
 
 def test_nature_defaults_to_uniform():
-    g = nature_coin()
+    g = load("nature_coin")
     [target] = g.decision_sets(1)
     for a in g.set_actions(target):
         own = {1: BehaviorStrategy.make(1, {target: {a: 1}})}
@@ -206,7 +194,7 @@ def test_nature_defaults_to_uniform():
 
 
 def test_mixed_profiles_check_through_their_behavior_form():
-    g = matching_pennies()
+    g = load("matching_pennies")
     pi = {i: uniform_at(g, i, g.decision_sets(i)) for i in g.players}
     mixed = {i: behavior_to_mixed(g, pi[i]) for i in g.players}
     assert len(mixed[1].support()) == 2
@@ -218,7 +206,7 @@ def test_mixed_profiles_check_through_their_behavior_form():
 def test_unavailable_actions_are_rejected():
     # an action the set does not offer used to pass silently as a kernel,
     # and to leak a raw KeyError from the mixed conversion
-    g = matching_pennies()
+    g = load("matching_pennies")
     [h1] = g.decision_sets(1)
     two = uniform_at(g, 2, g.decision_sets(2))
     for kernel in ({"zz": 1}, {"zz": Fraction(1, 2), "H": Fraction(1, 2)}):
@@ -237,7 +225,7 @@ def test_unavailable_actions_are_rejected():
             mixed_to_behavior(g, sigma)
         with pytest.raises(ValueError):
             check_sce_behavior(g, {1: sigma, 2: two})
-    g = nature_coin()
+    g = load("nature_coin")
     [coin] = g.decision_sets(NATURE)
     for bad in (PureStrategy.make(NATURE, {coin: "edge"}),
                 PureStrategy.make(NATURE, {})):
@@ -248,7 +236,7 @@ def test_unavailable_actions_are_rejected():
 def test_confirmed_beliefs_respect_observed_play():
     # player 1 sees l2 being played at their second move inside their own
     # tree, so a conjecture making y1 optimal there is not confirmed
-    g = ex2_initial()
+    g = load("ex2_initial")
     s = {1: pick(g, 1, {h(1, "Tpp", (0,)): "l1", h(1, "Tpp", (3,)): "y1"}),
          2: pick(g, 2, {h(2, "Tp", (1,)): "l2", h(2, "T", (1,)): "l2"})}
     for check in (check_sce_pure,
@@ -262,7 +250,7 @@ def test_off_path_conjectures_are_free():
     # the opponent's unreached choice is never observed, so r1 stays
     # rational under the conjecture that entering would have met m2, no
     # matter what the opponent would actually have played
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     s1 = pick(g, 1, {h(1, "Tbar", (0,)): "r1"})
     for a in ("l2", "m2", "r2"):
         s = {1: s1, 2: pick(g, 2, {h(2, "Tbar", (1,)): a})}
@@ -462,7 +450,7 @@ def test_inconsistent_strategy_splits_the_checks():
     # choice inside player 2's poorer view opts out, so 2's confirmed
     # kernels cannot reach the end of play that actually occurs: the
     # behavior check rejects what the path-based pure check accepts
-    g = ex2_rsc()
+    g = load("ex2_rsc")
     s = {1: pick(g, 1, {h(1, "Tbar", (0,)): "r1", h(1, "Tp", (0,)): "l1",
                         h(1, "T", (0,)): "l1", h(1, "Tpp", (0,)): "l1"}),
          2: pick(g, 2, {h(2, "Tp", (1,)): "l2", h(2, "T", (1,)): "l2"})}
@@ -477,8 +465,8 @@ def test_inconsistent_strategy_splits_the_checks():
 
 
 def test_ex1_discovered_efr_profile_passes_refinement():
-    g = ex1_discovered()
-    r = efr_sets(g)
+    g = load("ex1_discovered")
+    r = efr(g).surviving()
     pi = lift_pure(g, {1: r[1][0], 2: r[2][0]})
     v = check_sce_efr(g, pi)
     assert v.holds
@@ -488,7 +476,7 @@ def test_ex1_discovered_efr_profile_passes_refinement():
 def test_efr_support_violation_detected():
     # playing l2 in the poorer tree is behaviorally invisible here, so the
     # base check holds, but the support leaves the rationalizable set
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     s = {1: pick(g, 1, {h(1, "Tbar", (0,)): "r1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2", h(2, "T", (1,)): "l2"})}
     pi = lift_pure(g, s)
@@ -509,7 +497,7 @@ def test_sce_checks_reject_incomplete_profiles(check):
     # each used to leak a raw KeyError from deep inside the check
     run = {"pure": check_sce_pure, "behavior": check_sce_behavior,
            "efr": check_sce_efr}[check]
-    g = ex1_initial()
+    g = load("ex1_initial")
     s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
     for s in ({1: s1}, {1: s1, 2: s1}, {1: s1, 2: PureStrategy.make(2, {})}):
         with pytest.raises(ValueError):
@@ -525,7 +513,7 @@ def test_sce_checks_reject_incomplete_profiles(check):
             run(g, s)
     # a set that no play can reach may be missing, except for the EFR
     # support condition, whose mixed conversion reads every set
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     s = {1: PureStrategy.make(1, {h(1, "Tbar", (0,)): "r1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2"})}
     if check == "efr":
@@ -538,7 +526,7 @@ def test_sce_checks_reject_incomplete_profiles(check):
 def test_lift_pure_rejects_non_pure_entries():
     # the first two used to leak a raw AttributeError, and the third was
     # lifted under the wrong key
-    g = ex1_initial()
+    g = load("ex1_initial")
     s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
     for s in ({1: "junk", 2: s2}, {1: s1, 2: MixedStrategy.degenerate(s2)},
               {1: s1, 2: s1}):
@@ -550,7 +538,7 @@ def test_lift_pure_rejects_non_pure_entries():
 
 def test_awareness_diagnostics_rejects_incomplete_profiles():
     # used to leak a raw KeyError on a missing or foreign strategy
-    g = ex1_initial()
+    g = load("ex1_initial")
     s1, s2 = pure_strategies(g, 1)[0], pure_strategies(g, 2)[0]
     for s in ({1: s1}, {2: s2}, {1: s1, 2: s1},
               {1: s1, 2: PureStrategy.make(2, {})}):
@@ -562,14 +550,14 @@ def test_awareness_diagnostics_rejects_incomplete_profiles():
             awareness_diagnostics(g, pi)
     assert awareness_diagnostics(g, {1: s1, 2: s2}).per_player_constant[1]
     # a set that no play can reach may be missing
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     s = {1: PureStrategy.make(1, {h(1, "Tbar", (0,)): "r1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2"})}
     assert awareness_diagnostics(g, lift_pure(g, s)).per_player_constant[1]
 
 
 def test_bos_repeated_discovered_equilibrium():
-    g = bos_repeated_discovered()
+    g = load("bos_repeated_discovered")
     s1 = pick(g, 1, {h(1, "Tbar", (0,)): "in", h(1, "Tbar", (2,)): "B1",
                      h(1, "Tbar", (3, 4)): "i2b", h(1, "Tbar", (21, 23)): "B2b"})
     s2 = next(s for s in pure_strategies(g, 2)
@@ -641,7 +629,7 @@ def test_positive_classes_match_the_mixed_conversion():
     for g in games:
         players = acting_players(g)
         pools = {j: pure_strategies(g, j) for j in players}
-        survivors = efr_sets(g)
+        survivors = efr(g).surviving()
         profiles = []
         for i in g.players:
             alive = set(survivors[i])
@@ -668,12 +656,12 @@ def test_positive_classes_match_the_mixed_conversion():
 
 
 def test_construct_requires_rationalizable_self_confirming_game():
-    assert not is_rationalizable_self_confirming(ex1_initial())
-    assert not is_rationalizable_self_confirming(ex2_initial())
+    assert not is_rationalizable_self_confirming(load("ex1_initial"))
+    assert not is_rationalizable_self_confirming(load("ex2_initial"))
     with pytest.raises(ValueError):
-        construct_sce_efr(ex1_initial())
-    assert is_rationalizable_self_confirming(ex1_discovered())
-    assert is_rationalizable_self_confirming(ex2_rsc())
+        construct_sce_efr(load("ex1_initial"))
+    assert is_rationalizable_self_confirming(load("ex1_discovered"))
+    assert is_rationalizable_self_confirming(load("ex2_rsc"))
 
 
 def test_rationalizable_self_confirming_matches_its_definition():
@@ -701,7 +689,7 @@ def test_rationalizable_self_confirming_matches_its_definition():
 
 
 def test_construct_ex1_discovered_is_forced():
-    g = ex1_discovered()
+    g = load("ex1_discovered")
     pi, v = construct_sce_efr(g)
     assert v.holds
     assert pi[1].prob(h(1, "Tbar", (0,)), "r1") == 1
@@ -709,7 +697,7 @@ def test_construct_ex1_discovered_is_forced():
 
 
 def test_construct_bos_aware_forward_induction():
-    g = bos_aware()
+    g = load("bos_aware")
     pi, v = construct_sce_efr(g)
     assert v.holds
     assert pi[1].prob(h(1, "G", (0,)), "in") == 1
@@ -747,7 +735,7 @@ def test_class_cells_pay_like_their_members(name):
         draws = [({NATURE: s0}, w)
                  for s0, w in behavior_to_mixed(g, uniform).weights]
     u = _normal_form(g, pools, nature)
-    survivors = efr_sets(g)
+    survivors = efr(g).surviving()
     of = {i: vector_classes(g, i) for i in players}
     for combo in itertools.product(*[survivors[i] for i in players]):
         cell = tuple(index[i][of[i][action_vector(g, x, i)]]
@@ -761,14 +749,14 @@ def test_class_cells_pay_like_their_members(name):
 
 
 def test_construct_checks_its_nature_argument():
-    g = nature_coin()
+    g = load("nature_coin")
     # a real player's mixture used to leak a raw KeyError
     with pytest.raises(ValueError):
         construct_sce_efr(g, MixedStrategy.degenerate(pure_strategies(g, 1)[0]))
     # one given for a game where nature never moves used to be ignored
     coin = MixedStrategy.degenerate(pure_strategies(g, NATURE)[0])
     with pytest.raises(ValueError):
-        construct_sce_efr(matching_pennies(), coin)
+        construct_sce_efr(load("matching_pennies"), coin)
     pi, v = construct_sce_efr(g, coin)
     assert pi[NATURE] == mixed_to_behavior(g, coin)
     assert pi[NATURE].prob(h(NATURE, "G", (0,)), "heads") == 1
@@ -792,7 +780,7 @@ def test_construct_refuses_three_players_after_the_rsc_check(monkeypatch):
 
 
 def test_construct_matching_pennies_mixes():
-    g = matching_pennies()
+    g = load("matching_pennies")
     pi, v = construct_sce_efr(g)
     assert v.holds
     for i in g.players:
@@ -825,7 +813,7 @@ def rock_paper_scissors_lizard_spock():
 def test_construct_rock_paper_scissors_lizard_spock():
     g = rock_paper_scissors_lizard_spock()
     assert validate_game(g).ok
-    assert all(len(efr_sets(g)[i]) == 5 for i in g.players)
+    assert all(len(efr(g).surviving()[i]) == 5 for i in g.players)
     pi, v = construct_sce_efr(g)
     assert v.holds
     for i in g.players:
@@ -838,7 +826,7 @@ def test_game_caches_die_with_the_game():
     # the EFR trace and the other caches live in the game's index, which
     # holds no reference back to the game, so with the cycle collector off
     # reference counting alone frees a dropped game
-    text = serialize_game(ex2_rsc())
+    text = serialize_game(load("ex2_rsc"))
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -872,7 +860,7 @@ def test_single_tree_games_are_fully_constant():
 
 
 def test_fig14_mutual_belief_in_constancy_fails():
-    g = fig14()
+    g = load("fig14")
     s = {1: pick(g, 1, {h(1, "T1", (0,)): "M"}),
          2: pick(g, 2, {h(2, "T3", (2,)): "b"})}
     rep = awareness_diagnostics(g, lift_pure(g, s))
@@ -882,7 +870,7 @@ def test_fig14_mutual_belief_in_constancy_fails():
 
 
 def test_ex2_rsc_diagnostics():
-    g = ex2_rsc()
+    g = load("ex2_rsc")
     pi, _ = construct_sce_efr(g)
     rep = awareness_diagnostics(g, pi)
     assert not rep.common_constant

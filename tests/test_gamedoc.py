@@ -1,8 +1,9 @@
 import json
+from importlib import resources
 
 import pytest
 
-from ugt.fixtures import FIXTURES, load
+from ugt.fixtures import FIXTURES, INITIAL_GAMES, load
 from ugt.gamedoc import (
     DocAxiomError,
     DocSemanticError,
@@ -14,10 +15,14 @@ from ugt.gamedoc import (
 )
 from ugt.randgen import generate_random_game
 
+DATA = resources.files("ugt") / "data"
+
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_round_trip_fixtures(name):
     g = load(name)
+    # each call parses a fresh game
+    assert FIXTURES[name]() == g and load(name) is not g
     text = serialize_game(g)
     assert parse_game(text) == g
     # canonical form is stable under a second round trip
@@ -39,15 +44,24 @@ def test_provenance_is_ignored_for_equality():
     assert parse_game(a) == parse_game(b)
 
 
-def test_shipped_fixture_files_match_builders():
-    from importlib import resources
+def test_shipped_fixture_files_are_canonical():
+    # the shipped documents are the only copy of each fixture, so each must
+    # be exactly what serializing its own parse (with its provenance) gives
     for name in sorted(FIXTURES):
-        text = (resources.files("ugt") / "data"
-                / ("%s.game.json" % name)).read_text()
-        assert parse_game(text) == load(name)
+        text = (DATA / ("%s.game.json" % name)).read_text(encoding="utf-8")
         doc = json.loads(text)
         assert doc["format_version"] == FORMAT_VERSION
-        assert "provenance" in doc
+        assert serialize_game(parse_game(text),
+                              provenance=doc["provenance"]) == text, name
+
+
+def test_fixture_registry_matches_shipped_files():
+    stems = {p.name[:-len(".game.json")] for p in DATA.iterdir()
+             if p.name.endswith(".game.json")}
+    assert set(FIXTURES) == stems
+    assert set(INITIAL_GAMES) <= set(FIXTURES)
+    with pytest.raises(ValueError, match="unknown fixture 'nope'.*ex1_initial"):
+        load("nope")
 
 
 def test_syntax_error_carries_position():

@@ -4,15 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ugt.core import InfoSet, NATURE, t_partial_game
-from ugt.fixtures import (
-    FIXTURES,
-    bos_aware,
-    bos_repeated,
-    ex1_initial,
-    ex2_full,
-    ex2_initial,
-    load,
-)
+from ugt.fixtures import FIXTURES, load
 from ugt.randgen import generate_random_game
 from ugt.strategies import (
     BehaviorStrategy,
@@ -50,7 +42,7 @@ def strat(g, i, mapping):
 
 def ex1_profile():
     """Player 1 plays l1; player 2 plays m2 when aware, r2 when not."""
-    g = ex1_initial()
+    g = load("ex1_initial")
     h1 = InfoSet(1, "T", (0,))
     s1 = strat(g, 1, {h1: "l1"})
     s2 = strat(g, 2, {InfoSet(2, "Tbar", (1,)): "m2",
@@ -59,16 +51,16 @@ def ex1_profile():
 
 
 def test_pure_strategy_enumeration_counts():
-    g = ex1_initial()
+    g = load("ex1_initial")
     assert len(pure_strategies(g, 1)) == 2
     assert len(pure_strategies(g, 2)) == 6
-    rep = bos_repeated()
+    rep = load("bos_repeated")
     assert len(pure_strategies(rep, 1)) == 2 ** 11
     assert len(pure_strategies(rep, 2)) == 2 ** 4
 
 
 def test_pure_strategies_of_unknown_player():
-    g = ex1_initial()
+    g = load("ex1_initial")
     with pytest.raises(ValueError):
         pure_strategies(g, 7)
     # nature is valid in every game: one empty strategy where it never moves
@@ -146,7 +138,7 @@ def test_occurs_via_any_carrying_node():
 
 
 def test_occurs_equals_reaches_single_tree():
-    g = bos_aware()
+    g = load("bos_aware")
     for s1 in pure_strategies(g, 1):
         for s2 in pure_strategies(g, 2):
             s = {1: s1, 2: s2}
@@ -168,7 +160,7 @@ def test_occurring_info_sets_examples():
 
 
 def test_occurring_sets_repeated_game_out_path():
-    g = bos_repeated()
+    g = load("bos_repeated")
     choices = {}
     for h in g.decision_sets(1):
         acts = g.set_actions(h)
@@ -217,7 +209,7 @@ def test_reach_probability_degenerate_mixed_matches_reaches():
 
 
 def test_reach_probability_offpath_mixture_indistinguishable():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h1 = InfoSet(1, "T", (0,))
     a = PureStrategy.make(1, {h1: "r1"})
     # same on-path choice, only one strategy of the pair exists here, so
@@ -258,7 +250,7 @@ def test_degenerate_mixed_to_behavior_is_pointwise():
 
 
 def test_uniform_behavior_two_chained_sets_quarter_weights():
-    g = t_partial_game(ex2_full(), "Tbar")
+    g = t_partial_game(load("ex2_full"), "Tbar")
     h_root = InfoSet(1, "Tbar", (0,))
     h_next = InfoSet(1, "Tbar", (3,))
     pi = BehaviorStrategy.make(1, {h_root: {"l1": F(1, 2), "r1": F(1, 2)},
@@ -296,7 +288,7 @@ def test_kuhn_round_trip_preserves_reach(name, i):
 
 
 def test_mixed_to_behavior_uniform_on_unreached():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h1 = InfoSet(1, "T", (0,))
     sigma = MixedStrategy.degenerate(PureStrategy.make(1, {h1: "r1"}))
     # player 2 is someone else; convert a player-2 mixture that never
@@ -319,7 +311,7 @@ def p2_profiles(g):
 
 
 def test_root_dominance_for_every_belief():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h1 = InfoSet(1, "T", (0,))
     l1 = PureStrategy.make(1, {h1: "l1"})
     r1 = PureStrategy.make(1, {h1: "r1"})
@@ -330,7 +322,7 @@ def test_root_dominance_for_every_belief():
 
 
 def test_terminal_set_payoff_is_constant():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h = InfoSet(1, "Tbar", (4,))
     s1 = PureStrategy.make(1, {InfoSet(1, "T", (0,)): "l1"})
     for p in p2_profiles(g):
@@ -339,7 +331,7 @@ def test_terminal_set_payoff_is_constant():
 
 
 def test_belief_support_must_reach():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h = InfoSet(2, "Tbar", (1,))
     s2 = pure_strategies(g, 2)[0]
     bad = point_belief({1: PureStrategy.make(
@@ -349,7 +341,7 @@ def test_belief_support_must_reach():
 
 
 def test_m2_is_uniquely_rational_when_aware():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h = InfoSet(2, "Tbar", (1,))
     reaching = point_belief({1: PureStrategy.make(
         1, {InfoSet(1, "T", (0,)): "l1"})})
@@ -359,7 +351,7 @@ def test_m2_is_uniquely_rational_when_aware():
 
 
 def test_rationality_vacuous_off_path():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h = InfoSet(2, "Tbar", (1,))
     # player 2 always reaches his own set, so test with player 1 instead
     h4 = InfoSet(1, "Tbar", (4,))
@@ -371,7 +363,7 @@ def test_rationality_vacuous_off_path():
 
 
 def test_deviation_sets_cover_continuations():
-    g = ex2_full()
+    g = load("ex2_full")
     h = InfoSet(1, "Tbar", (0,))
     assert deviation_sets(g, 1, h) == [h, InfoSet(1, "Tbar", (3,))]
     h3 = InfoSet(1, "Tbar", (3,))
@@ -381,7 +373,7 @@ def test_deviation_sets_cover_continuations():
 def test_rationality_ignores_unrelated_sets():
     # changing the strategy away from h and its successors cannot change
     # the verdict at h
-    g = ex2_full()
+    g = load("ex2_full")
     h = InfoSet(1, "Tbar", (3,))
     belief = point_belief({2: pure_strategies(g, 2)[0]})
     base = {x: g.set_actions(x)[0] for x in g.decision_sets(1)}
@@ -397,7 +389,7 @@ def test_rationality_ignores_unrelated_sets():
 
 
 def test_belief_conditioning_checked():
-    g = t_partial_game(ex2_full(), "Tbar")
+    g = t_partial_game(load("ex2_full"), "Tbar")
     h_root = InfoSet(1, "Tbar", (0,))
     h_next = InfoSet(1, "Tbar", (3,))
     s2_l = next(s for s in pure_strategies(g, 2)
@@ -411,7 +403,7 @@ def test_belief_conditioning_checked():
     assert check_belief_system(g, good) == []
     # a genuine clash needs two distinct reaching profiles at the later set;
     # the coordination game supplies them
-    ba = bos_aware()
+    ba = load("bos_aware")
     h0, h2 = InfoSet(1, "G", (0,)), InfoSet(1, "G", (2,))
     s2b, s2s = pure_strategies(ba, 2)
     clash = BeliefSystem(1, {
@@ -427,14 +419,14 @@ def test_belief_conditioning_checked():
 
 
 def test_conditioned_belief_none_on_zero_mass():
-    g = ex1_initial()
+    g = load("ex1_initial")
     h = InfoSet(2, "Tbar", (1,))
     r1 = PureStrategy.make(1, {InfoSet(1, "T", (0,)): "r1"})
     assert conditioned_belief(g, [({1: r1}, F(1))], h) is None
 
 
 def test_restrict_strategy_drops_unreachable_hosts():
-    g = ex2_initial()
+    g = load("ex2_initial")
     s2 = pure_strategies(g, 2)[0]
     r = restrict_strategy(g, s2, "T")
     assert all(h.host == "T" for h, _ in r.choices)
