@@ -10,7 +10,9 @@ unawareness is encoded.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -20,6 +22,39 @@ TreeId = str
 Player = int
 
 NATURE: Player = 0
+
+_MISS = object()
+
+
+def _memo(f=None, *, shared: bool = False):
+    """Memoize ``f(g, *args)`` under the key ``(f, *args)`` in a memo home
+    of the game g (see ``Game``): its own, or with ``shared=True`` the one
+    it shares with its discovered versions.  Usable bare (``@_memo``) or
+    with the keyword (``@_memo(shared=True)``).  The arguments must be
+    players, tree ids or node ids, and the value must not refer to g.
+    """
+    if f is None:
+        return functools.partial(_memo, shared=shared)
+    home = operator.attrgetter("_shared" if shared else "_memo")
+    if f.__code__.co_argcount == 2:
+        # packing *args costs about as much as the lookup, so the common
+        # f(g, x) gets a wrapper of its own
+        def memoized(g, x):
+            table = home(g)
+            key = (f, x)
+            got = table.get(key, _MISS)
+            if got is _MISS:
+                got = table[key] = f(g, x)
+            return got
+    else:
+        def memoized(g, *args):
+            table = home(g)
+            key = (f, *args)
+            got = table.get(key, _MISS)
+            if got is _MISS:
+                got = table[key] = f(g, *args)
+            return got
+    return functools.wraps(f)(memoized)
 
 
 class StructuralError(ValueError):
@@ -79,23 +114,16 @@ class Game:
                   active at a decision node and for every real player at every
                   terminal node, in every tree containing the node
 
-    What is derived from these fields lives in two private parts, built on
-    first use.  The structure (``_Structure``) depends on players, trees and
-    nodes alone: per tree the restricted children, actions, root and
-    terminal flags; the upmost tree and tree order; whether nature moves;
-    joins and the trees above and below each tree; and per player its info
-    keys, which a discovered version keeps.  A discovered version
-    (``_with_info``) shares its parent's structure, and with it the very
-    ``players``, ``trees`` and ``nodes`` objects.  The index (``_Index``)
-    depends on ``info`` and is each game's own: per player the decision sets
-    and their positions in action vectors; per tree the play table, each
-    decision node's (player, position) pairs; the path constraints of
-    ``reaches``; host closures; per acting player the classes of its pure
-    strategies; the EFR set contexts, trace and per-round classes; and per
-    player and awareness tree the info entries discovery rewrites.
-    Memos fill as queries arrive and are never invalidated, as the fields
-    never change.  Neither part holds a reference to a game, so reference
-    counting alone frees a dropped game.
+    Every table derived from these fields is built on first use by a
+    function under ``_memo`` and kept in one of two memo homes.  ``_memo``
+    is the game's own and holds what depends on ``info``.  ``_shared``
+    holds what depends only on players, trees, nodes and the keys of
+    ``info``; a discovered version (``_with_info``) shares it with its
+    parent, together with the very ``players``, ``trees`` and ``nodes``
+    objects and the per-tree structure (``_Structure``).  Memos are never
+    invalidated, as the fields never change.  Their keys hold only memoized
+    functions, players, tree ids and node ids, and no key or value refers
+    to a game, so reference counting alone frees a dropped game.
     """
 
     def __init__(self, players: Iterable[Player],
@@ -106,9 +134,9 @@ class Game:
         self.trees = {t: frozenset(ns) for t, ns in trees.items()}
         self.nodes = dict(nodes)
         self.info = dict(info)
-        self._canon = None
+        self._memo: dict = {}
+        self._shared: dict = {}
         self._shape: Optional[_Structure] = None
-        self._index: Optional[_Index] = None
         self._check_ids()
 
     @property
@@ -117,21 +145,15 @@ class Game:
             self._shape = _Structure(self)
         return self._shape
 
-    @property
-    def _ix(self) -> "_Index":
-        if self._index is None:
-            self._index = _Index()
-        return self._index
-
     def _with_info(self, changed: Mapping[tuple[Player, TreeId, NodeId],
                                           InfoSet]) -> "Game":
         """This game with the entries of ``changed`` rewritten in ``info``.
 
-        The result shares ``players``, ``trees``, ``nodes`` and the
-        structure part of the index with this game, and starts its own
-        info part.  Only the rewritten entries are checked, each as
-        ``Game`` checks every entry, and each key must already be a key of
-        ``info``; StructuralError otherwise.
+        The result shares ``players``, ``trees``, ``nodes``, the structure
+        and the shared memo with this game, and starts its own memo.  Only
+        the rewritten entries are checked, each as ``Game`` checks every
+        entry, and each key must already be a key of ``info``;
+        StructuralError otherwise.
         """
         problems = ["info key (%d,%s,%d): not a key of the game" % key
                     for key in changed if key not in self.info]
@@ -141,9 +163,9 @@ class Game:
         g = Game.__new__(Game)
         g.players, g.trees, g.nodes = self.players, self.trees, self.nodes
         g.info = {**self.info, **changed}
-        g._canon = None
+        g._memo = {}
+        g._shared = self._shared
         g._shape = self._st
-        g._index = None
         return g
 
     # -- construction helpers -------------------------------------------------
@@ -193,40 +215,29 @@ class Game:
     def leq(self, t1: TreeId, t2: TreeId) -> bool:
         return self.trees[t1] <= self.trees[t2]
 
+    @_memo(shared=True)
     def join(self, t1: TreeId, t2: TreeId) -> TreeId:
         """Least stored upper bound of two trees; StructuralError if absent."""
-        joins = self._st.joins
-        got = joins.get((t1, t2))
+        ubs = [t for t, ns in self.trees.items()
+               if ns >= self.trees[t1] and ns >= self.trees[t2]]
+        got = next((t for t in ubs
+                    if all(self.trees[t] <= self.trees[u] for u in ubs)), None)
         if got is None:
-            ubs = [t for t, ns in self.trees.items()
-                   if ns >= self.trees[t1] and ns >= self.trees[t2]]
-            got = next((t for t in ubs
-                        if all(self.trees[t] <= self.trees[u] for u in ubs)),
-                       None)
-            if got is None:
-                raise StructuralError(["no join for trees %s, %s" % (t1, t2)])
-            joins[(t1, t2)] = got
+            raise StructuralError(["no join for trees %s, %s" % (t1, t2)])
         return got
 
+    @_memo(shared=True)
     def _above_below(self, t: TreeId) -> tuple[frozenset, frozenset]:
         """The trees at least as rich as t and those at most as rich, t in
         both."""
-        st = self._st
-        got = st.above_below.get(t)
-        if got is None:
-            ns = self.trees[t]
-            got = st.above_below[t] = (
-                frozenset(u for u, us in self.trees.items() if ns <= us),
+        ns = self.trees[t]
+        return (frozenset(u for u, us in self.trees.items() if ns <= us),
                 frozenset(u for u, us in self.trees.items() if us <= ns))
-        return got
 
+    @_memo(shared=True)
     def _own_keys(self, i: Player) -> tuple:
         """The keys of ``info`` owned by player i, in ``info`` order."""
-        st = self._st
-        got = st.own_keys.get(i)
-        if got is None:
-            got = st.own_keys[i] = tuple(k for k in self.info if k[0] == i)
-        return got
+        return tuple(k for k in self.info if k[0] == i)
 
     def root(self, t: TreeId) -> NodeId:
         roots = self._st.roots[t]
@@ -237,20 +248,16 @@ class Game:
     def children_in(self, t: TreeId, n: NodeId) -> dict[tuple[str, ...], NodeId]:
         return dict(self._st.children[t][n])
 
+    @_memo(shared=True)
     def actions_in(self, t: TreeId, n: NodeId, i: Player) -> tuple[str, ...]:
         """Restricted action set of player i at node n within tree t."""
-        st = self._st
-        got = st.actions.get((t, n, i))
-        if got is None:
-            nd = self.nodes[n]
-            got = ()
-            if i in nd.players:
-                idx = sorted(nd.players).index(i)
-                seen = {prof[idx] for prof in st.children[t][n]}
-                # keep the declared label order
-                got = tuple(a for a in nd.actions[i] if a in seen)
-            st.actions[(t, n, i)] = got
-        return got
+        nd = self.nodes[n]
+        if i not in nd.players:
+            return ()
+        idx = sorted(nd.players).index(i)
+        seen = {prof[idx] for prof in self._st.children[t][n]}
+        # keep the declared label order
+        return tuple(a for a in nd.actions[i] if a in seen)
 
     def terminal_in(self, t: TreeId, n: NodeId) -> bool:
         return not self._st.children[t][n]
@@ -308,20 +315,18 @@ class Game:
         nature decision node per tree, so that nature's strategies use the
         same machinery as everyone else's.
         """
-        ix, st = self._ix, self._st
-        got = ix.decision_sets.get(i)
-        if got is None:
-            if i == NATURE:
-                got = tuple(InfoSet(NATURE, t, (n,)) for t in st.tree_order
-                            for n in st.tree_keys[t][1]
-                            if NATURE in self.nodes[n].players
-                            and st.children[t][n])
-            else:
-                got = tuple(h for h in self.info_sets(i)
-                            if any(i in self.nodes[m].players
-                                   for m in h.members))
-            ix.decision_sets[i] = got
-        return list(got)
+        return list(self._decision_sets(i))
+
+    @_memo
+    def _decision_sets(self, i: Player) -> tuple[InfoSet, ...]:
+        st = self._st
+        if i == NATURE:
+            return tuple(InfoSet(NATURE, t, (n,)) for t in st.tree_order
+                         for n in st.tree_keys[t][1]
+                         if NATURE in self.nodes[n].players
+                         and st.children[t][n])
+        return tuple(h for h in self.info_sets(i)
+                     if any(i in self.nodes[m].players for m in h.members))
 
     def set_actions(self, h: InfoSet) -> tuple[str, ...]:
         """Actions available to h's owner (identical across members)."""
@@ -338,22 +343,21 @@ class Game:
     def tree_order(self) -> list[TreeId]:
         return list(self._st.tree_order)
 
+    @_memo
     def canonical_key(self):
-        if self._canon is None:
-            nodes = []
-            for n in sorted(self.nodes):
-                nd = self.nodes[n]
-                nodes.append((n, nd.parent, tuple(sorted(nd.players)),
-                              tuple(sorted((i, nd.actions[i]) for i in nd.actions)),
-                              tuple(sorted(nd.children.items())),
-                              tuple(sorted(nd.payoffs.items()))))
-            trees = tuple((t, tuple(sorted(ns)))
-                          for t, ns in sorted(self.trees.items(),
-                                              key=lambda kv: self.tree_sort_key(kv[0])))
-            info = tuple(sorted((k, (h.player, h.host, h.members))
-                                for k, h in self.info.items()))
-            self._canon = (self.players, trees, tuple(nodes), info)
-        return self._canon
+        nodes = []
+        for n in sorted(self.nodes):
+            nd = self.nodes[n]
+            nodes.append((n, nd.parent, tuple(sorted(nd.players)),
+                          tuple(sorted((i, nd.actions[i]) for i in nd.actions)),
+                          tuple(sorted(nd.children.items())),
+                          tuple(sorted(nd.payoffs.items()))))
+        trees = tuple((t, tuple(sorted(ns)))
+                      for t, ns in sorted(self.trees.items(),
+                                          key=lambda kv: self.tree_sort_key(kv[0])))
+        info = tuple(sorted((k, (h.player, h.host, h.members))
+                            for k, h in self.info.items()))
+        return (self.players, trees, tuple(nodes), info)
 
     def __eq__(self, other):
         return isinstance(other, Game) and self.canonical_key() == other.canonical_key()
@@ -367,8 +371,8 @@ class Game:
 
 
 class _Structure:
-    """The tables derived from players, trees and nodes, described on
-    ``Game``; shared by a game and its discovered versions."""
+    """Per tree the restricted children, roots and sort key; the tree order,
+    upmost tree and whether nature moves.  Shared with discovered versions."""
 
     def __init__(self, g: Game):
         trees, nodes = g.trees, g.nodes
@@ -385,23 +389,6 @@ class _Structure:
             for t, ns in trees.items()}
         self.roots = {t: [n for n in ns if nodes[n].parent not in ns]
                       for t, ns in trees.items()}
-        # memos keyed by (tree, node, player), (tree, tree), tree and player
-        self.actions, self.joins, self.above_below = {}, {}, {}
-        self.own_keys = {}
-
-
-class _Index:
-    """The tables one game derives from its info, described on ``Game``."""
-
-    def __init__(self):
-        # memos keyed by player, player, tree, (tree, node) and tree
-        self.decision_sets, self.positions = {}, {}
-        self.plays, self.requirements, self.hosts = {}, {}, {}
-        # acting player -> its classes
-        self.classes = {}
-        # (player, tree) -> the info entries discovery rewrites for them
-        self.rewrites = {}
-        self.efr_contexts = self.efr_trace = self.efr_classes = None
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +461,8 @@ def _structural_problems(g: Game) -> list[str]:
             if missing:
                 problems.append("terminal node %d lacks payoffs for %s" % (n, missing))
             continue
+        if nd.payoffs:
+            problems.append("decision node %d carries payoffs" % n)
         if not nd.players:
             problems.append("decision node %d has no active players" % n)
             continue
@@ -669,20 +658,22 @@ def _action_towards(g: Game, n: NodeId, child: NodeId, i: Player) -> str:
 def hosts_reachable(g: Game, t: TreeId) -> list[TreeId]:
     """Trees reachable from t through information-set hosts (t included).
     ValueError when t is not a tree of g."""
-    got = g._ix.hosts.get(t)
-    if got is None:
-        if t not in g.trees:
-            raise ValueError("no tree %r" % (t,))
-        seen = {t}
-        frontier = [t]
-        while frontier:
-            cur = frontier.pop()
-            for (i, tt, n), h in g.info.items():
-                if tt == cur and h.host not in seen:
-                    seen.add(h.host)
-                    frontier.append(h.host)
-        got = g._ix.hosts[t] = tuple(sorted(seen, key=g.tree_sort_key))
-    return list(got)
+    if t not in g.trees:
+        raise ValueError("no tree %r" % (t,))
+    return list(_hosts(g, t))
+
+
+@_memo
+def _hosts(g: Game, t: TreeId) -> tuple[TreeId, ...]:
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        cur = frontier.pop()
+        for (i, tt, n), h in g.info.items():
+            if tt == cur and h.host not in seen:
+                seen.add(h.host)
+                frontier.append(h.host)
+    return tuple(sorted(seen, key=g.tree_sort_key))
 
 
 def t_partial_game(g: Game, t: TreeId) -> Game:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import Game, InfoSet, NodeId, Player, TreeId
+from .core import Game, InfoSet, NodeId, Player, TreeId, _memo
 from .rationalizability import _class_rounds, _classes
 from .strategies import (
     PureProfile,
@@ -36,7 +36,10 @@ Policy = Union[str, Callable[[Game], Sequence[PureProfile]]]
 
 def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
     """Join of the host trees of i's information sets along the realized
-    path of the richest tree."""
+    path of the richest tree.  ValueError when i is not a real player of g
+    or s is not a total pure profile (see ``realized_tbar_path``)."""
+    if i not in g.players:
+        raise ValueError("i is not a real player of the game: %r" % (i,))
     return _awareness_along(g, realized_tbar_path(g, s), i)
 
 
@@ -71,12 +74,10 @@ def _discovered_along(g: Game, path: Sequence[NodeId]) -> Game:
     return g._with_info(changed) if changed else g
 
 
+@_memo
 def _rewrite(g: Game, i: Player, t_i: TreeId) -> dict:
     """The entries of ``info`` that move when player i's view grows to
-    t_i, each with its new set; computed once per game, player and tree."""
-    out = g._ix.rewrites.get((i, t_i))
-    if out is not None:
-        return out
+    t_i, each with its new set."""
     tbar, info, trees = g.tbar, g.info, g.trees
     richer, poorer = g._above_below(t_i)
     # each of i's sets at T^i, by host and members -> its nodes in T^i
@@ -85,7 +86,7 @@ def _rewrite(g: Game, i: Player, t_i: TreeId) -> dict:
         h = info.get((i, t_i, n2))
         if h is not None:
             lifted.setdefault((h.host, h.members), []).append(n2)
-    out = g._ix.rewrites[(i, t_i)] = {}
+    out = {}
     for key in g._own_keys(i):
         t2, n = key[1], key[2]
         anchor = info[(i, tbar, n)]

@@ -27,7 +27,7 @@ from .core import (
     Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
 from .discovery import _path_classes
 from .lp import solve_feasibility
-from .rationalizability import _Classes, _classes, _surviving_classes
+from .rationalizability import _Classes, _class_rounds, _classes
 from .strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -116,9 +116,9 @@ def _kernels_reach(g: Game, kernels: Mapping[Player, tuple], t: TreeId,
                    nodes) -> bool:
     """Whether the given players' kernels give some of the nodes of tree t
     positive probability, the other players' moves permitting."""
-    return any(all(a in kernels[j][p]
-                   for j, _, p, a in _requirements(g, t, n) if j in kernels)
-               for n in nodes)
+    reqs = _requirements(g, t)
+    return any(all(a in kernels[j][p] for j, _, p, a in reqs[n]
+                   if j in kernels) for n in nodes)
 
 
 def _live_nodes(g: Game, kernels: Mapping[Player, tuple],
@@ -378,7 +378,7 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     base = _conditions(g, kernels, _confirmed_candidates)
     if not base.holds:
         return base
-    alive = _surviving_classes(g)
+    alive = _class_rounds(g)[-1]
     for i in g.players:
         if not _positive_classes(_classes(g, i), kernels[i]) <= alive[i]:
             return SceVerdict(False, "efr-support", i,
@@ -426,7 +426,7 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     if len(g.players) > 2:
         raise NotImplementedError(
             "restricted Nash construction supports at most two players")
-    alive = _surviving_classes(g)
+    alive = _class_rounds(g)[-1]
     pools = {i: [_classes(g, i).first[c] for c in sorted(alive[i])]
              for i in g.players}
     fixed = {}

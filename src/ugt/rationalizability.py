@@ -6,7 +6,7 @@ rule: at each information set, probability 1 goes to the opposing profiles
 from the *latest* previous round that still reach the set (falling back all
 the way to the full strategy set).
 
-The engine (``_efr``) keeps or drops whole realization classes
+The engine (``_class_rounds``) keeps or drops whole realization classes
 (``_classes``), and ``efr`` builds its public trace from them: a verdict
 reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
@@ -34,7 +34,8 @@ from operator import eq, ge, itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .core import (
-    NATURE, Game, InfoSet, NodeId, Player, hosts_reachable, info_arborescence)
+    NATURE, Game, InfoSet, NodeId, Player, _memo, hosts_reachable,
+    info_arborescence)
 from .lp import solve_feasibility
 from .strategies import (
     PureProfile,
@@ -138,7 +139,8 @@ class _SetContext:
                       for j in self.opponents]
         # per member of h, the (player, set, position, action) constraints
         # of the path to it
-        self.reqs = [_requirements(g, t, m) for m in h.members]
+        reqs = _requirements(g, t)
+        self.reqs = [reqs[m] for m in h.members]
         self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
         self._restricted: dict[tuple, PureProfile] = {}
@@ -309,14 +311,11 @@ class _SetContext:
         return col
 
 
+@_memo
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
-    """The set contexts of every real player's decision sets, built once
-    per game."""
-    ix = g._ix
-    if ix.efr_contexts is None:
-        ix.efr_contexts = {h: _SetContext(g, i, h) for i in g.players
-                           for h in g.decision_sets(i)}
-    return ix.efr_contexts
+    """The set contexts of every real player's decision sets."""
+    return {h: _SetContext(g, i, h) for i in g.players
+            for h in g.decision_sets(i)}
 
 
 class _Classes:
@@ -341,7 +340,7 @@ class _Classes:
         # per set, per member, the own (position, action) constraints of the
         # path to it; nature's sets are always reached
         rows = [[()]] * len(sets) if j == NATURE else [
-            [tuple((p, a) for k, _, p, a in _requirements(g, h.host, m)
+            [tuple((p, a) for k, _, p, a in _requirements(g, h.host)[m]
                    if k == j) for m in h.members] for h in sets]
         order = _position_order([{p for r in rs for p, _ in r}
                                  for rs in rows])
@@ -447,13 +446,11 @@ def _fill(menus, first, reached, p: int, cs: list[int]) -> list[int]:
     return out
 
 
+@_memo
 def _classes(g: Game, j: Player) -> _Classes:
     """Acting player j's classes over its pool of action vectors
-    (``strategy_vectors``), built once per game."""
-    got = g._ix.classes.get(j)
-    if got is None:
-        got = g._ix.classes[j] = _Classes(g, j)
-    return got
+    (``strategy_vectors``)."""
+    return _Classes(g, j)
 
 
 def _tables(g: Game) -> dict[Player, _Classes]:
@@ -473,53 +470,38 @@ def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
 
 
+@_memo
 def efr(g: Game) -> EfrTrace:
     """Iterate the belief-restriction procedure to its fixpoint.
 
-    Runs once per game: the trace is kept in the game's index, and every
-    later call returns that same object, which callers must not change.
+    Runs once per game: every later call returns the same trace, which
+    callers must not change.
     """
-    ix = g._ix
-    if ix.efr_trace is None:
-        rounds, ctxs, classes = _class_rounds(g), _contexts(g), _tables(g)
-        constraints = []
-        for k in range(len(rounds) - 1):
-            cons = {}
-            for i in g.players:
-                for h in g.decision_sets(i):
-                    level, cols = _allowed_columns(ctxs[h], classes, rounds,
-                                                   k)
-                    cons[h] = BeliefConstraint(i, h, level, [
-                        ctxs[h].representative(g, c) for c in cols])
-            constraints.append(cons)
-        # one object per pure strategy, shared by every round
-        made = {i: list(map(vector_strategy(g, i), strategy_vectors(g, i)))
-                for i in g.players}
-        ids = {i: classes[i].pool() for i in g.players}
-        ix.efr_trace = EfrTrace(
-            [{i: list(itertools.compress(made[i], map(rd[i].__contains__,
-                                                      ids[i])))
-              for i in g.players} for rd in rounds],
-            constraints, fixpoint_round=len(rounds) - 1)
-    return ix.efr_trace
+    rounds, ctxs, classes = _class_rounds(g), _contexts(g), _tables(g)
+    constraints = []
+    for k in range(len(rounds) - 1):
+        cons = {}
+        for i in g.players:
+            for h in g.decision_sets(i):
+                level, cols = _allowed_columns(ctxs[h], classes, rounds, k)
+                cons[h] = BeliefConstraint(i, h, level, [
+                    ctxs[h].representative(g, c) for c in cols])
+        constraints.append(cons)
+    # one object per pure strategy, shared by every round
+    made = {i: list(map(vector_strategy(g, i), strategy_vectors(g, i)))
+            for i in g.players}
+    ids = {i: classes[i].pool() for i in g.players}
+    return EfrTrace(
+        [{i: list(itertools.compress(made[i], map(rd[i].__contains__,
+                                                  ids[i])))
+          for i in g.players} for rd in rounds],
+        constraints, fixpoint_round=len(rounds) - 1)
 
 
+@_memo
 def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
     """Per round of ``efr(g).rounds``, per acting player, the classes
-    (``_classes``) whose members the round holds; computed once per game."""
-    if g._ix.efr_classes is None:
-        g._ix.efr_classes = _efr(g)
-    return g._ix.efr_classes
-
-
-def _surviving_classes(g: Game) -> dict[Player, frozenset]:
-    """Per acting player, the classes (``_classes``) whose members survive
-    extensive-form rationalizability."""
-    return _class_rounds(g)[-1]
-
-
-def _efr(g: Game) -> list[dict[Player, frozenset]]:
-    """Per round, per acting player, its alive classes (``_classes``)."""
+    (``_classes``) whose members the round holds: the engine itself."""
     ctxs, classes = _contexts(g), _tables(g)
     rounds = [{j: frozenset(range(len(c.first))) for j, c in classes.items()}]
     while True:

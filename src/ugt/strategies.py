@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
-    Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
+    Game, InfoSet, NATURE, NodeId, Player, TreeId, _memo, hosts_reachable)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -190,47 +190,40 @@ def _key_set(g: Game, j: Player, t: TreeId, n: NodeId) -> InfoSet:
     return g.info[(j, t, n)]
 
 
+@_memo
 def set_positions(g: Game, i: Player) -> dict[InfoSet, int]:
     """Index of each decision set of i (nature included) in
     ``g.decision_sets(i)``: the layout of i's action vectors."""
-    got = g._ix.positions.get(i)
-    if got is None:
-        got = g._ix.positions[i] = {
-            h: k for k, h in enumerate(g.decision_sets(i))}
-    return got
+    return {h: k for k, h in enumerate(g.decision_sets(i))}
 
 
+@_memo
 def play_table(g: Game, t: TreeId) -> dict[NodeId, tuple]:
     """Per decision node of t, the (player, vector position) pairs whose
     actions, in sorted player order, form the profile picking the child."""
-    ix = g._ix
-    got = ix.plays.get(t)
-    if got is None:
-        got = ix.plays[t] = {
-            n: tuple((j, set_positions(g, j)[_key_set(g, j, t, n)])
+    return {n: tuple((j, set_positions(g, j)[_key_set(g, j, t, n)])
                      for j in sorted(g.nodes[n].players))
             for n, kids in g._st.children[t].items() if kids}
-    return got
 
 
-def _requirements(g: Game, t: TreeId, n: NodeId):
-    """(player, information set, vector position, action) constraints along
-    the path to n; the position is the set's in ``set_positions``."""
-    ix = g._ix
-    got = ix.requirements.get((t, n))
-    if got is not None:
-        return got
-    kids = g._st.children[t]
-    reqs = []
-    path = g.path_in(t, n)
-    for k, b in enumerate(path[:-1]):
-        nxt = path[k + 1]
-        prof = next(pr for pr, c in kids[b].items() if c == nxt)
-        for idx, j in enumerate(sorted(g.nodes[b].players)):
-            x = _key_set(g, j, t, b)
-            reqs.append((j, x, set_positions(g, j)[x], prof[idx]))
-    got = ix.requirements[(t, n)] = tuple(reqs)
-    return got
+@_memo
+def _requirements(g: Game, t: TreeId) -> dict[NodeId, tuple]:
+    """Per node of t, the (player, information set, vector position,
+    action) constraints along the path to it, top down; the position is
+    the set's in ``set_positions``.  One walk from the root: a child's
+    constraints are its parent's plus the movers' actions on the edge."""
+    kids, table = g._st.children[t], play_table(g, t)
+    sets = {j: g.decision_sets(j) for j in acting_players(g)}
+    root = g.root(t)
+    reqs = {root: ()}
+    stack = [root]
+    while stack:
+        b = stack.pop()
+        for prof, c in kids[b].items():
+            reqs[c] = reqs[b] + tuple([(j, sets[j][p], p, a) for (j, p), a
+                                       in zip(table[b], prof)])
+            stack.append(c)
+    return reqs
 
 
 NodeRef = tuple[TreeId, NodeId]
@@ -248,7 +241,7 @@ def reaches(g: Game, s: Profile, target: Target) -> bool:
     t, n = target
     if t not in g.trees or n not in g.trees[t]:
         raise KeyError("no node %r in tree %r" % (n, t))
-    for j, h, _, a in _requirements(g, t, n):
+    for j, h, _, a in _requirements(g, t)[n]:
         sj = s.get(j)
         if sj is not None and sj.action_at(h) != a:
             return False
@@ -356,7 +349,7 @@ def path_info_sets(g: Game, s: Profile, i: Player) -> set[InfoSet]:
 def reach_probability(g: Game, s: Profile, node: NodeRef) -> Fraction:
     t, n = node
     by_player: dict[Player, list] = {}
-    for j, h, _, a in _requirements(g, t, n):
+    for j, h, _, a in _requirements(g, t)[n]:
         by_player.setdefault(j, []).append((h, a))
     total = ONE
     for j, reqs in by_player.items():
@@ -417,9 +410,11 @@ def mixed_to_behavior(g: Game, sigma: MixedStrategy) -> BehaviorStrategy:
 
 def kuhn_convert(g: Game, i: Player, x: Union[MixedStrategy, BehaviorStrategy]):
     """Convert between mixed and behavior form, preserving all reach
-    probabilities against every pure opposing profile."""
-    if x.owner != i:
-        raise ValueError("strategy owner %d is not %d" % (x.owner, i))
+    probabilities against every pure opposing profile.  ValueError when x
+    is not a mixed or behavior strategy of player i."""
+    if not isinstance(x, (MixedStrategy, BehaviorStrategy)) or x.owner != i:
+        raise ValueError("x is not a mixed or behavior strategy of player "
+                         "%d: %r" % (i, x))
     if isinstance(x, MixedStrategy):
         return mixed_to_behavior(g, x)
     return behavior_to_mixed(g, x)

@@ -15,6 +15,7 @@ import importlib.util
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,8 @@ from ugt.gamedoc import parse_game
 from ugt.randgen import generate_random_game, random_profile
 from ugt.rationalizability import _classes, efr
 from ugt.strategies import (
-    PureStrategy, _requirements, acting_players, reaches, strategy_vectors,
-    vector_strategy)
+    BehaviorStrategy, PureStrategy, _requirements, acting_players, reaches,
+    strategy_vectors, vector_strategy)
 
 SMALL_FIXTURES = sorted(n for n in FIXTURES
                         if not n.startswith("bos_repeated"))
@@ -222,7 +223,7 @@ def reach_reads_later_position(g, i) -> bool:
     action at a later vector position."""
     return any(p > k for k, h in enumerate(g.decision_sets(i))
                for m in h.members
-               for j, _, p, _ in _requirements(g, h.host, m) if j == i)
+               for j, _, p, _ in _requirements(g, h.host)[m] if j == i)
 
 
 def test_permuted_ids_reach_out_of_position_order():
@@ -232,3 +233,63 @@ def test_permuted_ids_reach_out_of_position_order():
         permute_node_ids(g, random.Random(k))[0], i)
         for k, (_, g) in enumerate(relabel_cases()) for i in g.players)
     assert later[True] >= 3 and later[False]
+
+
+# ---------------------------------------------------------------------------
+# positive affine payoff changes
+
+
+def affine_payoffs(g, i, scale, shift):
+    """g with player i's payoffs x replaced by scale * x + shift."""
+    nodes = {n: NodeData(nd.parent, nd.players, nd.actions, nd.children,
+                         {j: scale * x + shift if j == i else x
+                          for j, x in nd.payoffs.items()})
+             for n, nd in g.nodes.items()}
+    return Game(g.players, g.trees, nodes, g.info)
+
+
+def uniform_profile(g):
+    """Every acting player mixes uniformly at each of its decision sets."""
+    return {j: BehaviorStrategy.make(j, {
+        h: {a: Fraction(1, len(g.set_actions(h))) for a in g.set_actions(h)}
+        for h in g.decision_sets(j)}) for j in acting_players(g)}
+
+
+def payoff_invariants(g, s):
+    """The SCE verdicts on s, its behavior lift and the uniform profile, and
+    the construction's profile and verdict (or its refusal)."""
+    out = {}
+    for name, check, pi in (("pure", check_sce_pure, s),
+                            ("lift", check_sce_behavior, lift_pure(g, s)),
+                            ("uniform", check_sce_behavior,
+                             uniform_profile(g))):
+        v = check(g, pi)
+        out[name] = (v.holds, v.violated_condition, v.player)
+    try:
+        pi, v = construct_sce_efr(g)
+        out["construct"] = (pi, v.holds, v.violated_condition, v.player)
+    except (NotImplementedError, ValueError) as e:
+        out["construct"] = type(e).__name__
+    return out
+
+
+def test_positive_affine_payoff_change_keeps_sce_results():
+    """Rescaling one player's payoffs by a positive fraction and shifting
+    them changes no SCE verdict and not the constructed equilibrium."""
+    cases = [(name, load(name)) for name in sorted(FIXTURES)]
+    for shape in sorted(SHAPES):
+        cases += [("%s-%d" % (shape, k), g)
+                  for k, g in enumerate(generated(shape, 8))]
+    built = holds = 0
+    for k, (name, g) in enumerate(cases):
+        s = random_profile(g, seed=k)
+        want = payoff_invariants(g, s)
+        built += isinstance(want["construct"], tuple)
+        holds += sum(want[c][0] for c in ("pure", "lift", "uniform"))
+        for i in g.players:
+            scaled = affine_payoffs(g, i, Fraction(2, 5 + i),
+                                    Fraction(-7, 3 + i))
+            assert payoff_invariants(scaled, s) == want, (name, i)
+    # both outcomes of each check and of the construction occur
+    assert built >= 5 and len(cases) - built >= 5
+    assert 0 < holds < 3 * len(cases)

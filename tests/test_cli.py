@@ -57,6 +57,16 @@ def test_validate_wrong_shape(tmp_path, capsys):
     assert "nodes is not an object" in err
 
 
+def test_validate_decision_node_with_payoffs(tmp_path, capsys):
+    doc = json.loads(serialize_game(load("ex1_initial")))
+    doc["nodes"]["1"]["payoffs"] = {"1": "3/1", "2": "1/1"}
+    path = tmp_path / "payoffs.game.json"
+    path.write_text(json.dumps(doc))
+    status, _, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert "decision node 1 carries payoffs" in err
+
+
 @pytest.mark.parametrize("version", [True, 1.0])
 def test_validate_format_version_not_an_integer(version, tmp_path, capsys):
     doc = json.loads(serialize_game(load("ex1_initial")))

@@ -222,14 +222,17 @@ def test_I7_detects_payoff_mismatch():
 def test_I7_detects_nonterminal_member():
     g = load("ex1_initial")
     info = dict(g.info)
-    # the discovery terminal's set holds a decision node of its host, which
-    # fails I7 even when that node carries the terminal's payoffs
+    # the discovery terminal's set holds a decision node of its host
     info[(1, "Tbar", 4)] = InfoSet(1, "T", (1,))
+    report = validate_game(rebuild(g, info=info))
+    assert report.by_name("I7").witnesses == ((1, "Tbar", 4, 1),)
+    # giving that node the terminal's payoffs cannot hide it: a decision
+    # node with payoffs is malformed
     nodes = dict(g.nodes)
     nodes[1] = dataclasses.replace(nodes[1], payoffs=nodes[4].payoffs)
-    for game in (rebuild(g, info=info), rebuild(g, info=info, nodes=nodes)):
-        report = validate_game(game)
-        assert report.by_name("I7").witnesses == ((1, "Tbar", 4, 1),)
+    with pytest.raises(StructuralError, match="decision node 1 carries "
+                                              "payoffs"):
+        validate_game(rebuild(g, info=info, nodes=nodes))
 
 
 def test_witnesses_capped():

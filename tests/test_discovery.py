@@ -69,6 +69,13 @@ def test_awareness_tree_examples():
         assert awareness_tree(d, s, 2) == "Tbar"
 
 
+@pytest.mark.parametrize("i", [0, 7])
+def test_awareness_tree_of_a_non_player(i):
+    g, s1_in, _, s2 = ex1_profiles()
+    with pytest.raises(ValueError, match="not a real player"):
+        awareness_tree(g, {1: s1_in, 2: s2}, i)
+
+
 # ---------------------------------------------------------------------------
 # discovered versions on the worked fixtures
 
@@ -505,13 +512,15 @@ def test_shared_structure_versions_match_public_construction(name, g):
             assert fast.canonical_key() == slow.canonical_key()
             assert serialize_game(fast) == serialize_game(slow)
             assert validate_game(fast) == validate_game(slow)
-            # the version shares the parent's structure, not its info part
+            # the version shares the parent's structure and shared memo,
+            # not its own memo
             assert fast.players is state.players
             assert fast.trees is state.trees and fast.nodes is state.nodes
             assert fast._st is state._st
+            assert fast._shared is state._shared
             if fast is not state:
                 assert fast.info != state.info
-                assert fast._ix is not state._ix
+                assert fast._memo is not state._memo
 
 
 def test_shared_structure_version_checks_rewritten_entries():

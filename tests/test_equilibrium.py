@@ -20,7 +20,7 @@ from ugt.fixtures import FIXTURES, load
 from ugt.gamedoc import parse_game, serialize_game
 from ugt.lp import solve_feasibility
 from ugt.randgen import generate_random_game, random_profile
-from ugt.rationalizability import _classes, _surviving_classes, efr
+from ugt.rationalizability import _class_rounds, _classes, efr
 from ugt.strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -647,7 +647,7 @@ def test_positive_classes_match_the_mixed_conversion():
                 got = _positive_classes(_classes(g, i),
                                         kernel_vector(g, pi[i], i))
                 assert got == want
-                efr_dead += not got <= _surviving_classes(g)[i]
+                efr_dead += not got <= _class_rounds(g)[-1][i]
     assert efr_dead > 0
 
 
@@ -723,7 +723,7 @@ def test_class_cells_pay_like_their_members(name):
     # strategies must earn its cell's payoffs, weighted by nature's draws
     g = load(name)
     players = list(g.players)
-    alive = _surviving_classes(g)
+    alive = _class_rounds(g)[-1]
     index = {i: {c: x for x, c in enumerate(sorted(alive[i]))}
              for i in players}
     pools = {i: [_classes(g, i).first[c] for c in sorted(alive[i])]

@@ -182,3 +182,11 @@ def test_wrong_document_shape_is_semantic(damage):
     damage(doc)
     with pytest.raises(DocSemanticError):
         parse_game(json.dumps(doc))
+
+
+def test_decision_node_payoffs_are_semantic():
+    doc = json.loads(serialize_game(load("ex1_initial")))
+    doc["nodes"]["1"]["payoffs"] = {"1": "3/1", "2": "1/1"}
+    with pytest.raises(DocSemanticError,
+                       match="decision node 1 carries payoffs"):
+        parse_game(json.dumps(doc))

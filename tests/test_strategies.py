@@ -249,6 +249,12 @@ def test_degenerate_mixed_to_behavior_is_pointwise():
             kuhn_convert(g, 2, x)
 
 
+def test_kuhn_convert_refuses_a_pure_strategy():
+    g, s1, _ = ex1_profile()
+    with pytest.raises(ValueError, match="x is not a mixed or behavior"):
+        kuhn_convert(g, 1, s1)
+
+
 def test_uniform_behavior_two_chained_sets_quarter_weights():
     g = t_partial_game(load("ex2_full"), "Tbar")
     h_root = InfoSet(1, "Tbar", (0,))
