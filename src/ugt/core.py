@@ -139,6 +139,18 @@ class Game:
         self._shape: Optional[_Structure] = None
         self._check_ids()
 
+    def __getstate__(self) -> dict:
+        """The fields alone: memo keys hold functions pickle cannot name,
+        and the memos and the structure are rebuilt on use."""
+        state = dict(self.__dict__)
+        for k in ("_memo", "_shared", "_shape"):
+            del state[k]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo, self._shared, self._shape = {}, {}, None
+
     @property
     def _st(self) -> "_Structure":
         if self._shape is None:
@@ -491,8 +503,12 @@ def _structural_problems(g: Game) -> list[str]:
             problems.extend(e.problems)
             continue
         for n in ns:
-            path = g.path_in(t, n)
-            if path[0] != r:
+            # follow parents inside t, stopping where the chain would repeat
+            up, seen = n, set()
+            while up in ns and up not in seen:
+                seen.add(up)
+                top, up = up, g.nodes[up].parent
+            if up in ns or top != r:
                 problems.append("tree %s: node %d not connected to root" % (t, n))
     # joins exist
     order = sorted(g.trees)

@@ -10,7 +10,9 @@ The engine (``_class_rounds``) keeps or drops whole realization classes
 (``_classes``), and ``efr`` builds its public trace from them: a verdict
 reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
-of the opposing classes give every column that plays differently.  Each
+of the opposing classes give every column that plays differently.  The
+trace's rounds are lazy per-player sequences over the alive classes, which
+build ``PureStrategy`` objects only when read.  Each
 player's class table comes from a branch over its decision-set positions,
 not from its pure strategies, and carries per class its first member, the
 positions it reaches and its size.  The
@@ -70,11 +72,24 @@ class BeliefConstraint:
 
 @dataclass
 class EfrTrace:
-    rounds: list[dict[Player, list[PureStrategy]]]
+    """The rounds of ``efr`` up to its fixpoint.
+
+    ``rounds[k][i]`` is player i's strategies that survive round k, a
+    read-only sequence in ``pure_strategies`` order, equal to the list of
+    the same strategies and unhashable like it.  Its ``len`` is the sum of
+    its classes' sizes and builds nothing, and so does comparing two rounds
+    of one trace.  Iterating, indexing or comparing it with a list builds
+    its list once.  Each pure strategy is built once per trace, on the
+    first read of a round that holds it, and every round holds that same
+    object.  ``belief_constraints[k]`` holds the allowed supports that
+    decide round k + 1.
+    """
+
+    rounds: list[dict[Player, Sequence[PureStrategy]]]
     belief_constraints: list[dict[InfoSet, BeliefConstraint]]
     fixpoint_round: int
 
-    def surviving(self) -> dict[Player, list[PureStrategy]]:
+    def surviving(self) -> dict[Player, Sequence[PureStrategy]]:
         return self.rounds[-1]
 
 
@@ -487,15 +502,92 @@ def efr(g: Game) -> EfrTrace:
                 cons[h] = BeliefConstraint(i, h, level, [
                     ctxs[h].representative(g, c) for c in cols])
         constraints.append(cons)
-    # one object per pure strategy, shared by every round
-    made = {i: list(map(vector_strategy(g, i), strategy_vectors(g, i)))
-            for i in g.players}
-    ids = {i: classes[i].pool() for i in g.players}
-    return EfrTrace(
-        [{i: list(itertools.compress(made[i], map(rd[i].__contains__,
-                                                  ids[i])))
-          for i in g.players} for rd in rounds],
-        constraints, fixpoint_round=len(rounds) - 1)
+    pools = {i: _Pool(classes[i], vector_strategy(g, i)) for i in g.players}
+    return EfrTrace([{i: _Round(pools[i], rd[i]) for i in g.players}
+                     for rd in rounds],
+                    constraints, fixpoint_round=len(rounds) - 1)
+
+
+class _Pool:
+    """One player's pure strategies for one trace, each built the first time
+    a round that holds it is read and shared by every round after.  Holds
+    the class table and the strategy maker, never the game."""
+
+    def __init__(self, table: _Classes, make):
+        self.table = table
+        self.make = make
+        # per pool index: its class, its vector and its strategy once
+        # built; and how many are not built yet
+        self._ids: Optional[Sequence[int]] = None
+        self._vectors: list[tuple] = []
+        self._made: list[Optional[PureStrategy]] = []
+        self._unmade = 0
+        # per alive class set read so far, its members
+        self._lists: dict[frozenset, list[PureStrategy]] = {}
+
+    def members(self, alive: frozenset) -> list[PureStrategy]:
+        """The strategies of the alive classes, in pool order; callers must
+        not change the list, which rounds with the same classes share."""
+        got = self._lists.get(alive)
+        if got is None:
+            if self._ids is None:
+                self._ids = self.table.pool()
+                vectors = itertools.product(*self.table.menus)
+                if len(alive) == len(self.table.size):
+                    # a first read of every class builds the pool in one
+                    # pass, so reading every round costs no more than an
+                    # eager build
+                    self._made = list(map(self.make, vectors))
+                else:
+                    self._vectors = list(vectors)
+                    self._made = [None] * len(self._ids)
+                    self._unmade = len(self._ids)
+            made = self._made
+            keep = list(map(alive.__contains__, self._ids))
+            if self._unmade:
+                todo = [k for k in itertools.compress(range(len(made)), keep)
+                        if made[k] is None]
+                for k, s in zip(todo, map(self.make, map(
+                        self._vectors.__getitem__, todo))):
+                    made[k] = s
+                self._unmade -= len(todo)
+                if not self._unmade:
+                    self._vectors = []
+            got = self._lists[alive] = list(itertools.compress(made, keep))
+        return got
+
+
+class _Round(Sequence):
+    """One player's survivors of one round (see ``EfrTrace``)."""
+
+    __hash__ = None  # equal to a list, which is unhashable
+
+    def __init__(self, pool: _Pool, alive: frozenset):
+        self._pool = pool
+        self._alive = alive
+
+    def __len__(self) -> int:
+        size = self._pool.table.size
+        return sum(size[c] for c in self._alive)
+
+    def __getitem__(self, k):
+        return self._pool.members(self._alive)[k]
+
+    def __iter__(self):
+        return iter(self._pool.members(self._alive))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Round):
+            if other._pool.table is self._pool.table:
+                # classes partition the pool and none is empty
+                return other._alive == self._alive
+            other = other._pool.members(other._alive)
+        if isinstance(other, list):
+            return self._pool.members(self._alive) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._pool.members(self._alive))
 
 
 @_memo

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import os
 import tempfile
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from ugt import cli
 from ugt.cli import main
 from ugt.discovery import run_discovery
-from ugt.fixtures import load
+from ugt.fixtures import NAMES, load
 from ugt.gamedoc import DocAxiomError, GameDocError, parse_game, serialize_game
 from ugt.randgen import generate_random_game
+
+DATA = resources.files("ugt") / "data"
 
 
 @pytest.fixture
@@ -67,6 +71,15 @@ def test_validate_decision_node_with_payoffs(tmp_path, capsys):
     assert "decision node 1 carries payoffs" in err
 
 
+def test_validate_parent_cycle_exits_2(parent_cycle_text, deadline,
+                                       tmp_path, capsys):
+    path = tmp_path / "cycle.game.json"
+    path.write_text(parent_cycle_text)
+    status, _, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert "tree G: node 3 not connected to root" in err
+
+
 @pytest.mark.parametrize("version", [True, 1.0])
 def test_validate_format_version_not_an_integer(version, tmp_path, capsys):
     doc = json.loads(serialize_game(load("ex1_initial")))
@@ -110,6 +123,19 @@ def test_efr_json(game_file, capsys):
     choice = payload["surviving"]["1"][0]["choices"][0]
     assert choice["action"] == "l1"
     assert payload["rounds"][-1] == {"1": 1, "2": 1}
+
+
+def test_efr_trace_json_is_pinned(capsys):
+    """``ugt --json efr --trace`` on every shipped fixture, byte for byte:
+    the rounds are read lazily, their sizes from the class tables."""
+    digest = hashlib.sha256()
+    for name in NAMES:
+        status, out, _ = run(capsys, "--json", "efr", "--trace",
+                             str(DATA / ("%s.game.json" % name)))
+        assert status == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "64362c443ff72061d8de96d69123f272711981ebe8ae0c66b65328005f6644f8"
 
 
 def test_discover_two_state_trace(game_file, capsys):

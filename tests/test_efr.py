@@ -6,6 +6,7 @@ from operator import eq, ge
 
 import pytest
 
+from ugt import rationalizability
 from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
 from ugt.fixtures import load
@@ -398,6 +399,74 @@ def test_trace_is_built_once_from_class_rounds(name):
     late = load(name)
     build_supergame(late, "efr")
     assert efr(late) == trace
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The action vectors efr turns into PureStrategy objects, in order."""
+    vectors = []
+    real = rationalizability.vector_strategy
+
+    def counting(g, i):
+        make = real(g, i)
+
+        def counted(v):
+            vectors.append(v)
+            return make(v)
+        return counted
+
+    monkeypatch.setattr(rationalizability, "vector_strategy", counting)
+    return vectors
+
+
+def test_round_sizes_build_no_strategy(made):
+    g = load("bos_repeated")
+    trace = efr(g)
+    sizes = [{i: len(rd[i]) for i in g.players} for rd in trace.rounds]
+    assert sizes == [{1: 2048, 2: 16}, {1: 1280, 2: 16}, {1: 1280, 2: 8},
+                     {1: 640, 2: 8}, {1: 640, 2: 8}]
+    for rd, alive in zip(sizes, _class_rounds(g)):
+        for i in g.players:
+            assert rd[i] == sum(_classes(g, i).size[c] for c in alive[i])
+    # rounds with the same classes compare without building either
+    assert trace.rounds[-1] == trace.rounds[-2]
+    assert trace.rounds[0][1] != trace.rounds[-1][1]
+    assert made == []
+    # the survivors alone build only themselves: 640 + 8
+    survivors = {i: list(pool) for i, pool in trace.surviving().items()}
+    assert len(made) == 648
+    # every round read: each pure strategy built once, the survivors' very
+    # objects reused
+    for rd in trace.rounds:
+        for i in g.players:
+            list(rd[i])
+    assert sorted(made) == sorted(v for i in g.players
+                                  for v in strategy_vectors(g, i))
+    for i in g.players:
+        first = {id(s) for s in trace.rounds[0][i]}
+        assert all(id(s) in first for s in survivors[i])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rounds_read_as_lists(name):
+    g = load(name)
+    trace = efr(g)
+    for rd in trace.rounds:
+        for i in g.players:
+            seq = rd[i]
+            as_list = list(seq)
+            assert len(seq) == len(as_list)
+            assert seq == as_list and as_list == seq
+            assert seq != as_list + [None]
+            assert seq[0] is as_list[0] and seq[-1] is as_list[-1]
+            assert seq[1:] == as_list[1:] and as_list[0] in seq
+            assert repr(seq) == repr(as_list)
+            with pytest.raises(TypeError):
+                hash(seq)
+    # another parse compares member by member
+    other = efr(load(name))
+    assert other.rounds == trace.rounds
+    assert other.surviving() == trace.surviving()
 
 
 def assert_reads_stay_in_reached_positions(g):

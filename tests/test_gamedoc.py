@@ -64,6 +64,13 @@ def test_fixture_registry_matches_shipped_files():
         load("nope")
 
 
+def test_parent_cycle_is_semantic(parent_cycle_text, deadline):
+    with pytest.raises(DocSemanticError) as e:
+        parse_game(parent_cycle_text)
+    assert str(e.value) == ("tree G: node 3 not connected to root; "
+                            "tree G: node 4 not connected to root")
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(DocSyntaxError) as e:
         parse_game("{\n  broken")

@@ -9,6 +9,7 @@ checked for caches kept anywhere else.
 """
 
 import ast
+import pickle
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,16 @@ def test_memo_keys_hold_only_plain_ids(name):
             for f, *args in home:
                 assert callable(f)
                 assert all(type(a) in (int, str) for a in args), (f, args)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_pickled_game_starts_with_empty_memos(name):
+    g = load(name)
+    trace = efr(g)
+    h = pickle.loads(pickle.dumps(g))
+    assert (h._memo, h._shared, h._shape) == ({}, {}, None)
+    assert h == g
+    assert efr(h) is not trace and efr(h).surviving() == trace.surviving()
 
 
 # ---------------------------------------------------------------------------
