@@ -275,7 +275,9 @@ class Game:
         return not self._st.children[t][n]
 
     def path_in(self, t: TreeId, n: NodeId) -> list[NodeId]:
-        """Node path from the root of t down to n (inclusive)."""
+        """Node path from the root of t down to n (inclusive).  Raises
+        StructuralError, naming t and n, when the parents above n in t
+        form a cycle."""
         ns = self.trees[t]
         path = [n]
         cur = n
@@ -284,11 +286,17 @@ class Game:
             if p is None or p not in ns:
                 break
             path.append(p)
+            if len(path) > len(ns):
+                raise StructuralError(["tree %s: the parents above node %s "
+                                       "form a cycle" % (t, n)])
             cur = p
         return path[::-1]
 
     def descendants_in(self, t: TreeId, n: NodeId) -> list[NodeId]:
+        """The nodes below n in t, sorted.  Raises StructuralError, naming t
+        and n, when the children below n in t form a cycle."""
         kids = self._st.children[t]
+        size = len(self.trees[t])
         out = []
         stack = [n]
         while stack:
@@ -296,6 +304,9 @@ class Game:
             for c in kids[cur].values():
                 out.append(c)
                 stack.append(c)
+            if len(out) > size:
+                raise StructuralError(["tree %s: the children below node %s "
+                                       "form a cycle" % (t, n)])
         return sorted(out)
 
     # -- information structure ------------------------------------------------

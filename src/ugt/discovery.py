@@ -149,28 +149,20 @@ def _alive(g: Game, policy: str) -> dict[Player, frozenset]:
     raise ValueError("unknown policy %r" % (policy,))
 
 
-def _vector_pools(g: Game,
-                  policy: str) -> tuple[list[Player], list[list[tuple]]]:
-    """The acting players, nature first when it moves, and the action
-    vectors (``strategy_vectors``) a named policy permits each of them, in
-    ``strategy_vectors`` order."""
-    players = acting_players(g)
-    pools = [strategy_vectors(g, j) for j in players]
-    if policy != "all":
-        alive = _alive(g, policy)
-        for k, j in enumerate(players):
-            table = _classes(g, j)
-            if len(alive[j]) < len(table.first):
-                pools[k] = [v for v, c in zip(pools[k], table.pool())
-                            if c in alive[j]]
-    return players, pools
-
-
 def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
-    """The pure profiles a policy permits in a state, nature included."""
+    """The pure profiles a policy permits in a state, nature included: a
+    callable policy's as it lists them, else the product of each acting
+    player's vectors (``strategy_vectors``) under "all" and of the members
+    of its permitted classes (``_Classes.members``) under another named
+    policy.  ValueError on an unknown policy name."""
     if callable(policy):
         return list(policy(g))
-    players, pools = _vector_pools(g, policy)
+    players = acting_players(g)
+    if policy == "all":
+        pools = [strategy_vectors(g, j) for j in players]
+    else:
+        alive = _alive(g, policy)
+        pools = [_classes(g, j).members(alive[j]) for j in players]
     pools = [list(map(vector_strategy(g, j), pool))
              for j, pool in zip(players, pools)]
     return [dict(zip(players, combo)) for combo in itertools.product(*pools)]

@@ -369,16 +369,28 @@ class _Classes:
             leaves.sort(key=lambda leaf: [r[a] for r, a in zip(rank, leaf[0])])
         # per class: its first member, the positions it reaches and its size
         self.first, self.reached, self.size = map(list, zip(*leaves))
+        self._ids: Optional[Sequence[int]] = None
 
     def pool(self) -> Sequence[int]:
         """Per vector of the pool, in ``strategy_vectors`` order, its
-        class, filled in from the table: a class holds the vectors with its
-        first member's actions at the positions it reaches."""
-        total = sum(self.size)
-        if len(self.first) == total:
-            return range(total)
-        return _fill(self.menus, self.first, list(map(set, self.reached)), 0,
-                     list(range(len(self.first))))
+        class, filled in from the table once: a class holds the vectors with
+        its first member's actions at the positions it reaches.  Callers
+        must not change it."""
+        if self._ids is None:
+            total = sum(self.size)
+            self._ids = range(total) if len(self.first) == total else _fill(
+                self.menus, self.first, list(map(set, self.reached)), 0,
+                list(range(len(self.first))))
+        return self._ids
+
+    def members(self, alive: frozenset) -> list[tuple]:
+        """The vectors of the alive classes, in ``strategy_vectors``
+        order."""
+        vectors = itertools.product(*self.menus)
+        if len(alive) == len(self.first):
+            return list(vectors)
+        return list(itertools.compress(vectors,
+                                       map(alive.__contains__, self.pool())))
 
 
 def _position_order(reads: Sequence[set]) -> list[int]:
@@ -509,51 +521,30 @@ def efr(g: Game) -> EfrTrace:
 
 
 class _Pool:
-    """One player's pure strategies for one trace, each built the first time
-    a round that holds it is read and shared by every round after.  Holds
-    the class table and the strategy maker, never the game."""
+    """One player's pure strategies for one trace, each built from its
+    vector the first time a round that holds it is read, and kept by that
+    vector for every round after.  Holds the class table and the strategy
+    maker, never the game."""
 
     def __init__(self, table: _Classes, make):
         self.table = table
         self.make = make
-        # per pool index: its class, its vector and its strategy once
-        # built; and how many are not built yet
-        self._ids: Optional[Sequence[int]] = None
-        self._vectors: list[tuple] = []
-        self._made: list[Optional[PureStrategy]] = []
-        self._unmade = 0
-        # per alive class set read so far, its members
+        # per vector read so far, its strategy; per alive class set read so
+        # far, its members
+        self._made: dict[tuple, PureStrategy] = {}
         self._lists: dict[frozenset, list[PureStrategy]] = {}
 
     def members(self, alive: frozenset) -> list[PureStrategy]:
-        """The strategies of the alive classes, in pool order; callers must
-        not change the list, which rounds with the same classes share."""
+        """The strategies of the alive classes (``_Classes.members``), in
+        pool order; callers must not change the list, which rounds with the
+        same classes share."""
         got = self._lists.get(alive)
         if got is None:
-            if self._ids is None:
-                self._ids = self.table.pool()
-                vectors = itertools.product(*self.table.menus)
-                if len(alive) == len(self.table.size):
-                    # a first read of every class builds the pool in one
-                    # pass, so reading every round costs no more than an
-                    # eager build
-                    self._made = list(map(self.make, vectors))
-                else:
-                    self._vectors = list(vectors)
-                    self._made = [None] * len(self._ids)
-                    self._unmade = len(self._ids)
             made = self._made
-            keep = list(map(alive.__contains__, self._ids))
-            if self._unmade:
-                todo = [k for k in itertools.compress(range(len(made)), keep)
-                        if made[k] is None]
-                for k, s in zip(todo, map(self.make, map(
-                        self._vectors.__getitem__, todo))):
-                    made[k] = s
-                self._unmade -= len(todo)
-                if not self._unmade:
-                    self._vectors = []
-            got = self._lists[alive] = list(itertools.compress(made, keep))
+            vectors = self.table.members(alive)
+            new = [v for v in vectors if v not in made]
+            made.update(zip(new, map(self.make, new)))
+            got = self._lists[alive] = list(map(made.__getitem__, vectors))
         return got
 
 

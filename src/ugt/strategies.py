@@ -162,9 +162,10 @@ def pure_strategies(g: Game, i: Player) -> list[PureStrategy]:
     return list(map(vector_strategy(g, i), strategy_vectors(g, i)))
 
 
+@_memo
 def vector_strategy(g: Game, i: Player):
     """A function turning player i's action vectors into PureStrategy
-    objects, as ``pure_strategies`` lists them."""
+    objects, as ``pure_strategies`` lists them; one per player and game."""
     sets = g.decision_sets(i)
     # the order PureStrategy.make sorts choices into, found once
     order = sorted(range(len(sets)), key=sets.__getitem__)

@@ -67,8 +67,10 @@ def reference_table(g, j):
 
 
 def assert_tables_match_reference(g) -> int:
-    """The class table of every acting player equals the reference, and its
-    pool lists the reference's class of each vector.  Returns the number of
+    """The class table of every acting player equals the reference, its
+    pool lists the reference's class of each vector, and it lists the
+    members of one class, of every class and of seeded random class sets
+    as the reference's vectors of those classes.  Returns the number of
     tables checked."""
     players = acting_players(g)
     for j in players:
@@ -78,6 +80,17 @@ def assert_tables_match_reference(g) -> int:
         assert list(table.reached) == reached, j
         assert table.size == size, j
         assert list(table.pool()) == of, j
+        vectors = strategy_vectors(g, j)
+        for c in range(len(first)):
+            assert table.members(frozenset({c})) == [
+                v for v, k in zip(vectors, of) if k == c], (j, c)
+        assert table.members(frozenset(range(len(first)))) == vectors, j
+        rng = random.Random(len(vectors) * len(first) + j)
+        for _ in range(4):
+            alive = frozenset(rng.sample(range(len(first)),
+                                         rng.randint(0, len(first))))
+            assert table.members(alive) == [
+                v for v, k in zip(vectors, of) if k in alive], (j, alive)
     return len(players)
 
 

@@ -275,6 +275,28 @@ def test_paths_and_descendants():
     assert 11 in g.descendants_in("Tbar", 0)
 
 
+def test_paths_and_descendants_stop_on_a_cycle(deadline):
+    """A game built directly, never validated: nodes 3 and 4 of every tree
+    are each the other's parent and only child."""
+    g = load("trivial_single")
+    nodes = dict(g.nodes)
+    info = dict(g.info)
+    trees = {t: set(ns) | {3, 4} for t, ns in g.trees.items()}
+    for n, other in ((3, 4), (4, 3)):
+        nodes[n] = NodeData(parent=other, players=(1,), actions={1: ("c",)},
+                            children={("c",): other})
+        for t in trees:
+            info[(1, t, n)] = InfoSet(1, t, (n,))
+    g = Game(g.players, trees, nodes, info)
+    for t in trees:
+        with pytest.raises(StructuralError,
+                           match="tree %s: the parents above node 3" % t):
+            g.path_in(t, 3)
+        with pytest.raises(StructuralError,
+                           match="tree %s: the children below node 4" % t):
+            g.descendants_in(t, 4)
+
+
 def test_terminal_in_tree_only():
     g = load("ex2_initial")
     assert g.terminal_in("Tp", 3) is False  # y1 remains available

@@ -13,7 +13,6 @@ from ugt.core import NATURE, Game, InfoSet, StructuralError, validate_game
 from ugt.discovery import (
     _discovered_along,
     _path_classes,
-    _vector_pools,
     allowed_profiles,
     awareness_tree,
     build_supergame,
@@ -28,10 +27,10 @@ from ugt.gamedoc import parse_game, serialize_game
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import efr
 from ugt.strategies import (
+    acting_players,
     pure_strategies,
     realized_tbar_path,
     restrict_strategy,
-    vector_strategy,
 )
 
 
@@ -335,12 +334,18 @@ def test_path_classes_on_generated_games(shape):
 def test_policy_pools_are_the_efr_rounds(name):
     g = load(name)
     trace = efr(g)
+    players = acting_players(g)
     for policy, pools in (("efr", trace.surviving()),
                           ("rational_only", trace.rounds[1])):
-        players, vectors = _vector_pools(g, policy)
-        for j, pool in zip(players, vectors):
+        profiles = allowed_profiles(g, policy)
+        wants = []
+        for j in players:
             want = pure_strategies(g, j) if j == NATURE else pools[j]
-            assert list(map(vector_strategy(g, j), pool)) == want
+            # each player's pool, in order, as the profiles first show it
+            assert list(dict.fromkeys(s[j] for s in profiles)) == want
+            wants.append(want)
+        assert profiles == [dict(zip(players, combo))
+                            for combo in itertools.product(*wants)]
 
 
 def test_unknown_policy_is_rejected():

@@ -31,6 +31,8 @@ from ugt.strategies import (
     realization_equivalent,
     realized_tbar_path,
     restrict_strategy,
+    strategy_vectors,
+    vector_strategy,
 )
 
 F = Fraction
@@ -65,6 +67,20 @@ def test_pure_strategies_of_unknown_player():
         pure_strategies(g, 7)
     # nature is valid in every game: one empty strategy where it never moves
     assert pure_strategies(g, NATURE) == [PureStrategy(NATURE, ())]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_vector_strategy_is_one_maker_per_player(name):
+    g = load(name)
+    for i in acting_players(g):
+        make = vector_strategy(g, i)
+        assert vector_strategy(g, i) is make
+        sets = g.decision_sets(i)
+        vectors = strategy_vectors(g, i)
+        made = list(map(make, vectors))
+        assert made == pure_strategies(g, i)
+        assert made == [PureStrategy.make(i, dict(zip(sets, v)))
+                        for v in vectors]
 
 
 def test_realization_equivalent_rejects_other_players_strategies():
