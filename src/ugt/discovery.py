@@ -36,8 +36,9 @@ Policy = Union[str, Callable[[Game], Sequence[PureProfile]]]
 
 def awareness_tree(g: Game, s: PureProfile, i: Player) -> TreeId:
     """Join of the host trees of i's information sets along the realized
-    path of the richest tree.  ValueError when i is not a real player of g
-    or s is not a total pure profile (see ``realized_tbar_path``)."""
+    path of the richest tree.  ValueError when i is not a real player of g;
+    TypeError or ValueError when s is not a total pure profile (see
+    ``realized_tbar_path``)."""
     if i not in g.players:
         raise ValueError("i is not a real player of the game: %r" % (i,))
     return _awareness_along(g, realized_tbar_path(g, s), i)
@@ -61,8 +62,8 @@ def discovered_version(g: Game, s: PureProfile) -> Game:
     are incomparable.  The version shares g's players, trees and nodes;
     when no set moves, it is g itself.
 
-    Raises ValueError when s is not a total pure profile (see
-    ``realized_tbar_path``).
+    Raises TypeError when s is not a mapping and ValueError when it is not
+    a total pure profile (see ``realized_tbar_path``).
     """
     return _discovered_along(g, realized_tbar_path(g, s))
 

@@ -76,11 +76,14 @@ def uniform_nature(g: Game) -> BehaviorStrategy:
 
 def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
     """Every acting player's strategy in pi as a vector, made by
-    ``vector(g, strategy, player)``.  ValueError unless each has a strategy
-    of its own that chooses at every set the SCE checks can consult: its
-    sets at the nodes of the richest tree and of each tree hosting an
-    information set there.  Play never reaches the other sets, so they may
-    be missing."""
+    ``vector(g, strategy, player)``.  TypeError unless pi is a mapping;
+    ValueError unless each acting player has a strategy of its own that
+    chooses at every set the SCE checks can consult: its sets at the nodes
+    of the richest tree and of each tree hosting an information set there.
+    Play never reaches the other sets, so they may be missing."""
+    if not isinstance(pi, Mapping):
+        raise TypeError("a profile maps players to strategies, not %r"
+                        % (pi,))
     out = {}
     for j in acting_players(g):
         if j not in pi:
@@ -100,7 +103,7 @@ def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
 def _behavior_vectors(g: Game, pi: Profile) -> dict[Player, tuple]:
     """``_checked_vectors`` of the kernel vector of each strategy in pi;
     nature plays uniformly unless pi gives it a strategy."""
-    if has_nature(g) and NATURE not in pi:
+    if has_nature(g) and isinstance(pi, Mapping) and NATURE not in pi:
         pi = {**pi, NATURE: uniform_nature(g)}
     return _checked_vectors(g, pi, kernel_vector)
 
@@ -259,21 +262,22 @@ def _restricted_candidates(g: Game, i: Player, kernels, tstar: TreeId
 def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     """Self-confirming equilibrium check for a pure profile.
 
-    Every acting player, nature included, needs a pure strategy of its own
-    (``_checked_vectors``); ValueError otherwise.  Per player, the confirmed
-    beliefs are the distributions over opposing pure profiles of the
-    player's tree (nature conjectured alongside the opponents) that reach
-    the terminal information set the play produces; one exact feasibility
+    s must be a mapping (TypeError) in which every acting player, nature
+    included, has a pure strategy of its own (``_checked_vectors``;
+    ValueError otherwise).  Per player, the confirmed beliefs are the
+    distributions over opposing pure profiles of the player's tree (nature
+    conjectured alongside the opponents) that reach the terminal
+    information set the play produces; one exact feasibility
     question asks whether some such belief makes every local deviation at
     every occurring decision set weakly unprofitable.  Each player's
     witness lists the (restricted pure profile, weight) pairs of that
     belief.
     """
-    if any(isinstance(s.get(j), (BehaviorStrategy, MixedStrategy))
+    kernels = _checked_vectors(g, s, kernel_vector)
+    if any(isinstance(s[j], (BehaviorStrategy, MixedStrategy))
            for j in acting_players(g)):
         raise ValueError("not a pure profile: %r" % (s,))
-    v = _conditions(g, _checked_vectors(g, s, kernel_vector),
-                    _restricted_candidates)
+    v = _conditions(g, kernels, _restricted_candidates)
     # pure play has one end, so one group per player
     v.witnesses = {i: [({j: PureStrategy.make(j, {
         h: a for h, ((a, _),) in x.kernels}) for j, x in p.items()}, w)
@@ -323,11 +327,12 @@ def _confirmed_candidates(g: Game, i: Player, kernels: Mapping[Player, tuple],
 def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     """Self-confirming equilibrium check for a behavior profile.
 
-    Every real player needs a pure, mixed or behavior strategy of its own
-    (``_checked_vectors``; nature defaults to uniform), a mixed one counting
-    through its behavior form; ValueError otherwise.  Confirmed beliefs
-    fix the opposing kernels wherever the player's view of the play
-    arrives with positive probability and are free elsewhere.  Along each
+    pi must be a mapping (TypeError) in which every real player has a pure,
+    mixed or behavior strategy of its own (``_checked_vectors``; nature
+    defaults to uniform), a mixed one counting through its behavior form;
+    ValueError otherwise.  Confirmed beliefs fix the opposing kernels
+    wherever the player's view of the play arrives with positive
+    probability and are free elsewhere.  Along each
     chain of occurring information sets the belief is constant, so it must
     weight only completions reaching the chain's ends of play while making
     every local deviation at the chain's decision sets weakly unprofitable;
@@ -339,8 +344,11 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
 
 
 def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
-    """Degenerate behavior profile playing exactly s.  ValueError when an
-    entry is not a PureStrategy of its key's player."""
+    """Degenerate behavior profile playing exactly s.  TypeError when s is
+    not a mapping, ValueError when an entry is not a PureStrategy of its
+    key's player."""
+    if not isinstance(s, Mapping):
+        raise TypeError("a profile maps players to strategies, not %r" % (s,))
     for j, sj in s.items():
         if not isinstance(sj, PureStrategy) or sj.owner != j:
             raise ValueError("not a pure strategy of player %s: %r" % (j, sj))
@@ -369,7 +377,8 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     classes, so that is the survival of every class the conversion gives
     positive probability (``_positive_classes``).  The conversion reads
     every decision set, so each real player's strategy needs a kernel at
-    all of them; ValueError otherwise."""
+    all of them; ValueError otherwise, and TypeError when pi is not a
+    mapping."""
     kernels = _behavior_vectors(g, pi)
     for i in g.players:
         if None in kernels[i]:
@@ -530,8 +539,9 @@ def awareness_diagnostics(g: Game, pi: Profile) -> AwarenessReport:
     """Constancy of awareness: globally, per player along play, and as
     seen from inside each player's own tree.
 
-    Every real player needs a strategy of its own (``_checked_vectors``;
-    nature defaults to uniform); ValueError otherwise."""
+    pi must be a mapping (TypeError) in which every real player has a
+    strategy of its own (``_checked_vectors``; nature defaults to uniform);
+    ValueError otherwise."""
     kernels = _behavior_vectors(g, pi)
     tbar = g.tbar
     live = _live_nodes(g, kernels, tbar)

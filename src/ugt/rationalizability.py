@@ -22,8 +22,10 @@ the matrix comes from one walk of the host tree that branches only at the
 deviation sets the play meets, and its entries are the player's payoffs
 times one positive integer per set, so they compare and pivot as ints.
 ``efr_oracle`` recomputes everything by explicitly assembling whole belief
-systems with Bayes conditioning enforced; it is exponential and guarded by
-a cap.
+systems with Bayes conditioning enforced, from the object-world
+definitions alone (``pure_strategies``, ``reaches``, ``restrict_strategy``,
+``is_rational_at``, ``conditioned_belief``) and none of the engine's
+tables; it is exponential and guarded by a cap.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from operator import eq, ge, itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .core import (
-    NATURE, Game, InfoSet, NodeId, Player, _memo, hosts_reachable,
-    info_arborescence)
+    NATURE, Game, InfoSet, NodeId, Player, _memo, info_arborescence)
 from .lp import solve_feasibility
 from .strategies import (
     PureProfile,
@@ -51,23 +52,16 @@ from .strategies import (
     deviation_sets,
     is_rational_at,
     play_table,
+    profile_key,
+    pure_strategies,
     reaches,
+    restrict_strategy,
     set_positions,
     strategy_vectors,
     vector_strategy,
 )
 
 DEFAULT_ORACLE_CAP = 1000
-
-
-@dataclass
-class BeliefConstraint:
-    """Allowed support at one information set in one round."""
-
-    player: Player
-    info_set: InfoSet
-    level: int  # the round whose survivors still reach the set
-    profiles: list[PureProfile]  # restricted representatives, deduplicated
 
 
 @dataclass
@@ -81,12 +75,10 @@ class EfrTrace:
     of one trace.  Iterating, indexing or comparing it with a list builds
     its list once.  Each pure strategy is built once per trace, on the
     first read of a round that holds it, and every round holds that same
-    object.  ``belief_constraints[k]`` holds the allowed supports that
-    decide round k + 1.
+    object.
     """
 
     rounds: list[dict[Player, Sequence[PureStrategy]]]
-    belief_constraints: list[dict[InfoSet, BeliefConstraint]]
     fixpoint_round: int
 
     def surviving(self) -> dict[Player, Sequence[PureStrategy]]:
@@ -114,9 +106,9 @@ class _SetContext:
 
     A column is the tuple of the opponents' keys, each an opponent's actions
     at its decision sets in the host tree; nature counts as an opponent.
-    Equal columns play the host tree out identically.  A column's
-    representative takes, per opponent, its key at the positions the host
-    tree reads and the first action everywhere else.
+    Equal columns play the host tree out identically.  A column's profile
+    takes, per opponent, its key at the positions the host tree reads and
+    the first action everywhere else.
     """
 
     def __init__(self, g: Game, i: Player, h: InfoSet):
@@ -158,8 +150,6 @@ class _SetContext:
         self.reqs = [reqs[m] for m in h.members]
         self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
-        self._restricted: dict[tuple, PureProfile] = {}
-        self._kept: Optional[list] = None
         self._columns: dict[tuple, tuple] = {}
         self._ids: dict[tuple, int] = {}
         self._allowed: dict[int, tuple] = {}
@@ -179,25 +169,6 @@ class _SetContext:
             self._col_reaches[col] = got
             if got:
                 self._profiles[col] = prof
-        return got
-
-    def representative(self, g: Game, col: tuple) -> PureProfile:
-        """The reaching column's representative as PureStrategy objects,
-        restricted to the host tree's partial game; built once per column
-        and shared by every caller, which must not change it."""
-        got = self._restricted.get(col)
-        if got is None:
-            if self._kept is None:
-                # per opponent, its sets in the partial game with their
-                # positions, in PureStrategy.make's order
-                keep = set(hosts_reachable(g, self.h.host))
-                self._kept = [sorted((x, p) for p, x in enumerate(
-                    g.decision_sets(j)) if x.host in keep)
-                    for j in self.opponents]
-            prof = self._profiles[col]
-            got = self._restricted[col] = {
-                j: PureStrategy(j, tuple([(x, prof[j][p]) for x, p in kept]))
-                for j, kept in zip(self.opponents, self._kept)}
         return got
 
     def columns(self, classes: Mapping[Player, _Classes],
@@ -312,18 +283,6 @@ class _SetContext:
         x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
                               a_ub=a_ub, b_ub=[ZERO] * len(rows))
         return x is not None
-
-    def column(self, g: Game, p: PureProfile) -> tuple:
-        """The column of an opposing profile of PureStrategy objects,
-        restricted ones included.  Raises ValueError when the profile lacks
-        a valid choice that the host tree consults."""
-        col = tuple(get(action_vector(g, p[j], j) if j in p
-                        else (None,) * len(g.decision_sets(j)))
-                    for j, get in zip(self.opponents, self.opp_keys))
-        if any(None in key for key in col):
-            raise ValueError("profile lacks a choice that %s consults"
-                             % self.h.host)
-        return col
 
 
 @_memo
@@ -486,14 +445,13 @@ def _tables(g: Game) -> dict[Player, _Classes]:
 
 
 def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
-                     rounds: list[dict], upto: int) -> tuple[int, tuple]:
+                     rounds: list[dict]) -> tuple:
     """Best-rationalization support: columns from the latest round whose
     survivors still reach the set.  Rounds hold the alive classes."""
-    for m in range(upto, -1, -1):
-        cols = ctx.columns(classes,
-                           tuple(rounds[m][j] for j in ctx.opponents))
+    for rd in reversed(rounds):
+        cols = ctx.columns(classes, tuple(rd[j] for j in ctx.opponents))
         if cols:
-            return m, cols
+            return cols
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
 
 
@@ -504,20 +462,11 @@ def efr(g: Game) -> EfrTrace:
     Runs once per game: every later call returns the same trace, which
     callers must not change.
     """
-    rounds, ctxs, classes = _class_rounds(g), _contexts(g), _tables(g)
-    constraints = []
-    for k in range(len(rounds) - 1):
-        cons = {}
-        for i in g.players:
-            for h in g.decision_sets(i):
-                level, cols = _allowed_columns(ctxs[h], classes, rounds, k)
-                cons[h] = BeliefConstraint(i, h, level, [
-                    ctxs[h].representative(g, c) for c in cols])
-        constraints.append(cons)
-    pools = {i: _Pool(classes[i], vector_strategy(g, i)) for i in g.players}
+    rounds = _class_rounds(g)
+    pools = {i: _Pool(_classes(g, i), vector_strategy(g, i))
+             for i in g.players}
     return EfrTrace([{i: _Round(pools[i], rd[i]) for i in g.players}
-                     for rd in rounds],
-                    constraints, fixpoint_round=len(rounds) - 1)
+                     for rd in rounds], fixpoint_round=len(rounds) - 1)
 
 
 class _Pool:
@@ -592,8 +541,7 @@ def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
         for i in g.players:
             allowed_at = []
             for h in g.decision_sets(i):
-                _, cols = _allowed_columns(ctxs[h], classes, rounds,
-                                           len(rounds) - 1)
+                cols = _allowed_columns(ctxs[h], classes, rounds)
                 allowed_at.append((ctxs[h], ctxs[h].intern(cols)))
             table = classes[i]
             new[i] = frozenset(c for c in rounds[-1][i]
@@ -634,7 +582,15 @@ def best_reply_exists(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
         raise ValueError("strategy lacks a choice that %s consults" % h.host)
     if not ctx.strategy_reaches(v):
         return True
-    cols = dict.fromkeys(ctx.column(g, p) for p in allowed)
+    # per allowed profile, its column, restricted profiles included
+    cols = dict.fromkeys(
+        tuple(get(action_vector(g, p[j], j) if j in p
+                  else (None,) * len(g.decision_sets(j)))
+              for j, get in zip(ctx.opponents, ctx.opp_keys))
+        for p in allowed)
+    if any(None in key for col in cols for key in col):
+        raise ValueError("allowed profile lacks a choice that %s consults"
+                         % h.host)
     if not all(map(ctx.column_reaches, cols)):
         raise ValueError("allowed profile does not reach %s" % h.label())
     return ctx.optimal_for_some_belief(v, ctx.intern(tuple(cols)))
@@ -648,74 +604,72 @@ class OracleCapExceeded(RuntimeError):
     pass
 
 
-def _candidate_beliefs(g: Game, ctx: _SetContext, cols: tuple):
-    """Point beliefs on each allowed column plus the uniform mixture."""
-    reps = [ctx.representative(g, c) for c in cols]
-    out = [[(p, ONE)] for p in reps]
-    if len(cols) > 1:
-        u = Fraction(1, len(cols))
-        out.append([(p, u) for p in reps])
+def _candidate_beliefs(allowed: Mapping[tuple, PureProfile]) -> list:
+    """Point beliefs on each allowed profile plus the uniform mixture."""
+    out = [[(p, ONE)] for p in allowed.values()]
+    if len(allowed) > 1:
+        u = Fraction(1, len(allowed))
+        out.append([(p, u) for p in allowed.values()])
     return out
-
-
-def _support_allowed(g: Game, ctx: _SetContext, belief, cols: tuple) -> bool:
-    allowed = set(cols)
-    for p, w in belief:
-        if w > 0 and ctx.column(g, p) not in allowed:
-            return False
-    return True
 
 
 def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[PureStrategy]]:
     """Recompute the fixpoint by explicit belief-system search.
 
     Belief systems are assembled from point and uniform beliefs over the
-    allowed supports, with Bayes conditioning enforced parent-to-child
-    whenever the later set lives in a weakly poorer tree and gets positive
-    mass.  Exponential; refuses games above the cap.
+    allowed supports (``_allowed_profiles``), with Bayes conditioning
+    enforced parent-to-child whenever the later set lives in a weakly
+    poorer tree and gets positive mass.  Exponential; refuses games above
+    the cap.
     """
     sizes = math.prod(len(strategy_vectors(g, i)) for i in g.players)
     if sizes > cap:
         raise OracleCapExceeded("strategy-profile count %d exceeds cap %d"
                                 % (sizes, cap))
-    ctxs = _contexts(g)
-    make = {i: vector_strategy(g, i) for i in g.players}
     parents = {i: info_arborescence(g, i) for i in g.players}
-    rounds = [{j: strategy_vectors(g, j) for j in acting_players(g)}]
+    rounds = [{j: pure_strategies(g, j) for j in acting_players(g)}]
     while True:
-        k = len(rounds)
         new = dict(rounds[-1])
         for i in g.players:
             sets_i = g.decision_sets(i)
-            allowed_at = {h: _oracle_columns(ctxs[h], rounds, k - 1)
+            allowed_at = {h: _allowed_profiles(g, i, h, rounds,
+                                               len(rounds) - 1)[1]
                           for h in sets_i}
-            survivors = [v for v in rounds[-1][i]
-                         if _oracle_survives(g, i, make[i](v), sets_i,
-                                             allowed_at, ctxs, parents[i])]
-            assert survivors
-            new[i] = survivors
+            new[i] = [s for s in rounds[-1][i]
+                      if _oracle_survives(g, i, s, sets_i, allowed_at,
+                                          parents[i])]
+            assert new[i]
         if new == rounds[-1]:
-            return {i: list(map(make[i], new[i])) for i in g.players}
+            return {i: new[i] for i in g.players}
         rounds.append(new)
 
 
-def _oracle_columns(ctx: _SetContext, rounds: list[dict[Player, list]],
-                    upto: int) -> tuple:
-    """The allowed columns of every survivor's key, read off the
-    survivors' action vectors one by one; the engine reads only the first
-    members of their classes."""
+def _allowed_profiles(g: Game, i: Player, h: InfoSet,
+                      pools: Sequence[Mapping[Player, Sequence[PureStrategy]]],
+                      upto: int) -> tuple[int, dict[tuple, PureProfile]]:
+    """Best-rationalization support at player i's decision set h: the
+    latest round m <= upto whose opposing survivors (``pools[m]``, nature's
+    whole pool included) reach h, and their distinct profiles restricted to
+    h's partial game, keyed by ``profile_key``.
+
+    Each opponent's pool is restricted and deduplicated before the product
+    is taken; that loses nothing, as reach of h reads only sets inside
+    h's partial game."""
+    opponents = [j for j in acting_players(g) if j != i]
     for m in range(upto, -1, -1):
-        keys = [dict.fromkeys(map(get, rounds[m][j]))
-                for j, get in zip(ctx.opponents, ctx.opp_keys)]
-        cols = tuple(c for c in itertools.product(*keys)
-                     if ctx.column_reaches(c))
-        if cols:
-            return cols
-    raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
+        restricted = [dict.fromkeys(restrict_strategy(g, s, h.host)
+                                    for s in pools[m][j]) for j in opponents]
+        allowed: dict[tuple, PureProfile] = {}
+        for combo in itertools.product(*restricted):
+            p = dict(zip(opponents, combo))
+            if reaches(g, p, h):
+                allowed.setdefault(profile_key(p), p)
+        if allowed:
+            return m, allowed
+    raise AssertionError("no opposing profile reaches %s" % h.label())
 
 
-def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs,
-                     parent_of) -> bool:
+def _oracle_survives(g, i, s_i, sets_i, allowed_at, parent_of) -> bool:
     reached = [h for h in sets_i if reaches(g, {i: s_i}, h)]
     order = []
     done = set()
@@ -736,8 +690,7 @@ def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs,
         if idx == len(order):
             return True
         h = order[idx]
-        ctx = ctxs[h]
-        cols = allowed_at[h]
+        allowed = allowed_at[h]
         p = parent_of.get(h)
         forced = None
         if p in chosen and g.leq(h.host, p.host):
@@ -745,9 +698,11 @@ def _oracle_survives(g, i, s_i, sets_i, allowed_at, ctxs,
         if forced is not None:
             options = [forced]
         else:
-            options = _candidate_beliefs(g, ctx, cols)
+            options = _candidate_beliefs(allowed)
         for belief in options:
-            if not _support_allowed(g, ctx, belief, cols):
+            # the support filter: a forced belief may leave the support
+            if any(w > 0 and profile_key(q) not in allowed
+                   for q, w in belief):
                 continue
             if not is_rational_at(g, i, h, s_i, belief):
                 continue

@@ -302,9 +302,11 @@ def play_out(g: Game, t: TreeId, s: PureProfile) -> NodeId:
 
 
 def _check_total(g: Game, s: PureProfile) -> None:
-    """ValueError unless s gives every acting player, nature included when
-    it moves, a pure strategy of its own with a choice at each of its
-    decision sets."""
+    """TypeError unless s is a mapping; ValueError unless it gives every
+    acting player, nature included when it moves, a pure strategy of its
+    own with a choice at each of its decision sets."""
+    if not isinstance(s, Mapping):
+        raise TypeError("a profile maps players to strategies, not %r" % (s,))
     for j in acting_players(g):
         sj = s.get(j)
         if sj is None:
@@ -317,9 +319,9 @@ def _check_total(g: Game, s: PureProfile) -> None:
 def realized_tbar_path(g: Game, s: PureProfile) -> list[NodeId]:
     """The realized node path of the upmost tree under a total pure profile.
 
-    Raises ValueError when s is not total: a player without a strategy, a
-    strategy of another player, or one without a choice at some decision
-    set.
+    Raises TypeError when s is not a mapping, and ValueError when it is
+    not total: a player without a strategy, a strategy of another player,
+    or one without a choice at some decision set.
     """
     _check_total(g, s)
     return g.path_in(g.tbar, play_out(g, g.tbar, s))

@@ -1,18 +1,21 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
-from operator import eq, ge
+from operator import eq, ge, gt
 
 import pytest
 
 from ugt import rationalizability
 from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
+from ugt.equilibrium import check_sce_pure
 from ugt.fixtures import load
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     OracleCapExceeded,
+    _allowed_profiles,
     _class_rounds,
     _classes,
     _contexts,
@@ -23,6 +26,7 @@ from ugt.rationalizability import (
 from ugt.strategies import (
     PureStrategy,
     acting_players,
+    has_nature,
     opposing_profiles,
     play_table,
     pure_strategies,
@@ -189,19 +193,6 @@ def test_rounds_shrink_monotonically(name):
     assert trace.fixpoint_round == len(trace.rounds) - 1
 
 
-@pytest.mark.parametrize("name", ["ex1_initial", "bos_aware", "ex2_rsc"])
-def test_belief_constraint_levels(name):
-    g = load(name)
-    trace = efr(g)
-    seen = {}
-    for k, cons in enumerate(trace.belief_constraints):
-        for hh, c in cons.items():
-            assert 0 <= c.level <= k
-            assert c.profiles
-            assert c.level >= seen.get(hh, 0)  # supports never fall back
-            seen[hh] = c.level
-
-
 @pytest.mark.parametrize("name,sizes", [
     ("bos_repeated", [(2048, 16), (1280, 16), (1280, 8), (640, 8), (640, 8)]),
     ("bos_repeated_discovered",
@@ -213,15 +204,6 @@ def test_big_fixture_rounds_pinned(name, sizes):
     trace = efr(g)
     assert [(len(rd[1]), len(rd[2])) for rd in trace.rounds] == sizes
     assert trace.fixpoint_round == len(sizes) - 1
-    for cons in trace.belief_constraints:
-        for hh, c in cons.items():
-            opponents = [j for j in acting_players(g) if j != c.player]
-            for p in c.profiles:
-                assert list(p) == opponents
-                for j, s in p.items():
-                    assert isinstance(s, PureStrategy) and s.owner == j
-                    assert restrict_strategy(g, s, hh.host) == s
-                assert reaches(g, p, hh)
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +584,31 @@ def test_best_reply_only_to_a_mixed_belief_survives():
 
 
 def assert_rounds_match_per_strategy_reference(g):
-    """Strategy s survives round k+1 exactly when it has a best reply,
-    under round k's belief constraints, at every set it reaches."""
+    """Strategy s survives round k+1 exactly when it has a best reply at
+    every set it reaches, under the support that the oracle's
+    best-rationalization rule (``_allowed_profiles``) reads off rounds
+    0..k, nature's whole pool included.  Each set's support level never
+    falls from one round to the next."""
     trace = efr(g)
+    nature = {NATURE: pure_strategies(g, NATURE)} if has_nature(g) else {}
+    pools = [{**rd, **nature} for rd in trace.rounds]
     shrunk = False
-    for k, cons in enumerate(trace.belief_constraints):
+    level = {}
+    for k in range(trace.fixpoint_round):
         for i in g.players:
+            allowed = {}
+            for hh in g.decision_sets(i):
+                m, profiles = _allowed_profiles(g, i, hh, pools, k)
+                assert level.get(hh, 0) <= m <= k, (k, hh)
+                level[hh] = m
+                for p in profiles.values():
+                    assert list(p) == [j for j in acting_players(g) if j != i]
+                    assert all(restrict_strategy(g, s, hh.host) == s
+                               for s in p.values())
+                    assert reaches(g, p, hh)
+                allowed[hh] = list(profiles.values())
             want = [s for s in trace.rounds[k][i]
-                    if all(best_reply_exists(g, i, hh, s, cons[hh].profiles)
+                    if all(best_reply_exists(g, i, hh, s, allowed[hh])
                            for hh in g.decision_sets(i)
                            if reaches(g, {i: s}, hh))]
             assert trace.rounds[k + 1][i] == want, (k, i)
@@ -771,3 +770,131 @@ def test_efr_ignores_a_positive_affine_payoff_change(name):
     scaled = Game(g.players, g.trees, nodes, g.info)
     assert efr(scaled).rounds == efr(g).rounds
     assert assert_matrices_match_reference(scaled)
+
+
+# ---------------------------------------------------------------------------
+# known answers from theory
+
+# pure profiles above which a generated game is not drawn into a corpus
+THEORY_PROFILE_CAP = 20000
+
+
+def backward_induction_terminal(g):
+    """The terminal of the only tree that backward induction picks; every
+    decision node has one mover, and randgen's payoffs are distinct per
+    player, so each maximum is unique."""
+    t = g.tbar
+
+    def solve(n):
+        kids = g.children_in(t, n)
+        if not kids:
+            return n
+        [i] = g.nodes[n].players
+        return max(map(solve, kids.values()),
+                   key=lambda z: g.nodes[z].payoffs[i])
+    return solve(g.root(t))
+
+
+def test_efr_plays_backward_induction_in_perfect_information():
+    """In a generic one-tree game of perfect information, every profile of
+    EFR survivors plays to the backward-induction terminal (Battigalli
+    1997, JET 74)."""
+    checked = 0
+    for players, depth, branching, seed in itertools.product(
+            (2, 3), (2, 3, 4), (2, 3), range(30)):
+        g = generate_random_game(seed=seed, players=players, depth=depth,
+                                 branching=branching, tree_count=1)
+        assert len(g.trees) == 1 and not has_nature(g)
+        if math.prod(len(strategy_vectors(g, i)) for i in g.players) \
+                > THEORY_PROFILE_CAP:
+            continue
+        z = backward_induction_terminal(g)
+        surv = efr(g).surviving()
+        for combo in itertools.product(*(surv[i] for i in g.players)):
+            path = realized_tbar_path(g, dict(zip(g.players, combo)))
+            assert path[-1] == z, (players, depth, branching, seed)
+        checked += 1
+    assert checked >= 300
+
+
+def one_shot_game(menus, pay):
+    """One tree whose root is a simultaneous move of every player over the
+    given menus, each profile leading to a terminal with the payoffs
+    pay(profile); every set, the terminal ones too, is a singleton, so
+    each player observes the whole play."""
+    players = tuple(range(1, len(menus) + 1))
+    nodes, children = {}, {}
+    for n, prof in enumerate(itertools.product(*menus), start=1):
+        children[prof] = n
+        nodes[n] = NodeData(parent=0, payoffs=dict(zip(players, map(
+            Fraction, pay(prof)))))
+    nodes[0] = NodeData(parent=None, players=players,
+                        actions=dict(zip(players, map(tuple, menus))),
+                        children=children)
+    info = {(i, "G", n): InfoSet(i, "G", (n,)) for i in players for n in nodes}
+    return Game(players, {"G": nodes}, nodes, info)
+
+
+def deviate(prof, i, b):
+    """The action profile prof with position i's action replaced by b."""
+    return prof[:i] + (b,) + prof[i + 1:]
+
+
+def strictly_undominated(menus, u):
+    """Per position, its actions that survive iterated strict dominance by
+    pure actions; u(i, prof) is the payoff at position i."""
+    alive = [list(m) for m in menus]
+    while True:
+        new = []
+        for i, mine in enumerate(alive):
+            against = list(itertools.product(*(
+                m if j != i else [None] for j, m in enumerate(alive))))
+            row = {a: [u(i, deviate(p, i, a)) for p in against] for a in mine}
+            new.append([a for a in mine if not any(
+                all(map(gt, row[b], row[a])) for b in mine)])
+        if new == alive:
+            return alive
+        alive = new
+
+
+def test_one_shot_games_give_nash_and_dominance():
+    """In a one-shot game with observed play, a pure profile is
+    self-confirming exactly when it is a Nash equilibrium (Fudenberg &
+    Levine 1993, Econometrica 61); every EFR survivor survives iterated
+    strict dominance by pure strategies, and every best reply to a point
+    belief on the opponents' survivors is a survivor (Pearce 1984)."""
+    rng = random.Random(17)
+    nash_seen = 0
+    for k in range(300):
+        n = 2 if k % 3 else 3
+        menus = [["a%d_%d" % (i, x) for x in range(rng.randint(2, 3))]
+                 for i in range(1, n + 1)]
+        table = {prof: [rng.randint(-3, 3) for _ in menus]
+                 for prof in itertools.product(*menus)}
+        g = one_shot_game(menus, table.__getitem__)
+        assert validate_game(g).ok
+        root = [h(i, "G", (0,)) for i in g.players]
+
+        def u(i, prof):
+            return table[prof][i]
+
+        def best_replies(i, prof):
+            pay = {b: u(i, deviate(prof, i, b)) for b in menus[i]}
+            return {b for b, x in pay.items() if x == max(pay.values())}
+
+        for combo in itertools.product(*(pure_strategies(g, i)
+                                         for i in g.players)):
+            prof = tuple(s.action_at(x) for s, x in zip(combo, root))
+            nash = all(prof[i] in best_replies(i, prof) for i in range(n))
+            nash_seen += nash
+            assert check_sce_pure(g, dict(zip(g.players, combo))).holds \
+                == nash, (k, prof)
+        surv = efr(g).surviving()
+        alive = [actions(surv[i], x) for i, x in zip(g.players, root)]
+        undominated = strictly_undominated(menus, u)
+        for i in range(n):
+            assert alive[i] <= set(undominated[i]), (k, i)
+            for prof in itertools.product(*(
+                    alive[j] if j != i else [None] for j in range(n))):
+                assert best_replies(i, prof) <= alive[i], (k, i, prof)
+    assert nash_seen >= 400

@@ -6,7 +6,8 @@ import weakref
 import pytest
 
 from ugt.core import Game, InfoSet, NATURE, NodeData, validate_game
-from ugt.discovery import allowed_profiles, build_supergame
+from ugt.discovery import (
+    allowed_profiles, awareness_tree, build_supergame, discovered_version)
 from ugt.equilibrium import (
     awareness_diagnostics,
     check_sce_behavior,
@@ -554,6 +555,28 @@ def test_awareness_diagnostics_rejects_incomplete_profiles():
     s = {1: PureStrategy.make(1, {h(1, "Tbar", (0,)): "r1"}),
          2: pick(g, 2, {h(2, "Tbar", (1,)): "m2"})}
     assert awareness_diagnostics(g, lift_pure(g, s)).per_player_constant[1]
+
+
+PROFILE_TAKERS = {
+    "realized_tbar_path": realized_tbar_path,
+    "discovered_version": discovered_version,
+    "awareness_tree": lambda g, s: awareness_tree(g, s, 1),
+    "check_sce_pure": check_sce_pure,
+    "check_sce_behavior": check_sce_behavior,
+    "check_sce_efr": check_sce_efr,
+    "lift_pure": lift_pure,
+    "awareness_diagnostics": awareness_diagnostics,
+}
+
+
+@pytest.mark.parametrize("game", ["ex1_initial", "nature_coin"])
+@pytest.mark.parametrize("name", sorted(PROFILE_TAKERS))
+@pytest.mark.parametrize("profile", ["junk", None, 7])
+def test_profile_that_is_no_mapping_raises_type_error(game, name, profile):
+    # each used to leak an AttributeError, or a TypeError from a stray
+    # membership test on the argument
+    with pytest.raises(TypeError, match="maps players to strategies"):
+        PROFILE_TAKERS[name](load(game), profile)
 
 
 def test_bos_repeated_discovered_equilibrium():

@@ -5,7 +5,8 @@ kept in one of two dicts: the game's own (``_memo``) or the one a game
 shares with its discovered versions (``_shared``).  The reach table
 (``strategies._requirements``) is checked here against the per-node
 rebuild from ``path_in`` that it replaced, and the source of ``ugt`` is
-checked for caches kept anywhere else.
+checked for caches kept anywhere else, and for an oracle that reads the
+engine's tables.
 """
 
 import ast
@@ -187,6 +188,37 @@ def test_only_core_touches_the_memo_homes():
         <= {p.name for p in files}
     problems = [p for path in files for p in cache_problems(path)]
     assert problems == []
+
+
+ENGINE = {"_contexts", "_SetContext", "_classes", "_class_rounds", "_tables"}
+
+
+def names_reachable(path: Path, start: str) -> set[str]:
+    """Every name read by the module-level function start of the module at
+    path, and by the module's functions and classes it reaches through
+    those names."""
+    tree = ast.parse(path.read_text())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        if name in defs:
+            todo += [sub.id for sub in ast.walk(defs[name])
+                     if isinstance(sub, ast.Name)]
+    return seen
+
+
+def test_oracle_reads_none_of_the_engine():
+    """The oracle checks the engine, so nothing it runs in its module
+    reaches the engine's set contexts or class tables."""
+    path = SRC / "rationalizability.py"
+    assert names_reachable(path, "efr_oracle") & ENGINE == set()
+    # the walk does see the engine behind efr
+    assert ENGINE <= names_reachable(path, "efr")
 
 
 def test_cache_check_sees_a_module_cache(tmp_path):
