@@ -461,6 +461,12 @@ CHECK_NAMES = [
 ]
 
 
+def _check_game(g) -> None:
+    """TypeError unless g is a Game: the entry check of a public function."""
+    if not isinstance(g, Game):
+        raise TypeError("expected a Game, not %r" % (g,))
+
+
 def _structural_problems(g: Game) -> list[str]:
     if not g.trees:
         return ["game has no trees"]
@@ -506,21 +512,27 @@ def _structural_problems(g: Game) -> list[str]:
     roots = [n for n in g.nodes if n not in child_of]
     if len(roots) != 1:
         problems.append("upmost tree has %d roots" % len(roots))
-    # per-tree arborescence
+    # per-tree arborescence, in one pass: going up from a node inside t
+    # either meets a node already decided, the root among them, or closes
+    # a cycle, and every node on the way shares the verdict
     for t, ns in g.trees.items():
         try:
             r = g.root(t)
         except StructuralError as e:
             problems.extend(e.problems)
             continue
+        nodes, connected = g.nodes, {r: True}
         for n in ns:
-            # follow parents inside t, stopping where the chain would repeat
-            up, seen = n, set()
-            while up in ns and up not in seen:
-                seen.add(up)
-                top, up = up, g.nodes[up].parent
-            if up in ns or top != r:
-                problems.append("tree %s: node %d not connected to root" % (t, n))
+            chain, up = [], n
+            while up in ns and up not in connected:
+                connected[up] = False   # on this walk: meeting it is a cycle
+                chain.append(up)
+                up = nodes[up].parent
+            ok = up in ns and connected[up]
+            for c in chain:
+                connected[c] = ok
+        problems += ["tree %s: node %d not connected to root" % (t, n)
+                     for n in ns if not connected[n]]
     # joins exist
     order = sorted(g.trees)
     for a in order:
@@ -531,18 +543,17 @@ def _structural_problems(g: Game) -> list[str]:
                 except StructuralError as e:
                     problems.extend(e.problems)
     # information completeness
-    have = set(g.info)
-    for key in g.info_domain():
-        if key not in have:
-            problems.append("missing information set for key %s" % (key,))
-    for key in have:
-        i, t, n = key
-        if i == NATURE:
-            problems.append("nature carries no information sets: %s" % (key,))
+    problems += ["missing information set for key %s" % (key,)
+                 for key in g.info_domain() if key not in g.info]
+    problems += ["nature carries no information sets: %s" % (key,)
+                 for key in set(g.info) if key[0] == NATURE]
     return problems
 
 
 def validate_structure(g: Game) -> None:
+    """Raise StructuralError, listing every problem, for a malformed game;
+    TypeError when g is not a Game."""
+    _check_game(g)
     problems = _structural_problems(g)
     if problems:
         raise StructuralError(problems)
@@ -551,131 +562,147 @@ def validate_structure(g: Game) -> None:
 def validate_game(g: Game) -> ValidationReport:
     """Run the thirteen named structural-axiom checks.
 
-    Raises StructuralError for malformed input; axiom failures are reported,
-    with witnesses, not raised.  All failures are collected, not just the
-    first.
+    Raises TypeError when g is not a Game and StructuralError for malformed
+    input; axiom failures are reported, with witnesses, not raised.  All
+    failures are collected, not just the first.  Each check reads tables
+    built once per game, so it costs a few lookups per info key, plus one
+    per comparable tree for U4 and U5.
+
+    I3 implies U0: an I3 witness d is a decision node of i, below a
+    decision member of the set in its host tree, whose own key (i, host, d)
+    fails U0.  So I3 fails only where U0 does, and its walk starts only
+    from keys that fail U0.
     """
     validate_structure(g)
     fails: dict[str, list] = {name: [] for name, _ in CHECK_NAMES}
-    tbar = g.tbar
-
-    tree_list = g.tree_order()
-    for t in tree_list:
-        ns = g.trees[t]
-        for n in sorted(ns):
-            nd = g.nodes[n]
-            if g.terminal_in(t, n):
-                # prop1
-                if not nd.is_terminal:
+    trees, nodes, info = g.trees, g.nodes, g.info
+    kids = g._st.children
+    # the trees below t, those strictly below, and, per tree a, those
+    # from a up to t, t excluded
+    below = {t: g._above_below(t)[1] for t in trees}
+    under = {t: [u for u in below[t] if u != t] for t in trees}
+    between = {a: {t: [u for u in g._above_below(a)[0] & below[t] if u != t]
+                   for t in trees} for a in trees}
+    # (i, t, n) -> i's restricted actions, for each decision node n of i in t
+    acts: dict[tuple, frozenset] = {}
+    for t, ns in trees.items():
+        groups: dict[Player, dict[frozenset, list]] = {}
+        for n in ns:
+            nd = nodes[n]
+            if not kids[t][n]:
+                if not nd.is_terminal:   # prop1
                     fails["prop1"].append((t, n))
                 continue
             # prop2: children in t = product of the restricted action sets
             # (each nonempty: a node not terminal in t has a child in t)
-            restr = [g.actions_in(t, n, i) for i in sorted(nd.players)]
-            if set(itertools.product(*restr)) != set(g.children_in(t, n)):
+            movers = sorted(nd.players)
+            restr = [g.actions_in(t, n, i) for i in movers]
+            if set(itertools.product(*restr)) != kids[t][n].keys():
                 fails["prop2"].append((t, n))
-        # prop3 and I5, per player within tree t
+            for i, a in zip(movers, map(frozenset, restr)):
+                acts[(i, t, n)] = a
+                groups.setdefault(i, {}).setdefault(a, []).append(n)
+        # prop3 and I5, per player: nodes grouped by action set, and groups
+        # compared pairwise only when a label is in more than one
         for i in g.players:
-            decs = [n for n in sorted(ns)
-                    if i in g.nodes[n].players and not g.terminal_in(t, n)]
-            for a_idx in range(len(decs)):
-                for b_idx in range(a_idx + 1, len(decs)):
-                    n, m = decs[a_idx], decs[b_idx]
-                    an = set(g.actions_in(t, n, i))
-                    am = set(g.actions_in(t, m, i))
-                    if an & am and an != am:
-                        fails["prop3"].append((t, i, n, m))
-                    if an == am and g.info[(i, t, n)] != g.info[(i, t, m)]:
-                        fails["I5"].append((t, i, n, m))
+            by_acts = groups.get(i, {})
+            for same in by_acts.values():
+                fails["I5"] += [(t, i, min(n, m), max(n, m))
+                                for n, m in itertools.combinations(same, 2)
+                                if info[(i, t, n)] != info[(i, t, m)]]
+            if sum(map(len, by_acts)) > len(frozenset().union(*by_acts)):
+                for a, b in itertools.combinations(by_acts, 2):
+                    if a & b:
+                        fails["prop3"] += [(t, i, min(n, m), max(n, m))
+                                           for n in by_acts[a]
+                                           for m in by_acts[b]]
+    # child -> the action profile leading to it
+    incoming = {c: prof for nd in nodes.values()
+                for prof, c in nd.children.items()}
+    recalls: dict[tuple, tuple] = {}
 
-    for (i, t, n), h in sorted(g.info.items()):
-        nd = g.nodes[n]
-        host = h.host
-        # U0
-        if not g.leq(host, t):
-            fails["U0"].append((i, t, n))
-        # U1
-        if n in g.trees[host] and n not in h.members:
-            fails["U1"].append((i, t, n))
-        # I2
-        for m in h.members:
-            key = (i, host, m)
-            if key not in g.info or g.info[key] != h:
+    def recall(i: Player, t: TreeId, x: NodeId) -> tuple:
+        """The strict ancestors b of x in t where i moves, nearest first,
+        and per b the pair of i's set at b and i's action there towards
+        x."""
+        got = recalls.get((i, t, x))
+        if got is None:
+            ns, ancs, pairs = trees[t], [], []
+            c, b = x, nodes[x].parent
+            while b in ns:
+                players = nodes[b].players
+                if i in players:
+                    ancs.append(b)
+                    pairs.append((info[(i, t, b)],
+                                  incoming[c][sorted(players).index(i)]))
+                c, b = b, nodes[b].parent
+            got = recalls[(i, t, x)] = (ancs, pairs)
+        return got
+
+    for key, h in info.items():
+        i, t, n = key
+        host, members = h.host, h.members
+        if host not in below[t]:   # U0
+            fails["U0"].append(key)
+        if n in trees[host]:
+            if n not in members:   # U1
+                fails["U1"].append(key)
+            # U5: every tree strictly below the host that contains a copy
+            # of n carries the projection of the set there
+            for u in under[host]:
+                if n in trees[u]:
+                    want = tuple(m for m in sorted(members) if m in trees[u])
+                    got = info.get((i, u, n))
+                    # i owns every set of its keys (Game checks)
+                    if not want or got is None or got.host != u \
+                            or got.members != want:
+                        fails["U5"].append((i, t, n, u))
+        # U4: every tree strictly between the host and t that contains a
+        # copy of n carries the very same set there
+        for u in between[host][t]:
+            if n in trees[u] and info.get((i, u, n)) != h:
+                fails["U4"].append((i, t, n, u))
+        for m in members:   # I2
+            got = info.get((i, host, m))
+            if got is not h and got != h:
                 fails["I2"].append((i, t, n, m))
-        # I4 (decision sets only)
-        if i in nd.players and not g.terminal_in(t, n):
-            own = set(g.actions_in(t, n, i))
-            for m in h.members:
-                if not set(g.actions_in(host, m, i)) <= own:
+        own = acts.get(key)
+        if own is not None:
+            for m in members:   # I4
+                if not acts.get((i, host, m), frozenset()) <= own:
                     fails["I4"].append((i, t, n, m))
-        # I3: from any decision member, later sets of i within the host tree
-        # never point outside the host tree
-        for m in h.members:
-            if i in g.nodes[m].players and not g.terminal_in(host, m):
-                for d in g.descendants_in(host, m):
-                    if i in g.nodes[d].players and not g.terminal_in(host, d):
-                        if not g.leq(g.info[(i, host, d)].host, host):
-                            fails["I3"].append((i, t, n, d))
-        # I6: perfect recall (binds at decision nodes of i)
-        if i in nd.players and not g.terminal_in(t, n):
-            path = g.path_in(t, n)
-            for k, anc in enumerate(path[:-1]):
-                if i not in g.nodes[anc].players:
-                    continue
-                h_anc = g.info[(i, t, anc)]
-                a_i = _action_towards(g, anc, path[k + 1], i)
-                for m in h.members:
-                    mpath = g.path_in(host, m)
-                    ok = False
-                    for j, b in enumerate(mpath[:-1]):
-                        if i in g.nodes[b].players \
-                                and g.info.get((i, host, b)) == h_anc \
-                                and _action_towards(g, b, mpath[j + 1], i) == a_i:
-                            ok = True
-                            break
-                    if not ok:
-                        fails["I6"].append((i, t, n, m, anc))
-        # I7: terminal sets
-        if g.terminal_in(t, n):
-            for m in h.members:
-                if not g.terminal_in(host, m):
+            # I6: each (set, own action) pair i recalls at n is recalled at
+            # every member
+            ancs, pairs = recall(i, t, n)
+            for m in members:
+                _, have = recall(i, host, m)
+                if have is not pairs:
+                    fails["I6"] += [(i, t, n, m, anc)
+                                    for anc, p in zip(ancs, pairs)
+                                    if p not in have]
+        elif not kids[t][n]:
+            # I7 (terminal sets)
+            pay = nodes[n].payoffs.get(i)
+            for m in members:
+                if kids[host][m] or m != n and nodes[m].payoffs.get(i) != pay:
                     fails["I7"].append((i, t, n, m))
-                elif g.nodes[m].payoffs.get(i) != nd.payoffs.get(i):
-                    fails["I7"].append((i, t, n, m))
-
-    # U4 / U5 over comparable tree triples
-    for (i, t2, n), h in sorted(g.info.items()):
-        # U4: for any intermediate tree between the host and the key's tree
-        # that contains a copy of n, the copy carries the very same set
-        for t1 in tree_list:
-            if t1 == t2 or not (g.leq(h.host, t1) and g.leq(t1, t2)):
-                continue
-            if n in g.trees[t1] and g.info.get((i, t1, n)) != h:
-                fails["U4"].append((i, t2, n, t1))
-        # U5: in any tree below the host that contains a copy of n, the set
-        # is the projection (copies of the members)
-        for t0 in tree_list:
-            if t0 == h.host or not g.leq(t0, h.host):
-                continue
-            if n not in g.trees[t0]:
-                continue
-            want = tuple(m for m in sorted(h.members) if m in g.trees[t0])
-            if not want or g.info.get((i, t0, n)) != InfoSet(i, t0, want):
-                fails["U5"].append((i, t2, n, t0))
+    # I3: below a decision member of i in the host, i's sets never point
+    # outside the host; a witness d fails U0 at its own key (i, host, d)
+    bad: dict[tuple, list] = {}
+    for i, u, d in fails["U0"]:
+        if (i, u, d) in acts:
+            bad.setdefault((i, u), []).append(d)
+    if bad:
+        for (i, t, n), h in info.items():
+            for d in bad.get((i, h.host), ()):
+                if any(m in recall(i, h.host, d)[0] for m in h.members
+                       if (i, h.host, m) in acts):
+                    fails["I3"].append((i, t, n, d))
 
     checks = tuple(CheckResult(name, desc, not fails[name],
                                tuple(sorted(set(fails[name]))[:8]))
                    for name, desc in CHECK_NAMES)
     return ValidationReport(checks)
-
-
-def _action_towards(g: Game, n: NodeId, child: NodeId, i: Player) -> str:
-    nd = g.nodes[n]
-    idx = sorted(nd.players).index(i)
-    for prof, c in nd.children.items():
-        if c == child:
-            return prof[idx]
-    raise KeyError("node %d is not a child of %d" % (child, n))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .core import (
     InfoSet,
     NodeData,
     StructuralError,
+    _check_game,
     validate_game,
 )
 
@@ -94,7 +95,9 @@ def _labels(x, where: str) -> tuple:
 
 
 def serialize_game(g: Game, provenance: Optional[Mapping] = None) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+    TypeError when g is not a Game."""
+    _check_game(g)
     nodes = {}
     for n in sorted(g.nodes):
         nd = g.nodes[n]
@@ -201,7 +204,9 @@ def parse_game(text: str) -> Game:
 
 def game_dot(g: Game) -> str:
     """Deterministic DOT rendering: one cluster per tree (poorest first),
-    edges labeled with action profiles, information sets annotated."""
+    edges labeled with action profiles, information sets annotated.
+    TypeError when g is not a Game."""
+    _check_game(g)
     lines = ["digraph game {", "  rankdir=TB;"]
     for t in g.tree_order():
         lines.append('  subgraph "cluster_%s" {' % t)
