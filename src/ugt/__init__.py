@@ -48,7 +48,8 @@ from .gamedoc import (
     serialize_game,
 )
 from .randgen import GenParams, generate_random_game, random_profile
-from .rationalizability import EfrTrace, OracleCapExceeded, efr, efr_oracle
+from .rationalizability import EfrTrace, efr
+from .reference import OracleCapExceeded, efr_oracle
 from .strategies import (
     BehaviorStrategy,
     MixedStrategy,

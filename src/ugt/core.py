@@ -211,6 +211,8 @@ class Game:
                 problems.append("info key (%d,%s,%d): node not in tree" % (i, t, n))
             if h.host not in self.trees:
                 problems.append("info set %s: unknown host tree" % h.label())
+            elif not h.members:
+                problems.append("info set %s: no members" % h.label())
             elif any(m not in self.trees[h.host] for m in h.members):
                 problems.append("info set %s: member outside host tree" % h.label())
             if h.player != i:
@@ -711,7 +713,8 @@ def validate_game(g: Game) -> ValidationReport:
 
 def hosts_reachable(g: Game, t: TreeId) -> list[TreeId]:
     """Trees reachable from t through information-set hosts (t included).
-    ValueError when t is not a tree of g."""
+    ValueError when t is not a tree of g.  TypeError when g is not a Game."""
+    _check_game(g)
     if t not in g.trees:
         raise ValueError("no tree %r" % (t,))
     return list(_hosts(g, t))
@@ -736,7 +739,9 @@ def t_partial_game(g: Game, t: TreeId) -> Game:
     By confined awareness every tree in the host closure sits below t, so the
     restricted game's upmost tree is t itself and its node set is t's.
     ValueError when t is not a tree of g.
+    TypeError when g is not a Game.
     """
+    _check_game(g)
     keep = hosts_reachable(g, t)
     kept_nodes = g.trees[t]
     nodes = {}
@@ -763,7 +768,8 @@ def info_arborescence(g: Game, i: Player) -> dict[InfoSet, Optional[InfoSet]]:
     """Parent links of player i's information sets (terminal ones included)
     under the came-before relation: h precedes h' when every member of h'
     has, within h''s host tree, a strict ancestor whose information set at
-    that host is h."""
+    that host is h.  TypeError when g is not a Game."""
+    _check_game(g)
     sets = g.info_sets(i)
     prec: dict[InfoSet, set[InfoSet]] = {h: set() for h in sets}
     for h2 in sets:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .core import Game, InfoSet, NodeId, Player, TreeId, _memo
+from .core import Game, InfoSet, NodeId, Player, TreeId, _check_game, _memo
 from .rationalizability import _class_rounds, _classes
 from .strategies import (
     PureProfile,
@@ -62,9 +62,11 @@ def discovered_version(g: Game, s: PureProfile) -> Game:
     are incomparable.  The version shares g's players, trees and nodes;
     when no set moves, it is g itself.
 
-    Raises TypeError when s is not a mapping and ValueError when it is not
-    a total pure profile (see ``realized_tbar_path``).
+    Raises TypeError when g is not a Game or s is not a mapping, and
+    ValueError when s is not a total pure profile (see
+    ``realized_tbar_path``).
     """
+    _check_game(g)
     return _discovered_along(g, realized_tbar_path(g, s))
 
 
@@ -115,7 +117,9 @@ class DiscoveryReport:
 
 def discovery_relations(g_from: Game, g_to: Game) -> DiscoveryReport:
     """Whether g_to has weakly more awareness than g_from and preserves
-    its information."""
+    its information.  TypeError when g_from or g_to is not a Game."""
+    _check_game(g_from)
+    _check_game(g_to)
     if (g_from.players != g_to.players or g_from.trees != g_to.trees
             or g_from.nodes != g_to.nodes):
         raise ValueError("games do not share players, trees and payoffs")
@@ -155,7 +159,9 @@ def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
     callable policy's as it lists them, else the product of each acting
     player's vectors (``strategy_vectors``) under "all" and of the members
     of its permitted classes (``_Classes.members``) under another named
-    policy.  ValueError on an unknown policy name."""
+    policy.  ValueError on an unknown policy name.
+    TypeError when g is not a Game."""
+    _check_game(g)
     if callable(policy):
         return list(policy(g))
     players = acting_players(g)
@@ -312,7 +318,9 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
     version changes only ``info`` and shares the rest with g0, so states
     are deduplicated by their info values in g0's key order (``ids``),
     which within one supergame is canonical equality.
+    TypeError when g0 is not a Game.
     """
+    _check_game(g0)
     keys = tuple(g0.info)
     states = [g0]
     ids = {tuple(map(g0.info.__getitem__, keys)): 0}
@@ -369,7 +377,9 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
     their ratios.  Sampling is conditioned on state-changing profiles
     (staying put is dropped, which every full-support process leaves almost
     surely), so the trace length is bounded by 1 + players * trees.
+    TypeError when g0 is not a Game.
     """
+    _check_game(g0)
     rng = random.Random(seed)
     states = [g0]
     profiles: list[PureProfile] = []

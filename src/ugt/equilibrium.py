@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import (
-    Game, InfoSet, NATURE, NodeId, Player, TreeId, hosts_reachable)
+    Game, InfoSet, NATURE, NodeId, Player, TreeId, _check_game,
+    hosts_reachable)
 from .discovery import _path_classes
 from .lp import solve_feasibility
 from .rationalizability import _Classes, _class_rounds, _classes
@@ -62,6 +63,9 @@ class SceVerdict:
 
 
 def uniform_nature(g: Game) -> BehaviorStrategy:
+    """Nature's uniform behavior strategy: equal weight on every action at
+    each of its decision sets.  TypeError when g is not a Game."""
+    _check_game(g)
     kernels = {}
     for h in g.decision_sets(NATURE):
         actions = g.set_actions(h)
@@ -272,7 +276,9 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     every occurring decision set weakly unprofitable.  Each player's
     witness lists the (restricted pure profile, weight) pairs of that
     belief.
+    TypeError when g is not a Game.
     """
+    _check_game(g)
     kernels = _checked_vectors(g, s, kernel_vector)
     if any(isinstance(s[j], (BehaviorStrategy, MixedStrategy))
            for j in acting_players(g)):
@@ -339,14 +345,17 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     the search is exact over pure-kernel completions.  Each player's
     witness lists, per chain, the (restricted behavior profile, weight)
     pairs of that belief.
+    TypeError when g is not a Game.
     """
+    _check_game(g)
     return _conditions(g, _behavior_vectors(g, pi), _confirmed_candidates)
 
 
 def lift_pure(g: Game, s: PureProfile) -> dict[Player, BehaviorStrategy]:
     """Degenerate behavior profile playing exactly s.  TypeError when s is
     not a mapping, ValueError when an entry is not a PureStrategy of its
-    key's player."""
+    key's player.  TypeError when g is not a Game."""
+    _check_game(g)
     if not isinstance(s, Mapping):
         raise TypeError("a profile maps players to strategies, not %r" % (s,))
     for j, sj in s.items():
@@ -378,7 +387,8 @@ def check_sce_efr(g: Game, pi: Profile) -> SceVerdict:
     positive probability (``_positive_classes``).  The conversion reads
     every decision set, so each real player's strategy needs a kernel at
     all of them; ValueError otherwise, and TypeError when pi is not a
-    mapping."""
+    mapping.  TypeError when g is not a Game."""
+    _check_game(g)
     kernels = _behavior_vectors(g, pi)
     for i in g.players:
         if None in kernels[i]:
@@ -420,11 +430,13 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     comes first; for two players, support enumeration then tries every
     pair of supports, smallest first, so it always finds an equilibrium.
 
-    Refusals, in the order they are checked: ValueError when ``nature`` is
-    given but is not a mixed strategy of nature, or nature never moves in
-    g; ValueError when g is not rationalizable self-confirming;
-    NotImplementedError when g has more than two players.
+    Refusals, in the order they are checked: TypeError when g is not a
+    Game; ValueError when ``nature`` is given but is not a mixed strategy of
+    nature, or nature never moves in g; ValueError when g is not
+    rationalizable self-confirming; NotImplementedError when g has more
+    than two players.
     """
+    _check_game(g)
     if nature is not None:
         if not isinstance(nature, MixedStrategy) or nature.owner != NATURE:
             raise ValueError("not a mixed strategy of nature: %r" % (nature,))
@@ -541,7 +553,8 @@ def awareness_diagnostics(g: Game, pi: Profile) -> AwarenessReport:
 
     pi must be a mapping (TypeError) in which every real player has a
     strategy of its own (``_checked_vectors``; nature defaults to uniform);
-    ValueError otherwise."""
+    ValueError otherwise.  TypeError when g is not a Game."""
+    _check_game(g)
     kernels = _behavior_vectors(g, pi)
     tbar = g.tbar
     live = _live_nodes(g, kernels, tbar)

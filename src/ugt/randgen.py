@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import Game, InfoSet, NATURE, NodeData, NodeId, TreeId, validate_game
+from .core import (
+    Game, InfoSet, NATURE, NodeData, NodeId, TreeId, _check_game, validate_game)
 from .strategies import PureProfile, PureStrategy, acting_players
 
 CAPS = {"players": 3, "depth": 4, "branching": 4, "tree_count": 5}
@@ -187,7 +188,9 @@ def _generate_once(p: GenParams, rng: random.Random) -> Game:
 
 
 def random_profile(g: Game, seed: int = 0) -> PureProfile:
-    """A uniformly drawn pure profile, nature included when it moves."""
+    """A uniformly drawn pure profile, nature included when it moves.
+    TypeError when g is not a Game."""
+    _check_game(g)
     rng = random.Random(seed)
     out = {}
     for j in acting_players(g):

@@ -21,11 +21,8 @@ payoff matrix (continuations x allowed opposing profiles).  Each column of
 the matrix comes from one walk of the host tree that branches only at the
 deviation sets the play meets, and its entries are the player's payoffs
 times one positive integer per set, so they compare and pivot as ints.
-``efr_oracle`` recomputes everything by explicitly assembling whole belief
-systems with Bayes conditioning enforced, from the object-world
-definitions alone (``pure_strategies``, ``reaches``, ``restrict_strategy``,
-``is_rational_at``, ``conditioned_belief``) and none of the engine's
-tables; it is exponential and guarded by a cap.
+The references that check it (``best_reply_exists``, ``efr_oracle``) are
+in ``reference``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -33,35 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import eq, ge, itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .core import (
-    NATURE, Game, InfoSet, NodeId, Player, _memo, info_arborescence)
+from .core import NATURE, Game, InfoSet, NodeId, Player, _check_game, _memo
 from .lp import solve_feasibility
 from .strategies import (
-    PureProfile,
-    PureStrategy,
-    ZERO,
-    ONE,
-    _requirements,
-    acting_players,
-    action_vector,
-    conditioned_belief,
-    deviation_sets,
-    is_rational_at,
-    play_table,
-    profile_key,
-    pure_strategies,
-    reaches,
-    restrict_strategy,
-    set_positions,
-    strategy_vectors,
-    vector_strategy,
-)
-
-DEFAULT_ORACLE_CAP = 1000
+    ONE, ZERO, PureStrategy, _requirements, acting_players, deviation_sets,
+    play_table, set_positions, vector_strategy)
 
 
 @dataclass
@@ -135,7 +111,6 @@ class _SetContext:
                 if p not in used.setdefault(j, []):
                     used[j].append(p)
         own = used.get(i, [])
-        self.own_key = _getter(own)
         self.dev_key = _getter(self.dev)
         self.prefix_key = _getter([p for p in own if p not in self.dev])
         self.opponents = [j for j in acting_players(g) if j != i]
@@ -187,10 +162,6 @@ class _SetContext:
             got = self._columns[alive] = tuple(
                 c for c in itertools.product(*keys) if self.column_reaches(c))
         return got
-
-    def strategy_reaches(self, v: tuple) -> bool:
-        return any(all(v[p] == a for j, _, p, a in r if j == self.i)
-                   for r in self.reqs)
 
     def intern(self, cols: tuple) -> int:
         """A small id for a tuple of allowed reaching columns."""
@@ -455,13 +426,18 @@ def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())
 
 
-@_memo
 def efr(g: Game) -> EfrTrace:
     """Iterate the belief-restriction procedure to its fixpoint.
 
     Runs once per game: every later call returns the same trace, which
-    callers must not change.
+    callers must not change.  TypeError when g is not a Game.
     """
+    _check_game(g)
+    return _efr(g)
+
+
+@_memo
+def _efr(g: Game) -> EfrTrace:
     rounds = _class_rounds(g)
     pools = {i: _Pool(_classes(g, i), vector_strategy(g, i))
              for i in g.players}
@@ -559,157 +535,3 @@ def _rational(table: _Classes, c: int, allowed_at) -> bool:
     v = table.first[c]
     return all(allowed_at[p][0].optimal_for_some_belief(v, allowed_at[p][1])
                for p in table.reached[c])
-
-
-def best_reply_exists(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
-                      allowed: Sequence[PureProfile]) -> bool:
-    """Whether some belief over the allowed profiles makes s_i's
-    continuation at h weakly optimal among local deviations.
-
-    Raises ValueError when h is not a decision set of player i, s_i is not
-    a pure strategy of player i, the allowed set is empty, or s_i or an
-    allowed profile lacks a choice that h's host tree consults or does not
-    reach h.
-    """
-    allowed = list(allowed)
-    if not allowed:
-        raise ValueError("allowed set must be nonempty")
-    ctx = _contexts(g).get(h)
-    if ctx is None or ctx.i != i:
-        raise ValueError("%s is no decision set of player %d" % (h.label(), i))
-    v = action_vector(g, s_i, i)
-    if None in ctx.own_key(v):
-        raise ValueError("strategy lacks a choice that %s consults" % h.host)
-    if not ctx.strategy_reaches(v):
-        return True
-    # per allowed profile, its column, restricted profiles included
-    cols = dict.fromkeys(
-        tuple(get(action_vector(g, p[j], j) if j in p
-                  else (None,) * len(g.decision_sets(j)))
-              for j, get in zip(ctx.opponents, ctx.opp_keys))
-        for p in allowed)
-    if any(None in key for col in cols for key in col):
-        raise ValueError("allowed profile lacks a choice that %s consults"
-                         % h.host)
-    if not all(map(ctx.column_reaches, cols)):
-        raise ValueError("allowed profile does not reach %s" % h.label())
-    return ctx.optimal_for_some_belief(v, ctx.intern(tuple(cols)))
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-class OracleCapExceeded(RuntimeError):
-    pass
-
-
-def _candidate_beliefs(allowed: Mapping[tuple, PureProfile]) -> list:
-    """Point beliefs on each allowed profile plus the uniform mixture."""
-    out = [[(p, ONE)] for p in allowed.values()]
-    if len(allowed) > 1:
-        u = Fraction(1, len(allowed))
-        out.append([(p, u) for p in allowed.values()])
-    return out
-
-
-def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[PureStrategy]]:
-    """Recompute the fixpoint by explicit belief-system search.
-
-    Belief systems are assembled from point and uniform beliefs over the
-    allowed supports (``_allowed_profiles``), with Bayes conditioning
-    enforced parent-to-child whenever the later set lives in a weakly
-    poorer tree and gets positive mass.  Exponential; refuses games above
-    the cap.
-    """
-    sizes = math.prod(len(strategy_vectors(g, i)) for i in g.players)
-    if sizes > cap:
-        raise OracleCapExceeded("strategy-profile count %d exceeds cap %d"
-                                % (sizes, cap))
-    parents = {i: info_arborescence(g, i) for i in g.players}
-    rounds = [{j: pure_strategies(g, j) for j in acting_players(g)}]
-    while True:
-        new = dict(rounds[-1])
-        for i in g.players:
-            sets_i = g.decision_sets(i)
-            allowed_at = {h: _allowed_profiles(g, i, h, rounds,
-                                               len(rounds) - 1)[1]
-                          for h in sets_i}
-            new[i] = [s for s in rounds[-1][i]
-                      if _oracle_survives(g, i, s, sets_i, allowed_at,
-                                          parents[i])]
-            assert new[i]
-        if new == rounds[-1]:
-            return {i: new[i] for i in g.players}
-        rounds.append(new)
-
-
-def _allowed_profiles(g: Game, i: Player, h: InfoSet,
-                      pools: Sequence[Mapping[Player, Sequence[PureStrategy]]],
-                      upto: int) -> tuple[int, dict[tuple, PureProfile]]:
-    """Best-rationalization support at player i's decision set h: the
-    latest round m <= upto whose opposing survivors (``pools[m]``, nature's
-    whole pool included) reach h, and their distinct profiles restricted to
-    h's partial game, keyed by ``profile_key``.
-
-    Each opponent's pool is restricted and deduplicated before the product
-    is taken; that loses nothing, as reach of h reads only sets inside
-    h's partial game."""
-    opponents = [j for j in acting_players(g) if j != i]
-    for m in range(upto, -1, -1):
-        restricted = [dict.fromkeys(restrict_strategy(g, s, h.host)
-                                    for s in pools[m][j]) for j in opponents]
-        allowed: dict[tuple, PureProfile] = {}
-        for combo in itertools.product(*restricted):
-            p = dict(zip(opponents, combo))
-            if reaches(g, p, h):
-                allowed.setdefault(profile_key(p), p)
-        if allowed:
-            return m, allowed
-    raise AssertionError("no opposing profile reaches %s" % h.label())
-
-
-def _oracle_survives(g, i, s_i, sets_i, allowed_at, parent_of) -> bool:
-    reached = [h for h in sets_i if reaches(g, {i: s_i}, h)]
-    order = []
-    done = set()
-
-    def visit(h):
-        if h in done:
-            return
-        done.add(h)
-        p = parent_of.get(h)
-        if p is not None and p in reached:
-            visit(p)
-        order.append(h)
-
-    for h in reached:
-        visit(h)
-
-    def extend(idx, chosen):
-        if idx == len(order):
-            return True
-        h = order[idx]
-        allowed = allowed_at[h]
-        p = parent_of.get(h)
-        forced = None
-        if p in chosen and g.leq(h.host, p.host):
-            forced = conditioned_belief(g, chosen[p], h)
-        if forced is not None:
-            options = [forced]
-        else:
-            options = _candidate_beliefs(allowed)
-        for belief in options:
-            # the support filter: a forced belief may leave the support
-            if any(w > 0 and profile_key(q) not in allowed
-                   for q, w in belief):
-                continue
-            if not is_rational_at(g, i, h, s_i, belief):
-                continue
-            chosen[h] = belief
-            if extend(idx + 1, chosen):
-                return True
-            del chosen[h]
-        return False
-
-    return extend(0, {})

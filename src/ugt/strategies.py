@@ -1,9 +1,10 @@
-"""Strategies, reach/occur semantics, beliefs, payoffs and rationality.
+"""Strategies, reach semantics, reach probabilities and payoffs.
 
 Strategies are total over a player's decision information sets.  Nature
 (player 0) has no information sets of its own; its strategies are keyed by
 synthetic singleton sets, one per nature decision node per tree, so nature
-plugs into the same machinery.
+plugs into the same machinery.  Occurrence, beliefs, rationality at an
+information set and belief systems are in ``reference``.
 
 All probabilities are exact Fractions.
 """
@@ -13,10 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
-    Game, InfoSet, NATURE, NodeId, Player, TreeId, _memo, hosts_reachable)
+    Game, InfoSet, NATURE, NodeId, Player, TreeId, _check_game, _memo)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,12 +120,6 @@ class MixedStrategy:
 Strategy = Union[PureStrategy, BehaviorStrategy, MixedStrategy]
 Profile = Mapping[Player, Strategy]
 PureProfile = Mapping[Player, PureStrategy]
-# a finite-support distribution over opposing pure profiles
-Belief = Sequence[tuple[PureProfile, Fraction]]
-
-
-def point_belief(profile: PureProfile) -> list[tuple[PureProfile, Fraction]]:
-    return [(dict(profile), ONE)]
 
 
 def profile_key(p: PureProfile):
@@ -156,7 +151,9 @@ def action_vector(g: Game, s: PureStrategy, i: Player) -> tuple:
 
 def pure_strategies(g: Game, i: Player) -> list[PureStrategy]:
     """Player i's pure strategies (nature's too), in ``strategy_vectors``
-    order.  ValueError when i is neither nature nor a player of g."""
+    order.  ValueError when i is neither nature nor a player of g.
+    TypeError when g is not a Game."""
+    _check_game(g)
     if i != NATURE and i not in g.players:
         raise ValueError("no player %r" % (i,))
     return list(map(vector_strategy(g, i), strategy_vectors(g, i)))
@@ -182,7 +179,7 @@ def acting_players(g: Game) -> list[Player]:
 
 
 # ---------------------------------------------------------------------------
-# reach / occur
+# reach
 
 
 def _key_set(g: Game, j: Player, t: TreeId, n: NodeId) -> InfoSet:
@@ -249,47 +246,6 @@ def reaches(g: Game, s: Profile, target: Target) -> bool:
     return True
 
 
-def occurs(g: Game, s: Profile, target: Target) -> bool:
-    """Whether the upmost-tree counterpart of the target is realized.
-
-    An information set occurs when some node carrying it (in any tree) has
-    its upmost-tree copy on the realized path.
-    """
-    if isinstance(target, InfoSet):
-        nodes = {n for (i, _, n), h in g.info.items()
-                 if i == target.player and h == target}
-        return any(occurs(g, s, (g.tbar, n)) for n in sorted(nodes))
-    t, n = target
-    if t not in g.trees or n not in g.trees[t]:
-        raise KeyError("no node %r in tree %r" % (n, t))
-    return reaches(g, s, (g.tbar, n))
-
-
-def _positive(g: Game, s: Profile, node: NodeRef) -> bool:
-    if all(isinstance(x, PureStrategy) for x in s.values()):
-        return reaches(g, s, node)
-    return reach_probability(g, s, node) > 0
-
-
-def occurring_info_sets(g: Game, s: Profile, i: Player,
-                        semantics: str = "occur") -> set[InfoSet]:
-    """Player i's information sets reached (or occurring) with positive
-    probability under the profile."""
-    if semantics not in ("reach", "occur"):
-        raise ValueError("semantics must be 'reach' or 'occur'")
-    out = set()
-    for h in g.info_sets(i):
-        if semantics == "reach":
-            hit = any(_positive(g, s, (h.host, m)) for m in h.members)
-        else:
-            nodes = {n for (j, _, n), v in g.info.items()
-                     if j == i and v == h}
-            hit = any(_positive(g, s, (g.tbar, n)) for n in sorted(nodes))
-        if hit:
-            out.add(h)
-    return out
-
-
 def play_out(g: Game, t: TreeId, s: PureProfile) -> NodeId:
     """Follow the induced actions within tree t down to a terminal node."""
     kids = g._st.children[t]
@@ -319,10 +275,11 @@ def _check_total(g: Game, s: PureProfile) -> None:
 def realized_tbar_path(g: Game, s: PureProfile) -> list[NodeId]:
     """The realized node path of the upmost tree under a total pure profile.
 
-    Raises TypeError when s is not a mapping, and ValueError when it is
-    not total: a player without a strategy, a strategy of another player,
-    or one without a choice at some decision set.
+    Raises TypeError when g is not a Game or s is not a mapping, and
+    ValueError when s is not total: a player without a strategy, a strategy
+    of another player, or one without a choice at some decision set.
     """
+    _check_game(g)
     _check_total(g, s)
     return g.path_in(g.tbar, play_out(g, g.tbar, s))
 
@@ -331,18 +288,6 @@ def _sets_along(g: Game, nodes: Iterable[NodeId], i: Player) -> set[InfoSet]:
     """Player i's information sets at the given upmost-tree nodes."""
     tbar = g.tbar
     return {h for n in nodes if (h := g.info.get((i, tbar, n))) is not None}
-
-
-def path_info_sets(g: Game, s: Profile, i: Player) -> set[InfoSet]:
-    """Information sets of player i at positive-probability upmost-tree
-    path nodes (the sets a player actually experiences during play)."""
-    tbar = g.tbar
-    if all(isinstance(x, PureStrategy) for x in s.values()):
-        nodes = g.path_in(tbar, play_out(g, tbar, s))
-    else:
-        nodes = [n for n in sorted(g.trees[tbar])
-                 if reach_probability(g, s, (tbar, n)) > 0]
-    return _sets_along(g, nodes, i)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +359,9 @@ def mixed_to_behavior(g: Game, sigma: MixedStrategy) -> BehaviorStrategy:
 def kuhn_convert(g: Game, i: Player, x: Union[MixedStrategy, BehaviorStrategy]):
     """Convert between mixed and behavior form, preserving all reach
     probabilities against every pure opposing profile.  ValueError when x
-    is not a mixed or behavior strategy of player i."""
+    is not a mixed or behavior strategy of player i.
+    TypeError when g is not a Game."""
+    _check_game(g)
     if not isinstance(x, (MixedStrategy, BehaviorStrategy)) or x.owner != i:
         raise ValueError("x is not a mixed or behavior strategy of player "
                          "%d: %r" % (i, x))
@@ -433,7 +380,8 @@ def realization_equivalent(g: Game, i: Player, x: Strategy, y: Strategy,
                            opposing: Optional[Iterable[PureProfile]] = None) -> bool:
     """Exact agreement of ρ(n | ., s_-i) on every node of every tree.
     ValueError when x or y is not a pure, behavior or mixed strategy of
-    player i."""
+    player i.  TypeError when g is not a Game."""
+    _check_game(g)
     for s in (x, y):
         if not isinstance(s, (PureStrategy, BehaviorStrategy, MixedStrategy)) \
                 or s.owner != i:
@@ -450,46 +398,7 @@ def realization_equivalent(g: Game, i: Player, x: Strategy, y: Strategy,
 
 
 # ---------------------------------------------------------------------------
-# expected payoff and rationality at an information set
-
-
-def _check_belief(g: Game, h: InfoSet, belief: Belief) -> None:
-    total = sum((w for _, w in belief), ZERO)
-    if total != 1 or any(w < 0 for _, w in belief):
-        raise ValueError("belief at %s is not a distribution" % h.label())
-    for p, w in belief:
-        if w > 0 and not reaches(g, p, h):
-            raise ValueError("belief at %s puts weight on a profile missing it"
-                             % h.label())
-
-
-def expected_payoff_at(g: Game, i: Player, h: InfoSet, s_i: Strategy,
-                       belief: Belief, validate: bool = True) -> Fraction:
-    """Expected payoff of player i at h, inside h's host tree.
-
-    The belief is a finite-support distribution over opposing profiles (all
-    reaching h); the player follows their own strategy from the root of the
-    host tree onward.  s_i is a pure, behavior or mixed strategy of i (a
-    mixed one plays its behavior form); ValueError otherwise.
-    """
-    if validate:
-        _check_belief(g, h, belief)
-    t = h.host
-    # pure play follows one path; kernel vectors would only add allocations
-    pure = isinstance(s_i, PureStrategy)
-    own = None if pure else kernel_vector(g, s_i, i)
-    total = ZERO
-    for p, w in belief:
-        if w == 0:
-            continue
-        if pure:
-            z = play_out(g, t, {**p, i: s_i})
-            total += w * g.nodes[z].payoffs[i]
-        else:
-            kernels = {j: kernel_vector(g, sj, j) for j, sj in p.items()}
-            kernels[i] = own
-            total += w * behavior_payoff(g, i, t, kernels)
-    return total
+# kernel-vector payoffs and deviation sets
 
 
 def kernel_vector(g: Game, x: Strategy, i: Player) -> tuple:
@@ -558,113 +467,3 @@ def deviation_sets(g: Game, i: Player, h: InfoSet) -> list[InfoSet]:
                     and not g.terminal_in(h.host, d):
                 out.add(g.info[key])
     return sorted(out, key=g._set_sort_key)
-
-
-def local_deviations(g: Game, i: Player, h: InfoSet,
-                     s_i: PureStrategy) -> list[PureStrategy]:
-    """All strategies distinct from s_i only at h and its successors."""
-    sets = deviation_sets(g, i, h)
-    menus = [g.set_actions(x) for x in sets]
-    out = []
-    for combo in itertools.product(*menus):
-        updates = dict(zip(sets, combo))
-        if all(s_i.action_at(x) == a for x, a in updates.items()):
-            continue
-        out.append(s_i.replace(updates))
-    return out
-
-
-def is_rational_at(g: Game, i: Player, h: InfoSet, s_i: PureStrategy,
-                   belief: Belief) -> bool:
-    """No local deviation strictly improves the expected payoff at h.
-
-    Vacuously true when the player's own strategy already avoids h.
-    """
-    if not reaches(g, {i: s_i}, h):
-        return True
-    base = expected_payoff_at(g, i, h, s_i, belief)
-    for dev in local_deviations(g, i, h, s_i):
-        if expected_payoff_at(g, i, h, dev, belief, validate=False) > base:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# belief systems
-
-
-@dataclass
-class BeliefSystem:
-    """Per-information-set beliefs over opposing pure profiles.
-
-    Profiles may correlate opponents and nature.  Conditioning ties beliefs
-    together along the came-before relation whenever the later set lives in
-    a weakly poorer tree and receives positive mass.
-    """
-
-    owner: Player
-    beliefs: dict[InfoSet, list[tuple[PureProfile, Fraction]]]
-
-
-def restrict_strategy(g: Game, s: PureStrategy, t: TreeId) -> PureStrategy:
-    """Restriction of a strategy to the t-partial game's information sets."""
-    keep = set(hosts_reachable(g, t))
-    return PureStrategy.make(
-        s.owner, {h: a for h, a in s.choices if h.host in keep})
-
-
-def restrict_profile(g: Game, s: PureProfile, t: TreeId) -> PureProfile:
-    return {j: restrict_strategy(g, sj, t) for j, sj in s.items()}
-
-
-def conditioned_belief(g: Game, belief: Belief,
-                       h_to: InfoSet) -> Optional[list[tuple[PureProfile, Fraction]]]:
-    """Bayes-condition a belief on reaching h_to, restricted to h_to's
-    partial game; None when the event has probability zero."""
-    mass = [(restrict_profile(g, p, h_to.host), w)
-            for p, w in belief if w > 0 and reaches(g, p, h_to)]
-    den = sum((w for _, w in mass), ZERO)
-    if den == 0:
-        return None
-    grouped: dict = {}
-    for p, w in mass:
-        k = profile_key(p)
-        if k in grouped:
-            grouped[k] = (p, grouped[k][1] + w)
-        else:
-            grouped[k] = (p, w)
-    return [(p, w / den) for p, w in grouped.values()]
-
-
-def belief_equal(a: Belief, b: Belief) -> bool:
-    def norm(bel):
-        out: dict = {}
-        for p, w in bel:
-            if w != 0:
-                k = profile_key(p)
-                out[k] = out.get(k, ZERO) + w
-        return out
-    return norm(a) == norm(b)
-
-
-def check_belief_system(g: Game, bs: BeliefSystem) -> list[str]:
-    """Violations of the belief-system invariants (empty list = valid)."""
-    from .core import info_arborescence
-    problems = []
-    for h, belief in bs.beliefs.items():
-        try:
-            _check_belief(g, h, belief)
-        except ValueError as e:
-            problems.append(str(e))
-    parents = info_arborescence(g, bs.owner)
-    for h, parent in parents.items():
-        if parent is None or h not in bs.beliefs or parent not in bs.beliefs:
-            continue
-        if not g.leq(h.host, parent.host):
-            continue  # awareness rises: conditioning impossible
-        cond = conditioned_belief(g, bs.beliefs[parent], h)
-        here = [(restrict_profile(g, p, h.host), w) for p, w in bs.beliefs[h]]
-        if cond is not None and not belief_equal(cond, here):
-            problems.append("belief at %s is not the conditional of %s"
-                            % (h.label(), parent.label()))
-    return problems

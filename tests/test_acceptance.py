@@ -23,7 +23,8 @@ from ugt.equilibrium import (
 )
 from ugt.fixtures import FIXTURES, load
 from ugt.randgen import generate_random_game, random_profile
-from ugt.rationalizability import OracleCapExceeded, efr, efr_oracle
+from ugt.rationalizability import efr
+from ugt.reference import OracleCapExceeded, efr_oracle
 from ugt.strategies import (
     MixedStrategy,
     acting_players,

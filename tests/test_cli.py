@@ -11,7 +11,8 @@ from ugt import cli
 from ugt.cli import main
 from ugt.discovery import run_discovery
 from ugt.fixtures import NAMES, load
-from ugt.gamedoc import DocAxiomError, GameDocError, parse_game, serialize_game
+from ugt.gamedoc import (
+    DocAxiomError, DocSemanticError, GameDocError, parse_game, serialize_game)
 from ugt.randgen import generate_random_game
 
 DATA = resources.files("ugt") / "data"
@@ -99,6 +100,22 @@ def test_validate_unhashable_action_label(tmp_path, capsys):
     status, _, err = run(capsys, "validate", str(path))
     assert status == 2
     assert "actions of node 0 is not a list of strings" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "efr"])
+def test_information_set_without_members_exits_2(command, tmp_path, capsys):
+    doc = json.loads(serialize_game(load("bos_repeated")))
+    [x] = [x for x in doc["info"]
+           if (x["player"], x["tree"], x["node"]) == (1, "Tbar", 1)]
+    x["host"], x["members"] = "T0", []
+    text = json.dumps(doc)
+    with pytest.raises(DocSemanticError, match="no members"):
+        parse_game(text)
+    path = tmp_path / "empty.game.json"
+    path.write_text(text)
+    status, out, err = run(capsys, command, str(path))
+    assert status == 2 and not out
+    assert "info set 1@T0{}: no members" in err
 
 
 def test_validate_axiom_failure(game_file, tmp_path, capsys):

@@ -26,11 +26,11 @@ from ugt.fixtures import FIXTURES, load
 from ugt.gamedoc import parse_game, serialize_game
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import efr
+from ugt.reference import restrict_strategy
 from ugt.strategies import (
     acting_players,
     pure_strategies,
     realized_tbar_path,
-    restrict_strategy,
 )
 
 

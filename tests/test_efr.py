@@ -10,18 +10,21 @@ import pytest
 from ugt import rationalizability
 from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
-from ugt.equilibrium import check_sce_pure
+from ugt.equilibrium import check_sce_pure, construct_sce_efr
 from ugt.fixtures import load
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
-    OracleCapExceeded,
-    _allowed_profiles,
     _class_rounds,
     _classes,
     _contexts,
-    best_reply_exists,
     efr,
+)
+from ugt.reference import (
+    OracleCapExceeded,
+    _allowed_profiles,
+    best_reply_exists,
     efr_oracle,
+    restrict_strategy,
 )
 from ugt.strategies import (
     PureStrategy,
@@ -33,7 +36,6 @@ from ugt.strategies import (
     reaches,
     realization_equivalent,
     realized_tbar_path,
-    restrict_strategy,
     strategy_vectors,
 )
 
@@ -667,15 +669,17 @@ def assert_matrices_match_reference(g):
     ctxs = _contexts(g)
     checked = 0
     for i in g.players:
-        for hh in g.decision_sets(i):
+        table = _classes(g, i)
+        for k, hh in enumerate(g.decision_sets(i)):
             ctx, t = ctxs[hh], hh.host
             scale = math.lcm(*(g.nodes[n].payoffs[i].denominator
                                for n in g.trees[t] if g.terminal_in(t, n)))
             seen = set()
-            for v in _classes(g, i).first:
+            for v, reached in zip(table.first, table.reached):
+                if k not in reached:
+                    continue
                 for aid in list(ctx._allowed):
-                    if not ctx.strategy_reaches(v) or \
-                            (ctx.prefix_key(v), aid) in seen:
+                    if (ctx.prefix_key(v), aid) in seen:
                         continue
                     seen.add((ctx.prefix_key(v), aid))
                     at, rows, _, kept, _ = ctx._matrix(v, aid)
@@ -862,9 +866,11 @@ def test_one_shot_games_give_nash_and_dominance():
     self-confirming exactly when it is a Nash equilibrium (Fudenberg &
     Levine 1993, Econometrica 61); every EFR survivor survives iterated
     strict dominance by pure strategies, and every best reply to a point
-    belief on the opponents' survivors is a survivor (Pearce 1984)."""
+    belief on the opponents' survivors is a survivor (Pearce 1984).  With
+    two players, ``construct_sce_efr`` holds and returns a Nash equilibrium
+    of the whole game: no pure deviation earns more than its kernels."""
     rng = random.Random(17)
-    nash_seen = 0
+    nash_seen = constructed = 0
     for k in range(300):
         n = 2 if k % 3 else 3
         menus = [["a%d_%d" % (i, x) for x in range(rng.randint(2, 3))]
@@ -897,4 +903,18 @@ def test_one_shot_games_give_nash_and_dominance():
             for prof in itertools.product(*(
                     alive[j] if j != i else [None] for j in range(n))):
                 assert best_replies(i, prof) <= alive[i], (k, i, prof)
-    assert nash_seen >= 400
+        if n == 2:
+            pi, verdict = construct_sce_efr(g)
+            assert verdict.holds, k
+            mix = [dict(pi[i].as_dict()[x]) for i, x in zip(g.players, root)]
+
+            def value(i, dists):
+                return sum(p * q * u(i, (a, b)) for a, p in dists[0].items()
+                           for b, q in dists[1].items())
+
+            for i in range(2):
+                for b in menus[i]:
+                    dev = [{b: 1} if j == i else d for j, d in enumerate(mix)]
+                    assert value(i, dev) <= value(i, mix), (k, i, b)
+            constructed += 1
+    assert nash_seen >= 400 and constructed == 200

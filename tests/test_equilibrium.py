@@ -22,6 +22,12 @@ from ugt.gamedoc import parse_game, serialize_game
 from ugt.lp import solve_feasibility
 from ugt.randgen import generate_random_game, random_profile
 from ugt.rationalizability import _class_rounds, _classes, efr
+from ugt.reference import (
+    expected_payoff_at,
+    local_deviations,
+    path_info_sets,
+    restrict_strategy,
+)
 from ugt.strategies import (
     BehaviorStrategy,
     MixedStrategy,
@@ -31,19 +37,15 @@ from ugt.strategies import (
     acting_players,
     action_vector,
     behavior_to_mixed,
-    expected_payoff_at,
     kernel_vector,
     kuhn_convert,
-    local_deviations,
     mixed_to_behavior,
     opposing_profiles,
-    path_info_sets,
     play_out,
     pure_strategies,
     reaches,
     realization_equivalent,
     realized_tbar_path,
-    restrict_strategy,
     strategy_vectors,
 )
 from ugt import equilibrium

@@ -5,8 +5,9 @@ kept in one of two dicts: the game's own (``_memo``) or the one a game
 shares with its discovered versions (``_shared``).  The reach table
 (``strategies._requirements``) is checked here against the per-node
 rebuild from ``path_in`` that it replaced, and the source of ``ugt`` is
-checked for caches kept anywhere else, and for an oracle that reads the
-engine's tables.
+checked for caches kept anywhere else.  Its import graph is checked too:
+the reference layer (``reference``) imports only ``core``, ``strategies``
+and ``lp``, and no module but the package's ``__init__`` imports it.
 """
 
 import ast
@@ -190,35 +191,37 @@ def test_only_core_touches_the_memo_homes():
     assert problems == []
 
 
-ENGINE = {"_contexts", "_SetContext", "_classes", "_class_rounds", "_tables"}
+def ugt_imports(path: Path) -> set[str]:
+    """The ``ugt`` modules that the module at path imports, relatively
+    (``from .core import x``, ``from . import core``) or by name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level == 1:
+                out.update(a.name for a in node.names)
+            elif (node.module or "").startswith("ugt."):
+                out.add(node.module.split(".")[1])
+            elif node.module == "ugt":
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("ugt."))
+    return out
 
 
-def names_reachable(path: Path, start: str) -> set[str]:
-    """Every name read by the module-level function start of the module at
-    path, and by the module's functions and classes it reaches through
-    those names."""
-    tree = ast.parse(path.read_text())
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    seen, todo = set(), [start]
-    while todo:
-        name = todo.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        if name in defs:
-            todo += [sub.id for sub in ast.walk(defs[name])
-                     if isinstance(sub, ast.Name)]
-    return seen
-
-
-def test_oracle_reads_none_of_the_engine():
-    """The oracle checks the engine, so nothing it runs in its module
-    reaches the engine's set contexts or class tables."""
-    path = SRC / "rationalizability.py"
-    assert names_reachable(path, "efr_oracle") & ENGINE == set()
-    # the walk does see the engine behind efr
-    assert ENGINE <= names_reachable(path, "efr")
+def test_reference_layer_stands_apart():
+    """The reference layer checks the engine, so it imports only the
+    object-world modules, and no module but the package's own
+    ``__init__`` imports it."""
+    graph = {p.stem: ugt_imports(p) for p in SRC.glob("*.py")}
+    assert graph["reference"] <= {"core", "strategies", "lp"}
+    assert {"core", "strategies"} <= graph["reference"]
+    assert {m for m, deps in graph.items() if "reference" in deps} \
+        == {"__init__"}
+    # the walk sees the engine's own imports
+    assert {"core", "strategies", "lp"} <= graph["rationalizability"]
 
 
 def test_cache_check_sees_a_module_cache(tmp_path):

@@ -6,31 +6,33 @@ import pytest
 from ugt.core import InfoSet, NATURE, t_partial_game
 from ugt.fixtures import FIXTURES, load
 from ugt.randgen import generate_random_game
+from ugt.reference import (
+    BeliefSystem,
+    check_belief_system,
+    conditioned_belief,
+    expected_payoff_at,
+    is_rational_at,
+    occurring_info_sets,
+    occurs,
+    path_info_sets,
+    point_belief,
+    restrict_strategy,
+)
 from ugt.strategies import (
     BehaviorStrategy,
-    BeliefSystem,
     MixedStrategy,
     PureStrategy,
     acting_players,
     behavior_payoff,
-    check_belief_system,
-    conditioned_belief,
     deviation_sets,
-    expected_payoff_at,
-    is_rational_at,
     kernel_vector,
     kuhn_convert,
-    occurring_info_sets,
-    occurs,
     opposing_profiles,
-    path_info_sets,
-    point_belief,
     pure_strategies,
     reach_probability,
     reaches,
     realization_equivalent,
     realized_tbar_path,
-    restrict_strategy,
     strategy_vectors,
     vector_strategy,
 )

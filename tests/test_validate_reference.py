@@ -9,6 +9,7 @@ seeded structural mutants, on which ``validate_game`` may raise nothing but
 """
 
 import dataclasses
+import inspect
 import random
 
 import pytest
@@ -142,9 +143,26 @@ def test_structural_mutants_get_a_report_or_the_reference_error():
     assert raised >= 300
 
 
+# every function ugt exports whose first parameter takes a Game, so that a
+# new export of that kind comes with its entry check
+GAME_FIRST = sorted(
+    name for name, f in vars(ugt).items()
+    if inspect.isfunction(f) and next(iter(inspect.signature(
+        f, eval_str=True).parameters.values())).annotation is Game)
+
+
+def test_the_exports_taking_a_game_are_found():
+    assert {"validate_game", "efr", "efr_oracle", "construct_sce_efr",
+            "build_supergame", "discovery_relations"} <= set(GAME_FIRST)
+
+
 @pytest.mark.parametrize("junk", ["junk", None, 7])
-@pytest.mark.parametrize("name", ["validate_game", "validate_structure",
-                                  "serialize_game", "game_dot"])
+@pytest.mark.parametrize("name", GAME_FIRST)
 def test_a_non_game_is_a_type_error(name, junk):
+    """A non-game first argument raises the entry check's TypeError before
+    any other argument is read (the others are None)."""
+    f = getattr(ugt, name)
+    required = sum(p.default is p.empty
+                   for p in inspect.signature(f).parameters.values())
     with pytest.raises(TypeError, match="expected a Game"):
-        getattr(ugt, name)(junk)
+        f(junk, *[None] * (required - 1))
