@@ -768,8 +768,11 @@ def info_arborescence(g: Game, i: Player) -> dict[InfoSet, Optional[InfoSet]]:
     """Parent links of player i's information sets (terminal ones included)
     under the came-before relation: h precedes h' when every member of h'
     has, within h''s host tree, a strict ancestor whose information set at
-    that host is h.  TypeError when g is not a Game."""
+    that host is h.  ValueError when i is neither nature nor a player of
+    g.  TypeError when g is not a Game."""
     _check_game(g)
+    if i != NATURE and i not in g.players:
+        raise ValueError("no player %r" % (i,))
     sets = g.info_sets(i)
     prec: dict[InfoSet, set[InfoSet]] = {h: set() for h in sets}
     for h2 in sets:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .core import Game, InfoSet, NodeId, Player, TreeId, _check_game, _memo
-from .rationalizability import _class_rounds, _classes
+from .rationalizability import _class_rounds, _classes, _efr
 from .strategies import (
     PureProfile,
     acting_players,
@@ -144,34 +144,34 @@ def discovery_relations(g_from: Game, g_to: Game) -> DiscoveryReport:
 # policies and the supergame
 
 
-def _alive(g: Game, policy: str) -> dict[Player, frozenset]:
-    """Per acting player, the classes (``_classes``) a named policy other
-    than "all" permits."""
-    if policy == "efr":
-        return _class_rounds(g)[-1]
-    if policy == "rational_only":
-        return _class_rounds(g)[1]
-    raise ValueError("unknown policy %r" % (policy,))
+# the round of ``efr(g).rounds`` each named policy other than "all" keeps
+_POLICY_ROUND = {"efr": -1, "rational_only": 1}
+
+
+def _check_policy(policy) -> None:
+    """ValueError unless policy is callable or a policy name."""
+    if not callable(policy) and policy not in ("all", *_POLICY_ROUND):
+        raise ValueError("unknown policy %r" % (policy,))
 
 
 def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
     """The pure profiles a policy permits in a state, nature included: a
     callable policy's as it lists them, else the product of each acting
-    player's vectors (``strategy_vectors``) under "all" and of the members
-    of its permitted classes (``_Classes.members``) under another named
-    policy.  ValueError on an unknown policy name.
-    TypeError when g is not a Game."""
+    player's pool.  Under "all" a pool holds all the player's pure
+    strategies; under another named policy a real player's pool is its
+    survivors of the policy's ``efr`` round, the very objects of the
+    trace, and nature's holds all its pure strategies.  ValueError on an
+    unknown policy name.  TypeError when g is not a Game."""
     _check_game(g)
+    _check_policy(policy)
     if callable(policy):
         return list(policy(g))
     players = acting_players(g)
-    if policy == "all":
-        pools = [strategy_vectors(g, j) for j in players]
-    else:
-        alive = _alive(g, policy)
-        pools = [_classes(g, j).members(alive[j]) for j in players]
-    pools = [list(map(vector_strategy(g, j), pool))
-             for j, pool in zip(players, pools)]
+    survivors = {} if policy == "all" \
+        else _efr(g).rounds[_POLICY_ROUND[policy]]
+    pools = [survivors[j] if j in survivors
+             else list(map(vector_strategy(g, j), strategy_vectors(g, j)))
+             for j in players]
     return [dict(zip(players, combo)) for combo in itertools.product(*pools)]
 
 
@@ -204,7 +204,7 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
         if source == "all":
             pools = [strategy_vectors(g, j) for j in players]
         else:
-            alive = _alive(g, source)
+            alive = _class_rounds(g)[_POLICY_ROUND[source]]
             pools, sizes = [], []
             for j in players:
                 table, cs = _classes(g, j), sorted(alive[j])
@@ -318,9 +318,10 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
     version changes only ``info`` and shares the rest with g0, so states
     are deduplicated by their info values in g0's key order (``ids``),
     which within one supergame is canonical equality.
-    TypeError when g0 is not a Game.
+    TypeError when g0 is not a Game; ValueError on an unknown policy name.
     """
     _check_game(g0)
+    _check_policy(policy)
     keys = tuple(g0.info)
     states = [g0]
     ids = {tuple(map(g0.info.__getitem__, keys)): 0}
@@ -345,8 +346,16 @@ def build_supergame(g0: Game, policy: Policy) -> DiscoverySupergame:
     return DiscoverySupergame(states, 0, edges, reps, policy, ids)
 
 
+def _check_supergame(sg) -> None:
+    """TypeError unless sg is a DiscoverySupergame."""
+    if not isinstance(sg, DiscoverySupergame):
+        raise TypeError("expected a DiscoverySupergame, not %r" % (sg,))
+
+
 def self_confirming_games(sg: DiscoverySupergame) -> set[Game]:
-    """States whose every allowed-profile edge is a self-loop."""
+    """States whose every allowed-profile edge is a self-loop.  TypeError
+    when sg is not a DiscoverySupergame."""
+    _check_supergame(sg)
     return {sg.states[k] for k in sg.edges if sg.is_absorbing(k)}
 
 
@@ -377,9 +386,10 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
     their ratios.  Sampling is conditioned on state-changing profiles
     (staying put is dropped, which every full-support process leaves almost
     surely), so the trace length is bounded by 1 + players * trees.
-    TypeError when g0 is not a Game.
+    TypeError when g0 is not a Game; ValueError on an unknown policy name.
     """
     _check_game(g0)
+    _check_policy(policy)
     rng = random.Random(seed)
     states = [g0]
     profiles: list[PureProfile] = []
@@ -425,7 +435,9 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
 def supergame_dot(sg: DiscoverySupergame,
                   labels: Optional[Mapping[Game, str]] = None) -> str:
     """Deterministic DOT rendering; states in discovery order, edges
-    labeled by their realized path."""
+    labeled by their realized path.  TypeError when sg is not a
+    DiscoverySupergame."""
+    _check_supergame(sg)
     name = {}
     for k, g in enumerate(sg.states):
         base = labels.get(g) if labels else None

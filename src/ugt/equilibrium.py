@@ -37,9 +37,11 @@ from .strategies import (
     PureProfile,
     PureStrategy,
     ZERO,
+    _checked_vectors,
     _requirements,
     _sets_along,
     acting_players,
+    action_vector,
     behavior_payoff,
     deviation_sets,
     has_nature,
@@ -78,30 +80,14 @@ def uniform_nature(g: Game) -> BehaviorStrategy:
 # profile checks at entry
 
 
-def _checked_vectors(g: Game, pi: Profile, vector) -> dict[Player, tuple]:
-    """Every acting player's strategy in pi as a vector, made by
-    ``vector(g, strategy, player)``.  TypeError unless pi is a mapping;
-    ValueError unless each acting player has a strategy of its own that
-    chooses at every set the SCE checks can consult: its sets at the nodes
-    of the richest tree and of each tree hosting an information set there.
-    Play never reaches the other sets, so they may be missing."""
-    if not isinstance(pi, Mapping):
-        raise TypeError("a profile maps players to strategies, not %r"
-                        % (pi,))
-    out = {}
-    for j in acting_players(g):
-        if j not in pi:
-            raise ValueError("the profile has no strategy for player %d" % j)
-        out[j] = vector(g, pi[j], j)
+def _sce_views(g: Game) -> list[TreeId]:
+    """The trees whose sets the SCE checks can consult, so a profile must
+    choose there (``_checked_vectors``): the richest tree and each tree
+    hosting an information set there.  Play never reaches the other
+    sets."""
     tbar = g.tbar
-    views = {tbar} | {h.host for (_, t, _), h in g.info.items() if t == tbar}
-    for t in sorted(views, key=g.tree_sort_key):
-        for pairs in play_table(g, t).values():
-            for j, p in pairs:
-                if out[j][p] is None:
-                    raise ValueError("%r makes no choice at %s" % (
-                        pi[j], g.decision_sets(j)[p].label()))
-    return out
+    return sorted({tbar} | {h.host for (_, t, _), h in g.info.items()
+                            if t == tbar}, key=g.tree_sort_key)
 
 
 def _behavior_vectors(g: Game, pi: Profile) -> dict[Player, tuple]:
@@ -109,7 +95,7 @@ def _behavior_vectors(g: Game, pi: Profile) -> dict[Player, tuple]:
     nature plays uniformly unless pi gives it a strategy."""
     if has_nature(g) and isinstance(pi, Mapping) and NATURE not in pi:
         pi = {**pi, NATURE: uniform_nature(g)}
-    return _checked_vectors(g, pi, kernel_vector)
+    return _checked_vectors(g, pi, kernel_vector, _sce_views(g))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +265,9 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     TypeError when g is not a Game.
     """
     _check_game(g)
-    kernels = _checked_vectors(g, s, kernel_vector)
-    if any(isinstance(s[j], (BehaviorStrategy, MixedStrategy))
-           for j in acting_players(g)):
-        raise ValueError("not a pure profile: %r" % (s,))
+    kernels = {j: tuple(None if a is None else {a: ONE} for a in v)
+               for j, v in _checked_vectors(g, s, action_vector,
+                                            _sce_views(g)).items()}
     v = _conditions(g, kernels, _restricted_candidates)
     # pure play has one end, so one group per player
     v.witnesses = {i: [({j: PureStrategy.make(j, {

@@ -12,7 +12,8 @@ reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
 of the opposing classes give every column that plays differently.  The
 trace's rounds are lazy per-player sequences over the alive classes, which
-build ``PureStrategy`` objects only when read.  Each
+build ``PureStrategy`` objects only when read; they are the one place
+survivors become strategy objects.  Each
 player's class table comes from a branch over its decision-set positions,
 not from its pure strategies, and carries per class its first member, the
 positions it reaches and its size.  The
@@ -48,10 +49,12 @@ class EfrTrace:
     read-only sequence in ``pure_strategies`` order, equal to the list of
     the same strategies and unhashable like it.  Its ``len`` is the sum of
     its classes' sizes and builds nothing, and so does comparing two rounds
-    of one trace.  Iterating, indexing or comparing it with a list builds
-    its list once.  Each pure strategy is built once per trace, on the
-    first read of a round that holds it, and every round holds that same
-    object.
+    of one trace.  Rounds with the same classes are one object, so the
+    fixpoint round is the round before it.  Iterating, indexing or
+    comparing it with a list builds its list once.  Each pure strategy is
+    built once per trace, on the first read of a round that holds it, and
+    every round holds that same object.  ``discovery.allowed_profiles``
+    lists its ``efr`` and ``rational_only`` pools from these rounds.
     """
 
     rounds: list[dict[Player, Sequence[PureStrategy]]]
@@ -83,8 +86,9 @@ class _SetContext:
     A column is the tuple of the opponents' keys, each an opponent's actions
     at its decision sets in the host tree; nature counts as an opponent.
     Equal columns play the host tree out identically.  A column's profile
-    takes, per opponent, its key at the positions the host tree reads and
-    the first action everywhere else.
+    maps each opponent to its key by the positions the host tree reads
+    (``reads``), the only positions ``_walk`` and the member requirements
+    consult.
     """
 
     def __init__(self, g: Game, i: Player, h: InfoSet):
@@ -114,11 +118,9 @@ class _SetContext:
         self.dev_key = _getter(self.dev)
         self.prefix_key = _getter([p for p in own if p not in self.dev])
         self.opponents = [j for j in acting_players(g) if j != i]
-        self.opp_keys = [_getter(used.get(j, [])) for j in self.opponents]
-        # per opponent, the positions its key reads and its first actions
-        self.fills = [(used.get(j, []),
-                       [g.set_actions(x)[0] for x in g.decision_sets(j)])
-                      for j in self.opponents]
+        # per opponent, the positions its key reads
+        self.reads = [used.get(j, []) for j in self.opponents]
+        self.opp_keys = list(map(_getter, self.reads))
         # per member of h, the (player, set, position, action) constraints
         # of the path to it
         reqs = _requirements(g, t)
@@ -133,12 +135,8 @@ class _SetContext:
     def column_reaches(self, col: tuple) -> bool:
         got = self._col_reaches.get(col)
         if got is None:
-            prof = {}
-            for j, (at, first), key in zip(self.opponents, self.fills, col):
-                v = list(first)
-                for p, a in zip(at, key):
-                    v[p] = a
-                prof[j] = tuple(v)
+            prof = {j: dict(zip(at, key))
+                    for j, at, key in zip(self.opponents, self.reads, col)}
             got = any(all(prof[j][p] == a for j, _, p, a in r if j != self.i)
                       for r in self.reqs)
             self._col_reaches[col] = got
@@ -169,9 +167,10 @@ class _SetContext:
         self._allowed.setdefault(aid, cols)
         return aid
 
-    def _walk(self, prof: Mapping[Player, list], n: NodeId):
-        """The host tree played from n under prof, whose own vector holds
-        None at the deviation positions not fixed yet: the terminal reached,
+    def _walk(self, prof: Mapping, n: NodeId):
+        """The host tree played from n under prof, which gives each player
+        its actions by position and whose own vector, a list, holds None at
+        the deviation positions not fixed yet: the terminal reached,
         or at the first such position met, (its deviation index, per action
         the walk with that action fixed)."""
         kids, table = self.kids, self.table
@@ -410,11 +409,6 @@ def _classes(g: Game, j: Player) -> _Classes:
     return _Classes(g, j)
 
 
-def _tables(g: Game) -> dict[Player, _Classes]:
-    """Every acting player's classes (``_classes``)."""
-    return {j: _classes(g, j) for j in acting_players(g)}
-
-
 def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
                      rounds: list[dict]) -> tuple:
     """Best-rationalization support: columns from the latest round whose
@@ -439,78 +433,70 @@ def efr(g: Game) -> EfrTrace:
 @_memo
 def _efr(g: Game) -> EfrTrace:
     rounds = _class_rounds(g)
-    pools = {i: _Pool(_classes(g, i), vector_strategy(g, i))
-             for i in g.players}
-    return EfrTrace([{i: _Round(pools[i], rd[i]) for i in g.players}
+    shared = {}
+    for i in g.players:
+        # one round per distinct class set, all building through one dict
+        table, make, made = _classes(g, i), vector_strategy(g, i), {}
+        shared[i] = {alive: _Round(table, alive, make, made)
+                     for alive in {rd[i] for rd in rounds}}
+    return EfrTrace([{i: shared[i][rd[i]] for i in g.players}
                      for rd in rounds], fixpoint_round=len(rounds) - 1)
 
 
-class _Pool:
-    """One player's pure strategies for one trace, each built from its
-    vector the first time a round that holds it is read, and kept by that
-    vector for every round after.  Holds the class table and the strategy
-    maker, never the game."""
-
-    def __init__(self, table: _Classes, make):
-        self.table = table
-        self.make = make
-        # per vector read so far, its strategy; per alive class set read so
-        # far, its members
-        self._made: dict[tuple, PureStrategy] = {}
-        self._lists: dict[frozenset, list[PureStrategy]] = {}
-
-    def members(self, alive: frozenset) -> list[PureStrategy]:
-        """The strategies of the alive classes (``_Classes.members``), in
-        pool order; callers must not change the list, which rounds with the
-        same classes share."""
-        got = self._lists.get(alive)
-        if got is None:
-            made = self._made
-            vectors = self.table.members(alive)
-            new = [v for v in vectors if v not in made]
-            made.update(zip(new, map(self.make, new)))
-            got = self._lists[alive] = list(map(made.__getitem__, vectors))
-        return got
-
-
 class _Round(Sequence):
-    """One player's survivors of one round (see ``EfrTrace``)."""
+    """One player's survivors of one or more rounds with the same alive
+    classes (see ``EfrTrace``).  Holds the class table, the strategy maker
+    and the trace's dict of the player's strategies built so far, by
+    vector, never the game; its own list is filled on the first read."""
 
     __hash__ = None  # equal to a list, which is unhashable
 
-    def __init__(self, pool: _Pool, alive: frozenset):
-        self._pool = pool
+    def __init__(self, table: _Classes, alive: frozenset, make,
+                 made: dict[tuple, PureStrategy]):
+        self._table = table
         self._alive = alive
+        self._make = make
+        self._made = made
+        self._list: Optional[list[PureStrategy]] = None
+
+    def _members(self) -> list[PureStrategy]:
+        """The strategies of the alive classes (``_Classes.members``), in
+        pool order; callers must not change the list."""
+        if self._list is None:
+            made, make = self._made, self._make
+            self._list = [made[v] if v in made else made.setdefault(v, make(v))
+                          for v in self._table.members(self._alive)]
+        return self._list
 
     def __len__(self) -> int:
-        size = self._pool.table.size
-        return sum(size[c] for c in self._alive)
+        return sum(map(self._table.size.__getitem__, self._alive))
 
     def __getitem__(self, k):
-        return self._pool.members(self._alive)[k]
+        return self._members()[k]
 
     def __iter__(self):
-        return iter(self._pool.members(self._alive))
+        return iter(self._members())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _Round):
-            if other._pool.table is self._pool.table:
+            if other._table is self._table:
                 # classes partition the pool and none is empty
                 return other._alive == self._alive
-            other = other._pool.members(other._alive)
+            other = other._members()
         if isinstance(other, list):
-            return self._pool.members(self._alive) == other
+            return self._members() == other
         return NotImplemented
 
     def __repr__(self) -> str:
-        return repr(self._pool.members(self._alive))
+        return repr(self._members())
 
 
 @_memo
 def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
     """Per round of ``efr(g).rounds``, per acting player, the classes
     (``_classes``) whose members the round holds: the engine itself."""
-    ctxs, classes = _contexts(g), _tables(g)
+    ctxs = _contexts(g)
+    classes = {j: _classes(g, j) for j in acting_players(g)}
     rounds = [{j: frozenset(range(len(c.first))) for j, c in classes.items()}]
     while True:
         new = dict(rounds[-1])

@@ -298,9 +298,12 @@ def efr_oracle(g: Game, cap: int = DEFAULT_ORACLE_CAP) -> dict[Player, list[Pure
     allowed supports (``_allowed_profiles``), with Bayes conditioning
     enforced parent-to-child whenever the later set lives in a weakly
     poorer tree and gets positive mass.  Exponential; refuses games above
-    the cap with OracleCapExceeded.  TypeError when g is not a Game.
+    the cap with OracleCapExceeded.  TypeError when g is not a Game or
+    cap is not an int.
     """
     _check_game(g)
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise TypeError("cap must be an int, not %r" % (cap,))
     sizes = math.prod(len(strategy_vectors(g, i)) for i in g.players)
     if sizes > cap:
         raise OracleCapExceeded("strategy-profile count %d exceeds cap %d"

@@ -257,19 +257,32 @@ def play_out(g: Game, t: TreeId, s: PureProfile) -> NodeId:
     return n
 
 
-def _check_total(g: Game, s: PureProfile) -> None:
-    """TypeError unless s is a mapping; ValueError unless it gives every
-    acting player, nature included when it moves, a pure strategy of its
-    own with a choice at each of its decision sets."""
-    if not isinstance(s, Mapping):
-        raise TypeError("a profile maps players to strategies, not %r" % (s,))
+def _checked_vectors(g: Game, pi: Profile, vector,
+                     trees: Optional[Iterable[TreeId]] = None
+                     ) -> dict[Player, tuple]:
+    """Every acting player's strategy in pi as a vector, made by
+    ``vector(g, strategy, player)``, which holds None where the strategy
+    makes no choice.  TypeError unless pi is a mapping; ValueError unless
+    each acting player, nature included when it moves, has a strategy of
+    its own that chooses at every position the given trees' play tables
+    read, or at every position when no tree is given."""
+    if not isinstance(pi, Mapping):
+        raise TypeError("a profile maps players to strategies, not %r"
+                        % (pi,))
+    out = {}
     for j in acting_players(g):
-        sj = s.get(j)
-        if sj is None:
+        if j not in pi:
             raise ValueError("the profile has no strategy for player %d" % j)
-        if None in action_vector(g, sj, j):
-            raise ValueError("%r makes no choice at some decision set"
-                             % (sj,))
+        out[j] = vector(g, pi[j], j)
+    reads = ((j, p) for j, v in out.items() for p in range(len(v))) \
+        if trees is None else (pair for t in trees
+                               for pairs in play_table(g, t).values()
+                               for pair in pairs)
+    for j, p in reads:
+        if out[j][p] is None:
+            raise ValueError("%r makes no choice at %s" % (
+                pi[j], g.decision_sets(j)[p].label()))
+    return out
 
 
 def realized_tbar_path(g: Game, s: PureProfile) -> list[NodeId]:
@@ -280,7 +293,7 @@ def realized_tbar_path(g: Game, s: PureProfile) -> list[NodeId]:
     of another player, or one without a choice at some decision set.
     """
     _check_game(g)
-    _check_total(g, s)
+    _checked_vectors(g, s, action_vector)
     return g.path_in(g.tbar, play_out(g, g.tbar, s))
 
 

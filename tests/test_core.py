@@ -396,6 +396,12 @@ def test_arborescence_nature_is_empty():
     assert info_arborescence(g, 0) == {}
 
 
+def test_arborescence_of_unknown_player():
+    # used to return {}, unlike pure_strategies on the same player
+    with pytest.raises(ValueError, match="no player"):
+        info_arborescence(load("ex1_initial"), 99)
+
+
 def test_decision_sets_for_nature():
     g = load("nature_coin")
     sets = g.decision_sets(0)

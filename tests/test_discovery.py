@@ -348,11 +348,28 @@ def test_policy_pools_are_the_efr_rounds(name):
                             for combo in itertools.product(*wants)]
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_policy_pools_are_the_trace_objects(name):
+    """The fixpoint round and the round before it are one object, and the
+    named policies list the trace's very survivors."""
+    g = load(name)
+    trace = efr(g)
+    for i in g.players:
+        assert trace.rounds[-1][i] is trace.rounds[-2][i]
+    for policy, pools in (("efr", trace.surviving()),
+                          ("rational_only", trace.rounds[1])):
+        ids = {id(s) for i in g.players for s in pools[i]}
+        assert all(id(s[i]) in ids for s in allowed_profiles(g, policy)
+                   for i in g.players)
+
+
 def test_unknown_policy_is_rejected():
+    # None and 5 used to leak a raw TypeError from the supergame and the
+    # discovery run
     g = load("ex2_initial")
     for call in (allowed_profiles, build_supergame, run_discovery):
-        for policy in ("bogus", "rational"):
-            with pytest.raises(ValueError):
+        for policy in ("bogus", "rational", None, 5):
+            with pytest.raises(ValueError, match="unknown policy"):
                 call(g, policy)
 
 

@@ -285,6 +285,13 @@ def test_oracle_cap_enforced():
         efr_oracle(load("ex2_full"), cap=1000)
 
 
+@pytest.mark.parametrize("cap", ["x", None, 1.5, True])
+def test_oracle_cap_must_be_an_int(cap):
+    # "x" and None used to leak a raw TypeError, and 1.5 passed as a cap
+    with pytest.raises(TypeError, match="cap must be an int"):
+        efr_oracle(load("ex1_initial"), cap=cap)
+
+
 @pytest.mark.parametrize("players,nature", [(2, True), (3, False), (3, True)])
 def test_oracle_matches_engine_on_generated_shapes(players, nature):
     checked = shrunk = 0

@@ -34,6 +34,7 @@ from ugt.strategies import (
     PureStrategy,
     ONE,
     ZERO,
+    _checked_vectors,
     acting_players,
     action_vector,
     behavior_to_mixed,
@@ -51,8 +52,8 @@ from ugt.strategies import (
 from ugt import equilibrium
 from ugt.equilibrium import (
     SceVerdict,
-    _checked_vectors,
     _normal_form,
+    _sce_views,
     _positive_classes,
     uniform_nature,
 )
@@ -291,7 +292,7 @@ def reference_check_sce_pure(g: Game, s) -> SceVerdict:
     """The pure check on the object world, kept as an independent
     reference: it enumerates and restricts every opposing pure strategy
     and plays deviations out node by node."""
-    _checked_vectors(g, s, action_vector)
+    _checked_vectors(g, s, action_vector, _sce_views(g))
     witnesses: dict = {}
     for i in g.players:
         occ = sorted(path_info_sets(g, s, i), key=g._set_sort_key)

@@ -17,6 +17,7 @@ import pytest
 import ugt
 from reference_validate import reference_validate_game
 from ugt.core import Game, InfoSet, StructuralError, validate_game
+from ugt.discovery import DiscoverySupergame
 from ugt.fixtures import FIXTURES, load
 from ugt.randgen import GenParams, generate_random_game
 
@@ -143,17 +144,23 @@ def test_structural_mutants_get_a_report_or_the_reference_error():
     assert raised >= 300
 
 
-# every function ugt exports whose first parameter takes a Game, so that a
-# new export of that kind comes with its entry check
-GAME_FIRST = sorted(
-    name for name, f in vars(ugt).items()
-    if inspect.isfunction(f) and next(iter(inspect.signature(
-        f, eval_str=True).parameters.values())).annotation is Game)
+def exports_taking(kind) -> list[str]:
+    """Every function ugt exports whose first parameter takes a kind, so
+    that a new export of that sort comes with its entry check."""
+    return sorted(
+        name for name, f in vars(ugt).items()
+        if inspect.isfunction(f) and next(iter(inspect.signature(
+            f, eval_str=True).parameters.values())).annotation is kind)
+
+
+GAME_FIRST = exports_taking(Game)
+SUPERGAME_FIRST = exports_taking(DiscoverySupergame)
 
 
 def test_the_exports_taking_a_game_are_found():
     assert {"validate_game", "efr", "efr_oracle", "construct_sce_efr",
             "build_supergame", "discovery_relations"} <= set(GAME_FIRST)
+    assert SUPERGAME_FIRST == ["self_confirming_games", "supergame_dot"]
 
 
 @pytest.mark.parametrize("junk", ["junk", None, 7])
@@ -165,4 +172,16 @@ def test_a_non_game_is_a_type_error(name, junk):
     required = sum(p.default is p.empty
                    for p in inspect.signature(f).parameters.values())
     with pytest.raises(TypeError, match="expected a Game"):
+        f(junk, *[None] * (required - 1))
+
+
+@pytest.mark.parametrize("junk", ["junk", None, 7])
+@pytest.mark.parametrize("name", SUPERGAME_FIRST)
+def test_a_non_supergame_is_a_type_error(name, junk):
+    """A non-supergame first argument raises the entry check's TypeError
+    (the other arguments are None)."""
+    f = getattr(ugt, name)
+    required = sum(p.default is p.empty
+                   for p in inspect.signature(f).parameters.values())
+    with pytest.raises(TypeError, match="expected a DiscoverySupergame"):
         f(junk, *[None] * (required - 1))
