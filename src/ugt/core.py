@@ -116,14 +116,15 @@ class Game:
 
     Every table derived from these fields is built on first use by a
     function under ``_memo`` and kept in one of two memo homes.  ``_memo``
-    is the game's own and holds what depends on ``info``.  ``_shared``
-    holds what depends only on players, trees, nodes and the keys of
-    ``info``; a discovered version (``_with_info``) shares it with its
-    parent, together with the very ``players``, ``trees`` and ``nodes``
-    objects and the per-tree structure (``_Structure``).  Memos are never
-    invalidated, as the fields never change.  Their keys hold only memoized
-    functions, players, tree ids and node ids, and no key or value refers
-    to a game, so reference counting alone frees a dropped game.
+    is the game's own and holds what depends on ``info``.  ``_shared`` holds
+    what depends only on players, trees, nodes and the keys of ``info``,
+    such as the restricted actions, one table per tree (``_actions``, which
+    ``actions_in`` reads); a discovered version (``_with_info``) shares it
+    with its parent, together with the very ``players``, ``trees`` and
+    ``nodes`` objects and the per-tree structure (``_Structure``).  Memos
+    are never invalidated, as the fields never change.  Their keys hold only
+    memoized functions, players, tree ids and node ids, and no key or value
+    refers to a game, so reference counting alone frees a dropped game.
     """
 
     def __init__(self, players: Iterable[Player],
@@ -213,7 +214,7 @@ class Game:
                 problems.append("info set %s: unknown host tree" % h.label())
             elif not h.members:
                 problems.append("info set %s: no members" % h.label())
-            elif any(m not in self.trees[h.host] for m in h.members):
+            elif not self.trees[h.host].issuperset(h.members):
                 problems.append("info set %s: member outside host tree" % h.label())
             if h.player != i:
                 problems.append("info key (%d,%s,%d): owner mismatch" % (i, t, n))
@@ -262,16 +263,30 @@ class Game:
     def children_in(self, t: TreeId, n: NodeId) -> dict[tuple[str, ...], NodeId]:
         return dict(self._st.children[t][n])
 
-    @_memo(shared=True)
     def actions_in(self, t: TreeId, n: NodeId, i: Player) -> tuple[str, ...]:
-        """Restricted action set of player i at node n within tree t."""
-        nd = self.nodes[n]
-        if i not in nd.players:
+        """Restricted action set of player i at node n within tree t: i's
+        declared labels, in declared order, that i plays towards a child of
+        n inside t; () when i does not move at n."""
+        if i not in self.nodes[n].players:
             return ()
-        idx = sorted(nd.players).index(i)
-        seen = {prof[idx] for prof in self._st.children[t][n]}
-        # keep the declared label order
-        return tuple(a for a in nd.actions[i] if a in seen)
+        return self._actions(t)[n][i]
+
+    @_memo(shared=True)
+    def _actions(self, t: TreeId) -> dict:
+        """Per node n of t where someone moves, per mover i in sorted
+        order, ``actions_in(t, n, i)``: the labels in the column at i's
+        (first) index in the profiles of n's children in t."""
+        out = {}
+        for n, kids in self._st.children[t].items():
+            nd = self.nodes[n]
+            if not nd.players:
+                continue
+            cols = map(set, zip(*kids)) if kids else itertools.repeat(())
+            out[n] = got = {}
+            for i, seen in zip(sorted(nd.players), cols):
+                got.setdefault(i, tuple(filter(seen.__contains__,
+                                               nd.actions[i])))
+        return out
 
     def terminal_in(self, t: TreeId, n: NodeId) -> bool:
         return not self._st.children[t][n]
@@ -316,16 +331,15 @@ class Game:
     def info_domain(self) -> list[tuple[Player, TreeId, NodeId]]:
         """All (player, tree, node) keys that must carry an information set."""
         keys = []
-        for t, ns in self.trees.items():
-            for n in sorted(ns):
-                nd = self.nodes[n]
-                if self.terminal_in(t, n):
-                    for i in self.players:
-                        keys.append((i, t, n))
-                else:
-                    for i in sorted(nd.players):
+        for t, kids in self._st.children.items():
+            for n in sorted(kids):
+                if kids[n]:
+                    for i in sorted(self.nodes[n].players):
                         if i != NATURE:
                             keys.append((i, t, n))
+                else:
+                    for i in self.players:
+                        keys.append((i, t, n))
         return keys
 
     def info_sets(self, i: Player) -> list[InfoSet]:
@@ -350,15 +364,16 @@ class Game:
                          for n in st.tree_keys[t][1]
                          if NATURE in self.nodes[n].players
                          and st.children[t][n])
+        moves = {n for n, nd in self.nodes.items() if i in nd.players}
         return tuple(h for h in self.info_sets(i)
-                     if any(i in self.nodes[m].players for m in h.members))
+                     if not moves.isdisjoint(h.members))
 
     def set_actions(self, h: InfoSet) -> tuple[str, ...]:
         """Actions available to h's owner (identical across members)."""
         return self.actions_in(h.host, h.members[0], h.player)
 
     def _set_sort_key(self, h: InfoSet):
-        return (self.tree_sort_key(h.host), h.members)
+        return (self._st.tree_keys[h.host], h.members)
 
     # -- canonical ordering / equality ---------------------------------------
 
@@ -474,17 +489,15 @@ def _structural_problems(g: Game) -> list[str]:
         return ["game has no trees"]
     problems: list[str] = []
     # unique maximum tree
-    sizes = sorted(((len(ns), t) for t, ns in g.trees.items()), reverse=True)
-    if len(sizes) > 1 and sizes[0][0] == sizes[1][0]:
-        top = [t for t, ns in g.trees.items() if len(ns) == sizes[0][0]]
-        if len({g.trees[t] for t in top}) > 1:
-            problems.append("no unique upmost tree among %s" % sorted(top))
+    most = max(map(len, g.trees.values()))
+    top = [t for t, ns in g.trees.items() if len(ns) == most]
+    if len({g.trees[t] for t in top}) > 1:
+        problems.append("no unique upmost tree among %s" % sorted(top))
     tbar = g.tbar
     if g.trees[tbar] != frozenset(g.nodes):
         problems.append("upmost tree does not cover all nodes")
     # successor maps are bijections onto declared children
     for n, nd in g.nodes.items():
-        plist = sorted(nd.players)
         if nd.is_terminal:
             if nd.players:
                 problems.append("terminal node %d has active players" % n)
@@ -500,7 +513,8 @@ def _structural_problems(g: Game) -> list[str]:
         if set(nd.actions) != set(nd.players):
             problems.append("node %d: actions not declared per active player" % n)
             continue
-        profs = set(itertools.product(*[nd.actions[i] for i in plist]))
+        profs = set(itertools.product(*map(nd.actions.__getitem__,
+                                           sorted(nd.players))))
         if set(nd.children) != profs:
             problems.append("node %d: successor map domain is not the profile product" % n)
         if len(set(nd.children.values())) != len(nd.children):
@@ -536,14 +550,11 @@ def _structural_problems(g: Game) -> list[str]:
         problems += ["tree %s: node %d not connected to root" % (t, n)
                      for n in ns if not connected[n]]
     # joins exist
-    order = sorted(g.trees)
-    for a in order:
-        for b in order:
-            if a < b:
-                try:
-                    g.join(a, b)
-                except StructuralError as e:
-                    problems.extend(e.problems)
+    for a, b in itertools.combinations(sorted(g.trees), 2):
+        try:
+            g.join(a, b)
+        except StructuralError as e:
+            problems.extend(e.problems)
     # information completeness
     problems += ["missing information set for key %s" % (key,)
                  for key in g.info_domain() if key not in g.info]
@@ -577,32 +588,33 @@ def validate_game(g: Game) -> ValidationReport:
     """
     validate_structure(g)
     fails: dict[str, list] = {name: [] for name, _ in CHECK_NAMES}
-    trees, nodes, info = g.trees, g.nodes, g.info
-    kids = g._st.children
-    # the trees below t, those strictly below, and, per tree a, those
-    # from a up to t, t excluded
+    trees, nodes, info, kids = g.trees, g.nodes, g.info, g._st.children
+    # the trees below t, those strictly below, and, per tree a and tree t
+    # above it, those from a up to t, t excluded
+    above = {t: g._above_below(t)[0] for t in trees}
     below = {t: g._above_below(t)[1] for t in trees}
     under = {t: [u for u in below[t] if u != t] for t in trees}
-    between = {a: {t: [u for u in g._above_below(a)[0] & below[t] if u != t]
-                   for t in trees} for a in trees}
+    between = {a: {t: [u for u in above[a] & below[t] if u != t]
+                   for t in above[a]} for a in trees}
     # (i, t, n) -> i's restricted actions, for each decision node n of i in t
     acts: dict[tuple, frozenset] = {}
     for t, ns in trees.items():
         groups: dict[Player, dict[frozenset, list]] = {}
+        kt, table = kids[t], g._actions(t)
         for n in ns:
-            nd = nodes[n]
-            if not kids[t][n]:
-                if not nd.is_terminal:   # prop1
+            if not kt[n]:
+                if not nodes[n].is_terminal:   # prop1
                     fails["prop1"].append((t, n))
                 continue
             # prop2: children in t = product of the restricted action sets
-            # (each nonempty: a node not terminal in t has a child in t)
-            movers = sorted(nd.players)
-            restr = [g.actions_in(t, n, i) for i in movers]
-            if set(itertools.product(*restr)) != kids[t][n].keys():
+            # (each nonempty: a node not terminal in t has a child in t),
+            # true by definition with one mover once the structure is valid
+            restr, movers = table[n], nodes[n].players
+            if len(movers) > 1 and set(itertools.product(*map(
+                    restr.__getitem__, sorted(movers)))) != kt[n].keys():
                 fails["prop2"].append((t, n))
-            for i, a in zip(movers, map(frozenset, restr)):
-                acts[(i, t, n)] = a
+            for i, a in restr.items():
+                a = acts[(i, t, n)] = frozenset(a)
                 groups.setdefault(i, {}).setdefault(a, []).append(n)
         # prop3 and I5, per player: nodes grouped by action set, and groups
         # compared pairwise only when a label is in more than one
@@ -652,8 +664,9 @@ def validate_game(g: Game) -> ValidationReport:
             # U5: every tree strictly below the host that contains a copy
             # of n carries the projection of the set there
             for u in under[host]:
-                if n in trees[u]:
-                    want = tuple(m for m in sorted(members) if m in trees[u])
+                inside = trees[u]
+                if n in inside:
+                    want = tuple(filter(inside.__contains__, sorted(members)))
                     got = info.get((i, u, n))
                     # i owns every set of its keys (Game checks)
                     if not want or got is None or got.host != u \
@@ -661,9 +674,11 @@ def validate_game(g: Game) -> ValidationReport:
                         fails["U5"].append((i, t, n, u))
         # U4: every tree strictly between the host and t that contains a
         # copy of n carries the very same set there
-        for u in between[host][t]:
-            if n in trees[u] and info.get((i, u, n)) != h:
-                fails["U4"].append((i, t, n, u))
+        for u in between[host].get(t, ()):
+            if n in trees[u]:
+                got = info.get((i, u, n))
+                if got is not h and got != h:
+                    fails["U4"].append((i, t, n, u))
         for m in members:   # I2
             got = info.get((i, host, m))
             if got is not h and got != h:

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import Game, InfoSet, NodeId, Player, TreeId, _check_game, _memo
 from .rationalizability import _class_rounds, _classes, _efr
@@ -161,11 +161,15 @@ def allowed_profiles(g: Game, policy: Policy) -> list[PureProfile]:
     strategies; under another named policy a real player's pool is its
     survivors of the policy's ``efr`` round, the very objects of the
     trace, and nature's holds all its pure strategies.  ValueError on an
-    unknown policy name.  TypeError when g is not a Game."""
+    unknown policy name.  TypeError when g is not a Game or a callable
+    policy returns no iterable."""
     _check_game(g)
     _check_policy(policy)
     if callable(policy):
-        return list(policy(g))
+        if not isinstance(got := policy(g), Iterable):
+            raise TypeError("policy %r returned %r, not an iterable of "
+                            "profiles" % (policy, got))
+        return list(got)
     players = acting_players(g)
     survivors = {} if policy == "all" \
         else _efr(g).rounds[_POLICY_ROUND[policy]]
@@ -224,7 +228,7 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
                         in zip(players, makers, pools, first)}, count)
                 for first, path, count in sorted(found)]
     if callable(source):
-        source = [(s, 1) for s in source(g)]
+        source = [(s, 1) for s in allowed_profiles(g, source)]
     players = acting_players(g)
     merged: dict[tuple[NodeId, ...], list] = {}
     for s, w in source:
@@ -386,10 +390,13 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
     their ratios.  Sampling is conditioned on state-changing profiles
     (staying put is dropped, which every full-support process leaves almost
     surely), so the trace length is bounded by 1 + players * trees.
-    TypeError when g0 is not a Game; ValueError on an unknown policy name.
+    TypeError when g0 is not a Game or f is neither None nor callable;
+    ValueError on an unknown policy name.
     """
     _check_game(g0)
     _check_policy(policy)
+    if f is not None and not callable(f):
+        raise TypeError("f must be callable, not %r" % (f,))
     rng = random.Random(seed)
     states = [g0]
     profiles: list[PureProfile] = []
@@ -436,8 +443,10 @@ def supergame_dot(sg: DiscoverySupergame,
                   labels: Optional[Mapping[Game, str]] = None) -> str:
     """Deterministic DOT rendering; states in discovery order, edges
     labeled by their realized path.  TypeError when sg is not a
-    DiscoverySupergame."""
+    DiscoverySupergame or labels is neither None nor a mapping."""
     _check_supergame(sg)
+    if labels is not None and not isinstance(labels, Mapping):
+        raise TypeError("labels must be a mapping, not %r" % (labels,))
     name = {}
     for k, g in enumerate(sg.states):
         base = labels.get(g) if labels else None

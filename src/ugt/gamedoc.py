@@ -69,14 +69,14 @@ def _parse_frac(s, where: str) -> Fraction:
 def _read_id(x, where: str, key: bool = False) -> int:
     """x as a player or node id: a JSON integer that is not a boolean, or,
     as an object key (key set), the decimal text of one."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
     if key and isinstance(x, str):
         try:
             if str(int(x)) == x:
                 return int(x)
         except ValueError:
             pass
-    elif isinstance(x, int) and not isinstance(x, bool):
-        return x
     raise DocSemanticError("bad id %r in %s" % (x, where))
 
 
@@ -96,8 +96,11 @@ def _labels(x, where: str) -> tuple:
 
 def serialize_game(g: Game, provenance: Optional[Mapping] = None) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline.
-    TypeError when g is not a Game."""
+    TypeError when g is not a Game or provenance is neither None nor a
+    mapping."""
     _check_game(g)
+    if provenance is not None and not isinstance(provenance, Mapping):
+        raise TypeError("provenance must be a mapping, not %r" % (provenance,))
     nodes = {}
     for n in sorted(g.nodes):
         nd = g.nodes[n]
@@ -127,10 +130,13 @@ def serialize_game(g: Game, provenance: Optional[Mapping] = None) -> str:
 def parse_game(text: str) -> Game:
     """Parse canonical JSON into a validated Game.
 
-    Raises DocSyntaxError for malformed JSON, DocSemanticError for schema or
+    Raises TypeError when text is not a str, bytes or bytearray,
+    DocSyntaxError for malformed JSON, DocSemanticError for schema or
     structural problems, and DocAxiomError (with the full report) when a
     named axiom check fails.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise TypeError("a game document is text, not %r" % (text,))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -171,15 +177,20 @@ def parse_game(text: str) -> Game:
                                              pays).items()})
         trees = {t: [_read_id(n, "tree %s" % t) for n in ns]
                  for t, ns in _object(doc["trees"], "trees").items()}
-        info = {}
+        info, sets = {}, {}   # sets: one InfoSet per distinct set
         for entry in doc["info"]:
-            if not all(isinstance(entry[k], str) for k in ("tree", "host")):
+            if not (isinstance(entry["tree"], str)
+                    and isinstance(entry["host"], str)):
                 raise DocSemanticError("info entry %r: tree names must be "
                                        "strings" % (entry,))
             key = (_read_id(entry["player"], "info"), entry["tree"],
                    _read_id(entry["node"], "info"))
-            info[key] = InfoSet(key[0], entry["host"], tuple(sorted(
-                _read_id(m, "info") for m in entry["members"])))
+            fields = (key[0], entry["host"], tuple(sorted(
+                [_read_id(m, "info") for m in entry["members"]])))
+            h = sets.get(fields)
+            if h is None:
+                h = sets[fields] = InfoSet(*fields)
+            info[key] = h
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, GameDocError):
             raise

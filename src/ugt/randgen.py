@@ -58,19 +58,14 @@ def _build_tree(p: GenParams, rng: random.Random):
             nodes[n] = {"parent": parent, "terminal": True}
             terminals.append(n)
             continue
-        if p.nature and d == 0:
-            mover = NATURE
-        else:
-            mover = rng.choice(real)
+        mover = NATURE if p.nature and d == 0 else rng.choice(real)
         width = rng.randint(2, p.branching)
         labels = tuple("a%d_%d" % (n, k) for k in range(width))
-        kids = []
-        for a in labels:
-            kids.append((a, next_id))
-            frontier.append((next_id, n, d + 1))
-            next_id += 1
+        kids = dict(zip(labels, range(next_id, next_id + width)))
+        frontier += [(c, n, d + 1) for c in kids.values()]
+        next_id += width
         nodes[n] = {"parent": parent, "mover": mover, "labels": labels,
-                    "kids": dict(kids), "terminal": False}
+                    "kids": kids, "terminal": False}
     # distinct payoffs per player make backward induction generic
     for i in real:
         vals = rng.sample(range(4 * len(terminals)), len(terminals))
@@ -79,25 +74,19 @@ def _build_tree(p: GenParams, rng: random.Random):
     return real, nodes
 
 
-def _reachable(nodes, pruned) -> frozenset:
-    seen = {0}
-    stack = [0]
-    while stack:
-        n = stack.pop()
-        nd = nodes[n]
-        if nd["terminal"]:
-            continue
-        for a, c in nd["kids"].items():
-            if (n, a) not in pruned:
-                seen.add(c)
-                stack.append(c)
-    return frozenset(seen)
+def _subtree(nodes, n) -> list:
+    """n and every node below it."""
+    out = [n]
+    for m in out:
+        if not nodes[m]["terminal"]:
+            out.extend(nodes[m]["kids"].values())
+    return out
 
 
 def _chain(p: GenParams, rng: random.Random, nodes) -> list[tuple]:
     """Strictly nested node sets, richest last, built by cumulative pruning.
     Nature's actions are never pruned and every mover keeps an action."""
-    levels = [(_reachable(nodes, frozenset()), frozenset())]
+    levels = [(frozenset(nodes), frozenset())]
     while len(levels) < p.tree_count:
         ns, pruned = levels[0]
         open_slots = []
@@ -110,19 +99,31 @@ def _chain(p: GenParams, rng: random.Random, nodes) -> list[tuple]:
                 open_slots.extend((n, a) for a in live)
         if not open_slots:
             break
-        cut = rng.choice(open_slots)
-        levels.insert(0, (_reachable(nodes, pruned | {cut}), pruned | {cut}))
+        n, a = cut = rng.choice(open_slots)
+        levels.insert(0, (ns.difference(_subtree(nodes, nodes[n]["kids"][a])),
+                          pruned | {cut}))
     return levels
+
+
+def _check_seed(seed) -> None:
+    """TypeError unless seed is an int that is not a bool."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError("seed must be an int, not %r" % (seed,))
 
 
 def generate_random_game(params: Optional[GenParams] = None, seed: int = 0,
                          **overrides) -> Game:
     """Deterministic-in-seed random game satisfying all structural axioms.
 
-    Raises ValueError when a parameter exceeds its cap and RuntimeError if
-    no valid game emerges within the retry budget (which the construction
-    should never need; the validator still has the last word).
+    Raises TypeError when params is neither None nor a GenParams or seed is
+    not an int (a bool is not one), ValueError when a parameter exceeds its
+    cap and RuntimeError if no valid game emerges within the retry budget
+    (which the construction should never need; the validator still has the
+    last word).
     """
+    if params is not None and not isinstance(params, GenParams):
+        raise TypeError("params must be a GenParams, not %r" % (params,))
+    _check_seed(seed)
     p = replace(params or GenParams(), **overrides)
     _check_caps(p)
     for attempt in range(_RETRIES):
@@ -137,7 +138,6 @@ def _generate_once(p: GenParams, rng: random.Random) -> Game:
     levels = _chain(p, rng, raw)
     tree_ids = ["T%d" % k for k in range(len(levels))]
     trees = {tid: ns for tid, (ns, _) in zip(tree_ids, levels)}
-    tbar = tree_ids[-1]
 
     nodes: dict[NodeId, NodeData] = {}
     for n, nd in raw.items():
@@ -150,47 +150,52 @@ def _generate_once(p: GenParams, rng: random.Random) -> Game:
                 actions={mover: nd["labels"]},
                 children={(a,): c for a, c in nd["kids"].items()})
 
-    # chain position helpers
-    idx = {tid: k for k, tid in enumerate(tree_ids)}
+    # per node, the position of the poorest tree that has it
     least = {}
-    for tid in tree_ids:  # poorest first
+    for k, tid in enumerate(tree_ids):  # poorest first
         for n in trees[tid]:
-            least.setdefault(n, idx[tid])
+            least.setdefault(n, k)
     if p.common_constant:
-        level_of = {i: idx[tbar] for i in real}
+        level_of = {i: len(tree_ids) - 1 for i in real}
     else:
         level_of = {i: rng.randrange(len(tree_ids)) for i in real}
 
     # a mover must be aware of all their own action branches, and by perfect
     # recall that awareness persists down the path; floor(i, n) accumulates it
     floor: dict[tuple[int, NodeId], int] = {}
-    for n in sorted(raw):
+    for n in sorted(raw):   # parents first
         nd = raw[n]
-        parent = nd["parent"]
         for i in real:
-            floor[(i, n)] = floor.get((i, parent), 0) if parent is not None else 0
+            floor[(i, n)] = floor.get((i, nd["parent"]), 0)
         if not nd["terminal"] and nd["mover"] != NATURE:
             i = nd["mover"]
             own = max(least[c] for c in nd["kids"].values())
             floor[(i, n)] = max(floor[(i, n)], own)
 
+    # per watcher of each node, its awareness level there and its set in
+    # the trees at least that rich; a poorer tree hosts the set itself
+    watched = {}
+    for n, nd in raw.items():
+        watchers = real if nd["terminal"] else \
+            ([nd["mover"]] if nd["mover"] != NATURE else [])
+        watched[n] = []
+        for i in watchers:
+            level = max(level_of[i], least[n], floor[(i, n)])
+            watched[n].append((i, level, InfoSet(i, tree_ids[level], (n,))))
     info = {}
-    for tid in tree_ids:
+    for k, tid in enumerate(tree_ids):
         for n in sorted(trees[tid]):
-            nd = raw[n]
-            watchers = real if nd["terminal"] else \
-                ([nd["mover"]] if nd["mover"] != NATURE else [])
-            for i in watchers:
-                level = max(level_of[i], least[n], floor[(i, n)])
-                host = tree_ids[min(idx[tid], level)]
-                info[(i, tid, n)] = InfoSet(i, host, (n,))
+            for i, level, h in watched[n]:
+                info[(i, tid, n)] = h if k >= level else InfoSet(i, tid, (n,))
     return Game(real, trees, nodes, info)
 
 
 def random_profile(g: Game, seed: int = 0) -> PureProfile:
     """A uniformly drawn pure profile, nature included when it moves.
-    TypeError when g is not a Game."""
+    TypeError when g is not a Game or seed is not an int (a bool is not
+    one)."""
     _check_game(g)
+    _check_seed(seed)
     rng = random.Random(seed)
     out = {}
     for j in acting_players(g):

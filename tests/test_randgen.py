@@ -1,10 +1,39 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugt.core import NATURE, validate_game
 from ugt.discovery import discovered_version, discovery_relations
+from ugt.gamedoc import serialize_game
 from ugt.randgen import CAPS, GenParams, generate_random_game, random_profile
 from ugt.strategies import acting_players, has_nature
+
+# the benchmark's GenParams grid: players, depth, branching, tree count and
+# nature per cell; draw r of cell k has seed 1000 * r + k
+GRID = list(itertools.product((2, 3), (3, 4), (2, 3), (3, 5), (False, True)))
+
+
+def grid_draws(draws: int) -> list:
+    """The first ``draws`` generated games of every grid cell."""
+    return [generate_random_game(GenParams(players=pl, depth=d, branching=b,
+                                           tree_count=tc, nature=nat),
+                                 seed=1000 * r + k)
+            for k, (pl, d, b, tc, nat) in enumerate(GRID)
+            for r in range(draws)]
+
+
+def test_grid_draws_keep_their_games():
+    """Every seed keeps its game: the canonical text and the info key order
+    of all 192 grid draws hash as they did before the build path was made
+    cheaper."""
+    digest = hashlib.sha256()
+    for g in grid_draws(6):
+        digest.update(serialize_game(g).encode())
+        digest.update(repr(list(g.info)).encode())
+    assert digest.hexdigest() == \
+        "79986a6de5c1121aa10d82c167487825a5bd879eed4715927526ea0e9e464f3a"
 
 
 def test_deterministic_in_seed():
