@@ -146,11 +146,11 @@ def _cmd_efr(args) -> int:
     g = _load(args.file)
     trace = efr(g)
     surviving = trace.surviving()
-    payload = {
-        "fixpoint_round": trace.fixpoint_round,
-        "surviving": {str(i): [_pure_json(s) for s in surviving[i]]
-                      for i in g.players},
-    }
+    payload = {"fixpoint_round": trace.fixpoint_round}
+    if args.json:
+        # only the JSON form lists the survivors; the text gives their count
+        payload["surviving"] = {str(i): [_pure_json(s) for s in surviving[i]]
+                                for i in g.players}
     lines = ["fixpoint after round %d" % trace.fixpoint_round]
     for i in g.players:
         lines.append("player %d: %d surviving" % (i, len(surviving[i])))

@@ -510,6 +510,9 @@ def _structural_problems(g: Game) -> list[str]:
         if not nd.players:
             problems.append("decision node %d has no active players" % n)
             continue
+        if len(set(nd.players)) < len(nd.players):
+            problems.append("node %d: active players %s name a player twice"
+                            % (n, list(nd.players)))
         if set(nd.actions) != set(nd.players):
             problems.append("node %d: actions not declared per active player" % n)
             continue
@@ -559,7 +562,7 @@ def _structural_problems(g: Game) -> list[str]:
     problems += ["missing information set for key %s" % (key,)
                  for key in g.info_domain() if key not in g.info]
     problems += ["nature carries no information sets: %s" % (key,)
-                 for key in set(g.info) if key[0] == NATURE]
+                 for key in g.info if key[0] == NATURE]
     return problems
 
 

@@ -10,20 +10,20 @@ The engine (``_class_rounds``) keeps or drops whole realization classes
 (``_classes``), and ``efr`` builds its public trace from them: a verdict
 reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
-of the opposing classes give every column that plays differently.  The
-trace's rounds are lazy per-player sequences over the alive classes, which
-build ``PureStrategy`` objects only when read; they are the one place
-survivors become strategy objects.  Each
+of the opposing classes give every column that plays differently.  Each
 player's class table comes from a branch over its decision-set positions,
 not from its pure strategies, and carries per class its first member, the
-positions it reaches and its size.  The
-engine decides per-set optimality by exact linear feasibility over a
-payoff matrix (continuations x allowed opposing profiles).  Each column of
-the matrix comes from one walk of the host tree that branches only at the
-deviation sets the play meets, and its entries are the player's payoffs
-times one positive integer per set, so they compare and pivot as ints.
-The references that check it (``best_reply_exists``, ``efr_oracle``) are
-in ``reference``, which this module does not import.
+positions it reaches and its size.  The trace's rounds are lazy sequences
+over the alive classes, the one place survivors become strategy objects,
+listed by a branch that descends only into actions an alive class allows.
+The engine decides per-set optimality by exact linear feasibility over the
+distinct payoff rows of the continuations against the allowed columns.
+Each column is one walk of the host tree that branches only at the
+deviation sets the play meets, and one joint branch over the walks, fixing
+only a deviation set some walk waits on, gives the rows.  Entries are the
+player's payoffs times one positive integer per set, so they compare and
+pivot as ints.  The references that check it (``best_reply_exists``,
+``efr_oracle``) are in ``reference``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -105,9 +105,8 @@ class _SetContext:
         self.payoff = {n: x.numerator * (scale // x.denominator)
                        for n, x in pays.items()}
         pos = set_positions(g, i)
-        dev_sets = deviation_sets(g, i, h)
-        self.menus = [g.set_actions(x) for x in dev_sets]
-        self.dev = [pos[x] for x in dev_sets]
+        # the deviation positions, each with its menu
+        self.dev = {pos[x]: g.set_actions(x) for x in deviation_sets(g, i, h)}
         # the vector positions a play-out of the host tree can consult
         used: dict[Player, list[int]] = {}
         for n in sorted(self.table):
@@ -115,7 +114,6 @@ class _SetContext:
                 if p not in used.setdefault(j, []):
                     used[j].append(p)
         own = used.get(i, [])
-        self.dev_key = _getter(self.dev)
         self.prefix_key = _getter([p for p in own if p not in self.dev])
         self.opponents = [j for j in acting_players(g) if j != i]
         # per opponent, the positions its key reads
@@ -128,7 +126,7 @@ class _SetContext:
         self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
         self._columns: dict[tuple, tuple] = {}
-        self._ids: dict[tuple, int] = {}
+        self._aids: dict[tuple, int] = {}
         self._allowed: dict[int, tuple] = {}
         self._matrices: dict[tuple, tuple] = {}
 
@@ -163,7 +161,7 @@ class _SetContext:
 
     def intern(self, cols: tuple) -> int:
         """A small id for a tuple of allowed reaching columns."""
-        aid = self._ids.setdefault(cols, len(self._ids))
+        aid = self._aids.setdefault(cols, len(self._aids))
         self._allowed.setdefault(aid, cols)
         return aid
 
@@ -171,8 +169,8 @@ class _SetContext:
         """The host tree played from n under prof, which gives each player
         its actions by position and whose own vector, a list, holds None at
         the deviation positions not fixed yet: the terminal reached,
-        or at the first such position met, (its deviation index, per action
-        the walk with that action fixed)."""
+        or at the first such position met, (the position, per action in
+        menu order the walk with that action fixed)."""
         kids, table = self.kids, self.table
         pairs = table.get(n)
         while pairs is not None:
@@ -180,29 +178,28 @@ class _SetContext:
             if None in acts:
                 w = prof[self.i]
                 p = next(p for j, p in pairs if j == self.i)
-                k = self.dev.index(p)
                 branches = {}
-                for a in self.menus[k]:
+                for a in self.dev[p]:
                     w[p] = a
                     branches[a] = self._walk(prof, n)
                 w[p] = None
-                return k, branches
+                return p, branches
             n = kids[n][acts]
             pairs = table.get(n)
         return n
 
     def _matrix(self, v: tuple, aid: int) -> tuple:
         """Payoff rows for every continuation at the deviation sets, shared
-        by all strategies with the same choices before the set: each
-        continuation's index into the distinct rows, those rows, the
-        column maxima, the distinct rows no other row dominates (only those
-        can constrain a belief) and a verdict slot per distinct row.
+        by all strategies with the same choices before the set: the walks,
+        each row of terminal ids' index into the distinct rows, those rows,
+        the column maxima, the distinct rows no other row dominates (only
+        those can constrain a belief) and a verdict slot per distinct row.
 
         Each allowed column plays the host tree once, with v's choices off
         the deviation positions, branching only at the deviation positions
-        the play meets; a continuation's cell is the terminal its actions
-        select in that walk.  Rows are compared first as tuples of terminal
-        ids, then as payoffs, which are integers (``payoff``)."""
+        the play meets, and ``_joint_rows`` follows the walks together to
+        list the rows of terminal ids.  Rows are compared first as tuples of
+        terminal ids, then as payoffs, which are integers (``payoff``)."""
         key = (self.prefix_key(v), aid)
         got = self._matrices.get(key)
         if got is not None:
@@ -212,34 +209,30 @@ class _SetContext:
             w[p] = None
         walks = [self._walk({**self._profiles[c], self.i: w}, self.root)
                  for c in self._allowed[aid]]
-        index: dict[tuple, int] = {}
-        at = {}
-        for combo in itertools.product(*self.menus):
-            ids = []
-            for x in walks:
-                while type(x) is tuple:
-                    x = x[1][combo[x[0]]]
-                ids.append(x)
-            at[combo] = index.setdefault(tuple(ids), len(index))
+        id_rows: list[tuple] = []
+        _joint_rows(walks, {}, [], id_rows)
         pay = self.payoff
         distinct: dict[tuple, int] = {}
-        of = [distinct.setdefault(tuple([pay[n] for n in ids]), len(distinct))
-              for ids in index]
-        if len(distinct) < len(index):
-            at = {combo: of[r] for combo, r in at.items()}
+        of = {ids: distinct.setdefault(tuple([pay[n] for n in ids]),
+                                       len(distinct)) for ids in id_rows}
         rows = list(distinct)
         col_max = tuple(map(max, zip(*rows)))
         kept = [r for r in rows
                 if not any(o != r and all(map(ge, o, r)) for o in rows)]
-        got = self._matrices[key] = (at, rows, col_max, kept,
+        got = self._matrices[key] = (walks, of, rows, col_max, kept,
                                      [None] * len(rows))
         return got
 
     def optimal_for_some_belief(self, v: tuple, aid: int) -> bool:
         """True when some belief over the allowed columns makes the
         continuation of v weakly optimal among local deviations."""
-        at, rows, col_max, kept, verdicts = self._matrix(v, aid)
-        r = at[self.dev_key(v)]
+        walks, of, rows, col_max, kept, verdicts = self._matrix(v, aid)
+        ids = []
+        for x in walks:
+            while type(x) is tuple:
+                x = x[1][v[x[0]]]
+            ids.append(x)
+        r = of[tuple(ids)]
         if verdicts[r] is None:
             base = rows[r]
             # point-belief fast path: a column where the base is unbeaten
@@ -253,6 +246,25 @@ class _SetContext:
         x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
                               a_ub=a_ub, b_ub=[ZERO] * len(rows))
         return x is not None
+
+
+def _joint_rows(walks, fixed: dict, ids: list, out: list) -> None:
+    """Append to out, in branch order, the row of terminal ids (one per
+    walk) of every continuation that agrees with fixed, which maps the
+    deviation positions fixed so far to actions; ids holds the terminals of
+    the walks before len(ids).  It branches only where some walk waits."""
+    for x in itertools.islice(walks, len(ids), None):
+        while type(x) is tuple:
+            p, branches = x
+            if p not in fixed:
+                for a in branches:
+                    fixed[p] = a
+                    _joint_rows(walks, fixed, list(ids), out)
+                del fixed[p]
+                return
+            x = branches[fixed[p]]
+        ids.append(x)
+    out.append(tuple(ids))
 
 
 @_memo
@@ -298,28 +310,12 @@ class _Classes:
             leaves.sort(key=lambda leaf: [r[a] for r, a in zip(rank, leaf[0])])
         # per class: its first member, the positions it reaches and its size
         self.first, self.reached, self.size = map(list, zip(*leaves))
-        self._ids: Optional[Sequence[int]] = None
-
-    def pool(self) -> Sequence[int]:
-        """Per vector of the pool, in ``strategy_vectors`` order, its
-        class, filled in from the table once: a class holds the vectors with
-        its first member's actions at the positions it reaches.  Callers
-        must not change it."""
-        if self._ids is None:
-            total = sum(self.size)
-            self._ids = range(total) if len(self.first) == total else _fill(
-                self.menus, self.first, list(map(set, self.reached)), 0,
-                list(range(len(self.first))))
-        return self._ids
 
     def members(self, alive: frozenset) -> list[tuple]:
-        """The vectors of the alive classes, in ``strategy_vectors``
-        order."""
-        vectors = itertools.product(*self.menus)
-        if len(alive) == len(self.first):
-            return list(vectors)
-        return list(itertools.compress(vectors,
-                                       map(alive.__contains__, self.pool())))
+        """The vectors of the alive classes, in ``strategy_vectors`` order."""
+        out: list[tuple] = []
+        _members(self.menus, self.first, self.reached, [], sorted(alive), out)
+        return out
 
 
 def _position_order(reads: Sequence[set]) -> list[int]:
@@ -387,19 +383,22 @@ def _reaches(rows, v: list, mark: list) -> bool:
     return False
 
 
-def _fill(menus, first, reached, p: int, cs: list[int]) -> list[int]:
-    """Per vector of the pool that agrees with every class in cs at the
-    positions before p, in pool order, its class; reached holds per class
-    the set of positions it reaches."""
+def _members(menus, first, reached, v: list, cs: list, out: list) -> None:
+    """Append, in pool order, every vector that starts with v and agrees
+    with some class in cs at the positions it reaches (``reached``).  Only
+    actions some class in cs allows are descended into, and classes
+    partition the pool, so every descent ends in a vector."""
+    p = len(v)
     if p == len(menus):
-        return cs
-    if not any(p in reached[c] for c in cs):
-        return _fill(menus, first, reached, p + 1, cs) * len(menus[p])
-    out: list[int] = []
+        if cs:
+            out.append(tuple(v))
+        return
     for a in menus[p]:
-        out += _fill(menus, first, reached, p + 1, [
-            c for c in cs if p not in reached[c] or first[c][p] == a])
-    return out
+        keep = [c for c in cs if p not in reached[c] or first[c][p] == a]
+        if keep:
+            v.append(a)
+            _members(menus, first, reached, v, keep, out)
+            v.pop()
 
 
 @_memo

@@ -47,6 +47,9 @@ def _structural_problems(g: Game) -> list[str]:
         if not nd.players:
             problems.append("decision node %d has no active players" % n)
             continue
+        if len(set(nd.players)) < len(nd.players):
+            problems.append("node %d: active players %s name a player twice"
+                            % (n, list(nd.players)))
         if set(nd.actions) != set(nd.players):
             problems.append("node %d: actions not declared per active player" % n)
             continue
@@ -93,7 +96,7 @@ def _structural_problems(g: Game) -> list[str]:
     for key in g.info_domain():
         if key not in have:
             problems.append("missing information set for key %s" % (key,))
-    for key in have:
+    for key in g.info:
         i, t, n = key
         if i == NATURE:
             problems.append("nature carries no information sets: %s" % (key,))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 
@@ -79,6 +81,58 @@ def test_validate_parent_cycle_exits_2(parent_cycle_text, deadline,
     status, _, err = run(capsys, "validate", str(path))
     assert status == 2
     assert "tree G: node 3 not connected to root" in err
+
+
+def repeated_mover_doc():
+    """A one-player document whose root lists player 1 twice among its
+    movers, with a child for each of the four profiles."""
+    profiles = [[x, y] for x in "ab" for y in "ab"]
+    nodes = {"0": {"actions": {"1": ["a", "b"]}, "parent": None,
+                   "children": [{"child": c, "profile": p}
+                                for c, p in enumerate(profiles, 1)],
+                   "payoffs": {}, "players": [1, 1]}}
+    for c in range(1, 5):
+        nodes[str(c)] = {"actions": {}, "children": [], "parent": 0,
+                         "payoffs": {"1": "%d/1" % c}, "players": []}
+    return {"format_version": 1, "players": [1], "nodes": nodes,
+            "trees": {"G": list(range(5))},
+            "info": [{"host": "G", "members": [n], "node": n, "player": 1,
+                      "tree": "G"} for n in range(5)]}
+
+
+def test_a_mover_listed_twice_exits_2(tmp_path, capsys):
+    text = json.dumps(repeated_mover_doc())
+    with pytest.raises(DocSemanticError, match="name a player twice"):
+        parse_game(text)
+    path = tmp_path / "twice.game.json"
+    path.write_text(text)
+    status, out, err = run(capsys, "validate", str(path))
+    assert status == 2 and not out
+    assert "node 0: active players [1, 1] name a player twice" in err
+
+
+def test_nature_key_message_is_the_same_under_any_hash_seed(tmp_path):
+    """A nature key at each tree's root of ``ex2_initial``: the CLI lists
+    them in the document's order, whatever the string hash seed."""
+    doc = json.loads(serialize_game(load("ex2_initial")))
+    trees = sorted(doc["trees"], reverse=True)
+    doc["info"] += [{"host": t, "members": [0], "node": 0, "player": 0,
+                     "tree": t} for t in trees]
+    path = tmp_path / "nature.game.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "ugt.cli", "validate", str(path)],
+            capture_output=True, env=env, timeout=60))
+    assert runs[0].returncode == runs[1].returncode == 2
+    assert runs[0].stdout == runs[1].stdout == b""
+    assert runs[0].stderr == runs[1].stderr
+    err = runs[0].stderr.decode()
+    assert [err.index("(0, '%s', 0)" % t) for t in trees] == \
+        sorted(err.index("(0, '%s', 0)" % t) for t in trees)
 
 
 @pytest.mark.parametrize("version", [True, 1.0])

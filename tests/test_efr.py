@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -7,11 +8,14 @@ from operator import eq, ge, gt
 
 import pytest
 
+from test_classes import reference_table
 from ugt import rationalizability
+from ugt.cli import main
 from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
 from ugt.equilibrium import check_sce_pure, construct_sce_efr
 from ugt.fixtures import load
+from ugt.gamedoc import serialize_game
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     _class_rounds,
@@ -36,6 +40,7 @@ from ugt.strategies import (
     reaches,
     realization_equivalent,
     realized_tbar_path,
+    set_positions,
     strategy_vectors,
 )
 
@@ -467,6 +472,7 @@ def assert_reads_stay_in_reached_positions(g):
     read so far; the vectors that agree with them are exactly those with a
     play-out through the node.  Returns the number of reads checked."""
     checked = 0
+    of = {j: reference_table(g, j)[0] for j in acting_players(g)}
     for t in g.trees:
         table = play_table(g, t)
         stack = [(g.root(t), {})]
@@ -478,7 +484,7 @@ def assert_reads_stay_in_reached_positions(g):
                     continue
                 own = [(q, a) for (k, q), a in fixed.items() if k == j]
                 table_j = _classes(g, j)
-                for v, c in zip(strategy_vectors(g, j), table_j.pool()):
+                for v, c in zip(strategy_vectors(g, j), of[j]):
                     if all(v[q] == a for q, a in own):
                         assert p in table_j.reached[c], (t, n, j, v)
                         checked += 1
@@ -518,6 +524,7 @@ def assert_columns_lose_no_play(g):
     the number of member columns checked."""
     ctxs = _contexts(g)
     tables = {j: _classes(g, j) for j in acting_players(g)}
+    of = {j: reference_table(g, j)[0] for j in tables}
     checked = 0
     for rd in _class_rounds(g):
         for i in g.players:
@@ -526,7 +533,7 @@ def assert_columns_lose_no_play(g):
                 kept = ctx.columns(tables,
                                    tuple(rd[j] for j in ctx.opponents))
                 members = [[(v, tables[j].first[c]) for v, c in zip(
-                    strategy_vectors(g, j), tables[j].pool()) if c in rd[j]]
+                    strategy_vectors(g, j), of[j]) if c in rd[j]]
                            for j in ctx.opponents]
                 expanded = [c for c in itertools.product(*(
                     dict.fromkeys(get(v) for v, _ in vs)
@@ -650,7 +657,7 @@ def reference_matrix(g, ctx, v, aid):
     cells = [dict(ctx._profiles[c]) for c in ctx._allowed[aid]]
     w = list(v)
     index, at = {}, {}
-    for combo in itertools.product(*ctx.menus):
+    for combo in itertools.product(*ctx.dev.values()):
         for p, a in zip(ctx.dev, combo):
             w[p] = a
         for prof in cells:
@@ -666,11 +673,25 @@ def reference_matrix(g, ctx, v, aid):
     return at, rows, kept, verdicts
 
 
+def follow(walks, w):
+    """The terminal ids that the vector w's actions select in the walks of
+    ``_SetContext._matrix``."""
+    ids = []
+    for x in walks:
+        while type(x) is tuple:
+            x = x[1][w[x[0]]]
+        ids.append(x)
+    return tuple(ids)
+
+
 def assert_matrices_match_reference(g):
     """Every matrix the engine can build for the first members of each
     player's classes, over every column set its rounds allowed, matches the
-    reference: the same partition of continuations, rows and undominated
-    rows equal up to the context's integer scale, and the same verdicts.
+    reference: each continuation, followed down the walks, selects a row of
+    terminal ids whose distinct row equals its reference row up to the
+    context's integer scale; the engine lists exactly the rows of terminal
+    ids the continuations select; the distinct and undominated rows are the
+    reference's as multisets; and the verdicts are the reference's.
     Returns the number of matrices checked."""
     efr(g)
     ctxs = _contexts(g)
@@ -681,6 +702,10 @@ def assert_matrices_match_reference(g):
             ctx, t = ctxs[hh], hh.host
             scale = math.lcm(*(g.nodes[n].payoffs[i].denominator
                                for n in g.trees[t] if g.terminal_in(t, n)))
+
+            def scaled(rs):
+                return sorted(tuple(x * scale for x in r) for r in rs)
+
             seen = set()
             for v, reached in zip(table.first, table.reached):
                 if k not in reached:
@@ -689,21 +714,24 @@ def assert_matrices_match_reference(g):
                     if (ctx.prefix_key(v), aid) in seen:
                         continue
                     seen.add((ctx.prefix_key(v), aid))
-                    at, rows, _, kept, _ = ctx._matrix(v, aid)
+                    walks, of, rows, _, kept, _ = ctx._matrix(v, aid)
                     want_at, want_rows, want_kept, verdicts = \
                         reference_matrix(g, ctx, v, aid)
-                    assert at == want_at, hh
-                    assert rows == [tuple(x * scale for x in r)
-                                    for r in want_rows], hh
-                    assert kept == [tuple(x * scale for x in r)
-                                    for r in want_kept], hh
+                    assert sorted(rows) == scaled(want_rows), hh
+                    assert sorted(kept) == scaled(want_kept), hh
                     assert all(type(x) is int for r in rows for x in r)
-                    for combo, r in at.items():
+                    selected = set()
+                    for combo, r in want_at.items():
                         w = list(v)
                         for p, a in zip(ctx.dev, combo):
                             w[p] = a
+                        ids = follow(walks, w)
+                        selected.add(ids)
+                        assert rows[of[ids]] == tuple(
+                            x * scale for x in want_rows[r]), (hh, combo)
                         assert ctx.optimal_for_some_belief(tuple(w), aid) \
                             == verdicts[r], (hh, combo)
+                    assert set(of) == selected, hh
                     checked += 1
     return checked
 
@@ -925,3 +953,93 @@ def test_one_shot_games_give_nash_and_dominance():
                     assert value(i, dev) <= value(i, mix), (k, i, b)
             constructed += 1
     assert nash_seen >= 400 and constructed == 200
+
+
+# ---------------------------------------------------------------------------
+# closed-form games at a size where no product over pure strategies fits
+
+
+def chain(d):
+    """One player moves at nodes 0..d-1 in a row, stopping (``s<k>``) or
+    continuing (``c<k>``) at node k, an action name of its own at each
+    node.  Stopping at k pays k and continuing at the last node pays d, at
+    node 2d, the unique best terminal."""
+    nodes = {}
+    for k in range(d):
+        stop, cont = "s%d" % k, "c%d" % k
+        nodes[k] = NodeData(parent=k - 1 if k else None, players=(1,),
+                            actions={1: (stop, cont)},
+                            children={(stop,): d + k,
+                                      (cont,): k + 1 if k + 1 < d else 2 * d})
+        nodes[d + k] = NodeData(parent=k, payoffs={1: Fraction(k)})
+    nodes[2 * d] = NodeData(parent=d - 1, payoffs={1: Fraction(d)})
+    info = {(1, "G", n): InfoSet(1, "G", (n,)) for n in nodes}
+    return Game((1,), {"G": nodes}, nodes, info)
+
+
+def centipede(d):
+    """Rosenthal's (1981) centipede with d nodes, d even: player 1 moves at
+    the even nodes and player 2 at the odd ones, taking (``t<k>``) or
+    passing (``p<k>``) at node k.  Taking at k pays the mover k + 2 and the
+    other k; passing at the last node pays its mover d and the other d + 2.
+    Each player's payoffs differ at every terminal."""
+    nodes = {}
+    for k in range(d):
+        take, move = "t%d" % k, "p%d" % k
+        i, other = (1, 2) if k % 2 == 0 else (2, 1)
+        nodes[k] = NodeData(parent=k - 1 if k else None, players=(i,),
+                            actions={i: (take, move)},
+                            children={(take,): d + k,
+                                      (move,): k + 1 if k + 1 < d else 2 * d})
+        nodes[d + k] = NodeData(parent=k, payoffs={
+            i: Fraction(k + 2), other: Fraction(k)})
+    nodes[2 * d] = NodeData(parent=d - 1, payoffs={
+        2: Fraction(d), 1: Fraction(d + 2)})
+    info = {(i, "G", n): InfoSet(i, "G", (n,)) for i in (1, 2) for n in nodes}
+    return Game((1, 2), {"G": nodes}, nodes, info)
+
+
+def run_cli(g, argv, tmp_path, capsys):
+    """``ugt`` with argv and then the path of g's document: its status and
+    standard output."""
+    path = tmp_path / "scaled.game.json"
+    path.write_text(serialize_game(g))
+    status = main([*argv, str(path)])
+    return status, capsys.readouterr().out
+
+
+def test_chain_keeps_one_class_that_plays_to_the_end(deadline, tmp_path,
+                                                     capsys):
+    """2^60 pure strategies in 61 realization classes; only continuing
+    everywhere is optimal at every node."""
+    d = 60
+    g = chain(d)
+    assert validate_game(g).ok
+    assert len(_classes(g, 1).first) == d + 1
+    [s] = efr(g).surviving()[1]
+    assert realized_tbar_path(g, {1: s}) == [*range(d), 2 * d]
+    assert len(build_supergame(g, "efr").states) == 1
+    status, out = run_cli(g, ["--json", "efr"], tmp_path, capsys)
+    assert status == 0
+    [only] = json.loads(out)["surviving"]["1"]
+    assert [c["action"] for c in only["choices"]] == \
+        ["c%d" % k for k in range(d)]
+
+
+def test_centipede_player_1_takes_at_the_root(deadline, tmp_path, capsys):
+    """2^20 pure strategies per player in 21 realization classes; every
+    surviving class of player 1 takes at the root (Battigalli 1997, JET
+    74), and the root's take is the class of 2^19 strategies."""
+    d = 40
+    g = centipede(d)
+    assert validate_game(g).ok
+    for i in g.players:
+        assert len(_classes(g, i).first) == d // 2 + 1
+    table, alive = _classes(g, 1), _class_rounds(g)[-1][1]
+    root = set_positions(g, 1)[h(1, "G", (0,))]
+    assert alive and all(table.first[c][root] == "t0" for c in alive)
+    assert len(build_supergame(g, "efr").states) == 1
+    # the text form: the JSON one would list all 2^20 survivors
+    status, out = run_cli(g, ["efr"], tmp_path, capsys)
+    assert status == 0
+    assert "player 1: %d surviving" % 2 ** (d // 2 - 1) in out.splitlines()

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from test_classes import reference_table
 from ugt.core import Game, InfoSet, NATURE, NodeData, validate_game
 from ugt.discovery import (
     allowed_profiles, awareness_tree, build_supergame, discovered_version)
@@ -593,8 +594,10 @@ def test_bos_repeated_discovered_equilibrium():
 
 
 def vector_classes(g, i):
-    """Each of player i's action vectors -> its class in ``_classes``."""
-    return dict(zip(strategy_vectors(g, i), _classes(g, i).pool()))
+    """Each of player i's action vectors -> its class in ``_classes``, by
+    the per-vector reference that ``test_classes`` checks the table
+    against."""
+    return dict(zip(strategy_vectors(g, i), reference_table(g, i)[0]))
 
 
 def test_realization_key_matches_exhaustive_equivalence():
@@ -665,10 +668,10 @@ def test_positive_classes_match_the_mixed_conversion():
                 s[i] = x
                 profiles.append(lift_pure(g, s))
         profiles += [random_behavior(g, rng) for _ in range(3)]
+        of = {i: vector_classes(g, i) for i in g.players}
         for pi in profiles:
             for i in g.players:
-                of = vector_classes(g, i)
-                want = {of[action_vector(g, x, i)]
+                want = {of[i][action_vector(g, x, i)]
                         for x in kuhn_convert(g, i, pi[i]).support()}
                 got = _positive_classes(_classes(g, i),
                                         kernel_vector(g, pi[i], i))

@@ -200,10 +200,10 @@ def declared_restriction(g: Game, t, n, i) -> tuple:
     return tuple(a for a in nd.actions[i] if a in seen)
 
 
-def test_a_mover_listed_twice_reads_its_first_column():
-    """A node whose players tuple names player 1 twice passes the
-    structure checks; its restricted actions are read at the first index,
-    as the reference validator's prop2 expects."""
+def test_a_mover_listed_twice_is_a_structural_problem():
+    """A node whose players tuple names player 1 twice is malformed: the
+    player has one information set there, and a profile would not say
+    which entry is its move.  Both validators report it alike."""
     labels = ("a", "b")
     kids = {p: c for c, p in enumerate(itertools.product(labels, labels), 1)}
     nodes = {c: NodeData(parent=0, payoffs={1: Fraction(c)})
@@ -213,10 +213,11 @@ def test_a_mover_listed_twice_reads_its_first_column():
     trees = {"T": set(nodes), "S": {0, 1, 2}}
     g = Game([1], trees, nodes, {(1, t, n): InfoSet(1, t, (n,))
                                  for t, ns in trees.items() for n in ns})
-    assert g.actions_in("S", 0, 1) == declared_restriction(g, "S", 0, 1) \
-        == ("a",)
-    assert validate_game(g) == reference_validate_game(g)
-    assert [c.name for c in validate_game(g).failed()] == ["prop2"]
+    for check in (validate_game, reference_validate_game):
+        with pytest.raises(StructuralError) as e:
+            check(g)
+        assert e.value.problems == [
+            "node 0: active players [1, 1] name a player twice"]
 
 
 def test_actions_in_keeps_its_results_and_errors():
