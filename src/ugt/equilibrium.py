@@ -8,11 +8,11 @@ it weights only opposing play consistent with what the player observes
 during the game, and stays constant along the path.  Off the path the
 conjecture is unconstrained.  One routine, ``_conditions``, checks all
 three on kernel vectors.  The pure and the behavior checks differ only in
-its candidate rule, the opposing profiles a confirmed belief may weight:
-every restricted pure profile of the player's tree for a pure profile,
-the completions of the observed kernels for a behavior profile.  The EFR
-variant additionally requires every pure strategy equivalent to the
-played one to be extensive-form rationalizable.
+its candidate rule, one opposing profile per class of play in t*, the
+player's tree, that a confirmed belief may weight: among restricted pure
+profiles for a pure profile, among fills of the unobserved kernels for a
+behavior profile.  The EFR variant additionally requires every pure
+strategy equivalent to the played one to be extensive-form rationalizable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .core import (
-    Game, InfoSet, NATURE, NodeId, Player, TreeId, _check_game,
+    Game, NATURE, NodeId, Player, TreeId, _check_game,
     hosts_reachable)
 from .discovery import _path_classes
 from .lp import solve_feasibility
@@ -141,24 +141,19 @@ def _path_components(g: Game, i: Player, live: list[NodeId]) -> list[list]:
     return [sorted(grp, key=g._set_sort_key) for grp in groups]
 
 
-def _point_masses(g: Game, h: InfoSet) -> list[dict]:
-    """One point-mass kernel per action at h, shared by every vector that
-    plays it."""
-    return [{a: ONE} for a in g.set_actions(h)]
-
-
 def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
     """Conditions (0)-(ii) for every player, on checked kernel vectors.
 
     (0) The player's sets at the live richest-tree nodes share one host
     t*.  Per group of sets along shared paths (``_path_components``):
     (ii) some candidate reaches all the group's ends, where ``candidates(g,
-    i, kernels, t*)`` lists the pure-kernel opposing profiles a confirmed
-    belief may weight; (i) one belief over them makes every point-mass
-    local deviation at the group's reached decision sets weakly
-    unprofitable in t*.  The first failing verdict, else a holding one
-    whose witnesses hold per player and group the belief's positive
-    weights on restricted behavior profiles."""
+    i, kernels, t*)`` lists one opposing profile per class of play in t*
+    that a confirmed belief may weight; (i) one belief over them makes
+    every point-mass local deviation at the group's reached decision sets,
+    one per class of play in t* (``_fills``), weakly unprofitable in t*.
+    The first failing verdict, else a holding one whose witnesses hold per
+    player and group the belief's positive weights on restricted behavior
+    profiles."""
     live = _live_nodes(g, kernels, g.tbar)
     weights: dict[Player, list] = {}
     for i in g.players:
@@ -187,20 +182,19 @@ def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
                         for p in pool]
 
             base = values(kernels[i])
-            rows = []
+            rows = {}
             for hh in group:
                 if hh not in pos or not _kernels_reach(
                         g, {i: kernels[i]}, hh.host, hh.members):
                     continue
                 # local deviations: point masses at the deviation sets
-                for dev in _completions(
-                        {i: kernels[i]}, [(i, pos[x], _point_masses(g, x))
-                                          for x in deviation_sets(g, i, hh)]):
-                    rows.append([v - b for v, b in
-                                 zip(values(dev[i]), base)])
+                devs = [(i, pos[x]) for x in deviation_sets(g, i, hh)]
+                for dev in _fills(g, tstar, {i: kernels[i]}, devs):
+                    rows[tuple(v - b for v, b in
+                               zip(values(dev[i]), base))] = None
             n = len(pool)
             x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
-                                  a_ub=rows, b_ub=[ZERO] * len(rows))
+                                  a_ub=list(rows), b_ub=[ZERO] * len(rows))
             if x is None:
                 return SceVerdict(
                     False, "rationality", i,
@@ -218,17 +212,40 @@ def _as_strategy(g: Game, j: Player, v: tuple) -> BehaviorStrategy:
         g.decision_sets(j), v) if k is not None})
 
 
-def _completions(fixed: Mapping[Player, list],
-                 free: list[tuple[Player, int, list]]) -> list[dict]:
-    """The kernel profiles that copy fixed and fill each free (player,
-    position, menu) with one entry of its menu, in product order."""
-    out = []
-    for combo in itertools.product(*[menu for _, _, menu in free]):
-        full = {j: list(v) for j, v in fixed.items()}
-        for (j, p, _), d in zip(free, combo):
-            full[j][p] = d
-        out.append({j: tuple(v) for j, v in full.items()})
-    return out
+def _fills(g: Game, t: TreeId, fixed: Mapping[Player, list],
+           free: list[tuple[Player, int]]) -> list[dict]:
+    """The kernel profiles that copy fixed and put a point mass at each
+    free (player, position), at least one for each class of fills that
+    play tree t the same way, in product order.  A free position branches
+    over its actions only where some node of t consulting it is reachable
+    (``_kernels_reach``) under the kernels chosen so far, free positions
+    not yet chosen and players outside fixed allowing any action; elsewhere
+    it keeps its first action."""
+    at: dict[tuple, list] = {}
+    for n, pairs in play_table(g, t).items():
+        for pair in pairs:
+            at.setdefault(pair, []).append(n)
+    full = {j: list(v) for j, v in fixed.items()}
+    menus = [g.set_actions(g.decision_sets(j)[p]) for j, p in free]
+    for (j, p), menu in zip(free, menus):
+        full[j][p] = dict.fromkeys(menu)
+    out: list[dict] = []
+    todo: list[list] = []  # per chosen free position, its actions left
+    while True:
+        if len(todo) < len(free):
+            (j, p), menu = free[len(todo)], menus[len(todo)]
+            todo.append(list(menu[::-1]) if _kernels_reach(
+                g, full, t, at.get((j, p), ())) else [menu[0]])
+        else:
+            out.append({j: tuple(v) for j, v in full.items()})
+            while todo and not todo[-1]:
+                todo.pop()
+                j, p = free[len(todo)]
+                full[j][p] = dict.fromkeys(menus[len(todo)])
+            if not todo:
+                return out
+        j, p = free[len(todo) - 1]
+        full[j][p] = {todo[-1].pop(): ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +254,15 @@ def _completions(fixed: Mapping[Player, list],
 
 def _restricted_candidates(g: Game, i: Player, kernels, tstar: TreeId
                            ) -> list[dict[Player, tuple]]:
-    """Every opposing pure profile of the tstar-partial game: point masses
-    at the sets hosted in ``hosts_reachable(g, tstar)``, None elsewhere,
-    listed as the distinct restrictions of the full pure profiles first
-    appear in product order."""
+    """One opposing pure profile of the tstar-partial game per class of
+    play in tstar (``_fills``): point masses at the sets hosted in
+    ``hosts_reachable(g, tstar)``, None elsewhere, in product order."""
     keep = set(hosts_reachable(g, tstar))
     others = {j: g.decision_sets(j) for j in acting_players(g) if j != i}
-    return _completions(
-        {j: [None] * len(sets) for j, sets in others.items()},
-        [(j, p, _point_masses(g, h)) for j, sets in others.items()
-         for p, h in enumerate(sets) if h.host in keep])
+    return _fills(g, tstar,
+                  {j: [None] * len(sets) for j, sets in others.items()},
+                  [(j, p) for j, sets in others.items()
+                   for p, h in enumerate(sets) if h.host in keep])
 
 
 def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
@@ -282,37 +298,25 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
 
 def _confirmed_candidates(g: Game, i: Player, kernels: Mapping[Player, tuple],
                           tstar: TreeId) -> list[dict[Player, tuple]]:
-    """Pure-kernel opposing profiles of the tstar-partial game that match
-    the played kernels at every information set occurring inside it, as
-    kernel vectors that are None outside the tstar-partial game.
+    """One opposing profile per class of play in tstar (``_fills``) among
+    the pure-kernel ones of the tstar-partial game that match the played
+    kernels at every information set occurring inside it, as kernel
+    vectors that are None outside the tstar-partial game.
 
     Occurrence is anchored at tstar, the player's own view of the play:
     kernels consulted at positively reached tstar nodes are pinned to the
     true ones, kernels play never consults are free.  Mixing over these
-    completions spans every confirmed conjecture, correlation included,
-    and each completion reaches every occurring set.
+    fills spans every confirmed conjecture's play in tstar, correlation
+    included, and each fill reaches every occurring set.
     """
     table = play_table(g, tstar)
-    live = set(_live_nodes(g, kernels, tstar))
-    sets: dict[Player, dict[int, bool]] = {}
-    for n in sorted(table):
-        at = dict(table[n])
-        for j in g.nodes[n].players:
-            if j == i:
-                continue
-            by_pos = sets.setdefault(j, {})
-            by_pos[at[j]] = by_pos.get(at[j], False) or n in live
-    pinned: dict[Player, list] = {}
-    free: list[tuple[Player, int, list]] = []
-    for j, by_pos in sets.items():
-        sets_j = g.decision_sets(j)
-        pinned[j] = [None] * len(sets_j)
-        for p, hit in by_pos.items():
-            if hit:
-                pinned[j][p] = kernels[j][p]
-            else:
-                free.append((j, p, _point_masses(g, sets_j[p])))
-    return _completions(pinned, free)
+    reads = {(j, p) for pairs in table.values() for j, p in pairs if j != i}
+    pinned = reads & {pair for n in _live_nodes(g, kernels, tstar)
+                      for pair in table.get(n, ())}
+    fixed = {j: [None] * len(kernels[j]) for j, _ in sorted(reads)}
+    for j, p in pinned:
+        fixed[j][p] = kernels[j][p]
+    return _fills(g, tstar, fixed, sorted(reads - pinned))
 
 
 def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
@@ -323,13 +327,13 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     defaults to uniform), a mixed one counting through its behavior form;
     ValueError otherwise.  Confirmed beliefs fix the opposing kernels
     wherever the player's view of the play arrives with positive
-    probability and are free elsewhere.  Along each
-    chain of occurring information sets the belief is constant, so it must
-    weight only completions reaching the chain's ends of play while making
-    every local deviation at the chain's decision sets weakly unprofitable;
-    the search is exact over pure-kernel completions.  Each player's
-    witness lists, per chain, the (restricted behavior profile, weight)
-    pairs of that belief.
+    probability and are free elsewhere.  Along each chain of occurring
+    information sets the belief is constant, so it must weight only fills
+    reaching the chain's ends of play while making every local deviation
+    at the chain's decision sets weakly unprofitable; the search is exact
+    over one pure-kernel fill per class of play in the player's tree.
+    Each player's witness lists, per chain, the (restricted behavior
+    profile, weight) pairs of that belief.
     TypeError when g is not a Game.
     """
     _check_game(g)

@@ -37,6 +37,7 @@ from ugt.strategies import (
     opposing_profiles,
     play_table,
     pure_strategies,
+    reach_probability,
     reaches,
     realization_equivalent,
     realized_tbar_path,
@@ -1043,3 +1044,26 @@ def test_centipede_player_1_takes_at_the_root(deadline, tmp_path, capsys):
     status, out = run_cli(g, ["efr"], tmp_path, capsys)
     assert status == 0
     assert "player 1: %d surviving" % 2 ** (d // 2 - 1) in out.splitlines()
+
+
+def test_centipede_sce_takes_at_the_root(deadline, tmp_path, capsys):
+    """The constructed self-confirming equilibrium in EFR conjectures holds
+    on centipede(40), where each player has 2^20 pure strategies, and
+    player 1 takes at the root; the CLI finishes too."""
+    g = centipede(40)
+    pi, verdict = construct_sce_efr(g)
+    assert verdict.holds
+    assert pi[1].prob(h(1, "G", (0,)), "t0") == 1
+    status, out = run_cli(g, ["--json", "construct-sce"], tmp_path, capsys)
+    assert status == 0 and json.loads(out)["holds"]
+
+
+def test_chain_sce_plays_to_the_end(deadline):
+    """On chain(60), with 2^60 pure strategies, the constructed
+    equilibrium holds and reaches the unique best terminal, node 2d, for
+    sure."""
+    d = 60
+    g = chain(d)
+    pi, verdict = construct_sce_efr(g)
+    assert verdict.holds
+    assert reach_probability(g, pi, ("G", 2 * d)) == 1

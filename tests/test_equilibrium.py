@@ -38,12 +38,14 @@ from ugt.strategies import (
     _checked_vectors,
     acting_players,
     action_vector,
+    behavior_payoff,
     behavior_to_mixed,
     kernel_vector,
     kuhn_convert,
     mixed_to_behavior,
     opposing_profiles,
     play_out,
+    play_table,
     pure_strategies,
     reaches,
     realization_equivalent,
@@ -448,6 +450,85 @@ def test_witnesses_check_without_the_lp():
                     for p, w in group]
                 for i, [group] in b.witnesses.items()})
     assert held >= 90
+
+
+def reference_completions(fixed, free):
+    """The full product that ``_fills`` prunes, kept as its reference: the
+    kernel profiles that copy fixed and fill each free (player, position,
+    menu) with one entry of its menu, in product order."""
+    out = []
+    for combo in itertools.product(*[menu for _, _, menu in free]):
+        full = {j: list(v) for j, v in fixed.items()}
+        for (j, p, _), d in zip(free, combo):
+            full[j][p] = d
+        out.append({j: tuple(v) for j, v in full.items()})
+    return out
+
+
+def is_subsequence(part, whole):
+    """Whether part's entries occur in whole, in the same order."""
+    rest = iter(whole)
+    return all(any(x == y for y in rest) for x in part)
+
+
+def test_fills_lose_no_play(monkeypatch):
+    """Every fill the SCE checks list (opposing candidates and own
+    deviations) is an entry of the full product, in its order, and every
+    entry of the product plays tree t like some listed fill: equal
+    payoffs for every player against each pure strategy of the players
+    the fill leaves free, which are distinct only where t reads them."""
+    calls = []
+    fills = equilibrium._fills
+
+    def record(g, t, fixed, free):
+        out = fills(g, t, fixed, free)
+        calls.append((g, t, fixed, free, out))
+        return out
+
+    monkeypatch.setattr(equilibrium, "_fills", record)
+    games = [load(name) for name in sorted(FIXTURES)]
+    games += [generate_random_game(seed=seed, depth=3, branching=2,
+                                   tree_count=3, **shape)
+              for shape in (dict(), *GENERATED.values()) for seed in range(4)]
+    rng = random.Random(3)
+    for g in games:
+        players = acting_players(g)
+        pools = {j: pure_strategies(g, j) for j in players}
+        for _ in range(3):
+            s = {j: rng.choice(pools[j]) for j in players}
+            check_sce_pure(g, s)
+            check_sce_behavior(g, lift_pure(g, s))
+            check_sce_behavior(g, random_behavior(g, rng))
+    pruned = mixed = 0
+    for g, t, fixed, free, listed in calls:
+        menus = [[{a: ONE} for a in g.set_actions(g.decision_sets(j)[p])]
+                 for j, p in free]
+        product = reference_completions(
+            fixed, [(j, p, menu) for (j, p), menu in zip(free, menus)])
+        assert is_subsequence(listed, product)
+        reads: dict = {}
+        for pairs in play_table(g, t).values():
+            for j, p in pairs:
+                reads.setdefault(j, set()).add(p)
+        others = [j for j in acting_players(g)
+                  if j not in fixed and j in reads]
+        # one pure strategy per distinct choice at the positions t reads
+        pools = [list({tuple(v[p] for p in sorted(reads[j])):
+                       tuple({a: ONE} for a in v)
+                       for v in strategy_vectors(g, j)}.values())
+                 for j in others]
+        opposing = [dict(zip(others, combo))
+                    for combo in itertools.product(*pools)]
+
+        def plays(k):
+            return tuple(behavior_payoff(g, i, t, {**k, **o})
+                         for o in opposing for i in g.players)
+
+        kept = set(map(plays, listed))
+        assert all(plays(k) in kept for k in product)
+        pruned += len(listed) < len(product)
+        mixed += any(len(d) > 1 for v in fixed.values() for d in v if d)
+    assert pruned > 50 and mixed > 50, (pruned, mixed)
 
 
 def test_inconsistent_strategy_splits_the_checks():
