@@ -49,8 +49,9 @@ class CliError(Exception):
 
 
 def _load(path: str) -> Game:
+    # bytes, so that a document that does not decode is the parser's error
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:
             text = f.read()
     except OSError as e:
         raise CliError(str(e))
@@ -58,6 +59,14 @@ def _load(path: str) -> Game:
         return parse_game(text)
     except GameDocError as e:
         raise CliError("%s: %s" % (path, e)) from e
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        raise CliError(str(e))
 
 
 def _frac(x: Fraction) -> str:
@@ -93,31 +102,33 @@ def _emit(args, payload: dict, text: str) -> None:
 # profile files
 
 
-def _parse_set(g: Game, entry: dict, player: int) -> InfoSet:
+def _parse_set(entry: dict, player: int) -> InfoSet:
     return InfoSet(player, entry["host"], tuple(sorted(
         _read_id(m, "members") for m in entry["members"])))
 
 
-def _read_profile(g: Game, path: str) -> dict:
+def _read_profile(path: str) -> dict:
     """A profile document maps player ids to either a pure plan
     ({"pure": [{"host", "members", "action"}...]}) or behavior kernels
     ({"behavior": [{"host", "members", "weights"}...]})."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        with open(path, "rb") as f:
+            doc = json.loads(f.read())
+    except (OSError, ValueError) as e:
         raise CliError("%s: %s" % (path, e))
+    except RecursionError:
+        raise CliError("%s: nests too deeply to read" % path)
     out = {}
     try:
         for key, desc in doc["profile"].items():
             j = _read_id(key, "profile", key=True)
             if "pure" in desc:
                 out[j] = PureStrategy.make(j, {
-                    _parse_set(g, e, j): e["action"] for e in desc["pure"]})
+                    _parse_set(e, j): e["action"] for e in desc["pure"]})
             elif "behavior" in desc:
                 out[j] = BehaviorStrategy.make(j, {
-                    _parse_set(g, e, j): {a: Fraction(w)
-                                          for a, w in e["weights"].items()}
+                    _parse_set(e, j): {a: Fraction(w)
+                                       for a, w in e["weights"].items()}
                     for e in desc["behavior"]})
             else:
                 raise CliError("player %d: neither pure nor behavior" % j)
@@ -173,11 +184,9 @@ def _cmd_discover(args) -> int:
                          for j in sorted(s)]}
     lines = ["%d states, absorbing reached" % len(trace.states)]
     if args.steps_out:
-        chain = "digraph trace {\n" + "\n".join(
+        _write(args.steps_out, "digraph trace {\n" + "\n".join(
             '  "s%d" -> "s%d";' % (k, k + 1)
-            for k in range(len(trace.states) - 1)) + "\n}\n"
-        with open(args.steps_out, "w") as f:
-            f.write(chain)
+            for k in range(len(trace.states) - 1)) + "\n}\n")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -187,8 +196,7 @@ def _cmd_supergame(args) -> int:
     sg = build_supergame(g, POLICY[args.policy])
     absorbing = sorted(k for k in sg.edges if sg.is_absorbing(k))
     if args.dot:
-        with open(args.dot, "w") as f:
-            f.write(supergame_dot(sg))
+        _write(args.dot, supergame_dot(sg))
     payload = {"num_states": len(sg.states), "initial": sg.initial,
                "absorbing": absorbing,
                "edges": {str(k): sorted(sg.successors(k)) for k in sg.edges}}
@@ -207,7 +215,7 @@ def _cmd_sce(args) -> int:
     check = _checker(args.mode)
     if args.profile:
         try:
-            v = check(g, _read_profile(g, args.profile))
+            v = check(g, _read_profile(args.profile))
         except ValueError as e:
             raise CliError(str(e))
         _emit(args, _verdict_json(v),

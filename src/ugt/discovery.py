@@ -192,8 +192,8 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     profiles weigh as given (those with weight <= 0 are dropped) and must
     be total (ValueError otherwise).
 
-    A named policy's profiles are never enumerated: the walk descends the
-    richest tree once, splitting each mover's pool by its action at the
+    A named policy's profiles are never enumerated: a stack loop descends
+    the richest tree once, splitting each mover's pool by its action at the
     node, so a path class is the product of the per-player subsets that
     reach its terminal node.  Under "all" a pool holds a player's vectors;
     under another policy, the first members of its permitted classes
@@ -218,10 +218,39 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
             if all(s == 1 for w in sizes for s in w):
                 sizes = None
         tbar = g.tbar
-        found: list = []
-        _walk(g._st.children[tbar], play_table(g, tbar), pools, sizes,
-              {j: k for k, j in enumerate(players)}, g.root(tbar),
-              [range(len(p)) for p in pools], [], found)
+        kids, table = g._st.children[tbar], play_table(g, tbar)
+        slot = {j: k for k, j in enumerate(players)}
+        found: list = []  # (first indices, path, profile count) per terminal
+        stack = [(g.root(tbar), [range(len(p)) for p in pools], ())]
+        while stack:
+            n, subsets, path = stack.pop()
+            path += (n,)
+            pairs = table.get(n)
+            if pairs is None:
+                if sizes is None:
+                    count = math.prod(map(len, subsets))
+                else:
+                    count = math.prod(sum(map(size.__getitem__, sub))
+                                      for size, sub in zip(sizes, subsets))
+                found.append((tuple(sub[0] for sub in subsets), path, count))
+                continue
+            split = []
+            for j, p in pairs:
+                k = slot[j]
+                pool = pools[k]
+                by: dict[str, list[int]] = {}
+                for x in subsets[k]:
+                    by.setdefault(pool[x][p], []).append(x)
+                split.append((k, by))
+            for prof, c in kids[n].items():
+                sub = list(subsets)
+                for (k, by), a in zip(split, prof):
+                    got = by.get(a)
+                    if got is None:
+                        break
+                    sub[k] = got
+                else:
+                    stack.append((c, sub, path))
         makers = [vector_strategy(g, j) for j in players]
         # lexicographic first indices give the product order
         return [(path, {j: make(pool[x]) for j, make, pool, x
@@ -240,47 +269,6 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
             else:
                 got[2] += w
     return list(map(tuple, merged.values()))
-
-
-def _walk(kids, table, pools, sizes, slot: dict[Player, int], n: NodeId,
-          subsets: list, path: list[NodeId], found: list) -> None:
-    """Append (first indices, path, profile count) for every terminal node
-    below n that some profile of the subsets reaches.  ``kids`` and
-    ``table`` are the richest tree's children and ``play_table``; sizes
-    holds per pool the weight of each entry, or is None when all weigh 1.
-
-    A module-level function, not a closure: a self-referencing closure is a
-    reference cycle, which only the cyclic collector frees, so every
-    state's game and pools would outlive the call.
-    """
-    path.append(n)
-    pairs = table.get(n)
-    if pairs is None:
-        if sizes is None:
-            count = math.prod(map(len, subsets))
-        else:
-            count = math.prod(sum(map(size.__getitem__, sub))
-                              for size, sub in zip(sizes, subsets))
-        found.append((tuple(sub[0] for sub in subsets), tuple(path), count))
-    else:
-        split = []
-        for j, p in pairs:
-            k = slot[j]
-            pool = pools[k]
-            by: dict[str, list[int]] = {}
-            for x in subsets[k]:
-                by.setdefault(pool[x][p], []).append(x)
-            split.append((k, by))
-        for prof, c in kids[n].items():
-            sub = list(subsets)
-            for (k, by), a in zip(split, prof):
-                got = by.get(a)
-                if got is None:
-                    break
-                sub[k] = got
-            else:
-                _walk(kids, table, pools, sizes, slot, c, sub, path, found)
-    path.pop()
 
 
 @dataclass

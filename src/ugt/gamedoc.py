@@ -59,14 +59,19 @@ def _frac_str(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _parse_frac(s, where: str) -> Fraction:
+# Each helper below names the place it reads as ``where % args``, formatted
+# only when it raises.
+
+
+def _parse_frac(s, where: str, *args) -> Fraction:
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError):
-        raise DocSemanticError("bad rational %r in %s" % (s, where)) from None
+        raise DocSemanticError("bad rational %r in %s"
+                               % (s, where % args)) from None
 
 
-def _read_id(x, where: str, key: bool = False) -> int:
+def _read_id(x, where: str, *args, key: bool = False) -> int:
     """x as a player or node id: a JSON integer that is not a boolean, or,
     as an object key (key set), the decimal text of one."""
     if isinstance(x, int) and not isinstance(x, bool):
@@ -77,20 +82,20 @@ def _read_id(x, where: str, key: bool = False) -> int:
                 return int(x)
         except ValueError:
             pass
-    raise DocSemanticError("bad id %r in %s" % (x, where))
+    raise DocSemanticError("bad id %r in %s" % (x, where % args))
 
 
-def _object(x, where: str) -> dict:
+def _object(x, where: str, *args) -> dict:
     """x itself, when the document has a JSON object there."""
     if not isinstance(x, dict):
-        raise DocSemanticError("%s is not an object" % where)
+        raise DocSemanticError("%s is not an object" % (where % args))
     return x
 
 
-def _labels(x, where: str) -> tuple:
+def _labels(x, where: str, *args) -> tuple:
     """x as a tuple, when the document has a list of strings there."""
     if not isinstance(x, list) or not all(isinstance(a, str) for a in x):
-        raise DocSemanticError("%s is not a list of strings" % where)
+        raise DocSemanticError("%s is not a list of strings" % (where % args))
     return tuple(x)
 
 
@@ -131,9 +136,10 @@ def parse_game(text: str) -> Game:
     """Parse canonical JSON into a validated Game.
 
     Raises TypeError when text is not a str, bytes or bytearray,
-    DocSyntaxError for malformed JSON, DocSemanticError for schema or
-    structural problems, and DocAxiomError (with the full report) when a
-    named axiom check fails.
+    DocSyntaxError for malformed JSON or bytes that do not decode,
+    DocSemanticError for schema or structural problems, for nesting too
+    deep to read and for an integer too long to convert, and DocAxiomError
+    (with the full report) when a named axiom check fails.
     """
     if not isinstance(text, (str, bytes, bytearray)):
         raise TypeError("a game document is text, not %r" % (text,))
@@ -141,6 +147,15 @@ def parse_game(text: str) -> Game:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocSyntaxError(e.msg, e.lineno, e.colno) from None
+    except UnicodeDecodeError as e:
+        read = e.object[:e.start].decode(e.encoding, "replace")
+        raise DocSyntaxError("%s (%s)" % (e.reason, e.encoding),
+                             read.count("\n") + 1,
+                             len(read) - read.rfind("\n")) from None
+    except ValueError as e:  # an integer beyond Python's conversion limit
+        raise DocSemanticError("malformed document: %s" % e) from None
+    except RecursionError:
+        raise DocSemanticError("document nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise DocSemanticError("document is not an object")
     version = doc.get("format_version")
@@ -153,29 +168,28 @@ def parse_game(text: str) -> Game:
     try:
         players = [_read_id(i, "players") for i in doc["players"]]
         nodes = {}
+        acts, pays = "actions of node %d", "payoffs of node %d"
         for key, nd in _object(doc["nodes"], "nodes").items():
             n = _read_id(key, "nodes", key=True)
-            nd = _object(nd, "node %s" % key)
-            where = "node %d" % n
+            nd = _object(nd, "node %s", key)
             children = {}
             for entry in nd.get("children", []):
-                children[_labels(entry["profile"], "a profile of node %s"
-                                 % key)] = _read_id(entry["child"], where)
-            acts = "actions of node %d" % n
-            pays = "payoffs of node %d" % n
+                children[_labels(entry["profile"], "a profile of node %s",
+                                 key)] = _read_id(entry["child"], "node %d", n)
             nodes[n] = NodeData(
                 parent=None if nd.get("parent") is None
-                else _read_id(nd["parent"], where),
-                players=tuple(sorted(_read_id(i, where)
+                else _read_id(nd["parent"], "node %d", n),
+                players=tuple(sorted(_read_id(i, "node %d", n)
                                      for i in nd.get("players", []))),
-                actions={_read_id(i, acts, key=True): _labels(a, acts)
+                actions={_read_id(i, acts, n, key=True): _labels(a, acts, n)
                          for i, a in _object(nd.get("actions", {}),
-                                             acts).items()},
+                                             acts, n).items()},
                 children=children,
-                payoffs={_read_id(i, pays, key=True): _parse_frac(v, pays)
+                payoffs={_read_id(i, pays, n, key=True):
+                         _parse_frac(v, pays, n)
                          for i, v in _object(nd.get("payoffs", {}),
-                                             pays).items()})
-        trees = {t: [_read_id(n, "tree %s" % t) for n in ns]
+                                             pays, n).items()})
+        trees = {t: [_read_id(n, "tree %s", t) for n in ns]
                  for t, ns in _object(doc["trees"], "trees").items()}
         info, sets = {}, {}   # sets: one InfoSet per distinct set
         for entry in doc["info"]:

@@ -11,19 +11,20 @@ The engine (``_class_rounds``) keeps or drops whole realization classes
 reads a strategy only at the sets it reaches and through the opposing
 columns there, so one member decides for its class, and the first members
 of the opposing classes give every column that plays differently.  Each
-player's class table comes from a branch over its decision-set positions,
+player's class table comes from a loop over its decision-set positions,
 not from its pure strategies, and carries per class its first member, the
 positions it reaches and its size.  The trace's rounds are lazy sequences
 over the alive classes, the one place survivors become strategy objects,
-listed by a branch that descends only into actions an alive class allows.
-The engine decides per-set optimality by exact linear feasibility over the
-distinct payoff rows of the continuations against the allowed columns.
-Each column is one walk of the host tree that branches only at the
-deviation sets the play meets, and one joint branch over the walks, fixing
-only a deviation set some walk waits on, gives the rows.  Entries are the
-player's payoffs times one positive integer per set, so they compare and
-pivot as ints.  The references that check it (``best_reply_exists``,
-``efr_oracle``) are in ``reference``, which this module does not import.
+listed by a loop over the positions that keeps only actions an alive class
+allows.  The engine decides per-set optimality by exact linear feasibility
+over the distinct payoff rows of the continuations against the allowed
+columns.  One loop plays the columns through the host tree and branches
+only at a deviation set some column's play meets unfixed; its branch tree
+gives the rows, and a continuation descends it to its row.  No routine
+recurses on the game's depth.  Entries are the player's payoffs times one
+positive integer per set, so they compare and pivot as ints.  The
+references that check it (``best_reply_exists``, ``efr_oracle``) are in
+``reference``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class _SetContext:
     at its decision sets in the host tree; nature counts as an opponent.
     Equal columns play the host tree out identically.  A column's profile
     maps each opponent to its key by the positions the host tree reads
-    (``reads``), the only positions ``_walk`` and the member requirements
+    (``reads``), the only positions ``_play`` and the member requirements
     consult.
     """
 
@@ -165,41 +166,36 @@ class _SetContext:
         self._allowed.setdefault(aid, cols)
         return aid
 
-    def _walk(self, prof: Mapping, n: NodeId):
+    def _play(self, prof: Mapping, n: NodeId):
         """The host tree played from n under prof, which gives each player
         its actions by position and whose own vector, a list, holds None at
-        the deviation positions not fixed yet: the terminal reached,
-        or at the first such position met, (the position, per action in
-        menu order the walk with that action fixed)."""
+        the deviation positions not fixed yet: the terminal reached, or at
+        the first such position met, (its node, the position)."""
         kids, table = self.kids, self.table
         pairs = table.get(n)
         while pairs is not None:
             acts = tuple([prof[j][p] for j, p in pairs])
             if None in acts:
-                w = prof[self.i]
-                p = next(p for j, p in pairs if j == self.i)
-                branches = {}
-                for a in self.dev[p]:
-                    w[p] = a
-                    branches[a] = self._walk(prof, n)
-                w[p] = None
-                return p, branches
+                return n, next(p for j, p in pairs if j == self.i)
             n = kids[n][acts]
             pairs = table.get(n)
         return n
 
     def _matrix(self, v: tuple, aid: int) -> tuple:
         """Payoff rows for every continuation at the deviation sets, shared
-        by all strategies with the same choices before the set: the walks,
-        each row of terminal ids' index into the distinct rows, those rows,
-        the column maxima, the distinct rows no other row dominates (only
-        those can constrain a belief) and a verdict slot per distinct row.
+        by all strategies with the same choices before the set: the branch
+        tree, each row of terminal ids' index into the distinct rows, those
+        rows, the column maxima, the distinct rows no other row dominates
+        (only those can constrain a belief) and a verdict slot per distinct
+        row.
 
-        Each allowed column plays the host tree once, with v's choices off
-        the deviation positions, branching only at the deviation positions
-        the play meets, and ``_joint_rows`` follows the walks together to
-        list the rows of terminal ids.  Rows are compared first as tuples of
-        terminal ids, then as payoffs, which are integers (``payoff``)."""
+        One loop plays the allowed columns in turn with v's choices off the
+        deviation positions, and branches in menu order where a column
+        meets a deviation position that no branch above fixes.  Its tree
+        has a [position, {action: subtree}] list per branch and a row of
+        terminal ids, one per column, per leaf.  Rows are compared first as
+        tuples of terminal ids, then as payoffs, which are integers
+        (``payoff``)."""
         key = (self.prefix_key(v), aid)
         got = self._matrices.get(key)
         if got is not None:
@@ -207,10 +203,34 @@ class _SetContext:
         w = list(v)
         for p in self.dev:
             w[p] = None
-        walks = [self._walk({**self._profiles[c], self.i: w}, self.root)
-                 for c in self._allowed[aid]]
+        profs = [{**self._profiles[c], self.i: w} for c in self._allowed[aid]]
         id_rows: list[tuple] = []
-        _joint_rows(walks, {}, [], id_rows)
+        fixed: list[int] = []  # the positions the current branch fixes
+        top: dict = {}
+        # per branch to play: how many positions are fixed above it, the one
+        # it fixes and how, the columns' terminals so far, the next column's
+        # node and the dict that takes its subtree
+        stack = [(0, None, None, (), self.root, top)]
+        while stack:
+            depth, p, a, ids, n, at = stack.pop()
+            while len(fixed) > depth:
+                w[fixed.pop()] = None
+            if p is not None:
+                w[p] = a
+                fixed.append(p)
+            while len(ids) < len(profs):
+                x = self._play(profs[len(ids)], n)
+                if type(x) is tuple:
+                    n, q = x
+                    at[a] = [q, {}]
+                    stack.extend((len(fixed), q, b, ids, n, at[a][1])
+                                 for b in reversed(self.dev[q]))
+                    break
+                ids += (x,)
+                n = self.root
+            else:
+                at[a] = ids
+                id_rows.append(ids)
         pay = self.payoff
         distinct: dict[tuple, int] = {}
         of = {ids: distinct.setdefault(tuple([pay[n] for n in ids]),
@@ -219,20 +239,17 @@ class _SetContext:
         col_max = tuple(map(max, zip(*rows)))
         kept = [r for r in rows
                 if not any(o != r and all(map(ge, o, r)) for o in rows)]
-        got = self._matrices[key] = (walks, of, rows, col_max, kept,
+        got = self._matrices[key] = (top[None], of, rows, col_max, kept,
                                      [None] * len(rows))
         return got
 
     def optimal_for_some_belief(self, v: tuple, aid: int) -> bool:
         """True when some belief over the allowed columns makes the
         continuation of v weakly optimal among local deviations."""
-        walks, of, rows, col_max, kept, verdicts = self._matrix(v, aid)
-        ids = []
-        for x in walks:
-            while type(x) is tuple:
-                x = x[1][v[x[0]]]
-            ids.append(x)
-        r = of[tuple(ids)]
+        x, of, rows, col_max, kept, verdicts = self._matrix(v, aid)
+        while type(x) is list:
+            x = x[1][v[x[0]]]
+        r = of[x]
         if verdicts[r] is None:
             base = rows[r]
             # point-belief fast path: a column where the base is unbeaten
@@ -246,25 +263,6 @@ class _SetContext:
         x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
                               a_ub=a_ub, b_ub=[ZERO] * len(rows))
         return x is not None
-
-
-def _joint_rows(walks, fixed: dict, ids: list, out: list) -> None:
-    """Append to out, in branch order, the row of terminal ids (one per
-    walk) of every continuation that agrees with fixed, which maps the
-    deviation positions fixed so far to actions; ids holds the terminals of
-    the walks before len(ids).  It branches only where some walk waits."""
-    for x in itertools.islice(walks, len(ids), None):
-        while type(x) is tuple:
-            p, branches = x
-            if p not in fixed:
-                for a in branches:
-                    fixed[p] = a
-                    _joint_rows(walks, fixed, list(ids), out)
-                del fixed[p]
-                return
-            x = branches[fixed[p]]
-        ids.append(x)
-    out.append(tuple(ids))
 
 
 @_memo
@@ -281,10 +279,11 @@ class _Classes:
     A real player's classes are its realization classes: two pure
     strategies are realization-equivalent exactly when they reach the same
     decision sets, each in its host tree, and choose alike there.  The
-    table is built by a depth-first branch over the decision-set positions,
-    never by classifying vectors: a position whose set is reached under the
-    choices fixed so far branches on its actions, and any other holds its
-    first action and multiplies the class size by its menu size.  So each
+    table is built by a loop over the decision-set positions, never by
+    classifying vectors: it expands the partial classes position by
+    position, and a position whose set a partial class reaches under the
+    choices fixed so far splits it by its actions, while any other holds
+    its first action and multiplies the class size by its menu size.  So each
     class is its first member's choices at the positions it reaches times
     every action at the others.  Nature reaches every position, so each of
     its vectors is its own class; no round drops one.
@@ -300,22 +299,44 @@ class _Classes:
                    if k == j) for m in h.members] for h in sets]
         order = _position_order([{p for r in rs for p, _ in r}
                                  for rs in rows])
-        leaves: list[tuple] = []
-        _branch(order, self.menus, rows, 0, [m[0] for m in self.menus],
-                [False] * len(sets), 1, leaves)
+        # partial classes, each (first member, reached flags, size) over
+        # the positions expanded so far; the others hold their first action
+        part = [([m[0] for m in self.menus], [False] * len(sets), 1)]
+        for k in order:
+            menu, grown = self.menus[k], []
+            for v, mark, size in part:
+                if not _reaches(rows[k], v, mark):
+                    grown.append((v, mark, size * len(menu)))
+                    continue
+                mark[k] = True
+                grown.append((v, mark, size))
+                for a in menu[1:]:
+                    w = v.copy()
+                    w[k] = a
+                    grown.append((w, mark.copy(), size))
+            part = grown
         if order != sorted(order):
-            # reach reads a later position, so the leaves need not come in
+            # reach reads a later position, so the classes need not come in
             # pool order of their first members, which is their actions' order
             rank = [dict(zip(m, itertools.count())) for m in self.menus]
-            leaves.sort(key=lambda leaf: [r[a] for r, a in zip(rank, leaf[0])])
+            part.sort(key=lambda c: [r[a] for r, a in zip(rank, c[0])])
         # per class: its first member, the positions it reaches and its size
-        self.first, self.reached, self.size = map(list, zip(*leaves))
+        self.first, self.reached, self.size = map(list, zip(*[
+            (tuple(v), tuple(itertools.compress(range(len(sets)), mark)), size)
+            for v, mark, size in part]))
 
     def members(self, alive: frozenset) -> list[tuple]:
-        """The vectors of the alive classes, in ``strategy_vectors`` order."""
-        out: list[tuple] = []
-        _members(self.menus, self.first, self.reached, [], sorted(alive), out)
-        return out
+        """The vectors of the alive classes, in ``strategy_vectors`` order:
+        a loop over the positions extends each prefix by every action that
+        one of its alive classes allows there.  Classes partition the pool,
+        so every prefix ends in a vector."""
+        first, reached = self.first, self.reached
+        part = [((), sorted(alive))]
+        for p, menu in enumerate(self.menus):
+            part = [(v + (a,), keep) for v, cs in part for a in menu
+                    if (keep := [c for c in cs if p not in reached[c]
+                                 or first[c][p] == a])]
+        return [v for v, cs in part if cs]
 
 
 def _position_order(reads: Sequence[set]) -> list[int]:
@@ -332,32 +353,6 @@ def _position_order(reads: Sequence[set]) -> list[int]:
         order.append(k)
         done.add(k)
     return order
-
-
-def _branch(order, menus, rows, d: int, v: list, mark: list, size: int,
-            out: list) -> None:
-    """Append (first member, reached positions, size) for every class that
-    agrees with v at the positions order[:d], where mark flags the reached
-    ones and size counts the choices at the others.
-
-    A module-level function, not a closure: a self-referencing closure is a
-    reference cycle, which only the cyclic collector frees.
-    """
-    if d == len(order):
-        out.append((tuple(v), tuple(itertools.compress(range(len(v)), mark)),
-                    size))
-        return
-    k = order[d]
-    if _reaches(rows[k], v, mark):
-        mark[k] = True
-        for a in menus[k]:
-            v[k] = a
-            _branch(order, menus, rows, d + 1, v, mark, size, out)
-        v[k] = menus[k][0]
-        mark[k] = False
-    else:
-        _branch(order, menus, rows, d + 1, v, mark, size * len(menus[k]),
-                out)
 
 
 def _reaches(rows, v: list, mark: list) -> bool:
@@ -381,24 +376,6 @@ def _reaches(rows, v: list, mark: list) -> bool:
         raise AssertionError("reach of a decision set reads an unreached "
                              "position")
     return False
-
-
-def _members(menus, first, reached, v: list, cs: list, out: list) -> None:
-    """Append, in pool order, every vector that starts with v and agrees
-    with some class in cs at the positions it reaches (``reached``).  Only
-    actions some class in cs allows are descended into, and classes
-    partition the pool, so every descent ends in a vector."""
-    p = len(v)
-    if p == len(menus):
-        if cs:
-            out.append(tuple(v))
-        return
-    for a in menus[p]:
-        keep = [c for c in cs if p not in reached[c] or first[c][p] == a]
-        if keep:
-            v.append(a)
-            _members(menus, first, reached, v, keep, out)
-            v.pop()
 
 
 @_memo

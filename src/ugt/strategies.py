@@ -441,29 +441,29 @@ def behavior_payoff(g: Game, i: Player, t: TreeId,
                     kernels: Mapping[Player, tuple]) -> Fraction:
     """Player i's expected payoff when tree t is played from its root under
     the kernel vectors (``kernel_vector``) of every player moving in it."""
-    return _payoff_from(g._st.children[t], play_table(g, t), g.nodes, i,
-                        kernels, g.root(t))
-
-
-def _payoff_from(kids, table, nodes, i, kernels, n) -> Fraction:
-    # follow point masses without arithmetic; branch only where some
-    # mover mixes
-    while True:
-        pairs = table.get(n)
-        if pairs is None:
-            return nodes[n].payoffs[i]
-        dists = [kernels[j][p] for j, p in pairs]
-        if all(len(d) == 1 for d in dists):
+    kids, table, nodes = g._st.children[t], play_table(g, t), g.nodes
+    total = ZERO
+    # (node, probability of reaching it, None for one): play follows point
+    # masses without arithmetic and branches only where some mover mixes
+    stack = [(g.root(t), None)]
+    while stack:
+        n, w = stack.pop()
+        while (pairs := table.get(n)) is not None:
+            dists = [kernels[j][p] for j, p in pairs]
+            if any(len(d) > 1 for d in dists):
+                break
             n = kids[n][tuple([next(iter(d)) for d in dists])]
+        else:
+            if w is None:
+                return nodes[n].payoffs[i]
+            total += w * nodes[n].payoffs[i]
             continue
-        total = ZERO
         for combo in itertools.product(*[d.items() for d in dists]):
-            child = kids[n][tuple([a for a, _ in combo])]
-            w = ONE
-            for _, q in combo:
-                w *= q
-            total += w * _payoff_from(kids, table, nodes, i, kernels, child)
-        return total
+            q = ONE if w is None else w
+            for _, x in combo:
+                q *= x
+            stack.append((kids[n][tuple([a for a, _ in combo])], q))
+    return total
 
 
 def deviation_sets(g: Game, i: Player, h: InfoSet) -> list[InfoSet]:

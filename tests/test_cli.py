@@ -9,6 +9,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_gamedoc import MALFORMED
 from ugt import cli
 from ugt.cli import main
 from ugt.discovery import run_discovery
@@ -225,6 +226,19 @@ def test_discover_steps_out(game_file, tmp_path, capsys):
     assert out.read_text() == 'digraph trace {\n  "s0" -> "s1";\n}\n'
 
 
+@pytest.mark.parametrize("argv", [
+    ["discover", "--policy", "efr", "--steps-out"],
+    ["supergame", "--policy", "efr", "--dot"],
+], ids=["steps-out", "dot"])
+def test_unwritable_output_file_exits_2(argv, game_file, tmp_path, capsys):
+    # both used to leak a FileNotFoundError
+    target = str(tmp_path / "missing" / "x.dot")
+    status, out, err = run(capsys, argv[0], game_file("ex1_initial"),
+                           *argv[1:], target)
+    assert status == 2 and not out
+    assert err.startswith("error: ") and target in err
+
+
 def test_supergame_dot_output(game_file, tmp_path, capsys):
     out = tmp_path / "sg.dot"
     status, payload = run_json(capsys, "supergame", game_file("ex2_initial"),
@@ -309,6 +323,29 @@ def test_sce_malformed_profile_exits_2(doc, game_file, tmp_path, capsys):
                            "--mode", "behavior", "--profile", str(path))
     assert status == 2 and not out
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000, b'{"profile": {"1": "\xff"}}',
+], ids=["deep", "not-utf-8"])
+def test_sce_unreadable_profile_exits_2(text, game_file, tmp_path, capsys):
+    # these used to leak a RecursionError and a UnicodeDecodeError
+    path = tmp_path / "profile.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    status, out, err = run(capsys, "sce", game_file("matching_pennies"),
+                           "--mode", "behavior", "--profile", str(path))
+    assert status == 2 and not out
+    assert err.startswith("error: %s: " % path)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_validate_unreadable_document_exits_2(name, tmp_path, capsys):
+    text = MALFORMED[name][0]
+    path = tmp_path / "bad.game.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    status, out, err = run(capsys, "--json", "validate", str(path))
+    assert status == 2 and not out
+    assert err.startswith("error: %s: " % path)
 
 
 @pytest.mark.parametrize("damage", [

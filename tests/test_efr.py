@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from operator import eq, ge, gt
@@ -674,23 +677,21 @@ def reference_matrix(g, ctx, v, aid):
     return at, rows, kept, verdicts
 
 
-def follow(walks, w):
-    """The terminal ids that the vector w's actions select in the walks of
-    ``_SetContext._matrix``."""
-    ids = []
-    for x in walks:
-        while type(x) is tuple:
-            x = x[1][w[x[0]]]
-        ids.append(x)
-    return tuple(ids)
+def follow(tree, w):
+    """The row of terminal ids that the vector w's actions select in the
+    branch tree of ``_SetContext._matrix``."""
+    while type(tree) is list:
+        position, branches = tree
+        tree = branches[w[position]]
+    return tree
 
 
 def assert_matrices_match_reference(g):
     """Every matrix the engine can build for the first members of each
     player's classes, over every column set its rounds allowed, matches the
-    reference: each continuation, followed down the walks, selects a row of
-    terminal ids whose distinct row equals its reference row up to the
-    context's integer scale; the engine lists exactly the rows of terminal
+    reference: each continuation, followed down the branch tree, selects a
+    row of terminal ids whose distinct row equals its reference row up to
+    the context's integer scale; the engine lists exactly the rows of terminal
     ids the continuations select; the distinct and undominated rows are the
     reference's as multisets; and the verdicts are the reference's.
     Returns the number of matrices checked."""
@@ -715,7 +716,7 @@ def assert_matrices_match_reference(g):
                     if (ctx.prefix_key(v), aid) in seen:
                         continue
                     seen.add((ctx.prefix_key(v), aid))
-                    walks, of, rows, _, kept, _ = ctx._matrix(v, aid)
+                    tree, of, rows, _, kept, _ = ctx._matrix(v, aid)
                     want_at, want_rows, want_kept, verdicts = \
                         reference_matrix(g, ctx, v, aid)
                     assert sorted(rows) == scaled(want_rows), hh
@@ -726,7 +727,7 @@ def assert_matrices_match_reference(g):
                         w = list(v)
                         for p, a in zip(ctx.dev, combo):
                             w[p] = a
-                        ids = follow(walks, w)
+                        ids = follow(tree, w)
                         selected.add(ids)
                         assert rows[of[ids]] == tuple(
                             x * scale for x in want_rows[r]), (hh, combo)
@@ -1067,3 +1068,47 @@ def test_chain_sce_plays_to_the_end(deadline):
     pi, verdict = construct_sce_efr(g)
     assert verdict.holds
     assert reach_probability(g, pi, ("G", 2 * d)) == 1
+
+
+# chain(100) under a recursion limit of 60: no engine routine may recurse on
+# the game's depth
+LOW_LIMIT = """
+import json, sys
+from fractions import Fraction
+from test_efr import chain
+from ugt.discovery import build_supergame, run_discovery
+from ugt.equilibrium import construct_sce_efr
+from ugt.rationalizability import efr
+from ugt.strategies import behavior_payoff, realized_tbar_path
+
+g, short = chain(100), chain(50)
+sys.setrecursionlimit(60)
+[s] = efr(g).surviving()[1]
+uniform = tuple({a: Fraction(1, 2) for a in g.set_actions(h)}
+                for h in g.decision_sets(1))
+print(json.dumps({
+    "path": realized_tbar_path(g, {1: s}),
+    "supergame": len(build_supergame(g, "efr").states),
+    "discovery": len(run_discovery(g, "efr", seed=0).states),
+    "payoff": str(behavior_payoff(g, 1, "G", {1: uniform})),
+    "sce": construct_sce_efr(short)[1].holds}))
+"""
+
+
+def test_deep_chain_needs_no_recursion(deadline):
+    """Under a recursion limit of 60, the engine lists chain(100)'s one
+    survivor, builds its EFR supergame, runs discovery and pays uniform
+    kernels, and an equilibrium is constructed on chain(50)."""
+    src = os.path.dirname(os.path.dirname(rationalizability.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.path.dirname(__file__)]))
+    run = subprocess.run([sys.executable, "-c", LOW_LIMIT],
+                         capture_output=True, env=env)
+    assert run.returncode == 0, run.stderr.decode()
+    d = 100
+    # stopping at k pays k with probability 2^-(k+1); the end pays d
+    pay = sum(Fraction(k, 2 ** (k + 1)) for k in range(d)) \
+        + Fraction(d, 2 ** d)
+    assert json.loads(run.stdout) == {
+        "path": [*range(d), 2 * d], "supergame": 1, "discovery": 1,
+        "payoff": str(pay), "sce": True}

@@ -197,3 +197,32 @@ def test_decision_node_payoffs_are_semantic():
     with pytest.raises(DocSemanticError,
                        match="decision node 1 carries payoffs"):
         parse_game(json.dumps(doc))
+
+
+# documents that once leaked another exception, each with the error it now
+# raises: a RecursionError from the JSON reader, a UnicodeDecodeError, and a
+# ValueError from Python's limit on converting long digit strings to int
+MALFORMED = {
+    "deep": ("[" * 100000, DocSemanticError),
+    "not-utf-8": (b"\x80\x81{}", DocSyntaxError),
+    "long-version": ('{"format_version": %s}' % ("9" * 5001),
+                     DocSemanticError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_unreadable_document_is_a_doc_error(name):
+    text, error = MALFORMED[name]
+    with pytest.raises(error):
+        parse_game(text)
+
+
+def test_undecodable_bytes_carry_their_position():
+    with pytest.raises(DocSyntaxError, match="invalid start byte") as e:
+        parse_game(b"\x80\x81{}")
+    assert (e.value.line, e.value.column) == (1, 1)
+    # columns count characters, and the é before the bad byte is two bytes
+    with pytest.raises(DocSyntaxError,
+                       match="invalid continuation byte") as e:
+        parse_game(b'{\n  "\xc3\xa9": "\xc3("}')
+    assert (e.value.line, e.value.column) == (2, 9)
