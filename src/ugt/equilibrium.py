@@ -27,7 +27,7 @@ from .core import (
     Game, NATURE, NodeId, Player, TreeId, _check_game,
     hosts_reachable)
 from .discovery import _path_classes
-from .lp import solve_feasibility
+from .lp import find_belief, solve_feasibility
 from .rationalizability import _Classes, _class_rounds, _classes
 from .strategies import (
     BehaviorStrategy,
@@ -192,9 +192,7 @@ def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
                 for dev in _fills(g, tstar, {i: kernels[i]}, devs):
                     rows[tuple(v - b for v, b in
                                zip(values(dev[i]), base))] = None
-            n = len(pool)
-            x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
-                                  a_ub=list(rows), b_ub=[ZERO] * len(rows))
+            x = find_belief(list(rows), len(pool))
             if x is None:
                 return SceVerdict(
                     False, "rationality", i,

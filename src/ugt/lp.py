@@ -12,6 +12,10 @@ row, the objective's too, to (p*row - row[c]*pivot_row) // d, which divides
 exactly, then sets d to p.  One scale for all rows keeps the phase-1
 objective a positive multiple of the rational one, and every sign and ratio
 is the rational tableau's, so pivots and witnesses match a Fraction simplex.
+
+``find_belief`` decides the belief problem of EFR and the SCE checks by
+pure tests first (a row positive at every column, the pure half of Pearce's
+dominance lemma, 1984; then a single column) and by the simplex only after.
 """
 
 from __future__ import annotations
@@ -114,6 +118,18 @@ def solve_feasibility(n: int,
     at = {b: r for r, b in enumerate(basis)}
     return [Fraction(tableau[at[j]][-1], d) if j in at else ZERO
             for j in range(n)]
+
+
+def find_belief(rows: Sequence[Row], n: int) -> Optional[list[Fraction]]:
+    """A distribution x over n columns with r.x <= 0 for every row r, or
+    None when there is none: None when some row is positive at every
+    column, [1] when n == 1 and no row is, else ``solve_feasibility``'s
+    witness."""
+    if any(all(v > 0 for v in r) for r in rows):
+        return None
+    if n == 1:
+        return [Fraction(1)]
+    return solve_feasibility(n, [[1] * n], [1], rows, [0] * len(rows))
 
 
 def check_solution(x: Sequence[Fraction], n: int,

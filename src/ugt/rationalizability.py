@@ -16,15 +16,17 @@ not from its pure strategies, and carries per class its first member, the
 positions it reaches and its size.  The trace's rounds are lazy sequences
 over the alive classes, the one place survivors become strategy objects,
 listed by a loop over the positions that keeps only actions an alive class
-allows.  The engine decides per-set optimality by exact linear feasibility
-over the distinct payoff rows of the continuations against the allowed
-columns.  One loop plays the columns through the host tree and branches
-only at a deviation set some column's play meets unfixed; its branch tree
-gives the rows, and a continuation descends it to its row.  No routine
-recurses on the game's depth.  Entries are the player's payoffs times one
-positive integer per set, so they compare and pivot as ints.  The
-references that check it (``best_reply_exists``, ``efr_oracle``) are in
-``reference``, which this module does not import.
+allows.  The engine decides per-set optimality over the distinct payoff
+rows of the continuations against the allowed columns: a column where the
+row is unbeaten, else a row beating it at every column, else the simplex
+(``lp.find_belief``).  One loop plays the columns through the host tree
+and branches only at a deviation set some column's play meets unfixed;
+its branch tree gives the rows, and a continuation descends it to its
+row.  No routine recurses on the game's depth.  Entries are the player's
+payoffs times one positive integer per host tree, so they compare and
+pivot as ints.  What a player's sets in one host tree share is built once
+(``_TreeView``).  The references that check it (``best_reply_exists``,
+``efr_oracle``) are in ``reference``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import eq, ge, itemgetter
+from operator import eq, itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .core import NATURE, Game, InfoSet, NodeId, Player, _check_game, _memo
-from .lp import solve_feasibility
+from .core import (
+    NATURE, Game, InfoSet, NodeId, Player, TreeId, _check_game, _memo)
+from .lp import find_belief
 from .strategies import (
-    ONE, ZERO, PureStrategy, _requirements, acting_players, deviation_sets,
+    PureStrategy, _requirements, acting_players, deviation_sets,
     play_table, set_positions, vector_strategy)
 
 
@@ -81,21 +84,19 @@ def _getter(positions: Sequence[int]):
     return itemgetter(*positions) if positions else lambda v: ()
 
 
-class _SetContext:
-    """Caches for one decision set; takes the game per call, never holds it.
+class _TreeView:
+    """What player i's decision sets in one host tree share; takes the game
+    only to build, never holds it.
 
     A column is the tuple of the opponents' keys, each an opponent's actions
-    at its decision sets in the host tree; nature counts as an opponent.
-    Equal columns play the host tree out identically.  A column's profile
-    maps each opponent to its key by the positions the host tree reads
-    (``reads``), the only positions ``_play`` and the member requirements
-    consult.
+    at its decision sets in the tree; nature counts as an opponent.  Equal
+    columns play the tree out identically.  A column's profile maps each
+    opponent to its key by the positions the tree reads (``reads``), the
+    only positions ``play`` and the member requirements consult.
     """
 
-    def __init__(self, g: Game, i: Player, h: InfoSet):
+    def __init__(self, g: Game, i: Player, t: TreeId):
         self.i = i
-        self.h = h
-        t = h.host
         self.kids = g._st.children[t]
         self.table = play_table(g, t)
         self.root = g.root(t)
@@ -105,72 +106,45 @@ class _SetContext:
         scale = math.lcm(*(x.denominator for x in pays.values()))
         self.payoff = {n: x.numerator * (scale // x.denominator)
                        for n, x in pays.items()}
-        pos = set_positions(g, i)
-        # the deviation positions, each with its menu
-        self.dev = {pos[x]: g.set_actions(x) for x in deviation_sets(g, i, h)}
-        # the vector positions a play-out of the host tree can consult
+        # the vector positions a play-out of the tree can consult
         used: dict[Player, list[int]] = {}
         for n in sorted(self.table):
             for j, p in self.table[n]:
                 if p not in used.setdefault(j, []):
                     used[j].append(p)
-        own = used.get(i, [])
-        self.prefix_key = _getter([p for p in own if p not in self.dev])
+        self.own = used.get(i, [])
         self.opponents = [j for j in acting_players(g) if j != i]
         # per opponent, the positions its key reads
         self.reads = [used.get(j, []) for j in self.opponents]
         self.opp_keys = list(map(_getter, self.reads))
-        # per member of h, the (player, set, position, action) constraints
-        # of the path to it
-        reqs = _requirements(g, t)
-        self.reqs = [reqs[m] for m in h.members]
-        self._col_reaches: dict[tuple, bool] = {}
         self._profiles: dict[tuple, dict] = {}
-        self._columns: dict[tuple, tuple] = {}
-        self._aids: dict[tuple, int] = {}
-        self._allowed: dict[int, tuple] = {}
-        self._matrices: dict[tuple, tuple] = {}
+        self._grids: dict[tuple, list] = {}
 
-    def column_reaches(self, col: tuple) -> bool:
-        got = self._col_reaches.get(col)
-        if got is None:
-            prof = {j: dict(zip(at, key))
-                    for j, at, key in zip(self.opponents, self.reads, col)}
-            got = any(all(prof[j][p] == a for j, _, p, a in r if j != self.i)
-                      for r in self.reqs)
-            self._col_reaches[col] = got
-            if got:
-                self._profiles[col] = prof
-        return got
-
-    def columns(self, classes: Mapping[Player, _Classes],
-                alive: tuple) -> tuple:
-        """The reaching columns over the first members of the opponents'
-        alive classes, each opponent's keys in class order.
-
-        classes maps each opponent to its class table, and alive holds per
-        opponent its alive classes."""
-        got = self._columns.get(alive)
+    def grid(self, classes: Mapping[Player, _Classes], alive: tuple) -> list:
+        """Every column over the first members of the opponents' alive
+        classes (alive, per opponent), each one's keys in class order."""
+        got = self._grids.get(alive)
         if got is None:
             keys = [dict.fromkeys(get(classes[j].first[c])
                                   for c in sorted(live))
                     for j, get, live in zip(self.opponents, self.opp_keys,
                                             alive)]
-            got = self._columns[alive] = tuple(
-                c for c in itertools.product(*keys) if self.column_reaches(c))
+            got = self._grids[alive] = list(itertools.product(*keys))
         return got
 
-    def intern(self, cols: tuple) -> int:
-        """A small id for a tuple of allowed reaching columns."""
-        aid = self._aids.setdefault(cols, len(self._aids))
-        self._allowed.setdefault(aid, cols)
-        return aid
+    def profile(self, col: tuple) -> dict:
+        got = self._profiles.get(col)
+        if got is None:
+            got = self._profiles[col] = {
+                j: dict(zip(at, key))
+                for j, at, key in zip(self.opponents, self.reads, col)}
+        return got
 
-    def _play(self, prof: Mapping, n: NodeId):
-        """The host tree played from n under prof, which gives each player
-        its actions by position and whose own vector, a list, holds None at
-        the deviation positions not fixed yet: the terminal reached, or at
-        the first such position met, (its node, the position)."""
+    def play(self, prof: Mapping, n: NodeId):
+        """The tree played from n under prof, which gives each player its
+        actions by position and whose own vector, a list, holds None at the
+        deviation positions not fixed yet: the terminal reached, or at the
+        first such position met, (its node, the position)."""
         kids, table = self.kids, self.table
         pairs = table.get(n)
         while pairs is not None:
@@ -181,13 +155,60 @@ class _SetContext:
             pairs = table.get(n)
         return n
 
+
+class _SetContext:
+    """One decision set over its player's view of the host tree
+    (``_TreeView``): its deviation positions with their menus, the key of
+    the own choices off them, its members' path requirements and caches;
+    takes the game only to build, never holds it."""
+
+    def __init__(self, g: Game, view: _TreeView, h: InfoSet):
+        self.view = view
+        self.i = i = view.i
+        self.h = h
+        pos = set_positions(g, i)
+        # the deviation positions, each with its menu
+        self.dev = {pos[x]: g.set_actions(x) for x in deviation_sets(g, i, h)}
+        self.prefix_key = _getter([p for p in view.own if p not in self.dev])
+        # per member of h, the (player, set, position, action) constraints
+        # of the path to it
+        reqs = _requirements(g, h.host)
+        self.reqs = [reqs[m] for m in h.members]
+        self._col_reaches: dict[tuple, bool] = {}
+        self._columns: dict[tuple, tuple] = {}
+        self._aids: dict[tuple, int] = {}
+        self._allowed: dict[int, tuple] = {}
+        self._matrices: dict[tuple, tuple] = {}
+
+    def column_reaches(self, col: tuple) -> bool:
+        got = self._col_reaches.get(col)
+        if got is None:
+            prof = self.view.profile(col)
+            got = self._col_reaches[col] = any(
+                all(prof[j][p] == a for j, _, p, a in r if j != self.i)
+                for r in self.reqs)
+        return got
+
+    def columns(self, classes: Mapping[Player, _Classes],
+                alive: tuple) -> tuple:
+        """The reaching columns of the view's ``grid``."""
+        got = self._columns.get(alive)
+        if got is None:
+            got = self._columns[alive] = tuple(filter(
+                self.column_reaches, self.view.grid(classes, alive)))
+        return got
+
+    def intern(self, cols: tuple) -> int:
+        """A small id for a tuple of allowed reaching columns."""
+        aid = self._aids.setdefault(cols, len(self._aids))
+        self._allowed.setdefault(aid, cols)
+        return aid
+
     def _matrix(self, v: tuple, aid: int) -> tuple:
         """Payoff rows for every continuation at the deviation sets, shared
         by all strategies with the same choices before the set: the branch
         tree, each row of terminal ids' index into the distinct rows, those
-        rows, the column maxima, the distinct rows no other row dominates
-        (only those can constrain a belief) and a verdict slot per distinct
-        row.
+        rows, the column maxima and a verdict slot per distinct row.
 
         One loop plays the allowed columns in turn with v's choices off the
         deviation positions, and branches in menu order where a column
@@ -195,22 +216,24 @@ class _SetContext:
         has a [position, {action: subtree}] list per branch and a row of
         terminal ids, one per column, per leaf.  Rows are compared first as
         tuples of terminal ids, then as payoffs, which are integers
-        (``payoff``)."""
+        (``_TreeView.payoff``)."""
         key = (self.prefix_key(v), aid)
         got = self._matrices.get(key)
         if got is not None:
             return got
+        view = self.view
+        play, root = view.play, view.root
         w = list(v)
         for p in self.dev:
             w[p] = None
-        profs = [{**self._profiles[c], self.i: w} for c in self._allowed[aid]]
+        profs = [{**view.profile(c), self.i: w} for c in self._allowed[aid]]
         id_rows: list[tuple] = []
         fixed: list[int] = []  # the positions the current branch fixes
         top: dict = {}
         # per branch to play: how many positions are fixed above it, the one
         # it fixes and how, the columns' terminals so far, the next column's
         # node and the dict that takes its subtree
-        stack = [(0, None, None, (), self.root, top)]
+        stack = [(0, None, None, (), root, top)]
         while stack:
             depth, p, a, ids, n, at = stack.pop()
             while len(fixed) > depth:
@@ -219,7 +242,7 @@ class _SetContext:
                 w[p] = a
                 fixed.append(p)
             while len(ids) < len(profs):
-                x = self._play(profs[len(ids)], n)
+                x = play(profs[len(ids)], n)
                 if type(x) is tuple:
                     n, q = x
                     at[a] = [q, {}]
@@ -227,49 +250,50 @@ class _SetContext:
                                  for b in reversed(self.dev[q]))
                     break
                 ids += (x,)
-                n = self.root
+                n = root
             else:
                 at[a] = ids
                 id_rows.append(ids)
-        pay = self.payoff
+        pay = view.payoff
         distinct: dict[tuple, int] = {}
         of = {ids: distinct.setdefault(tuple([pay[n] for n in ids]),
                                        len(distinct)) for ids in id_rows}
         rows = list(distinct)
         col_max = tuple(map(max, zip(*rows)))
-        kept = [r for r in rows
-                if not any(o != r and all(map(ge, o, r)) for o in rows)]
-        got = self._matrices[key] = (top[None], of, rows, col_max, kept,
+        got = self._matrices[key] = (top[None], of, rows, col_max,
                                      [None] * len(rows))
         return got
 
     def optimal_for_some_belief(self, v: tuple, aid: int) -> bool:
         """True when some belief over the allowed columns makes the
-        continuation of v weakly optimal among local deviations."""
-        x, of, rows, col_max, kept, verdicts = self._matrix(v, aid)
+        continuation of v weakly optimal among local deviations: its row is
+        unbeaten at some column, else no row beats it at every column and
+        the simplex over all the distinct rows finds a belief
+        (``lp.find_belief``); a dominated row only adds an implied bound."""
+        x, of, rows, col_max, verdicts = self._matrix(v, aid)
         while type(x) is list:
             x = x[1][v[x[0]]]
         r = of[x]
         if verdicts[r] is None:
             base = rows[r]
-            # point-belief fast path: a column where the base is unbeaten
             verdicts[r] = any(map(eq, base, col_max)) \
-                or self._lp(base, kept)
+                or self._lp(base, rows)
         return verdicts[r]
 
     def _lp(self, base: tuple, rows) -> bool:
-        n = len(base)
-        a_ub = [[v - b for v, b in zip(r, base)] for r in rows]
-        x = solve_feasibility(n, a_eq=[[ONE] * n], b_eq=[ONE],
-                              a_ub=a_ub, b_ub=[ZERO] * len(rows))
-        return x is not None
+        return find_belief([[v - b for v, b in zip(r, base)] for r in rows],
+                           len(base)) is not None
 
 
 @_memo
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
     """The set contexts of every real player's decision sets."""
-    return {h: _SetContext(g, i, h) for i in g.players
-            for h in g.decision_sets(i)}
+    out = {}
+    for i in g.players:
+        sets = g.decision_sets(i)
+        views = {t: _TreeView(g, i, t) for t in {h.host for h in sets}}
+        out.update((h, _SetContext(g, views[h.host], h)) for h in sets)
+    return out
 
 
 class _Classes:
@@ -389,8 +413,9 @@ def _allowed_columns(ctx: _SetContext, classes: Mapping[Player, _Classes],
                      rounds: list[dict]) -> tuple:
     """Best-rationalization support: columns from the latest round whose
     survivors still reach the set.  Rounds hold the alive classes."""
+    opponents = ctx.view.opponents
     for rd in reversed(rounds):
-        cols = ctx.columns(classes, tuple(rd[j] for j in ctx.opponents))
+        cols = ctx.columns(classes, tuple(rd[j] for j in opponents))
         if cols:
             return cols
     raise AssertionError("no opposing profile reaches %s" % ctx.h.label())

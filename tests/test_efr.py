@@ -12,13 +12,14 @@ from operator import eq, ge, gt
 import pytest
 
 from test_classes import reference_table
-from ugt import rationalizability
+from ugt import lp, rationalizability
 from ugt.cli import main
 from ugt.core import NATURE, Game, InfoSet, NodeData, validate_game
 from ugt.discovery import build_supergame
 from ugt.equilibrium import check_sce_pure, construct_sce_efr
 from ugt.fixtures import load
 from ugt.gamedoc import serialize_game
+from ugt.lp import solve_feasibility
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
     _class_rounds,
@@ -534,25 +535,26 @@ def assert_columns_lose_no_play(g):
         for i in g.players:
             for hh in g.decision_sets(i):
                 ctx = ctxs[hh]
+                view = ctx.view
                 kept = ctx.columns(tables,
-                                   tuple(rd[j] for j in ctx.opponents))
+                                   tuple(rd[j] for j in view.opponents))
                 members = [[(v, tables[j].first[c]) for v, c in zip(
                     strategy_vectors(g, j), of[j]) if c in rd[j]]
-                           for j in ctx.opponents]
+                           for j in view.opponents]
                 expanded = [c for c in itertools.product(*(
                     dict.fromkeys(get(v) for v, _ in vs)
-                    for get, vs in zip(ctx.opp_keys, members)))
+                    for get, vs in zip(view.opp_keys, members)))
                     if ctx.column_reaches(c)]
                 rest = iter(expanded)
                 assert all(c in rest for c in kept), hh
                 # per opponent, one member per (key, first member's key)
                 pairs = [dict(((get(v), get(f)), (v, f)) for v, f in vs[::-1])
-                         for get, vs in zip(ctx.opp_keys, members)]
+                         for get, vs in zip(view.opp_keys, members)]
                 for combo in itertools.product(*(p.values() for p in pairs)):
                     col = tuple(get(v) for get, (v, _) in
-                                zip(ctx.opp_keys, combo))
+                                zip(view.opp_keys, combo))
                     first = tuple(get(f) for get, (_, f) in
-                                  zip(ctx.opp_keys, combo))
+                                  zip(view.opp_keys, combo))
                     assert ctx.column_reaches(col) == \
                         ctx.column_reaches(first), (hh, col)
                     checked += 1
@@ -561,9 +563,9 @@ def assert_columns_lose_no_play(g):
                     assert first in kept, (hh, col)
                     for own in tables[i].first:
                         assert play(g, hh.host, {i: own, **{
-                            j: v for j, (v, _) in zip(ctx.opponents, combo)
+                            j: v for j, (v, _) in zip(view.opponents, combo)
                         }}) == play(g, hh.host, {i: own, **{
-                            j: f for j, (_, f) in zip(ctx.opponents, combo)
+                            j: f for j, (_, f) in zip(view.opponents, combo)
                         }}), (hh, col, own)
     return checked
 
@@ -580,11 +582,10 @@ def test_generated_columns_lose_no_play(shape):
         **GENERATED.get(shape, {}))) for seed in range(20))
 
 
-def test_best_reply_only_to_a_mixed_belief_survives():
-    """Player 1's D is beaten under every point belief on player 2's L, M
-    and R, yet is a best reply to (1/2, 1/2, 0); player 2 is indifferent."""
-    pay = {"A": (3, 0, 0), "B": (0, 3, 0), "C": (0, 0, 3), "D": (2, 2, -10)}
-    labels = {1: tuple(pay), 2: ("L", "M", "R")}
+def one_shot(pay, cols):
+    """Players 1 and 2 move at once: 1 picks a row of pay, 2 a column of
+    cols; 1 gets the row's entry there and 2 is indifferent."""
+    labels = {1: tuple(pay), 2: tuple(cols)}
     nodes, children = {}, {}
     for n, (a, b) in enumerate(itertools.product(*labels.values()), start=1):
         children[(a, b)] = n
@@ -593,14 +594,71 @@ def test_best_reply_only_to_a_mixed_belief_survives():
     nodes[0] = NodeData(parent=None, players=(1, 2), actions=labels,
                         children=children)
     info = {(i, "G", n): InfoSet(i, "G", (n,)) for i in (1, 2) for n in nodes}
-    g = Game((1, 2), {"G": nodes}, nodes, info)
+    return Game((1, 2), {"G": nodes}, nodes, info)
+
+
+def test_best_reply_only_to_a_mixed_belief_survives():
+    """Player 1's D is beaten under every point belief on player 2's L, M
+    and R, yet is a best reply to (1/2, 1/2, 0); player 2 is indifferent."""
+    pay = {"A": (3, 0, 0), "B": (0, 3, 0), "C": (0, 0, 3), "D": (2, 2, -10)}
+    g = one_shot(pay, ("L", "M", "R"))
     root = h(1, "G", (0,))
     d = PureStrategy(1, ((root, "D"),))
-    col = {b: {2: PureStrategy(2, ((h(2, "G", (0,)), b),))}
-           for b in labels[2]}
+    col = {b: {2: PureStrategy(2, ((h(2, "G", (0,)), b),))} for b in "LMR"}
     assert not any(best_reply_exists(g, 1, root, d, [p]) for p in col.values())
     assert best_reply_exists(g, 1, root, d, [col["L"], col["M"]])
     assert actions(efr(g).surviving()[1], root) == set(pay)
+
+
+def test_row_beaten_only_by_a_mixed_row_is_dropped_by_the_simplex(
+        monkeypatch):
+    """Player 1's C = (1, 1) against L and R is strictly dominated by
+    1/2 A + 1/2 B, where A = (3, 0) and B = (0, 3), but by neither pure
+    row, so no pure test decides it: EFR drops it after one simplex call,
+    the only one it makes."""
+    pay = {"A": (3, 0), "B": (0, 3), "C": (1, 1)}
+    g = one_shot(pay, ("L", "R"))
+    root = h(1, "G", (0,))
+    calls = []
+    simplex = lp.solve_feasibility
+
+    def spy(n, *system):
+        x = simplex(n, *system)
+        calls.append((n, sorted(map(tuple, system[2])), x))
+        return x
+
+    monkeypatch.setattr(lp, "solve_feasibility", spy)
+    assert actions(efr(g).surviving()[1], root) == {"A", "B"}
+    # C's rows against the others and itself, no belief making it optimal
+    assert calls == [(2, [(-1, 2), (0, 0), (2, -1)], None)]
+    cols = [{2: PureStrategy(2, ((h(2, "G", (0,)), b),))} for b in "LR"]
+    assert [best_reply_exists(g, 1, root, PureStrategy(1, ((root, a),)),
+                              cols) for a in pay] == [True, True, False]
+
+
+def test_efr_reaches_the_simplex_only_where_no_pure_test_decides(
+        monkeypatch):
+    """With the simplex wrapped in every ugt module that binds it, efr on
+    the fixtures, chain(60) and centipede(40) calls it only with two or
+    more columns and no row positive at every column; chain(60), with one
+    column at every set, makes no call."""
+    calls = []
+    simplex = lp.solve_feasibility
+
+    def spy(n, *system):
+        calls.append((n, system[2]))
+        return simplex(n, *system)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "ugt" and \
+                getattr(mod, "solve_feasibility", None) is simplex:
+            monkeypatch.setattr(mod, "solve_feasibility", spy)
+    efr(chain(60))
+    assert calls == []
+    for g in [*map(load, FIXTURE_NAMES), centipede(40)]:
+        efr(g)
+    assert all(n >= 2 and not any(all(v > 0 for v in r) for r in rows)
+               for n, rows in calls)
 
 
 def assert_rounds_match_per_strategy_reference(g):
@@ -655,10 +713,12 @@ def test_generated_rounds_match_per_strategy_reference(shape):
 def reference_matrix(g, ctx, v, aid):
     """The matrix of ``_SetContext._matrix`` built the direct way: every
     continuation plays every allowed column from the host tree's root, and
-    rows of Fraction payoffs are deduplicated as they are.  Returns each
-    continuation's row index, the rows, the undominated rows and a verdict
-    per row."""
-    cells = [dict(ctx._profiles[c]) for c in ctx._allowed[aid]]
+    rows of Fraction payoffs are deduplicated as they are.  A row's verdict
+    is a column where it is unbeaten, else the plain simplex over the rows
+    no other row weakly dominates, with none of the engine's shortcuts.
+    Returns each continuation's row index, the rows and a verdict per
+    row."""
+    cells = [dict(ctx.view.profile(c)) for c in ctx._allowed[aid]]
     w = list(v)
     index, at = {}, {}
     for combo in itertools.product(*ctx.dev.values()):
@@ -673,8 +733,11 @@ def reference_matrix(g, ctx, v, aid):
     col_max = tuple(map(max, zip(*rows)))
     kept = [r for r in rows
             if not any(o != r and all(map(ge, o, r)) for o in rows)]
-    verdicts = [any(map(eq, r, col_max)) or ctx._lp(r, kept) for r in rows]
-    return at, rows, kept, verdicts
+    n = len(col_max)
+    verdicts = [any(map(eq, r, col_max)) or solve_feasibility(
+        n, [[1] * n], [1], [[x - y for x, y in zip(o, r)] for o in kept],
+        [0] * len(kept)) is not None for r in rows]
+    return at, rows, verdicts
 
 
 def follow(tree, w):
@@ -692,8 +755,8 @@ def assert_matrices_match_reference(g):
     reference: each continuation, followed down the branch tree, selects a
     row of terminal ids whose distinct row equals its reference row up to
     the context's integer scale; the engine lists exactly the rows of terminal
-    ids the continuations select; the distinct and undominated rows are the
-    reference's as multisets; and the verdicts are the reference's.
+    ids the continuations select; the distinct rows are the reference's as
+    multisets; and the verdicts are the reference's.
     Returns the number of matrices checked."""
     efr(g)
     ctxs = _contexts(g)
@@ -716,11 +779,10 @@ def assert_matrices_match_reference(g):
                     if (ctx.prefix_key(v), aid) in seen:
                         continue
                     seen.add((ctx.prefix_key(v), aid))
-                    tree, of, rows, _, kept, _ = ctx._matrix(v, aid)
-                    want_at, want_rows, want_kept, verdicts = \
+                    tree, of, rows, _, _ = ctx._matrix(v, aid)
+                    want_at, want_rows, verdicts = \
                         reference_matrix(g, ctx, v, aid)
                     assert sorted(rows) == scaled(want_rows), hh
-                    assert sorted(kept) == scaled(want_kept), hh
                     assert all(type(x) is int for r in rows for x in r)
                     selected = set()
                     for combo, r in want_at.items():

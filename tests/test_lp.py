@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ugt.lp import check_solution, solve_feasibility
+from ugt.lp import check_solution, find_belief, solve_feasibility
 
 F = Fraction
 
@@ -155,3 +155,36 @@ def test_random_systems_match_witness_check(seed):
             pts = [[a] for a in grid] if n == 1 else \
                   [[a, b] for a in grid for b in grid]
             assert not any(ok(p) for p in pts)
+
+
+def _belief_by_simplex(rows, n):
+    return solve_feasibility(n, [[1] * n], [1], rows, [0] * len(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=6))))
+def test_find_belief_matches_the_simplex(case):
+    n, rows = case
+    x = find_belief(rows, n)
+    assert x == _belief_by_simplex(rows, n)
+    if x is not None:
+        assert all(type(v) is F for v in x)
+        assert check_solution(x, n, [[1] * n], [1], rows, [0] * len(rows))
+
+
+def test_find_belief_pure_cases():
+    # one column: the point belief, unless a row is positive there
+    assert find_belief([], 1) == [1]
+    assert find_belief([[0], [-2]], 1) == [1]
+    assert find_belief([[2]], 1) is None
+    # a row positive at every column rules out every belief
+    assert find_belief([[-1, 0, 0], [1, 2, 3]], 3) is None
+    # no pure belief solves these, but mixed beliefs on the first two
+    # columns do; the first row is nonnegative at every column and positive
+    # at one only, so a weak (>=) dominance test would answer None
+    rows = [[0, 0, 5], [1, -2, 0], [-2, 1, 0]]
+    x = find_belief(rows, 3)
+    assert x == _belief_by_simplex(rows, 3) and x[2] == 0 < x[0] < 1
+    assert not any(check_solution(p, 3, [[1] * 3], [1], rows, [0] * 3)
+                   for p in ([1, 0, 0], [0, 1, 0], [0, 0, 1]))
