@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ugt import lp
 from ugt.lp import check_solution, find_belief, solve_feasibility
 
 F = Fraction
@@ -173,13 +174,18 @@ def test_find_belief_matches_the_simplex(case):
         assert check_solution(x, n, [[1] * n], [1], rows, [0] * len(rows))
 
 
-def test_find_belief_pure_cases():
+def test_find_belief_pure_cases(monkeypatch):
+    def simplex(*system):
+        pytest.fail("a pure test decides %r" % (system,))
+
+    monkeypatch.setattr(lp, "solve_feasibility", simplex)
     # one column: the point belief, unless a row is positive there
     assert find_belief([], 1) == [1]
     assert find_belief([[0], [-2]], 1) == [1]
     assert find_belief([[2]], 1) is None
     # a row positive at every column rules out every belief
     assert find_belief([[-1, 0, 0], [1, 2, 3]], 3) is None
+    monkeypatch.undo()
     # no pure belief solves these, but mixed beliefs on the first two
     # columns do; the first row is nonnegative at every column and positive
     # at one only, so a weak (>=) dominance test would answer None
