@@ -19,14 +19,19 @@ listed by a loop over the positions that keeps only actions an alive class
 allows.  The engine decides per-set optimality over the distinct payoff
 rows of the continuations against the allowed columns: a column where the
 row is unbeaten, else a row beating it at every column, else the simplex
-(``lp.find_belief``).  One loop plays the columns through the host tree
-and branches only at a deviation set some column's play meets unfixed;
-its branch tree gives the rows, and a continuation descends it to its
-row.  No routine recurses on the game's depth.  Entries are the player's
-payoffs times one positive integer per host tree, so they compare and
-pivot as ints.  What a player's sets in one host tree share is built once
-(``_TreeView``).  The references that check it (``best_reply_exists``,
-``efr_oracle``) are in ``reference``, which this module does not import.
+(``lp.find_belief``).  One loop plays the columns through the host tree,
+each on one flat list of the own vector and the column's keys with one
+getter call per node, and branches only at a deviation set some column's
+play meets unfixed; its branch tree gives the rows, and a continuation
+descends it to its row.  Rounds are incremental: a round re-decides a
+player only at the sets whose allowed columns changed, and not at all
+when no opponent's alive classes changed.  No routine recurses on the
+game's depth.  Entries are the player's payoffs times one positive integer
+per host tree, so they compare and pivot as ints.  What a player's sets in
+one host tree share is built once (``_TreeView``), with every set's
+deviation positions from one walk up the tree.  The references that check
+it (``best_reply_exists``, ``efr_oracle``) are in ``reference``, which
+this module does not import.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ from .core import (
     NATURE, Game, InfoSet, NodeId, Player, TreeId, _check_game, _memo)
 from .lp import find_belief
 from .strategies import (
-    PureStrategy, _requirements, acting_players, deviation_sets,
-    play_table, set_positions, vector_strategy)
+    PureStrategy, _requirements, acting_players, play_table, vector_strategy)
 
 
 @dataclass
@@ -89,27 +93,29 @@ class _TreeView:
     only to build, never holds it.
 
     A column is the tuple of the opponents' keys, each an opponent's actions
-    at its decision sets in the tree; nature counts as an opponent.  Equal
-    columns play the tree out identically.  A column's profile maps each
-    opponent to its key by the positions the tree reads (``reads``), the
-    only positions ``play`` and the member requirements consult.
+    at its decision sets in the tree, read at the positions the tree's
+    play-outs consult (``reads``); nature counts as an opponent.  Equal
+    columns play the tree out identically.  A play reads one flat list:
+    i's own vector, then the column's keys one after another (``at`` maps
+    an opponent's (player, position) to its index among the keys).  Per
+    decision node, ``steps`` holds one getter on that list, the children
+    by what it reads, and i's own position there (None if i does not move).
     """
 
     def __init__(self, g: Game, i: Player, t: TreeId):
         self.i = i
-        self.kids = g._st.children[t]
-        self.table = play_table(g, t)
+        self.kids = kids = g._st.children[t]
+        table = play_table(g, t)
         self.root = g.root(t)
         # i's payoffs at the terminals, times one positive integer scale
-        pays = {n: g.nodes[n].payoffs[i]
-                for n, kids in self.kids.items() if not kids}
+        pays = {n: g.nodes[n].payoffs[i] for n, ks in kids.items() if not ks}
         scale = math.lcm(*(x.denominator for x in pays.values()))
         self.payoff = {n: x.numerator * (scale // x.denominator)
                        for n, x in pays.items()}
         # the vector positions a play-out of the tree can consult
         used: dict[Player, list[int]] = {}
-        for n in sorted(self.table):
-            for j, p in self.table[n]:
+        for n in sorted(table):
+            for j, p in table[n]:
                 if p not in used.setdefault(j, []):
                     used[j].append(p)
         self.own = used.get(i, [])
@@ -117,7 +123,16 @@ class _TreeView:
         # per opponent, the positions its key reads
         self.reads = [used.get(j, []) for j in self.opponents]
         self.opp_keys = list(map(_getter, self.reads))
-        self._profiles: dict[tuple, dict] = {}
+        self.at = {(j, p): k for k, (j, p) in enumerate(
+            (j, p) for j, at in zip(self.opponents, self.reads) for p in at)}
+        base = len(g.decision_sets(i))
+        self.steps = {}
+        for n, pairs in table.items():
+            idx = [p if j == i else base + self.at[j, p] for j, p in pairs]
+            self.steps[n] = (
+                itemgetter(*idx) if idx else lambda w: (),
+                {a: c for (a,), c in kids[n].items()} if len(idx) == 1
+                else kids[n], next((p for j, p in pairs if j == i), None))
         self._grids: dict[tuple, list] = {}
 
     def grid(self, classes: Mapping[Player, _Classes], alive: tuple) -> list:
@@ -132,28 +147,37 @@ class _TreeView:
             got = self._grids[alive] = list(itertools.product(*keys))
         return got
 
-    def profile(self, col: tuple) -> dict:
-        got = self._profiles.get(col)
-        if got is None:
-            got = self._profiles[col] = {
-                j: dict(zip(at, key))
-                for j, at, key in zip(self.opponents, self.reads, col)}
-        return got
-
-    def play(self, prof: Mapping, n: NodeId):
-        """The tree played from n under prof, which gives each player its
-        actions by position and whose own vector, a list, holds None at the
-        deviation positions not fixed yet: the terminal reached, or at the
-        first such position met, (its node, the position)."""
-        kids, table = self.kids, self.table
-        pairs = table.get(n)
-        while pairs is not None:
-            acts = tuple([prof[j][p] for j, p in pairs])
-            if None in acts:
-                return n, next(p for j, p in pairs if j == self.i)
-            n = kids[n][acts]
-            pairs = table.get(n)
+    def play(self, w: list, n: NodeId):
+        """The tree played from n on the flat list w, whose own vector holds
+        None at the deviation positions not fixed yet: the terminal reached,
+        or at the first such position met, (its node, the position)."""
+        steps = self.steps
+        step = steps.get(n)
+        while step is not None:
+            get, kids, own = step
+            c = kids.get(get(w))
+            if c is None:
+                return n, own
+            n = c
+            step = steps.get(n)
         return n
+
+    def deviations(self, sets: Sequence[InfoSet]) -> dict[InfoSet, list]:
+        """Per set of i in the tree, its deviation positions (the positions
+        of ``deviation_sets``): i's positions at its members and below them,
+        from one walk up the tree."""
+        kids, order = self.kids, [self.root]
+        for n in order:
+            order.extend(kids[n].values())
+        below: dict[NodeId, set] = {}
+        for n in reversed(order):
+            got = below[n] = set()
+            for c in kids[n].values():
+                got |= below[c]
+            if n in self.steps and self.steps[n][2] is not None:
+                got.add(self.steps[n][2])
+        return {h: sorted(set().union(*map(below.__getitem__, h.members)))
+                for h in sets}
 
 
 class _SetContext:
@@ -162,18 +186,19 @@ class _SetContext:
     the own choices off them, its members' path requirements and caches;
     takes the game only to build, never holds it."""
 
-    def __init__(self, g: Game, view: _TreeView, h: InfoSet):
+    def __init__(self, g: Game, view: _TreeView, h: InfoSet, dev: list):
         self.view = view
         self.i = i = view.i
         self.h = h
-        pos = set_positions(g, i)
         # the deviation positions, each with its menu
-        self.dev = {pos[x]: g.set_actions(x) for x in deviation_sets(g, i, h)}
+        sets = g.decision_sets(i)
+        self.dev = {p: g.set_actions(sets[p]) for p in dev}
         self.prefix_key = _getter([p for p in view.own if p not in self.dev])
-        # per member of h, the (player, set, position, action) constraints
-        # of the path to it
+        # per member of h, the (index among a column's keys, action)
+        # constraints of the path to it
         reqs = _requirements(g, h.host)
-        self.reqs = [reqs[m] for m in h.members]
+        self.reqs = [[(view.at[j, p], a) for j, _, p, a in reqs[m] if j != i]
+                     for m in h.members]
         self._col_reaches: dict[tuple, bool] = {}
         self._columns: dict[tuple, tuple] = {}
         self._aids: dict[tuple, int] = {}
@@ -183,10 +208,9 @@ class _SetContext:
     def column_reaches(self, col: tuple) -> bool:
         got = self._col_reaches.get(col)
         if got is None:
-            prof = self.view.profile(col)
+            keys = tuple(itertools.chain(*col))
             got = self._col_reaches[col] = any(
-                all(prof[j][p] == a for j, _, p, a in r if j != self.i)
-                for r in self.reqs)
+                all(keys[k] == a for k, a in r) for r in self.reqs)
         return got
 
     def columns(self, classes: Mapping[Player, _Classes],
@@ -210,12 +234,13 @@ class _SetContext:
         tree, each row of terminal ids' index into the distinct rows, those
         rows, the column maxima and a verdict slot per distinct row.
 
-        One loop plays the allowed columns in turn with v's choices off the
-        deviation positions, and branches in menu order where a column
-        meets a deviation position that no branch above fixes.  Its tree
-        has a [position, {action: subtree}] list per branch and a row of
-        terminal ids, one per column, per leaf.  Rows are compared first as
-        tuples of terminal ids, then as payoffs, which are integers
+        One loop plays the allowed columns in turn, each on its own flat
+        list (``_TreeView``) with v's choices off the deviation positions,
+        and branches in menu order where a column meets a deviation position
+        that no branch above fixes; a branch's fix goes into every list.
+        Its tree has a [position, {action: subtree}] list per branch and a
+        row of terminal ids, one per column, per leaf.  Rows are compared
+        first as tuples of terminal ids, then as payoffs, which are integers
         (``_TreeView.payoff``)."""
         key = (self.prefix_key(v), aid)
         got = self._matrices.get(key)
@@ -226,7 +251,7 @@ class _SetContext:
         w = list(v)
         for p in self.dev:
             w[p] = None
-        profs = [{**view.profile(c), self.i: w} for c in self._allowed[aid]]
+        flats = [[*w, *itertools.chain(*c)] for c in self._allowed[aid]]
         id_rows: list[tuple] = []
         fixed: list[int] = []  # the positions the current branch fixes
         top: dict = {}
@@ -237,12 +262,15 @@ class _SetContext:
         while stack:
             depth, p, a, ids, n, at = stack.pop()
             while len(fixed) > depth:
-                w[fixed.pop()] = None
+                q = fixed.pop()
+                for f in flats:
+                    f[q] = None
             if p is not None:
-                w[p] = a
+                for f in flats:
+                    f[p] = a
                 fixed.append(p)
-            while len(ids) < len(profs):
-                x = play(profs[len(ids)], n)
+            while len(ids) < len(flats):
+                x = play(flats[len(ids)], n)
                 if type(x) is tuple:
                     n, q = x
                     at[a] = [q, {}]
@@ -291,8 +319,10 @@ def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
     out = {}
     for i in g.players:
         sets = g.decision_sets(i)
-        views = {t: _TreeView(g, i, t) for t in {h.host for h in sets}}
-        out.update((h, _SetContext(g, views[h.host], h)) for h in sets)
+        for t in {h.host for h in sets}:
+            view = _TreeView(g, i, t)
+            dev = view.deviations([h for h in sets if h.host == t])
+            out.update((h, _SetContext(g, view, h, d)) for h, d in dev.items())
     return out
 
 
@@ -495,30 +525,45 @@ class _Round(Sequence):
 @_memo
 def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
     """Per round of ``efr(g).rounds``, per acting player, the classes
-    (``_classes``) whose members the round holds: the engine itself."""
+    (``_classes``) whose members the round holds: the engine itself.
+
+    A round decides a player's alive classes only at the sets whose
+    interned allowed columns changed since the player was last decided:
+    at every other set they all passed under those same columns.  A player
+    none of whose opponents' alive classes changed in the last round, nature
+    counted, keeps its classes without computing columns, since then no
+    set's allowed columns changed."""
     ctxs = _contexts(g)
     classes = {j: _classes(g, j) for j in acting_players(g)}
     rounds = [{j: frozenset(range(len(c.first))) for j, c in classes.items()}]
+    # per decision set, the columns its player's alive classes passed
+    passed: dict[InfoSet, int] = {}
     while True:
         new = dict(rounds[-1])
         for i in g.players:
-            allowed_at = []
-            for h in g.decision_sets(i):
-                cols = _allowed_columns(ctxs[h], classes, rounds)
-                allowed_at.append((ctxs[h], ctxs[h].intern(cols)))
+            if len(rounds) > 1 and all(rounds[-1][j] == rounds[-2][j]
+                                       for j in classes if j != i):
+                continue
+            changed = {}
+            for p, h in enumerate(g.decision_sets(i)):
+                ctx = ctxs[h]
+                aid = ctx.intern(_allowed_columns(ctx, classes, rounds))
+                if passed.get(h) != aid:
+                    changed[p] = ctx, aid
+                    passed[h] = aid
             table = classes[i]
             new[i] = frozenset(c for c in rounds[-1][i]
-                               if _rational(table, c, allowed_at))
+                               if _rational(table, c, changed))
             assert new[i], "no rationalizable strategy for player %d" % i
         rounds.append(new)
         if new == rounds[-2]:
             return rounds
 
 
-def _rational(table: _Classes, c: int, allowed_at) -> bool:
+def _rational(table: _Classes, c: int, changed: dict) -> bool:
     """The verdict on class c, decided on its first member: optimal for
-    some allowed belief at every set the class reaches.  allowed_at holds
-    per decision set its context and interned columns."""
+    some allowed belief at every set the class reaches among the changed
+    ones, which map a set's position to its context and interned columns."""
     v = table.first[c]
-    return all(allowed_at[p][0].optimal_for_some_belief(v, allowed_at[p][1])
-               for p in table.reached[c])
+    return all(changed[p][0].optimal_for_some_belief(v, changed[p][1])
+               for p in table.reached[c] if p in changed)

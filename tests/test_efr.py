@@ -22,9 +22,11 @@ from ugt.gamedoc import serialize_game
 from ugt.lp import solve_feasibility
 from ugt.randgen import generate_random_game
 from ugt.rationalizability import (
+    _allowed_columns,
     _class_rounds,
     _classes,
     _contexts,
+    _SetContext,
     efr,
 )
 from ugt.reference import (
@@ -37,6 +39,7 @@ from ugt.reference import (
 from ugt.strategies import (
     PureStrategy,
     acting_players,
+    deviation_sets,
     has_nature,
     opposing_profiles,
     play_table,
@@ -707,7 +710,10 @@ def reference_matrix(g, ctx, v, aid):
     no other row weakly dominates, with none of the engine's shortcuts.
     Returns each continuation's row index, the rows and a verdict per
     row."""
-    cells = [dict(ctx.view.profile(c)) for c in ctx._allowed[aid]]
+    view = ctx.view
+    cells = [{j: dict(zip(at, key))
+              for j, at, key in zip(view.opponents, view.reads, c)}
+             for c in ctx._allowed[aid]]
     w = list(v)
     index, at = {}, {}
     for combo in itertools.product(*ctx.dev.values()):
@@ -862,6 +868,103 @@ def test_efr_ignores_a_positive_affine_payoff_change(name):
     scaled = Game(g.players, g.trees, nodes, g.info)
     assert efr(scaled).rounds == efr(g).rounds
     assert assert_matrices_match_reference(scaled)
+
+
+# ---------------------------------------------------------------------------
+# incremental rounds and one-walk deviation positions
+
+
+def reference_class_rounds(g):
+    """``_class_rounds`` without skipping: every round decides every alive
+    class of every player at every set it reaches, under the columns that
+    round allows."""
+    ctxs = _contexts(g)
+    tables = {j: _classes(g, j) for j in acting_players(g)}
+    rounds = [{j: frozenset(range(len(t.first))) for j, t in tables.items()}]
+    while True:
+        new = dict(rounds[-1])
+        for i in g.players:
+            at = [(ctxs[hh], ctxs[hh].intern(
+                _allowed_columns(ctxs[hh], tables, rounds)))
+                for hh in g.decision_sets(i)]
+            table = tables[i]
+            new[i] = frozenset(
+                c for c in rounds[-1][i]
+                if all(at[p][0].optimal_for_some_belief(table.first[c],
+                                                        at[p][1])
+                       for p in table.reached[c]))
+        rounds.append(new)
+        if new == rounds[-2]:
+            return rounds
+
+
+def skipping_games():
+    for name in FIXTURE_NAMES:
+        yield name, load(name)
+    for shape in sorted(GENERATED):
+        for k, g in enumerate(generated_games(shape)):
+            yield (shape, k), g
+    for shape in ["plain", "nature", "3p"]:
+        for seed in range(20):
+            yield (shape, seed), generate_random_game(
+                seed=seed, depth=3, branching=2, tree_count=3,
+                **GENERATED.get(shape, {}))
+    yield "chain", chain(12)
+    yield "centipede", centipede(12)
+    for name in FIXTURE_NAMES:
+        for k, state in enumerate(build_supergame(load(name), "efr").states):
+            yield (name, "efr state", k), state
+
+
+def test_skipping_sets_changes_no_round():
+    """The engine re-decides a player only at the sets whose allowed
+    columns changed, and not at all when no opponent's classes changed;
+    its rounds are those of deciding everything every round."""
+    for label, g in skipping_games():
+        assert _class_rounds(g) == reference_class_rounds(g), label
+
+
+def test_efr_on_bos_repeated_skips_decided_sets(monkeypatch):
+    """efr(bos_repeated) asks for 304 per-set verdicts; deciding every
+    alive class at every set it reaches every round asks for 656."""
+    calls = []
+    verdict = _SetContext.optimal_for_some_belief
+
+    def spy(ctx, v, aid):
+        calls.append(ctx.h)
+        return verdict(ctx, v, aid)
+
+    monkeypatch.setattr(_SetContext, "optimal_for_some_belief", spy)
+    efr(load("bos_repeated"))
+    assert len(calls) <= 304
+    calls.clear()
+    reference_class_rounds(load("bos_repeated"))
+    assert len(calls) == 656
+
+
+def assert_deviation_positions_match_deviation_sets(g):
+    """Each context's deviation positions, from one walk per player and
+    host tree, are the positions of ``deviation_sets``, in its order."""
+    ctxs = _contexts(g)
+    for i in g.players:
+        pos = set_positions(g, i)
+        for hh in g.decision_sets(i):
+            assert list(ctxs[hh].dev) == [
+                pos[x] for x in deviation_sets(g, i, hh)], hh
+    return len(ctxs)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_deviation_positions_match_deviation_sets(name):
+    assert assert_deviation_positions_match_deviation_sets(load(name))
+
+
+@pytest.mark.parametrize("shape", ["plain", "nature", "3p"])
+def test_generated_deviation_positions_match_deviation_sets(shape):
+    assert sum(assert_deviation_positions_match_deviation_sets(
+        generate_random_game(seed=seed, depth=3, branching=2, tree_count=3,
+                             **GENERATED.get(shape, {})))
+        for seed in range(20))
 
 
 # ---------------------------------------------------------------------------
@@ -1119,6 +1222,94 @@ def test_chain_sce_plays_to_the_end(deadline):
     pi, verdict = construct_sce_efr(g)
     assert verdict.holds
     assert reach_probability(g, pi, ("G", 2 * d)) == 1
+
+
+def travellers_dilemma(n):
+    """Basu's (1994, AER 84) traveller's dilemma: both players claim at
+    once an integer from 2 to n (``c<k>``); equal claims pay each its
+    claim, else both get the lower claim, the lower claimant 2 more and the
+    higher 2 less."""
+    claims = ["c%d" % k for k in range(2, n + 1)]
+
+    def pay(prof):
+        x, y = (int(c[1:]) for c in prof)
+        low = min(x, y)
+        return (x, y) if x == y else (low + 2 - 4 * (x > y),
+                                      low + 2 - 4 * (y > x))
+    return one_shot_game([claims, claims], pay)
+
+
+def never_best_reply_rounds(g):
+    """Per round, the claims each player keeps under iterated elimination
+    of claims that are no best reply to any belief over the other's kept
+    claims (Pearce 1984), read off the payoffs of every claim profile and
+    decided by the plain simplex."""
+    root = {i: h(i, "G", (0,)) for i in g.players}
+    menu = g.set_actions(root[1])
+    children = g.children_in("G", 0)
+
+    def u(i, mine, other):
+        prof = (mine, other) if i == 1 else (other, mine)
+        return g.nodes[children[prof]].payoffs[i]
+
+    alive = {i: list(menu) for i in g.players}
+    rounds = [alive]
+    while True:
+        new = {}
+        for i, other in ((1, 2), (2, 1)):
+            cols = alive[other]
+            new[i] = [a for a in alive[i] if solve_feasibility(
+                len(cols), [[1] * len(cols)], [1],
+                [[u(i, b, y) - u(i, a, y) for y in cols] for b in menu],
+                [0] * len(menu)) is not None]
+        rounds.append(new)
+        if new == alive:
+            return rounds
+        alive = new
+
+
+def test_travellers_dilemma_closed_form_by_brute_force():
+    """At small sizes, each round drops the highest claim each player still
+    has, so n - 2 rounds leave only the claim 2; EFR's rounds are those of
+    iterated never-best-reply elimination."""
+    for n in range(3, 9):
+        g = travellers_dilemma(n)
+        assert validate_game(g).ok
+        rounds = never_best_reply_rounds(g)
+        want = ["c%d" % k for k in range(2, n + 1)]
+        assert rounds == [{1: want[:len(want) - k], 2: want[:len(want) - k]}
+                          for k in range(n - 1)] + [rounds[-1]], n
+        trace = efr(g)
+        assert trace.fixpoint_round == n - 1
+        assert [{i: [s.action_at(h(i, "G", (0,))) for s in rd[i]]
+                 for i in g.players} for rd in trace.rounds] == rounds, n
+
+
+def test_travellers_dilemma_keeps_only_the_lowest_claim(deadline,
+                                                        monkeypatch):
+    """With claims 2 to 41, only the claim 2 survives, after 39 rounds
+    that each drop both players' highest claims.  Every round changes
+    both players' classes, so no set is skipped: the engine decides each
+    alive class at its one set in every round."""
+    calls = []
+    verdict = _SetContext.optimal_for_some_belief
+
+    def spy(ctx, v, aid):
+        calls.append(ctx.h)
+        return verdict(ctx, v, aid)
+
+    monkeypatch.setattr(_SetContext, "optimal_for_some_belief", spy)
+    n = 41
+    g = travellers_dilemma(n)
+    trace = efr(g)
+    assert trace.fixpoint_round == n - 1
+    for i in g.players:
+        [s] = trace.surviving()[i]
+        assert s.action_at(h(i, "G", (0,))) == "c2"
+    rounds = _class_rounds(g)
+    assert [len(rd[1]) for rd in rounds] == [*range(n - 1, 0, -1), 1]
+    assert len(calls) == sum(len(rd[i]) for rd in rounds[:-1]
+                             for i in g.players)
 
 
 # chain(100) under a recursion limit of 60: no engine routine may recurse on
