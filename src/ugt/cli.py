@@ -3,7 +3,8 @@
 Subcommands: validate, efr, discover, supergame, sce, construct-sce and
 export.  Machine-readable output is available everywhere via ``--json``.
 Exit status is 0 for success or a positive verdict, 1 for a definite
-negative verdict, and 2 for errors (bad files, bad arguments).
+negative verdict, 2 for errors (bad files, bad arguments), and 3 when the
+game is too large for memory (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -336,6 +337,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.status
+    except MemoryError:
+        print("error: out of memory: the game is too large", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -190,75 +190,17 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     acting players.  A named policy's profiles come in ``allowed_profiles``
     order and a callable policy's in its own, each weighing 1.  Explicit
     profiles weigh as given (those with weight <= 0 are dropped) and must
-    be total (ValueError otherwise).
-
-    A named policy's profiles are never enumerated: a stack loop descends
-    the richest tree once, splitting each mover's pool by its action at the
-    node, so a path class is the product of the per-player subsets that
-    reach its terminal node.  Under "all" a pool holds a player's vectors;
-    under another policy, the first members of its permitted classes
-    (``_classes``), each weighing its class size: a play-out reads a class
-    only where it reaches, so its members split alike.  "all" could walk
-    every class the same way, but would then build a class table for each
-    state of an all-profiles supergame, which nothing else there needs.
+    be total (ValueError otherwise).  Named policies: ``_policy_paths``.
     """
+    players = acting_players(g)
     if isinstance(source, str):
-        players = acting_players(g)
-        sizes = None
-        if source == "all":
-            pools = [strategy_vectors(g, j) for j in players]
-        else:
-            alive = _class_rounds(g)[_POLICY_ROUND[source]]
-            pools, sizes = [], []
-            for j in players:
-                table, cs = _classes(g, j), sorted(alive[j])
-                pools.append([table.first[c] for c in cs])
-                sizes.append([table.size[c] for c in cs])
-            # plain counts are cheaper than summing unit weights
-            if all(s == 1 for w in sizes for s in w):
-                sizes = None
-        tbar = g.tbar
-        kids, table = g._st.children[tbar], play_table(g, tbar)
-        slot = {j: k for k, j in enumerate(players)}
-        found: list = []  # (first indices, path, profile count) per terminal
-        stack = [(g.root(tbar), [range(len(p)) for p in pools], ())]
-        while stack:
-            n, subsets, path = stack.pop()
-            path += (n,)
-            pairs = table.get(n)
-            if pairs is None:
-                if sizes is None:
-                    count = math.prod(map(len, subsets))
-                else:
-                    count = math.prod(sum(map(size.__getitem__, sub))
-                                      for size, sub in zip(sizes, subsets))
-                found.append((tuple(sub[0] for sub in subsets), path, count))
-                continue
-            split = []
-            for j, p in pairs:
-                k = slot[j]
-                pool = pools[k]
-                by: dict[str, list[int]] = {}
-                for x in subsets[k]:
-                    by.setdefault(pool[x][p], []).append(x)
-                split.append((k, by))
-            for prof, c in kids[n].items():
-                sub = list(subsets)
-                for (k, by), a in zip(split, prof):
-                    got = by.get(a)
-                    if got is None:
-                        break
-                    sub[k] = got
-                else:
-                    stack.append((c, sub, path))
+        pools, found = _policy_paths(g, source)
         makers = [vector_strategy(g, j) for j in players]
-        # lexicographic first indices give the product order
         return [(path, {j: make(pool[x]) for j, make, pool, x
                         in zip(players, makers, pools, first)}, count)
-                for first, path, count in sorted(found)]
+                for first, path, count in found]
     if callable(source):
         source = [(s, 1) for s in allowed_profiles(g, source)]
-    players = acting_players(g)
     merged: dict[tuple[NodeId, ...], list] = {}
     for s, w in source:
         if w > 0:
@@ -269,6 +211,70 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
             else:
                 got[2] += w
     return list(map(tuple, merged.values()))
+
+
+def _policy_paths(g: Game, policy: str) -> tuple[list, list]:
+    """A named policy's pools, per acting player, and per path class in
+    product order (pool indices of its first profile, path, weight).  The
+    profiles are never enumerated: a stack loop descends the richest tree
+    once, splitting each mover's pool by its action at the node, so a path
+    class is the product of the per-player subsets that reach its terminal
+    node.  Under "all" a pool holds a player's vectors; under another
+    policy, the first members of its permitted classes (``_classes``), each
+    weighing its class size: a play-out reads a class only where it
+    reaches, so its members split alike.  "all" could walk every class the
+    same way, but would then build a class table for each state of an
+    all-profiles supergame, which nothing else there needs."""
+    players = acting_players(g)
+    sizes = None
+    if policy == "all":
+        pools = [strategy_vectors(g, j) for j in players]
+    else:
+        alive = _class_rounds(g)[_POLICY_ROUND[policy]]
+        pools, sizes = [], []
+        for j in players:
+            table, cs = _classes(g, j), sorted(alive[j])
+            pools.append([table.first[c] for c in cs])
+            sizes.append([table.size[c] for c in cs])
+        # plain counts are cheaper than summing unit weights
+        if all(s == 1 for w in sizes for s in w):
+            sizes = None
+    tbar = g.tbar
+    kids, table = g._st.children[tbar], play_table(g, tbar)
+    slot = {j: k for k, j in enumerate(players)}
+    found: list = []  # (first indices, path, profile count) per terminal
+    stack = [(g.root(tbar), [range(len(p)) for p in pools], ())]
+    while stack:
+        n, subsets, path = stack.pop()
+        path += (n,)
+        pairs = table.get(n)
+        if pairs is None:
+            if sizes is None:
+                count = math.prod(map(len, subsets))
+            else:
+                count = math.prod(sum(map(size.__getitem__, sub))
+                                  for size, sub in zip(sizes, subsets))
+            found.append((tuple(sub[0] for sub in subsets), path, count))
+            continue
+        split = []
+        for j, p in pairs:
+            k = slot[j]
+            pool = pools[k]
+            by: dict[str, list[int]] = {}
+            for x in subsets[k]:
+                by.setdefault(pool[x][p], []).append(x)
+            split.append((k, by))
+        for prof, c in kids[n].items():
+            sub = list(subsets)
+            for (k, by), a in zip(split, prof):
+                got = by.get(a)
+                if got is None:
+                    break
+                sub[k] = got
+            else:
+                stack.append((c, sub, path))
+    # lexicographic first indices give the product order
+    return pools, sorted(found)
 
 
 @dataclass

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter, UserDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .core import (
     Game, NATURE, NodeId, Player, TreeId, _check_game,
     hosts_reachable)
-from .discovery import _path_classes
+from .discovery import _policy_paths
 from .lp import find_belief, solve_feasibility
 from .rationalizability import _Classes, _class_rounds, _classes
 from .strategies import (
@@ -46,34 +48,59 @@ from .strategies import (
     deviation_sets,
     has_nature,
     kernel_vector,
-    kuhn_convert,
     mixed_to_behavior,
     play_table,
     set_positions,
-    vector_strategy,
 )
 
 
 @dataclass
 class SceVerdict:
+    """An SCE check's verdict: a failing one names the condition and the
+    player; a holding one's ``witnesses`` are a ``_Witnesses``."""
+
     holds: bool
     violated_condition: Optional[str] = None  # awareness | rationality |
     #                                    belief-confirmation | efr-support
     player: Optional[Player] = None
-    witnesses: dict = field(default_factory=dict)
+    witnesses: Mapping = field(default_factory=dict)
     detail: str = ""
+
+
+class _Witnesses(UserDict):
+    """Witness beliefs as data: per player and group of sets the (opposing
+    kernel-vector profile, weight) pairs, and each acting player's
+    ``g.decision_sets``.  The first read builds the dict of restricted behavior
+    profiles (pure: one group of ``PureStrategy`` ones).  It holds no game or
+    closure, so it pickles and frees the game."""
+
+    def __init__(self, groups: dict, sets: dict, pure: bool = False):
+        self.groups, self.sets, self.pure = groups, sets, pure
+
+    def __getattr__(self, name: str):
+        # only called while UserDict's ``data`` is unset: the first read
+        if name != "data":
+            raise AttributeError(name)
+        d = {i: [[({j: self._strategy(j, v) for j, v in p.items()}, w)
+                  for p, w in group] for group in groups]
+             for i, groups in self.groups.items()}
+        self.data = {i: x for i, [x] in d.items()} if self.pure else d
+        return self.data
+
+    def _strategy(self, j: Player, v: tuple):
+        chosen = {h: k for h, k in zip(self.sets[j], v) if k is not None}
+        if self.pure:  # pure candidates hold point masses
+            return PureStrategy.make(j, {h: a for h, [a] in chosen.items()})
+        return BehaviorStrategy.make(j, chosen)
 
 
 def uniform_nature(g: Game) -> BehaviorStrategy:
     """Nature's uniform behavior strategy: equal weight on every action at
     each of its decision sets.  TypeError when g is not a Game."""
     _check_game(g)
-    kernels = {}
-    for h in g.decision_sets(NATURE):
-        actions = g.set_actions(h)
-        u = Fraction(1, len(actions))
-        kernels[h] = {a: u for a in actions}
-    return BehaviorStrategy.make(NATURE, kernels)
+    return BehaviorStrategy.make(NATURE, {
+        h: dict.fromkeys(menu := g.set_actions(h), Fraction(1, len(menu)))
+        for h in g.decision_sets(NATURE)})
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +144,17 @@ def _kernels_reach(g: Game, kernels: Mapping[Player, tuple], t: TreeId,
 def _live_nodes(g: Game, kernels: Mapping[Player, tuple],
                 t: TreeId) -> list[NodeId]:
     """The nodes of t the kernel profile reaches with positive
-    probability, in order."""
-    return [n for n in sorted(g.trees[t])
-            if _kernels_reach(g, kernels, t, (n,))]
+    probability, in order: those ``_kernels_reach`` accepts, found by one
+    walk down t along the edges whose every mover the kernels either leave
+    out or give the edge's action."""
+    kids, table = g._st.children[t], play_table(g, t)
+    live = [g.root(t)]
+    for n in live:  # the list grows as the walk visits it
+        pairs = table.get(n)
+        live += [c for prof, c in kids[n].items()
+                 if all(j not in kernels or a in kernels[j][p]
+                        for (j, p), a in zip(pairs, prof))]
+    return sorted(live)
 
 
 def _path_components(g: Game, i: Player, live: list[NodeId]) -> list[list]:
@@ -141,7 +176,8 @@ def _path_components(g: Game, i: Player, live: list[NodeId]) -> list[list]:
     return [sorted(grp, key=g._set_sort_key) for grp in groups]
 
 
-def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
+def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates,
+                pure: bool = False):
     """Conditions (0)-(ii) for every player, on checked kernel vectors.
 
     (0) The player's sets at the live richest-tree nodes share one host
@@ -151,9 +187,9 @@ def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
     that a confirmed belief may weight; (i) one belief over them makes
     every point-mass local deviation at the group's reached decision sets,
     one per class of play in t* (``_fills``), weakly unprofitable in t*.
-    The first failing verdict, else a holding one whose witnesses hold per
-    player and group the belief's positive weights on restricted behavior
-    profiles."""
+    The first failing verdict, else a holding one whose witnesses
+    (``_Witnesses``, pure ones when pure is set) hold per player and group
+    the belief's positive weights on the candidates."""
     live = _live_nodes(g, kernels, g.tbar)
     weights: dict[Player, list] = {}
     for i in g.players:
@@ -197,17 +233,9 @@ def _conditions(g: Game, kernels: Mapping[Player, tuple], candidates):
                 return SceVerdict(
                     False, "rationality", i,
                     detail="at %s" % " ".join(h.label() for h in group))
-            weights[i].append([({j: _as_strategy(g, j, v)
-                                 for j, v in p.items()}, w)
-                                for p, w in zip(pool, x) if w > 0])
-    return SceVerdict(True, witnesses=weights)
-
-
-def _as_strategy(g: Game, j: Player, v: tuple) -> BehaviorStrategy:
-    """The behavior strategy of a kernel vector, restricted to the
-    positions it fills."""
-    return BehaviorStrategy.make(j, {h: k for h, k in zip(
-        g.decision_sets(j), v) if k is not None})
+            weights[i].append([(p, w) for p, w in zip(pool, x) if w > 0])
+    return SceVerdict(True, witnesses=_Witnesses(weights, {
+        j: g.decision_sets(j) for j in acting_players(g)}, pure))
 
 
 def _fills(g: Game, t: TreeId, fixed: Mapping[Player, list],
@@ -275,19 +303,16 @@ def check_sce_pure(g: Game, s: PureProfile) -> SceVerdict:
     question asks whether some such belief makes every local deviation at
     every occurring decision set weakly unprofitable.  Each player's
     witness lists the (restricted pure profile, weight) pairs of that
-    belief.
-    TypeError when g is not a Game.
+    belief; the verdict stores them as kernel vectors, with no game
+    reference, and builds the ``PureStrategy`` objects on first read
+    (``_Witnesses``).  TypeError when g is not a Game.
     """
     _check_game(g)
     kernels = {j: tuple(None if a is None else {a: ONE} for a in v)
                for j, v in _checked_vectors(g, s, action_vector,
                                             _sce_views(g)).items()}
-    v = _conditions(g, kernels, _restricted_candidates)
     # pure play has one end, so one group per player
-    v.witnesses = {i: [({j: PureStrategy.make(j, {
-        h: a for h, ((a, _),) in x.kernels}) for j, x in p.items()}, w)
-        for p, w in group] for i, [group] in v.witnesses.items()}
-    return v
+    return _conditions(g, kernels, _restricted_candidates, pure=True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +356,8 @@ def check_sce_behavior(g: Game, pi: Profile) -> SceVerdict:
     at the chain's decision sets weakly unprofitable; the search is exact
     over one pure-kernel fill per class of play in the player's tree.
     Each player's witness lists, per chain, the (restricted behavior
-    profile, weight) pairs of that belief.
-    TypeError when g is not a Game.
+    profile, weight) pairs of that belief, built on first read
+    (``_Witnesses``).  TypeError when g is not a Game.
     """
     _check_game(g)
     return _conditions(g, _behavior_vectors(g, pi), _confirmed_candidates)
@@ -400,7 +425,7 @@ def is_rationalizable_self_confirming(g: Game) -> bool:
     """Every profile of rationalizable strategies keeps each player's
     occurring information sets inside one tree."""
     return all(len({h.host for h in _sets_along(g, path, i)}) == 1
-               for path, _, _ in _path_classes(g, "efr") for i in g.players)
+               for _, path, _ in _policy_paths(g, "efr")[1] for i in g.players)
 
 
 def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
@@ -412,7 +437,8 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     has one strategy per surviving realization class (``_classes``), the
     class's first member: realization-equivalent strategies earn the same
     payoffs, and ``kuhn_convert`` maps mixtures over them to the same
-    behavior strategy.  Nature plays ``nature``, a mixed strategy of
+    behavior strategy, which is read off the class table
+    (``_class_behavior``).  Nature plays ``nature``, a mixed strategy of
     nature, or uniformly when it is None.  A pure scan of the normal form
     comes first; for two players, support enumeration then tries every
     pair of supports, smallest first, so it always finds an equilibrium.
@@ -434,8 +460,8 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
     if len(g.players) > 2:
         raise NotImplementedError(
             "restricted Nash construction supports at most two players")
-    alive = _class_rounds(g)[-1]
-    pools = {i: [_classes(g, i).first[c] for c in sorted(alive[i])]
+    alive = {i: sorted(cs) for i, cs in _class_rounds(g)[-1].items()}
+    pools = {i: [_classes(g, i).first[c] for c in alive[i]]
              for i in g.players}
     fixed = {}
     if has_nature(g):
@@ -443,13 +469,28 @@ def construct_sce_efr(g: Game, nature: Optional[MixedStrategy] = None):
             else mixed_to_behavior(g, nature)
     u = _normal_form(g, pools, {j: kernel_vector(g, x, j)
                                 for j, x in fixed.items()})
-    pi: dict[Player, BehaviorStrategy] = {}
-    for i, weights in _restricted_nash(pools, u).items():
-        make = vector_strategy(g, i)
-        pi[i] = kuhn_convert(g, i, MixedStrategy.make(
-            {make(v): w for v, w in weights.items()}))
+    pi: dict[Player, BehaviorStrategy] = {i: _class_behavior(
+        g, i, {alive[i][x]: w for x, w in weights.items()})
+        for i, weights in _restricted_nash(pools, u).items()}
     pi.update(fixed)
     return pi, check_sce_efr(g, pi)
+
+
+def _class_behavior(g: Game, i: Player, weights: dict) -> BehaviorStrategy:
+    """``mixed_to_behavior`` of the mixture weighting the first members of
+    player i's classes (``_classes``), read off the class table: a class
+    reaches a set exactly when its first member does, so the kernel there
+    is the weighted distribution of the reaching classes' first members'
+    actions, uniform where none reaches."""
+    table = _classes(g, i)
+    dists = [Counter() for _ in table.menus]
+    for c, w in weights.items():
+        for p in table.reached[c]:
+            dists[p][table.first[c][p]] += w
+    return BehaviorStrategy.make(i, {
+        h: {a: x / den for a, x in d.items()} if (den := sum(d.values()))
+        else dict.fromkeys(menu, Fraction(1, len(menu)))
+        for h, d, menu in zip(g.decision_sets(i), dists, table.menus)})
 
 
 def _normal_form(g: Game, pools: Mapping[Player, list],
@@ -471,8 +512,8 @@ def _normal_form(g: Game, pools: Mapping[Player, list],
 
 def _restricted_nash(pools: Mapping[Player, list], u: Mapping) -> dict:
     """An exact Nash equilibrium of the normal form u (``_normal_form``) as
-    weights per action vector: the first pure profile in product order,
-    else, for two players, the first pair of supports that admits one."""
+    weights per pool index: the first pure profile in product order, else,
+    for two players, the first pair of supports that admits one."""
     players = list(pools)
     # pure scan: each player's payoff is its best against the others' play
     best: list[dict] = [{} for _ in players]
@@ -483,7 +524,7 @@ def _restricted_nash(pools: Mapping[Player, list], u: Mapping) -> dict:
     for cell, pay in u.items():
         if all(pay[k] == top[cell[:k] + cell[k + 1:]]
                for k, top in enumerate(best)):
-            return {i: {pools[i][x]: ONE} for i, x in zip(players, cell)}
+            return {i: {x: ONE} for i, x in zip(players, cell)}
     # support enumeration, smallest supports first; the pure scan has
     # decided the singleton pairs
     a, b = players
@@ -499,8 +540,7 @@ def _restricted_nash(pools: Mapping[Player, list], u: Mapping) -> dict:
                 wa = _equalizing(ys, sup_b, sup_a, lambda y, x: u[x, y][1])
                 if wa is None:
                     continue
-                return {a: {pools[a][x]: w for x, w in zip(sup_a, wa)},
-                        b: {pools[b][y]: w for y, w in zip(sup_b, wb)}}
+                return {a: dict(zip(sup_a, wa)), b: dict(zip(sup_b, wb))}
     raise AssertionError("every finite two-player game has a Nash "
                          "equilibrium, so some pair of supports admits one")
 

@@ -377,6 +377,22 @@ def test_construct_sce_three_players_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "two players" in err
 
 
+@pytest.mark.parametrize("command,name", [
+    ("efr", "efr"), ("construct-sce", "construct_sce_efr")])
+def test_out_of_memory_exits_3(command, name, game_file, monkeypatch,
+                               capsys):
+    # a game too large for memory must not exit 1, which also means "no
+    # SCE": one error line and the documented status 3, no traceback
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, name, exhausted)
+    status, out, err = run(capsys, "--json", command, game_file("ex2_rsc"))
+    assert status == 3 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "memory" in err and "Traceback" not in err
+
+
 def test_construct_sce(game_file, capsys):
     status, payload = run_json(capsys, "construct-sce",
                                game_file("ex1_discovered"))
