@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import Game, InfoSet, NodeId, Player, TreeId, _check_game, _memo
+from .randgen import _check_seed
 from .rationalizability import _class_rounds, _classes, _efr
 from .strategies import (
     PureProfile,
@@ -194,7 +195,8 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     """
     players = acting_players(g)
     if isinstance(source, str):
-        pools, found = _policy_paths(g, source)
+        walk = _policy_paths.__wrapped__ if source == "all" else _policy_paths
+        pools, found = walk(g, source)
         makers = [vector_strategy(g, j) for j in players]
         return [(path, {j: make(pool[x]) for j, make, pool, x
                         in zip(players, makers, pools, first)}, count)
@@ -213,6 +215,7 @@ def _path_classes(g: Game, source: Union[Policy, Sequence[tuple]]
     return list(map(tuple, merged.values()))
 
 
+@_memo
 def _policy_paths(g: Game, policy: str) -> tuple[list, list]:
     """A named policy's pools, per acting player, and per path class in
     product order (pool indices of its first profile, path, weight).  The
@@ -224,7 +227,9 @@ def _policy_paths(g: Game, policy: str) -> tuple[list, list]:
     weighing its class size: a play-out reads a class only where it
     reaches, so its members split alike.  "all" could walk every class the
     same way, but would then build a class table for each state of an
-    all-profiles supergame, which nothing else there needs."""
+    all-profiles supergame, which nothing else there needs.  Kept in g's
+    memo, which callers must not change, save that "all" walks unkept
+    (``__wrapped__``): its pools can hold 2^14 vectors, not first members."""
     players = acting_players(g)
     sizes = None
     if policy == "all":
@@ -384,11 +389,13 @@ def run_discovery(g0: Game, policy: Policy, f: Optional[Sampler] = None,
     their ratios.  Sampling is conditioned on state-changing profiles
     (staying put is dropped, which every full-support process leaves almost
     surely), so the trace length is bounded by 1 + players * trees.
-    TypeError when g0 is not a Game or f is neither None nor callable;
-    ValueError on an unknown policy name.
+    TypeError when g0 is not a Game, f is neither None nor callable or seed
+    is neither None nor an int (a bool is not one); ValueError on an
+    unknown policy name.
     """
     _check_game(g0)
     _check_policy(policy)
+    _check_seed(0 if seed is None else seed)
     if f is not None and not callable(f):
         raise TypeError("f must be callable, not %r" % (f,))
     rng = random.Random(seed)

@@ -29,9 +29,10 @@ when no opponent's alive classes changed.  No routine recurses on the
 game's depth.  Entries are the player's payoffs times one positive integer
 per host tree, so they compare and pivot as ints.  What a player's sets in
 one host tree share is built once (``_TreeView``), with every set's
-deviation positions from one walk up the tree.  The references that check
-it (``best_reply_exists``, ``efr_oracle``) are in ``reference``, which
-this module does not import.
+deviation positions from one walk up the tree.  A game keeps its rounds,
+class tables and trace; views, contexts, matrices and column caches live
+only while the rounds run.  The references (``best_reply_exists``,
+``efr_oracle``) are in ``reference``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -313,9 +314,10 @@ class _SetContext:
                            len(base)) is not None
 
 
-@_memo
 def _contexts(g: Game) -> dict[InfoSet, _SetContext]:
-    """The set contexts of every real player's decision sets."""
+    """Each real player's set contexts, anew per call: the game keeps the
+    rounds, class tables and trace, while these, their views, matrices and
+    column caches live only while ``_rounds`` runs."""
     out = {}
     for i in g.players:
         sets = g.decision_sets(i)
@@ -524,8 +526,15 @@ class _Round(Sequence):
 
 @_memo
 def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
-    """Per round of ``efr(g).rounds``, per acting player, the classes
-    (``_classes``) whose members the round holds: the engine itself.
+    """``_rounds`` over fresh contexts, kept with the class tables and the
+    trace; the contexts, views, matrices and column caches die here."""
+    return _rounds(g, _contexts(g))
+
+
+def _rounds(g: Game, ctxs: Mapping[InfoSet, _SetContext]) -> list[dict]:
+    """The engine: per round of ``efr(g).rounds``, per acting player, the
+    classes (``_classes``) whose members the round holds.  The game keeps
+    the rounds; ctxs, views, matrices and column caches live only in here.
 
     A round decides a player's alive classes only at the sets whose
     interned allowed columns changed since the player was last decided:
@@ -533,7 +542,6 @@ def _class_rounds(g: Game) -> list[dict[Player, frozenset]]:
     none of whose opponents' alive classes changed in the last round, nature
     counted, keeps its classes without computing columns, since then no
     set's allowed columns changed."""
-    ctxs = _contexts(g)
     classes = {j: _classes(g, j) for j in acting_players(g)}
     rounds = [{j: frozenset(range(len(c.first))) for j, c in classes.items()}]
     # per decision set, the columns its player's alive classes passed

@@ -26,6 +26,7 @@ from ugt.rationalizability import (
     _class_rounds,
     _classes,
     _contexts,
+    _rounds,
     _SetContext,
     efr,
 )
@@ -751,10 +752,11 @@ def assert_matrices_match_reference(g):
     row of terminal ids whose distinct row equals its reference row up to
     the context's integer scale; the engine lists exactly the rows of terminal
     ids the continuations select; the distinct rows are the reference's as
-    multisets; and the verdicts are the reference's.
-    Returns the number of matrices checked."""
-    efr(g)
+    multisets; and the verdicts are the reference's.  The game keeps no
+    contexts, so the rounds run here on contexts of the test's own, and
+    must equal the engine's.  Returns the number of matrices checked."""
     ctxs = _contexts(g)
+    assert _rounds(g, ctxs) == _class_rounds(g)
     checked = 0
     for i in g.players:
         table = _classes(g, i)

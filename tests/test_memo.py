@@ -11,16 +11,24 @@ and ``lp``, and no module but the package's ``__init__`` imports it.
 """
 
 import ast
+import gc
 import pickle
+import weakref
 from pathlib import Path
 
 import pytest
 
+from test_efr import centipede, chain
+from ugt import rationalizability
 from ugt.core import NATURE, Game, InfoSet
-from ugt.discovery import _discovered_along, _path_classes, build_supergame
+from ugt.discovery import (
+    _discovered_along, _path_classes, _policy_paths, build_supergame,
+    run_discovery)
+from ugt.equilibrium import (
+    construct_sce_efr, is_rationalizable_self_confirming)
 from ugt.fixtures import FIXTURES, load
 from ugt.randgen import generate_random_game
-from ugt.rationalizability import _classes, _contexts, efr
+from ugt.rationalizability import _classes, efr
 from ugt.strategies import (
     _requirements, acting_players, play_table, set_positions)
 
@@ -66,7 +74,7 @@ def test_memoized_calls_return_the_same_object():
     t = g.tbar
     for f, args in ((_requirements, (t,)), (play_table, (t,)),
                     (set_positions, (1,)), (_classes, (1,)), (efr, ()),
-                    (_contexts, ()), (Game.canonical_key, ()),
+                    (Game.canonical_key, ()), (_policy_paths, ("efr",)),
                     (Game._above_below, (t,)), (Game._own_keys, (1,))):
         assert f(g, *args) is f(g, *args), f.__name__
     # the public list is a fresh copy of the kept tuple
@@ -74,6 +82,18 @@ def test_memoized_calls_return_the_same_object():
     assert sets == g.decision_sets(1) and sets is not g.decision_sets(1)
     sets.clear()
     assert g.decision_sets(1)
+
+
+def test_all_profiles_walk_is_never_kept():
+    """A class policy's path walk stays in the game's memo, so the
+    construction's self-confirming test reuses the one discovery made; the
+    "all" walk, whose pools hold every vector, is never kept."""
+    g = load("ex2_initial")
+    for policy in ("all", "rational_only", "efr", "all"):
+        _path_classes(g, policy)
+    walk = _policy_paths.__wrapped__
+    assert sorted(args for f, *args in g._memo if f is walk) \
+        == [["efr"], ["rational_only"]]
 
 
 def test_discovered_version_shares_only_the_structure_memo():
@@ -121,6 +141,39 @@ def test_pickled_game_starts_with_empty_memos(name):
     assert (h._memo, h._shared, h._shape) == ({}, {}, None)
     assert h == g
     assert efr(h) is not trace and efr(h).surviving() == trace.surviving()
+
+
+def test_no_engine_scratch_outlives_a_call(monkeypatch):
+    """The set contexts and tree views that EFR builds die when its call
+    returns, while the game lives on, and each game state EFR runs on
+    builds its contexts once: after ``efr``, the EFR supergame, an EFR
+    discovery run and, for a two-player rationalizable self-confirming
+    game, the construction."""
+    build = rationalizability._contexts
+    # per game's id: the game, held so that it lives and its id stays its
+    # own, and how often its contexts were built
+    runs: dict[int, list] = {}
+    scratch = []
+
+    def spy(g):
+        ctxs = build(g)
+        runs.setdefault(id(g), [g, 0])[1] += 1
+        scratch.extend(weakref.ref(x) for c in ctxs.values()
+                       for x in (c, c.view))
+        return ctxs
+
+    monkeypatch.setattr(rationalizability, "_contexts", spy)
+    corpus = games() + [("chain", chain(12)), ("centipede", centipede(12))]
+    for name, g in corpus:
+        efr(g)
+        states = build_supergame(g, "efr").states \
+            + run_discovery(g, "efr", seed=0).states
+        if len(g.players) <= 2 and is_rationalizable_self_confirming(g):
+            construct_sce_efr(g)
+        assert {id(s) for s in states} <= runs.keys(), name
+    gc.collect()
+    assert scratch and not [r for r in scratch if r() is not None]
+    assert all(count == 1 for _, count in runs.values())
 
 
 # ---------------------------------------------------------------------------

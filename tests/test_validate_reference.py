@@ -315,6 +315,12 @@ def wrong_kinds() -> dict:
         "supergame_dot(sg, labels=5)": (
             lambda: ugt.supergame_dot(sg, labels=5),
             "labels must be a mapping"),
+        "run_discovery(g, 'efr', seed='x')": (
+            lambda: ugt.run_discovery(g, "efr", seed="x"), seed),
+        "run_discovery(g, 'efr', seed=1.5)": (
+            lambda: ugt.run_discovery(g, "efr", seed=1.5), seed),
+        "run_discovery(g, 'efr', seed=True)": (
+            lambda: ugt.run_discovery(g, "efr", seed=True), seed),
         "run_discovery(g, 'efr', f=5)": (
             lambda: ugt.run_discovery(g, "efr", f=5), "f must be callable"),
         "allowed_profiles(g, lambda h: 5)": (
