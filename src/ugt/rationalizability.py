@@ -19,20 +19,26 @@ listed by a loop over the positions that keeps only actions an alive class
 allows.  The engine decides per-set optimality over the distinct payoff
 rows of the continuations against the allowed columns: a column where the
 row is unbeaten, else a row beating it at every column, else the simplex
-(``lp.find_belief``).  One loop plays the columns through the host tree,
-each on one flat list of the own vector and the column's keys with one
-getter call per node, and branches only at a deviation set some column's
-play meets unfixed; its branch tree gives the rows, and a continuation
-descends it to its row.  Rounds are incremental: a round re-decides a
-player only at the sets whose allowed columns changed, and not at all
-when no opponent's alive classes changed.  No routine recurses on the
-game's depth.  Entries are the player's payoffs times one positive integer
-per host tree, so they compare and pivot as ints.  What a player's sets in
-one host tree share is built once (``_TreeView``), with every set's
-deviation positions from one walk up the tree.  A game keeps its rounds,
-class tables and trace; views, contexts, matrices and column caches live
-only while the rounds run.  The references (``best_reply_exists``,
-``efr_oracle``) are in ``reference``, which this module does not import.
+(``lp.find_belief``).  A set has one matrix per set of allowed columns,
+shared by every class that reaches it: by perfect recall (I6) they make
+the same own choices on the path to every member.  One loop plays the
+columns through the host tree, each on one flat list of the own vector
+and the column's keys with one getter call per node, and branches only at
+a deviation set some column's play meets unfixed; its branch tree gives
+the rows, and a continuation descends it to its row.  Survivors only
+shrink, so a set's allowed columns do too, and its next matrix is a
+projection of its last: the same branch tree, with each leaf's row of
+terminal ids cut to the remaining columns, and no column played.  Rounds
+are incremental: a round re-decides a player only at the sets whose
+allowed columns changed, and not at all when no opponent's alive classes
+changed.  No routine recurses on the game's depth.  Entries are the
+player's payoffs times one positive integer per host tree, so they
+compare and pivot as ints.  What a player's sets in one host tree share is
+built once (``_TreeView``), with every set's deviation positions from one
+walk up the tree.  A game keeps its rounds, class tables and trace; views,
+contexts, matrices and column caches live only while the rounds run.  The
+references (``best_reply_exists``, ``efr_oracle``) are in ``reference``,
+which this module does not import.
 """
 
 from __future__ import annotations
@@ -119,7 +125,6 @@ class _TreeView:
             for j, p in table[n]:
                 if p not in used.setdefault(j, []):
                     used[j].append(p)
-        self.own = used.get(i, [])
         self.opponents = [j for j in acting_players(g) if j != i]
         # per opponent, the positions its key reads
         self.reads = [used.get(j, []) for j in self.opponents]
@@ -183,8 +188,8 @@ class _TreeView:
 
 class _SetContext:
     """One decision set over its player's view of the host tree
-    (``_TreeView``): its deviation positions with their menus, the key of
-    the own choices off them, its members' path requirements and caches;
+    (``_TreeView``): its deviation positions with their menus, its members'
+    path requirements, its column caches and the payoff matrix it gave last;
     takes the game only to build, never holds it."""
 
     def __init__(self, g: Game, view: _TreeView, h: InfoSet, dev: list):
@@ -194,7 +199,6 @@ class _SetContext:
         # the deviation positions, each with its menu
         sets = g.decision_sets(i)
         self.dev = {p: g.set_actions(sets[p]) for p in dev}
-        self.prefix_key = _getter([p for p in view.own if p not in self.dev])
         # per member of h, the (index among a column's keys, action)
         # constraints of the path to it
         reqs = _requirements(g, h.host)
@@ -204,7 +208,9 @@ class _SetContext:
         self._columns: dict[tuple, tuple] = {}
         self._aids: dict[tuple, int] = {}
         self._allowed: dict[int, tuple] = {}
-        self._matrices: dict[tuple, tuple] = {}
+        # the last matrix: its aid, the matrix, its columns and per leaf of
+        # its branch tree the row of terminal ids, one per column
+        self._last: tuple = (None, None, (), ())
 
     def column_reaches(self, col: tuple) -> bool:
         got = self._col_reaches.get(col)
@@ -230,29 +236,58 @@ class _SetContext:
         return aid
 
     def _matrix(self, v: tuple, aid: int) -> tuple:
-        """Payoff rows for every continuation at the deviation sets, shared
-        by all strategies with the same choices before the set: the branch
-        tree, each row of terminal ids' index into the distinct rows, those
-        rows, the column maxima and a verdict slot per distinct row.
+        """Payoff rows for every continuation at the deviation sets against
+        the allowed columns aid, for v and every other vector whose class
+        reaches the set: the branch tree, per leaf its distinct row's index,
+        those rows, the column maxima and a verdict slot per distinct row.
 
-        One loop plays the allowed columns in turn, each on its own flat
-        list (``_TreeView``) with v's choices off the deviation positions,
-        and branches in menu order where a column meets a deviation position
-        that no branch above fixes; a branch's fix goes into every list.
-        Its tree has a [position, {action: subtree}] list per branch and a
-        row of terminal ids, one per column, per leaf.  Rows are compared
-        first as tuples of terminal ids, then as payoffs, which are integers
-        (``_TreeView.payoff``)."""
-        key = (self.prefix_key(v), aid)
-        got = self._matrices.get(key)
-        if got is not None:
+        One matrix serves every class that reaches the set: by perfect
+        recall (I6) such classes all make the same own choices on the path
+        to every member, so a column that reaches the set plays through it
+        and reads no own position off that path but the deviation ones.
+        The context keeps the matrix it gave last.  When each column of aid
+        is one of that matrix's, as when a round's survivors shrink, the new
+        matrix shares its branch tree and keeps of each leaf's row of
+        terminal ids only those columns' entries, playing no column;
+        otherwise ``_play`` plays the columns.  Rows are compared as
+        payoffs, which are integers (``_TreeView.payoff``)."""
+        last, got, old, ids = self._last
+        if last == aid:
             return got
+        cols = self._allowed[aid]
+        at = dict(zip(old, itertools.count()))
+        keep = [at.get(c) for c in cols]
+        if None in keep:
+            tree, ids = self._play(v, cols)
+        else:
+            tree = got[0]
+            ids = [tuple([r[k] for k in keep]) for r in ids]
+        pay = self.view.payoff
+        distinct: dict[tuple, int] = {}
+        of = [distinct.setdefault(tuple([pay[n] for n in r]), len(distinct))
+              for r in ids]
+        rows = list(distinct)
+        got = (tree, of, rows, tuple(map(max, zip(*rows))),
+               [None] * len(rows))
+        self._last = aid, got, cols, ids
+        return got
+
+    def _play(self, v: tuple, cols: tuple) -> tuple:
+        """The branch tree of the columns cols for v's class, and per leaf
+        its row of terminal ids, one per column.
+
+        One loop plays the columns in turn, each on its own flat list
+        (``_TreeView``) with v's choices off the deviation positions, and
+        branches in menu order where a column meets a deviation position
+        that no branch above fixes; a branch's fix goes into every list.
+        The tree has a [position, {action: subtree}] list per branch and
+        the leaf's number per leaf."""
         view = self.view
         play, root = view.play, view.root
         w = list(v)
         for p in self.dev:
             w[p] = None
-        flats = [[*w, *itertools.chain(*c)] for c in self._allowed[aid]]
+        flats = [[*w, *itertools.chain(*c)] for c in cols]
         id_rows: list[tuple] = []
         fixed: list[int] = []  # the positions the current branch fixes
         top: dict = {}
@@ -281,24 +316,18 @@ class _SetContext:
                 ids += (x,)
                 n = root
             else:
-                at[a] = ids
+                at[a] = len(id_rows)
                 id_rows.append(ids)
-        pay = view.payoff
-        distinct: dict[tuple, int] = {}
-        of = {ids: distinct.setdefault(tuple([pay[n] for n in ids]),
-                                       len(distinct)) for ids in id_rows}
-        rows = list(distinct)
-        col_max = tuple(map(max, zip(*rows)))
-        got = self._matrices[key] = (top[None], of, rows, col_max,
-                                     [None] * len(rows))
-        return got
+        return top[None], id_rows
 
     def optimal_for_some_belief(self, v: tuple, aid: int) -> bool:
-        """True when some belief over the allowed columns makes the
-        continuation of v weakly optimal among local deviations: its row is
-        unbeaten at some column, else no row beats it at every column and
-        the simplex over all the distinct rows finds a belief
-        (``lp.find_belief``); a dominated row only adds an implied bound."""
+        """True when some belief over the allowed columns aid makes the
+        continuation of v weakly optimal among local deviations, where v's
+        class reaches the set: its row is unbeaten at some column, else no
+        row beats it at every column and the simplex over all the distinct
+        rows finds a belief (``lp.find_belief``); a dominated row only adds
+        an implied bound.  Verdicts are kept per distinct row of the set's
+        matrix for aid, so every class reaching the set shares them."""
         x, of, rows, col_max, verdicts = self._matrix(v, aid)
         while type(x) is list:
             x = x[1][v[x[0]]]

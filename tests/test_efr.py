@@ -737,8 +737,8 @@ def reference_matrix(g, ctx, v, aid):
 
 
 def follow(tree, w):
-    """The row of terminal ids that the vector w's actions select in the
-    branch tree of ``_SetContext._matrix``."""
+    """The leaf that the vector w's actions select in the branch tree of
+    ``_SetContext._matrix``."""
     while type(tree) is list:
         position, branches = tree
         tree = branches[w[position]]
@@ -746,15 +746,16 @@ def follow(tree, w):
 
 
 def assert_matrices_match_reference(g):
-    """Every matrix the engine can build for the first members of each
-    player's classes, over every column set its rounds allowed, matches the
-    reference: each continuation, followed down the branch tree, selects a
-    row of terminal ids whose distinct row equals its reference row up to
-    the context's integer scale; the engine lists exactly the rows of terminal
-    ids the continuations select; the distinct rows are the reference's as
-    multisets; and the verdicts are the reference's.  The game keeps no
-    contexts, so the rounds run here on contexts of the test's own, and
-    must equal the engine's.  Returns the number of matrices checked."""
+    """Every matrix the engine can build for a set, over every column set
+    its rounds allowed, matches the reference of the first member of each
+    class that reaches the set: one matrix per set and column set serves
+    them all.  Each continuation, followed down the branch tree, selects a
+    leaf whose distinct row equals its reference row up to the context's
+    integer scale; every leaf is selected by some continuation; the
+    distinct rows are the reference's as multisets; and the verdicts are
+    the reference's.  The game keeps no contexts, so the rounds run here on
+    contexts of the test's own, and must equal the engine's.  Returns the
+    number of (first member, column set) pairs checked."""
     ctxs = _contexts(g)
     assert _rounds(g, ctxs) == _class_rounds(g)
     checked = 0
@@ -768,14 +769,10 @@ def assert_matrices_match_reference(g):
             def scaled(rs):
                 return sorted(tuple(x * scale for x in r) for r in rs)
 
-            seen = set()
-            for v, reached in zip(table.first, table.reached):
-                if k not in reached:
-                    continue
-                for aid in list(ctx._allowed):
-                    if (ctx.prefix_key(v), aid) in seen:
-                        continue
-                    seen.add((ctx.prefix_key(v), aid))
+            firsts = [v for v, reached in zip(table.first, table.reached)
+                      if k in reached]
+            for aid in list(ctx._allowed):
+                for v in firsts:
                     tree, of, rows, _, _ = ctx._matrix(v, aid)
                     want_at, want_rows, verdicts = \
                         reference_matrix(g, ctx, v, aid)
@@ -786,13 +783,13 @@ def assert_matrices_match_reference(g):
                         w = list(v)
                         for p, a in zip(ctx.dev, combo):
                             w[p] = a
-                        ids = follow(tree, w)
-                        selected.add(ids)
-                        assert rows[of[ids]] == tuple(
+                        leaf = follow(tree, w)
+                        selected.add(leaf)
+                        assert rows[of[leaf]] == tuple(
                             x * scale for x in want_rows[r]), (hh, combo)
                         assert ctx.optimal_for_some_belief(tuple(w), aid) \
                             == verdicts[r], (hh, combo)
-                    assert set(of) == selected, hh
+                    assert selected == set(range(len(of))), hh
                     checked += 1
     return checked
 
@@ -870,6 +867,114 @@ def test_efr_ignores_a_positive_affine_payoff_change(name):
     scaled = Game(g.players, g.trees, nodes, g.info)
     assert efr(scaled).rounds == efr(g).rounds
     assert assert_matrices_match_reference(scaled)
+
+
+# ---------------------------------------------------------------------------
+# matrices projected from the last round's against fresh builds
+
+
+def leaf_continuations(ctx, v, tree):
+    """Per leaf of a branch tree of ``_SetContext._matrix``, the vector v
+    with the actions of the branches down to the leaf at the positions
+    they fix, and each menu's first action at the other deviation
+    positions."""
+    w = list(v)
+    for p, menu in ctx.dev.items():
+        w[p] = menu[0]
+    out, stack = [], [(tree, w)]
+    while stack:
+        x, w = stack.pop()
+        if type(x) is list:
+            p, branches = x
+            stack.extend((sub, [*w[:p], a, *w[p + 1:]])
+                         for a, sub in branches.items())
+        else:
+            out.append(tuple(w))
+    return out
+
+
+def assert_matches_fresh_build(g, ctx, v, aid, got):
+    """The matrix got, which ctx just gave for v over the columns aid,
+    equals a fresh build over the same columns on a new context of the set:
+    the same distinct rows as multisets, and at every leaf of either branch
+    tree the same row and the same verdict."""
+    fresh = _SetContext(g, ctx.view, ctx.h, list(ctx.dev))
+    faid = fresh.intern(ctx._allowed[aid])
+    tree, of, rows, _, _ = got
+    want_tree, want_of, want_rows, _, _ = fresh._matrix(v, faid)
+    assert sorted(rows) == sorted(want_rows), ctx.h
+    for w in leaf_continuations(ctx, v, tree) + \
+            leaf_continuations(ctx, v, want_tree):
+        assert rows[of[follow(tree, w)]] == \
+            want_rows[want_of[follow(want_tree, w)]], (ctx.h, w)
+        assert ctx.optimal_for_some_belief(w, aid) == \
+            fresh.optimal_for_some_belief(w, faid), (ctx.h, w)
+
+
+def assert_projections_match_fresh_builds(g, monkeypatch):
+    """Runs the rounds on contexts of the test's own, which must give the
+    engine's rounds, and checks each matrix that ``_SetContext._matrix``
+    made without playing a column, that is by projecting its last one,
+    against a fresh build (``assert_matches_fresh_build``).  Then asks
+    every context for its column sets in reverse, so that its columns
+    grow, and checks every matrix it gives.  Returns the number of
+    projections the rounds made."""
+    want = _class_rounds(g)
+    build, play = _SetContext._matrix, _SetContext._play
+    plays, projected = [], []
+
+    def counted_play(ctx, v, cols):
+        plays.append(ctx)
+        return play(ctx, v, cols)
+
+    def checked_build(ctx, v, aid):
+        last, before = ctx._last[1], len(plays)
+        got = build(ctx, v, aid)
+        if got is not last and len(plays) == before:
+            projected.append(ctx.h)
+            assert_matches_fresh_build(g, ctx, v, aid, got)
+        return got
+
+    with monkeypatch.context() as m:
+        m.setattr(_SetContext, "_play", counted_play)
+        m.setattr(_SetContext, "_matrix", checked_build)
+        ctxs = _contexts(g)
+        assert _rounds(g, ctxs) == want
+        count = len(projected)
+        for ctx in ctxs.values():
+            table, k = _classes(g, ctx.i), g.decision_sets(ctx.i).index(ctx.h)
+            v = next(v for v, reached in zip(table.first, table.reached)
+                     if k in reached)
+            for aid in reversed(ctx._allowed):
+                assert_matches_fresh_build(g, ctx, v, aid,
+                                           ctx._matrix(v, aid))
+    return count
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_projections_match_fresh_builds(name, monkeypatch):
+    assert_projections_match_fresh_builds(load(name), monkeypatch)
+
+
+@pytest.mark.parametrize("shape", ["plain", "nature", "3p"])
+def test_generated_projections_match_fresh_builds(shape, monkeypatch):
+    for seed in range(10):
+        assert_projections_match_fresh_builds(generate_random_game(
+            seed=seed, depth=3, branching=2, tree_count=3,
+            **GENERATED.get(shape, {})), monkeypatch)
+
+
+def test_family_projections_match_fresh_builds(monkeypatch):
+    """Each round of the centipede drops classes and shrinks the columns
+    at every set, so its matrices are projected; chain's one column never
+    changes, and the traveller's dilemma projects at its one set."""
+    counts = {d: assert_projections_match_fresh_builds(centipede(d),
+                                                       monkeypatch)
+              for d in (12, 40)}
+    assert counts[12] > 0 and counts[40] > 0
+    assert assert_projections_match_fresh_builds(chain(12), monkeypatch) == 0
+    assert assert_projections_match_fresh_builds(travellers_dilemma(8),
+                                                 monkeypatch) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1314,19 +1419,23 @@ def test_travellers_dilemma_keeps_only_the_lowest_claim(deadline,
                              for i in g.players)
 
 
-# chain(100) under a recursion limit of 60: no engine routine may recurse on
-# the game's depth
+# chain(100) and centipede(80) under a recursion limit of 40: no engine
+# routine may recurse on the game's depth.  Each centipede round shrinks the
+# columns at every set, so EFR projects matrices whose branch tree at
+# player 1's root set is 40 deep, as deep as the limit
 LOW_LIMIT = """
 import json, sys
 from fractions import Fraction
-from test_efr import chain
+from test_efr import centipede, chain
+from ugt.core import InfoSet
 from ugt.discovery import build_supergame, run_discovery
 from ugt.equilibrium import construct_sce_efr
-from ugt.rationalizability import efr
-from ugt.strategies import behavior_payoff, realized_tbar_path
+from ugt.rationalizability import _class_rounds, _classes, efr
+from ugt.strategies import behavior_payoff, realized_tbar_path, set_positions
 
-g, short = chain(100), chain(50)
-sys.setrecursionlimit(60)
+g, short, deep = chain(100), chain(50), centipede(80)
+root = set_positions(deep, 1)[InfoSet(1, "G", (0,))]
+sys.setrecursionlimit(40)
 [s] = efr(g).surviving()[1]
 uniform = tuple({a: Fraction(1, 2) for a in g.set_actions(h)}
                 for h in g.decision_sets(1))
@@ -1335,14 +1444,17 @@ print(json.dumps({
     "supergame": len(build_supergame(g, "efr").states),
     "discovery": len(run_discovery(g, "efr", seed=0).states),
     "payoff": str(behavior_payoff(g, 1, "G", {1: uniform})),
-    "sce": construct_sce_efr(short)[1].holds}))
+    "sce": construct_sce_efr(short)[1].holds,
+    "centipede": sorted({_classes(deep, 1).first[c][root]
+                         for c in _class_rounds(deep)[-1][1]})}))
 """
 
 
 def test_deep_chain_needs_no_recursion(deadline):
-    """Under a recursion limit of 60, the engine lists chain(100)'s one
+    """Under a recursion limit of 40, the engine lists chain(100)'s one
     survivor, builds its EFR supergame, runs discovery and pays uniform
-    kernels, and an equilibrium is constructed on chain(50)."""
+    kernels, an equilibrium is constructed on chain(50), and EFR on
+    centipede(80) has player 1 take at the root."""
     src = os.path.dirname(os.path.dirname(rationalizability.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.path.dirname(__file__)]))
@@ -1355,4 +1467,4 @@ def test_deep_chain_needs_no_recursion(deadline):
         + Fraction(d, 2 ** d)
     assert json.loads(run.stdout) == {
         "path": [*range(d), 2 * d], "supergame": 1, "discovery": 1,
-        "payoff": str(pay), "sce": True}
+        "payoff": str(pay), "sce": True, "centipede": ["t0"]}
